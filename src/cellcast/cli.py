@@ -45,6 +45,8 @@ def parse_span(text: str, utc_offset_hours: float) -> tuple[int, int]:
 
 
 def _require_keys(payload: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(payload).__name__}")
     unknown = sorted(set(payload) - allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
@@ -77,6 +79,32 @@ def parse_synth_spec(payload: dict, default_seed: int) -> synth.SynthSpec:
     )
     synth.validate_spec(spec)
     return spec
+
+
+def parse_k(value, where: str):
+    """A cluster count >= 1, or "auto" for the elbow pick."""
+    if value == "auto":
+        return value
+    try:
+        k = int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be an integer or 'auto', got {value!r}") from None
+    if k < 1:
+        raise ConfigError(f"{where} must be >= 1 or 'auto', got {value}")
+    return k
+
+
+def parse_grid(payload: dict, where: str) -> training.GridSpec:
+    """Grid axes from JSON; an absent axis takes the GridSpec default."""
+    _require_keys(payload, {"hidden_layers", "units", "cell_kinds"}, where)
+    default = training.GridSpec()
+    grid = training.GridSpec(
+        hidden_layers=tuple(int(h) for h in payload.get("hidden_layers", default.hidden_layers)),
+        units=tuple(int(u) for u in payload.get("units", default.units)),
+        cell_kinds=tuple(str(c).lower() for c in payload.get("cell_kinds", default.cell_kinds)),
+    )
+    training.validate_grid(grid)
+    return grid
 
 
 @dataclass
@@ -122,20 +150,8 @@ def parse_pipeline_config(payload: dict) -> PipelineConfig:
     else:
         raise ConfigError("config needs a span when input paths are given")
 
-    k = payload.get("k", "auto")
-    if k != "auto":
-        k = int(k)
-        if k < 1:
-            raise ConfigError(f"k must be >= 1 or 'auto', got {k}")
-
-    grid_payload = payload.get("grid", {})
-    _require_keys(grid_payload, {"hidden_layers", "units", "cell_kinds"}, "grid")
-    grid = training.GridSpec(
-        hidden_layers=tuple(int(h) for h in grid_payload.get("hidden_layers", (1, 2, 3, 4))),
-        units=tuple(int(u) for u in grid_payload.get("units", (50, 100, 150, 200, 250))),
-        cell_kinds=tuple(str(c).lower() for c in grid_payload.get("cell_kinds", ("lstm", "gru"))),
-    )
-    training.validate_grid(grid)
+    k = parse_k(payload.get("k", "auto"), "k")
+    grid = parse_grid(payload.get("grid", {}), "grid")
 
     train_payload = payload.get("train", {})
     _require_keys(train_payload, {"epochs", "batch_size", "runs", "base_seed",
@@ -207,32 +223,16 @@ def _cluster_stage(cells: dict, k, kmax: int, seed: int, restarts: int,
     return model, curve, series
 
 
-def _per_kind_best(result: training.GridResult, cluster: int, kind: str) -> str | None:
-    """Best label for one cell kind within a cluster, or None if that
-    kind was not in the grid."""
-    runs = [r for r in result.runs if r.cluster == cluster and r.cell_kind == kind]
-    if not runs:
-        return None
-    sub = training.GridResult(
-        runs=runs,
-        mean_rmse={label: m for label, m in result.mean_rmse.items()
-                   if any(r.label == label for r in runs)},
-        best_config={},
-    )
-    return training.select_best(sub, cluster)[0]
+def _best_run_seed(runs: list[training.TrainRunResult]) -> int:
+    return min(runs, key=lambda r: (r.rmse, r.run)).seed
 
 
-def _parse_label(label: str) -> tuple[str, int, int, int]:
-    m = re.fullmatch(r"(LSTM|GRU)-(\d+)-(\d+)L-(\d+)U", label)
-    if not m:
-        raise ConfigError(f"bad config label {label!r}")
-    return m.group(1).lower(), int(m.group(2)), int(m.group(3)), int(m.group(4))
-
-
-def _best_run_seed(result: training.GridResult, label: str) -> int:
-    runs = [r for r in result.runs if r.label == label]
-    best = min(runs, key=lambda r: (r.rmse, r.run))
-    return best.seed
+def _winner_samples(result: training.GridResult, cluster: int) -> list[stats.MetricSample]:
+    """RMSE samples of the cluster's LSTM and GRU winners, in that order."""
+    winners = training.kind_winners(result, cluster)
+    return [stats.MetricSample(label=winners[kind][0].label,
+                               values=tuple(r.rmse for r in winners[kind]))
+            for kind in ("lstm", "gru") if kind in winners]
 
 
 def _train_stage(series: dict, grid: training.GridSpec, cfg: training.TrainConfig,
@@ -245,17 +245,15 @@ def _train_stage(series: dict, grid: training.GridSpec, cfg: training.TrainConfi
     by_cluster = {d.cluster: d for d in datasets}
     model_paths = {}
     for cluster in sorted(by_cluster):
+        winners = training.kind_winners(result, cluster)
         for kind in grid.cell_kinds:
-            label = _per_kind_best(result, cluster, kind)
-            if label is None:
-                continue
-            _, _, layers, units = _parse_label(label)
-            seed = _best_run_seed(result, label)
-            net = training.train_best_network(kind, layers, units,
-                                              by_cluster[cluster], cfg, seed)
+            runs = winners[kind]
+            label = runs[0].label
+            net = training.train_best_network(kind, runs[0].hidden_layers, runs[0].units,
+                                              by_cluster[cluster], cfg, _best_run_seed(runs))
             path = os.path.join(out_dir, f"{kind}_c{cluster}.json")
             recurrent.save_model_json(net, by_cluster[cluster].scaler, path)
-            model_paths[(cluster, kind)] = path
+            model_paths[label] = path
             _log(f"train: cluster {cluster} best {kind} = {label} "
                  f"(mean rmse {result.mean_rmse[label]:.6g}), model -> {path}")
     return result, model_paths
@@ -264,18 +262,10 @@ def _train_stage(series: dict, grid: training.GridSpec, cfg: training.TrainConfi
 def _compare_stage(result: training.GridResult, clusters: list[int]) -> dict:
     report = {}
     for cluster in clusters:
-        labels = []
-        for kind in ("lstm", "gru"):
-            label = _per_kind_best(result, cluster, kind)
-            if label is not None:
-                labels.append(label)
-        if len(labels) < 2:
+        samples = _winner_samples(result, cluster)
+        if len(samples) < 2:
             _log(f"compare: cluster {cluster} has fewer than two cell kinds, skipped")
             continue
-        samples = []
-        for label in labels:
-            values = tuple(r.rmse for r in result.runs if r.label == label)
-            samples.append(stats.MetricSample(label=label, values=values))
         report[str(cluster)] = stats.comparison_report(samples)
         _log(f"compare: cluster {cluster} p={report[str(cluster)]['p_value']:.4g} "
              f"-> {report[str(cluster)]['verdict']}")
@@ -315,12 +305,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    if args.k != "auto":
-        k = int(args.k)
-        if k < 1:
-            raise ConfigError(f"--k must be >= 1 or auto, got {args.k}")
-    else:
-        k = "auto"
+    k = parse_k(args.k, "--k")
     cells = ingest.load_bins_json(args.bins)
     model, curve, series = _cluster_stage(
         cells, k, args.kmax, args.seed, args.restarts,
@@ -333,26 +318,15 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def _load_grid(text: str) -> training.GridSpec:
-    if text == "default":
-        return training.GridSpec()
-    with open(text, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    _require_keys(payload, {"hidden_layers", "units", "cell_kinds"}, "grid file")
-    grid = training.GridSpec(
-        hidden_layers=tuple(int(h) for h in payload.get("hidden_layers", (1, 2, 3, 4))),
-        units=tuple(int(u) for u in payload.get("units", (50, 100, 150, 200, 250))),
-        cell_kinds=tuple(str(c).lower() for c in payload.get("cell_kinds", ("lstm", "gru"))),
-    )
-    training.validate_grid(grid)
-    return grid
-
-
 def cmd_train(args) -> int:
     model = clustering.load_cluster_json(args.clusters)
     cells = ingest.load_bins_json(args.bins)
     series = clustering.cluster_mean_series(model, cells)
-    grid = _load_grid(args.grid)
+    if args.grid == "default":
+        grid = training.GridSpec()
+    else:
+        with open(args.grid, "r", encoding="utf-8") as fh:
+            grid = parse_grid(json.load(fh), "grid file")
     cfg = training.TrainConfig(epochs=args.epochs, batch_size=args.batch,
                                runs=args.runs, base_seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -368,8 +342,16 @@ def _parse_cluster_range(text: str, available: list[int]) -> list[int]:
     m = re.fullmatch(r"(\d+)\.\.(\d+)", text)
     if m:
         lo, hi = int(m.group(1)), int(m.group(2))
-        return [c for c in sorted(available) if lo <= c <= hi]
-    return [int(part) for part in text.split(",")]
+        clusters = [c for c in sorted(available) if lo <= c <= hi]
+        if not clusters:
+            raise ConfigError(f"--clusters {text} selects no cluster in the results")
+        return clusters
+    clusters = []
+    for part in text.split(","):
+        if not re.fullmatch(r"\d+", part.strip()) or int(part) not in available:
+            raise ConfigError(f"--clusters: {part!r} is not a cluster in the results")
+        clusters.append(int(part))
+    return clusters
 
 
 def cmd_compare(args) -> int:
@@ -379,13 +361,7 @@ def cmd_compare(args) -> int:
     report = _compare_stage(result, clusters)
     stats.save_comparison_json(report, args.out)
     if args.box:
-        samples = []
-        for cluster in clusters:
-            for kind in ("lstm", "gru"):
-                label = _per_kind_best(result, cluster, kind)
-                if label is not None:
-                    values = tuple(r.rmse for r in result.runs if r.label == label)
-                    samples.append(stats.MetricSample(label=label, values=values))
+        samples = [s for cluster in clusters for s in _winner_samples(result, cluster)]
         stats.save_box_csv(samples, args.box)
     _log(f"compare: wrote {args.out}")
     return 0
@@ -449,9 +425,7 @@ def cmd_pipeline(args) -> int:
     stats.save_comparison_json(report, os.path.join(out, "comparison.json"))
 
     for cluster in sorted(series):
-        best_label = result.best_config[cluster]
-        kind = _parse_label(best_label)[0]
-        net, scaler = recurrent.load_model_json(model_paths[(cluster, kind)])
+        net, scaler = recurrent.load_model_json(model_paths[result.best_config[cluster]])
         table = training.predict_test_split(net, scaler, series[cluster])
         with open(os.path.join(out, f"predictions_c{cluster}.csv"),
                   "w", encoding="utf-8", newline="") as fh:

@@ -327,11 +327,3 @@ def save_sse_csv(curve: SseCurve, path: str) -> None:
         writer.writerow(["k", "sse"])
         for k, sse in curve.entries:
             writer.writerow([k, f"{sse:.17g}"])
-
-
-def load_sse_csv(path: str) -> SseCurve:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        entries = [(int(row[0]), float(row[1])) for row in reader]
-    return SseCurve(entries=entries)

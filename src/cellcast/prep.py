@@ -7,8 +7,6 @@ Kept as pure functions over plain arrays.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,23 +76,3 @@ def make_windows(series: np.ndarray, window: int = WINDOW) -> SupervisedWindows:
     inputs = np.stack([series[t - window:t] for t in origins])
     return SupervisedWindows(inputs=inputs, targets=series[origins].copy(),
                              origin_indices=origins, window=window)
-
-
-def save_scaler_json(scaler: MinMaxScaler, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"lo": scaler.lo, "hi": scaler.hi}, fh, indent=2)
-        fh.write("\n")
-
-
-def load_scaler_json(path: str) -> MinMaxScaler:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return MinMaxScaler(lo=float(payload["lo"]), hi=float(payload["hi"]))
-
-
-def save_windows_csv(windows: SupervisedWindows, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i + 1}" for i in range(windows.window)] + ["y"])
-        for row, y in zip(windows.inputs, windows.targets):
-            writer.writerow([f"{v:.17g}" for v in row] + [f"{y:.17g}"])

@@ -26,9 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Empty, LengthMismatch, ShapeMismatch, TapeMismatch
-from .prep import MinMaxScaler
-
-WINDOW = 4
+from .prep import WINDOW, MinMaxScaler
 
 
 # ---------------------------------------------------------------------------

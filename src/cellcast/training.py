@@ -226,42 +226,81 @@ def grid_search(grid: GridSpec, datasets: list[ClusterDataset], cfg: TrainConfig
             results = list(pool.map(_run_task, tasks))
 
     results.sort(key=lambda r: (r.cluster, r.cell_kind, r.hidden_layers, r.units, r.run))
+    return _aggregate(results)
 
-    by_label: dict[str, list[TrainRunResult]] = {}
-    for r in results:
-        by_label.setdefault(r.label, []).append(r)
+
+# ---------------------------------------------------------------------------
+# ranking: every consumer of grid results groups and scores runs here
+
+def _by_label(runs) -> dict[str, list[TrainRunResult]]:
+    """Runs grouped by config label, labels and runs in input order."""
+    groups: dict[str, list[TrainRunResult]] = {}
+    for r in runs:
+        groups.setdefault(r.label, []).append(r)
+    return groups
+
+
+def _quartiles(runs: list[TrainRunResult]) -> tuple[float, float, float]:
+    """First quartile, median and third quartile of one config's RMSEs."""
+    q1, median, q3 = np.percentile(np.array([r.rmse for r in runs]), [25.0, 50.0, 75.0])
+    return float(q1), float(median), float(q3)
+
+
+def _aggregate(runs: list[TrainRunResult]) -> GridResult:
+    """GridResult of runs: per-config mean RMSE and each cluster's winner."""
     mean_rmse = {label: float(np.mean([r.rmse for r in rs]))
-                 for label, rs in by_label.items()}
-
-    result = GridResult(runs=results, mean_rmse=mean_rmse, best_config={})
-    for cluster in sorted({r.cluster for r in results}):
+                 for label, rs in _by_label(runs).items()}
+    result = GridResult(runs=runs, mean_rmse=mean_rmse, best_config={})
+    for cluster in sorted({r.cluster for r in runs}):
         result.best_config[cluster] = select_best(result, cluster)[0]
     return result
+
+
+def _cluster_configs(result: GridResult, cluster: int) -> dict[str, list[TrainRunResult]]:
+    """The cluster's runs grouped by config label; UnknownCluster if none."""
+    configs = _by_label(r for r in result.runs if r.cluster == cluster)
+    if not configs:
+        raise UnknownCluster(f"no results for cluster {cluster}")
+    return configs
+
+
+def _rank(configs: dict[str, list[TrainRunResult]], mean_rmse: dict[str, float]) -> list[str]:
+    lowest = min(mean_rmse[label] for label in configs)
+    tied = [label for label in configs if mean_rmse[label] <= lowest + TIE_THRESHOLD]
+
+    def order_key(label: str):
+        q1, median, q3 = _quartiles(configs[label])
+        any_run = configs[label][0]
+        return (median, q3 - q1, any_run.units, any_run.hidden_layers, label)
+
+    return sorted(tied, key=order_key)
 
 
 def select_best(result: GridResult, cluster: int) -> list[str]:
     """Labels tied for the cluster's lowest mean RMSE (within
     TIE_THRESHOLD), best first: lower median, then tighter interquartile
     range, then fewer units, then fewer layers."""
-    per_config: dict[str, list[TrainRunResult]] = {}
-    for r in result.runs:
-        if r.cluster == cluster:
-            per_config.setdefault(r.label, []).append(r)
-    if not per_config:
-        raise UnknownCluster(f"no results for cluster {cluster}")
+    return _rank(_cluster_configs(result, cluster), result.mean_rmse)
 
-    means = {label: float(np.mean([r.rmse for r in rs]))
-             for label, rs in per_config.items()}
-    lowest = min(means.values())
-    tied = [label for label in per_config if means[label] <= lowest + TIE_THRESHOLD]
 
-    def order_key(label: str):
-        values = np.array([r.rmse for r in per_config[label]])
-        q1, median, q3 = np.percentile(values, [25.0, 50.0, 75.0])
-        any_run = per_config[label][0]
-        return (median, q3 - q1, any_run.units, any_run.hidden_layers, label)
+def kind_winners(result: GridResult, cluster: int) -> dict[str, list[TrainRunResult]]:
+    """Runs of each cell kind's best config in the cluster, keyed by kind.
 
-    return sorted(tied, key=order_key)
+    The kind that holds the cluster's winner gets that winner, so the
+    saved model, the compared sample and the predictions all come from
+    the config summary.json marks best. Every other kind gets the head
+    of its own tie set, ranked as select_best ranks the cluster.
+    """
+    configs = _cluster_configs(result, cluster)
+    winner = _rank(configs, result.mean_rmse)[0]
+    by_kind: dict[str, dict[str, list[TrainRunResult]]] = {}
+    for label, runs in configs.items():
+        by_kind.setdefault(runs[0].cell_kind, {})[label] = runs
+    winners = {}
+    for kind, kind_configs in by_kind.items():
+        label = winner if winner in kind_configs else _rank(kind_configs, result.mean_rmse)[0]
+        winners[kind] = kind_configs[label]
+    return winners
 
 
 def naive_last_value(windows: SupervisedWindows) -> np.ndarray:
@@ -332,15 +371,7 @@ def load_results_csv(path: str) -> GridResult:
                 run=int(row[4]), seed=int(row[5]), loss_trace=[],
                 rmse=float(row[6]), mae=float(row[7]), seconds=float(row[8]),
             ))
-    by_label: dict[str, list[TrainRunResult]] = {}
-    for r in runs:
-        by_label.setdefault(r.label, []).append(r)
-    mean_rmse = {label: float(np.mean([r.rmse for r in rs]))
-                 for label, rs in by_label.items()}
-    result = GridResult(runs=runs, mean_rmse=mean_rmse, best_config={})
-    for cluster in sorted({r.cluster for r in runs}):
-        result.best_config[cluster] = select_best(result, cluster)[0]
-    return result
+    return _aggregate(runs)
 
 
 def save_summary_json(result: GridResult, path: str) -> None:
@@ -348,22 +379,18 @@ def save_summary_json(result: GridResult, path: str) -> None:
     cluster's tie set."""
     summary: dict[str, dict] = {}
     for cluster in sorted({r.cluster for r in result.runs}):
-        best = set(select_best(result, cluster))
-        configs: dict[str, dict] = {}
-        per_config: dict[str, list[float]] = {}
-        for r in result.runs:
-            if r.cluster == cluster:
-                per_config.setdefault(r.label, []).append(r.rmse)
-        for label in sorted(per_config):
-            values = np.array(per_config[label])
-            q1, median, q3 = np.percentile(values, [25.0, 50.0, 75.0])
-            configs[label] = {
-                "mean_rmse": float(np.mean(values)),
-                "median_rmse": float(median),
-                "iqr": float(q3 - q1),
+        configs = _cluster_configs(result, cluster)
+        best = set(_rank(configs, result.mean_rmse))
+        entries: dict[str, dict] = {}
+        for label in sorted(configs):
+            q1, median, q3 = _quartiles(configs[label])
+            entries[label] = {
+                "mean_rmse": result.mean_rmse[label],
+                "median_rmse": median,
+                "iqr": q3 - q1,
                 "best": label in best,
             }
-        summary[str(cluster)] = configs
+        summary[str(cluster)] = entries
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from cellcast.cli import main, parse_pipeline_config, parse_span, parse_synth_spec
+from cellcast.cli import main, parse_grid, parse_pipeline_config, parse_span, parse_synth_spec
 from cellcast.errors import ConfigError
 
 MS_PER_DAY = 86_400_000
@@ -49,6 +49,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_pipeline_config({"out_dir": "x"})
 
+    def test_grid_must_be_an_object(self):
+        with pytest.raises(ConfigError, match="grid file must be a JSON object"):
+            parse_grid([1, 2], "grid file")
+
     def test_input_requires_span(self):
         with pytest.raises(ConfigError, match="span"):
             parse_pipeline_config({"out_dir": "x", "input": ["data/"]})
@@ -77,6 +81,14 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_k_not_integer_rejected(self, tmp_path, capsys):
+        bins = tmp_path / "bins.json"
+        bins.write_text('{"span_start": 0, "bin_width_minutes": 30, "cells": {"1": [1, 2]}}\n')
+        code = main(["cluster", "--bins", str(bins), "--k", "three",
+                     "--out", str(tmp_path / "clusters.json")])
+        assert code == 2
+        assert "'three'" in capsys.readouterr().err
 
     def test_unknown_config_key_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
@@ -172,6 +184,50 @@ class TestPipelineOutputs:
         assert code == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "timestamp,truth,prediction"
+
+
+class TestSubcommandsOnPipelineOutputs:
+    def test_train_with_grid_file(self, pipeline_run, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"hidden_layers": [1], "units": [3, 5], "cell_kinds": ["gru"]}))
+        out_dir = tmp_path / "train"
+        code = main(["train", "--clusters", str(pipeline_run / "clusters.json"),
+                     "--bins", str(pipeline_run / "bins.json"), "--grid", str(grid),
+                     "--runs", "2", "--epochs", "1", "--batch", "16", "--seed", "3",
+                     "--out-dir", str(out_dir)])
+        assert code == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "gru_c0.json", "gru_c1.json", "gru_c2.json", "results.csv", "summary.json"]
+        with open(out_dir / "results.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        # 3 clusters x 1 kind x 1 layer x 2 unit-counts x 2 runs
+        assert len(rows) == 12
+        assert {(r["cluster"], r["cell"], r["units"], r["run"]) for r in rows} == {
+            (c, "gru", u, run) for c in "012" for u in ("3", "5") for run in "01"}
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert {c: set(labels) for c, labels in summary.items()} == {
+            c: {f"GRU-{c}-1L-3U", f"GRU-{c}-1L-5U"} for c in "012"}
+
+    def test_compare_with_box(self, pipeline_run, tmp_path):
+        out, box = tmp_path / "comparison.json", tmp_path / "box.csv"
+        code = main(["compare", "--results", str(pipeline_run / "results.csv"),
+                     "--out", str(out), "--box", str(box)])
+        assert code == 0
+        assert out.read_text() == (pipeline_run / "comparison.json").read_text()
+        lines = box.read_text().splitlines()
+        assert lines[0] == "label,median,q1,q3,lo,hi,outliers"
+        assert [line.split(",")[0] for line in lines[1:]] == [
+            f"{kind}-{c}-1L-4U" for c in "012" for kind in ("LSTM", "GRU")]
+
+    @pytest.mark.parametrize("clusters,bad", [("7", "7"), ("x,y", "x"), ("7..9", "7..9")])
+    def test_compare_rejects_clusters_not_in_results(self, pipeline_run, tmp_path, capsys,
+                                                      clusters, bad):
+        out = tmp_path / "comparison.json"
+        code = main(["compare", "--results", str(pipeline_run / "results.csv"),
+                     "--clusters", clusters, "--out", str(out)])
+        assert code == 2
+        assert bad in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSubcommandsStandalone:

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cellcast import MinMaxScaler, fit_scaler, make_windows, split_train_test
+from cellcast import fit_scaler, make_windows, split_train_test
 from cellcast.errors import ConstantSeries, SeriesTooShort
-from cellcast.prep import load_scaler_json, save_scaler_json, save_windows_csv
 
 
 class TestSplit:
@@ -110,18 +109,3 @@ class TestWindows:
         # the first test sample draws only on test values
         np.testing.assert_array_equal(wt.inputs[0], test[:4])
 
-
-class TestPersistence:
-    def test_scaler_json_round_trip(self, tmp_path):
-        scaler = MinMaxScaler(lo=1.25, hi=978.5)
-        path = tmp_path / "scaler.json"
-        save_scaler_json(scaler, str(path))
-        assert load_scaler_json(str(path)) == scaler
-
-    def test_windows_csv_header_and_precision(self, tmp_path):
-        w = make_windows(np.array([0.1, 0.2, 0.3, 0.4, 1 / 3]))
-        path = tmp_path / "windows.csv"
-        save_windows_csv(w, str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x1,x2,x3,x4,y"
-        assert float(lines[1].split(",")[-1]) == 1 / 3

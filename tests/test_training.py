@@ -20,6 +20,7 @@ from cellcast.training import (
     GridResult,
     TrainRunResult,
     config_label,
+    kind_winners,
     load_results_csv,
     naive_last_value,
     save_loss_traces_csv,
@@ -240,6 +241,32 @@ class TestSelectBest:
         result = fake_result({"LSTM-0-1L-50U": [0.2]})
         with pytest.raises(UnknownCluster):
             select_best(result, 9)
+
+
+class TestKindWinners:
+    def test_cluster_winner_is_its_kinds_best(self):
+        """GRU-0-2L-50U ties only with GRU-0-1L-50U, whose mean is the
+        lowest of its kind, and beats it on median; the cluster's winner
+        GRU-0-1L-50U still stands for its kind."""
+        result = fake_result({
+            "LSTM-0-1L-50U": [0.1, 0.1, 0.1],
+            "GRU-0-1L-50U": [0.095, 0.095, 0.1112],  # mean 0.1004, median 0.095
+            "GRU-0-2L-50U": [0.090, 0.090, 0.1224],  # mean 0.1008, median 0.090
+        })
+        assert select_best(result, 0) == ["GRU-0-1L-50U", "LSTM-0-1L-50U"]
+        winners = kind_winners(result, 0)
+        assert {kind: [r.label for r in runs] for kind, runs in winners.items()} == {
+            "lstm": ["LSTM-0-1L-50U"] * 3, "gru": ["GRU-0-1L-50U"] * 3}
+
+    def test_other_kind_ranked_within_itself(self):
+        result = fake_result({
+            "GRU-0-1L-50U": [0.1, 0.1, 0.1],
+            "LSTM-0-1L-50U": [0.3, 0.3, 0.3],
+            "LSTM-0-2L-50U": [0.2, 0.2, 0.2],
+        })
+        winners = kind_winners(result, 0)
+        assert winners["lstm"][0].label == "LSTM-0-2L-50U"
+        assert winners["gru"][0].label == "GRU-0-1L-50U"
 
 
 class TestPredictionTable:
