@@ -1,14 +1,14 @@
 """Parse raw CDR lines and aggregate them into 30-minute bins.
 
-Ingestion is a single pass: every record either lands in the bin its
-timestamp belongs to or is counted as dropped for falling outside the
-requested span. Bin sums use compensated addition, so file order and
-record order never change the totals.
+Every record either lands in the bin its timestamp belongs to or is
+counted as dropped for falling outside the requested span. Each file is
+read in bulk into a record array, and each bin is summed in ascending
+order of value, so shuffling the lines of a file never changes the bits.
 """
 
 import tempfile
 
-from cellcast import Archetype, SynthSpec, bin_series, generate, iter_cdr_paths, parse_cdr_line
+from cellcast import Archetype, SynthSpec, bin_series, generate, parse_cdr_line, read_cdr_paths
 
 # A CDR line carries cell id, a millisecond timestamp, a country code,
 # and activity columns of which we read the last (internet traffic).
@@ -32,7 +32,7 @@ span_end = span_start + spec.days * 48 * 30 * 60 * 1000
 
 with tempfile.TemporaryDirectory() as out:
     generate(spec, out)
-    result = bin_series(iter_cdr_paths([out]), span_start, span_end)
+    result = bin_series(read_cdr_paths([out]), span_start, span_end)
 
 print(f"\nbinned {len(result.cells)} cells, {result.dropped} records dropped")
 for cell_id, series in sorted(result.cells.items()):
@@ -41,5 +41,5 @@ for cell_id, series in sorted(result.cells.items()):
 
 total = sum(float(s.values.sum()) for s in result.cells.values())
 print(f"\ntotal activity across all bins: {total:.6f}")
-print("Splitting the same records across more files and merging the")
-print("results reproduces this number exactly.")
+print("Reordering the lines of a file reproduces every bin bit for bit;")
+print("splitting the records across more files can move the last bits.")

@@ -26,6 +26,8 @@ from .ingest import (
     load_bins_json,
     merge_binned,
     parse_cdr_line,
+    read_cdr_file,
+    read_cdr_paths,
     save_bins_csv,
     save_bins_json,
 )

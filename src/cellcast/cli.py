@@ -188,8 +188,7 @@ def _ingest_paths(paths: list[str], span: tuple[int, int]) -> ingest.BinningResu
     for p in paths:
         if not os.path.exists(p):
             raise FileNotFoundError(f"input path does not exist: {p}")
-    records = ingest.iter_cdr_paths(paths)
-    result = ingest.bin_series(records, span[0], span[1])
+    result = ingest.bin_series(ingest.read_cdr_paths(paths), span[0], span[1])
     _log(f"ingest: {len(result.cells)} cells, "
          f"{(span[1] - span[0]) // ingest.BIN_WIDTH_MS} bins each, "
          f"{result.dropped} records outside span dropped")
@@ -202,13 +201,12 @@ def _cluster_stage(cells: dict, k, kmax: int, seed: int, restarts: int,
     profiles = clustering.build_profiles(cells, utc_offset_hours)
     curve = None
     if k == "auto":
-        kmax = min(kmax, len(profiles))
         curve = clustering.elbow_scan(profiles, kmax, seed=seed, restarts=restarts)
         if print_curve:
             for entry_k, entry_sse in curve.entries:
                 print(f"{entry_k},{entry_sse:.17g}")
         k = clustering.knee_point(curve)
-        _log(f"cluster: elbow pick k={k} from curve over 1..{kmax}")
+        _log(f"cluster: elbow pick k={k} from curve over 1..{curve.entries[-1][0]}")
     model = clustering.kmeans(profiles, int(k), seed=seed, restarts=restarts)
     _log(f"cluster: k={model.k} sse={model.sse:.6g} "
          f"({model.iterations_run} lloyd iterations)")

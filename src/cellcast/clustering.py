@@ -93,12 +93,23 @@ def build_profiles(cells: dict[int, BinnedCellSeries],
     return [period_profile(cells[cid], utc_offset_hours) for cid in sorted(cells)]
 
 
-def _profile_matrix(profiles: list[PeriodProfile]) -> tuple[list[int], np.ndarray]:
+@dataclass(frozen=True)
+class ProfileMatrix:
+    """Profiles stacked as rows, in input order, with their count of
+    distinct rows (the largest k they can be split into)."""
+
+    cell_ids: list[int]
+    points: np.ndarray
+    n_distinct: int
+
+
+def profile_matrix(profiles: list[PeriodProfile]) -> ProfileMatrix:
+    """Stack the profiles and count their distinct rows once."""
     if not profiles:
         raise TooFewPoints("no profiles to cluster")
-    cell_ids = [p.cell_id for p in profiles]
     points = np.vstack([np.asarray(p.means, dtype=np.float64) for p in profiles])
-    return cell_ids, points
+    return ProfileMatrix(cell_ids=[p.cell_id for p in profiles], points=points,
+                         n_distinct=np.unique(points, axis=0).shape[0])
 
 
 def _init_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -120,7 +131,12 @@ def _init_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
 
 
 def _assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, float]:
-    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    # Squared distances summed one dimension at a time: the same additions
+    # in the same order as summing an (n, k, dims) difference tensor over
+    # its last axis, without allocating it.
+    d2 = np.zeros((points.shape[0], centroids.shape[0]))
+    for d in range(points.shape[1]):
+        d2 += (points[:, d, None] - centroids[None, :, d]) ** 2
     labels = np.argmin(d2, axis=1)  # ties resolve to the lowest index
     sse = float(d2[np.arange(points.shape[0]), labels].sum())
     return labels, sse
@@ -130,10 +146,13 @@ def _update(points: np.ndarray, labels: np.ndarray, k: int,
             centroids: np.ndarray) -> np.ndarray:
     new = centroids.copy()
     counts = np.bincount(labels, minlength=k)
-    for j in range(k):
-        if counts[j] > 0:
-            new[j] = points[labels == j].mean(axis=0)
-    empty = np.flatnonzero(counts == 0)
+    # bincount adds each cluster's points in index order, as a per-cluster
+    # mean over axis 0 does, so the centroids keep their bits.
+    sums = np.column_stack([np.bincount(labels, weights=points[:, d], minlength=k)
+                            for d in range(points.shape[1])])
+    filled = counts > 0
+    new[filled] = sums[filled] / counts[filled, None]
+    empty = np.flatnonzero(~filled)
     if empty.size:
         # Re-seed each emptied centroid to a point far from its own
         # centroid; taking successive farthest points keeps repairs distinct.
@@ -161,9 +180,10 @@ def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
     return centroids, labels, sse, history, iterations
 
 
-def kmeans(profiles: list[PeriodProfile], k: int, seed: int = 0,
+def kmeans(profiles: list[PeriodProfile] | ProfileMatrix, k: int, seed: int = 0,
            max_iter: int = 300, restarts: int = 10) -> ClusterModel:
-    """Best-of-restarts Lloyd clustering of the period profiles.
+    """Best-of-restarts Lloyd clustering of the period profiles, given as
+    a list or as a ProfileMatrix built once for several fits.
 
     Restart r draws from its own stream derived as [seed, r], so adding
     restarts never perturbs earlier ones, and the same restart explores
@@ -172,10 +192,10 @@ def kmeans(profiles: list[PeriodProfile], k: int, seed: int = 0,
     """
     if k < 1:
         raise InvalidK(f"k must be >= 1, got {k}")
-    cell_ids, points = _profile_matrix(profiles)
-    n_distinct = np.unique(points, axis=0).shape[0]
-    if n_distinct < k:
-        raise TooFewPoints(f"{n_distinct} distinct profiles < k={k}")
+    matrix = profiles if isinstance(profiles, ProfileMatrix) else profile_matrix(profiles)
+    if matrix.n_distinct < k:
+        raise TooFewPoints(f"{matrix.n_distinct} distinct profiles < k={k}")
+    points = matrix.points
 
     best = None
     for r in range(restarts):
@@ -184,17 +204,29 @@ def kmeans(profiles: list[PeriodProfile], k: int, seed: int = 0,
         if best is None or result[2] < best[2]:
             best = result
     centroids, labels, sse, history, iterations = best
-    assignment = {cid: int(labels[i]) for i, cid in enumerate(cell_ids)}
+    assignment = dict(zip(matrix.cell_ids, labels.tolist()))
     return ClusterModel(k=k, centroids=centroids, assignment=assignment,
                         iterations_run=iterations, sse=sse, sse_history=history)
 
 
 def elbow_scan(profiles: list[PeriodProfile], k_max: int, seed: int = 0,
                restarts: int = 10) -> SseCurve:
-    """Best-of-restarts SSE for every k in 1..k_max."""
+    """Best-of-restarts SSE for every k in 1..k_max, with k_max capped at
+    the number of distinct profiles (cells with equal profiles, such as
+    dead all-zero cells, cannot be split).
+
+    Raises
+    ------
+    TooFewPoints
+        Fewer than three distinct profiles, too few for an elbow.
+    """
+    matrix = profile_matrix(profiles)
+    if matrix.n_distinct < 3:
+        raise TooFewPoints(f"an elbow scan needs at least 3 distinct profiles, "
+                           f"got {matrix.n_distinct}")
     entries = []
-    for k in range(1, k_max + 1):
-        model = kmeans(profiles, k, seed=seed, restarts=restarts)
+    for k in range(1, min(k_max, matrix.n_distinct) + 1):
+        model = kmeans(matrix, k, seed=seed, restarts=restarts)
         entries.append((k, model.sse))
     return SseCurve(entries=entries)
 

@@ -81,6 +81,12 @@ class TapeMismatch(ValidationError):
     """Backward pass called with a tape from a different batch."""
 
 
+# --- training -------------------------------------------------------------
+
+class MalformedResults(ValidationError):
+    """A results.csv file is empty, or a row is short or non-numeric."""
+
+
 # --- statistics -----------------------------------------------------------
 
 class TooFewGroups(ValidationError):

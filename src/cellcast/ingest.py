@@ -6,15 +6,22 @@ magnitude in configurable columns (defaults match the common 8-column
 telecom layout: square_id, time, country, sms-in, sms-out, call-in,
 call-out, internet). Records are aggregated per cell into fixed
 30-minute bins covering a declared span; empty bins are explicit zeros.
+
+Each file is parsed in bulk by numpy's C text reader into a record
+array; only a small converter on the activity field runs per line.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
+import math
 import os
+import re
+import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -23,6 +30,9 @@ from .errors import MalformedLine, NegativeActivity, UnalignedSpan
 BIN_WIDTH_MS = 30 * 60 * 1000
 BIN_WIDTH_MINUTES = 30
 MS_PER_HOUR = 3_600_000
+
+# One row per record, as read_cdr_file returns them.
+CDR_DTYPE = np.dtype([("cell_id", np.int64), ("timestamp", np.int64), ("activity", np.float64)])
 
 
 @dataclass(frozen=True)
@@ -74,8 +84,162 @@ class BinningResult:
     span_end: int = 0
 
 
+# --- parsing --------------------------------------------------------------
+
+def _activity(field: str) -> float:
+    """loadtxt converter for the activity column. An empty field (the
+    dataset's mark of an inactive channel) becomes NaN, so a literal
+    NaN in the file is rejected here to keep that mark unambiguous;
+    infinities are rejected after parsing."""
+    if field.strip():
+        value = float(field)
+        if value == value:
+            return value
+        raise MalformedLine(f"non-finite activity value: {field.strip()!r}")
+    return math.nan
+
+
+def _load_table(source, columns: ColumnMap, skip: int,
+                max_rows: Optional[int] = None) -> np.ndarray:
+    """All data rows of `source` (a path or a list of lines) as a CDR_DTYPE
+    array; rows with an empty activity field hold NaN there. loadtxt skips
+    empty lines and raises ValueError on the first row it cannot read."""
+    with warnings.catch_warnings():
+        # An empty file, or empty lines before max_rows is reached, is normal here.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        warnings.filterwarnings("ignore", r"Input line \d+ contained no data", UserWarning)
+        return np.loadtxt(
+            source, dtype=CDR_DTYPE, delimiter="\t", comments=None,
+            usecols=(columns.cell_id, columns.timestamp, columns.internet),
+            converters={columns.internet: _activity},
+            skiprows=skip, max_rows=max_rows, ndmin=1, encoding="utf-8")
+
+
+# loadtxt's error messages; the first counts rows from 1, the second from 0.
+_SHORT_ROW = re.compile(r"invalid column index \d+ at row (\d+) with (\d+) columns")
+_BAD_FIELD = re.compile(r"could not convert string (.*) to \w+ at row (\d+), column (\d+)")
+
+
+def _read_failure(exc: ValueError, columns: ColumnMap) -> Optional[tuple[int, str]]:
+    """(0-based data row, message) of a loadtxt failure, None if unknown."""
+    text = str(exc)
+    short = _SHORT_ROW.search(text)
+    if short:
+        needed = max(columns.cell_id, columns.timestamp, columns.internet) + 1
+        return int(short[1]) - 1, f"expected at least {needed} columns, got {short[2]}"
+    bad = _BAD_FIELD.search(text)
+    if bad is None:
+        return None
+    field, row, column = bad[1], int(bad[2]), int(bad[3]) - 1
+    if isinstance(exc.__cause__, MalformedLine):
+        return row, str(exc.__cause__)
+    if column == columns.internet:
+        return row, f"non-numeric activity field: {field}"
+    name = "cell id" if column == columns.cell_id else "timestamp"
+    return row, f"non-numeric or non-integer {name}: {field}"
+
+
+def _check_values(table: np.ndarray, where: Callable[[int], str]) -> None:
+    """Raise for the first row that breaks a value rule, in the order a
+    line is checked: cell id >= 1, finite activity, activity >= 0. Rows
+    with an empty activity field are skipped records and not checked."""
+    cell, activity = table["cell_id"], table["activity"]
+    bad = ((cell < 1) & ~np.isnan(activity)) | np.isinf(activity) | (activity < 0)
+    if not bad.any():
+        return
+    row = int(np.argmax(bad))
+    cell_id, value = int(cell[row]), float(activity[row])
+    if cell_id < 1:
+        raise MalformedLine(f"{where(row)}: cell id must be >= 1, got {cell_id}")
+    if math.isinf(value):
+        raise MalformedLine(f"{where(row)}: non-finite activity value: {value}")
+    raise NegativeActivity(f"{where(row)}: activity {value} < 0")
+
+
+def _lines(source) -> list[str]:
+    """`source` as a list of lines; a path is read as loadtxt reads it,
+    as UTF-8 with universal newlines."""
+    if not isinstance(source, str):
+        return list(source)
+    with open(source, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise MalformedLine(f"{source}:{line}: not UTF-8 text") from None
+    return io.StringIO(text, newline=None).readlines()
+
+
+def _locator(name: str, source, skip: int) -> Callable[[int], str]:
+    """Maps a loadtxt data row to `name:line`, counting the skipped
+    header and the empty lines loadtxt passes over."""
+    def where(row: int) -> str:
+        lines = _lines(source)
+        seen = -1
+        for number in range(skip, len(lines)):
+            seen += bool(lines[number].rstrip("\r\n"))
+            if seen == row:
+                return f"{name}:{number + 1}"
+        return name
+    return where
+
+
+def _parse(source, name: str, skip: int, columns: ColumnMap) -> np.ndarray:
+    """The records of one CDR text as a CDR_DTYPE array, in line order.
+    Errors name `name` and the 1-based line."""
+    where = _locator(name, source, skip)
+    try:
+        table = _load_table(source, columns, skip)
+    except ValueError as exc:
+        lines = _lines(source)
+        if any(line.isspace() and line != "\n" for line in lines):
+            # Whitespace-only lines are blank here but rows to loadtxt: read
+            # again with them emptied, which keeps every line number.
+            blanked = ["\n" if line.isspace() else line for line in lines]
+            return _parse(blanked, name, skip, columns)
+        failure = _read_failure(exc, columns)
+        if failure is None:
+            raise MalformedLine(f"{name}: {exc}") from None
+        row, message = failure
+        # Report a value error on an earlier line first, as a line-by-line
+        # reader would.
+        _check_values(_load_table(source, columns, skip, max_rows=row), where)
+        raise MalformedLine(f"{where(row)}: {message}") from None
+    _check_values(table, where)
+    present = ~np.isnan(table["activity"])
+    return table if present.all() else table[present]
+
+
+def read_cdr_file(path: str, columns: ColumnMap = DEFAULT_COLUMNS) -> np.ndarray:
+    """The records of one log file as a CDR_DTYPE array, in line order.
+
+    A first line whose first field is not a number is a header and is
+    skipped. Blank lines and lines with an empty activity field (the
+    dataset convention for an inactive channel) hold no record.
+
+    Raises
+    ------
+    MalformedLine
+        A line lacks a mandatory column, has a non-numeric or
+        non-integer cell id or timestamp, a cell id below 1, or a
+        non-numeric or non-finite activity, or is not UTF-8 text. The
+        message names the file and the 1-based line.
+    NegativeActivity
+        An activity field parses below zero; the message names the line.
+    """
+    with open(path, "rb") as fh:
+        first_field = fh.readline().split(b"\t", 1)[0]
+    try:
+        float(first_field)
+        skip = 0
+    except ValueError:
+        skip = 1
+    return _parse(path, path, skip, columns)
+
+
 def parse_cdr_line(line: str, columns: ColumnMap = DEFAULT_COLUMNS) -> Optional[CdrRecord]:
-    """Parse one tab-separated CDR line.
+    """Parse one tab-separated CDR line with the same reader as files.
 
     Returns None (skip) when the line is blank or its internet-activity
     field is empty, the dataset convention for an inactive channel.
@@ -87,86 +251,104 @@ def parse_cdr_line(line: str, columns: ColumnMap = DEFAULT_COLUMNS) -> Optional[
     NegativeActivity
         The activity field parses below zero.
     """
-    stripped = line.rstrip("\r\n")
-    if not stripped.strip():
+    table = _parse([line], "<line>", 0, columns)
+    if not table.size:
         return None
-    fields = stripped.split("\t")
-    needed = max(columns.cell_id, columns.timestamp, columns.internet)
-    if len(fields) <= needed:
-        raise MalformedLine(f"expected at least {needed + 1} columns, got {len(fields)}")
-
-    raw_activity = fields[columns.internet].strip()
-    if raw_activity == "":
-        return None
-
-    raw_id = fields[columns.cell_id].strip()
-    raw_ts = fields[columns.timestamp].strip()
-    try:
-        cell_id = int(raw_id)
-        timestamp = int(raw_ts)
-    except ValueError:
-        raise MalformedLine(f"non-numeric cell id or timestamp: {raw_id!r}, {raw_ts!r}") from None
-    if cell_id < 1:
-        raise MalformedLine(f"cell id must be >= 1, got {cell_id}")
-
-    try:
-        activity = float(raw_activity)
-    except ValueError:
-        raise MalformedLine(f"non-numeric activity field: {raw_activity!r}") from None
-    if not np.isfinite(activity):
-        raise MalformedLine(f"non-finite activity value: {raw_activity!r}")
-    if activity < 0:
-        raise NegativeActivity(f"activity {activity} < 0")
-
-    return CdrRecord(cell_id, timestamp, activity)
-
-
-def iter_cdr_file(path: str, columns: ColumnMap = DEFAULT_COLUMNS) -> Iterator[CdrRecord]:
-    """Yield records from one log file, skipping an optional header line.
-
-    A header is detected by a non-numeric first field on the first line.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            if lineno == 0:
-                first = line.split("\t", 1)[0].strip()
-                try:
-                    float(first)
-                except ValueError:
-                    continue
-            record = parse_cdr_line(line, columns)
-            if record is not None:
-                yield record
+    return CdrRecord(*table[0].tolist())
 
 
 CDR_EXTENSIONS = (".tsv", ".txt", ".dat")
 
 
-def iter_cdr_paths(paths: Iterable[str], columns: ColumnMap = DEFAULT_COLUMNS) -> Iterator[CdrRecord]:
-    """Yield records from files or directories, files in sorted order.
+def read_cdr_paths(paths: Iterable[str], columns: ColumnMap = DEFAULT_COLUMNS) -> Iterator[np.ndarray]:
+    """One record array per file, each read when the next is requested.
 
-    Directory listings keep only CDR-looking extensions (.tsv, .txt,
-    .dat) so sidecar files such as truth.csv are not swept up; name any
-    other file explicitly to read it.
+    Files are taken in the order given and directories in sorted name
+    order. Directory listings keep only CDR-looking extensions (.tsv,
+    .txt, .dat) so sidecar files such as truth.csv are not swept up;
+    name any other file explicitly to read it.
     """
     for path in paths:
         if os.path.isdir(path):
             for name in sorted(os.listdir(path)):
                 sub = os.path.join(path, name)
                 if os.path.isfile(sub) and name.lower().endswith(CDR_EXTENSIONS):
-                    yield from iter_cdr_file(sub, columns)
+                    yield read_cdr_file(sub, columns)
         else:
-            yield from iter_cdr_file(path, columns)
+            yield read_cdr_file(path, columns)
 
 
-def bin_series(records: Iterable[CdrRecord], span_start: int, span_end: int) -> BinningResult:
+def _records(table: np.ndarray) -> Iterator[CdrRecord]:
+    for cell_id, timestamp, activity in table.tolist():
+        yield CdrRecord(cell_id, timestamp, activity)
+
+
+def iter_cdr_file(path: str, columns: ColumnMap = DEFAULT_COLUMNS) -> Iterator[CdrRecord]:
+    """Yield the records of one log file (see read_cdr_file)."""
+    yield from _records(read_cdr_file(path, columns))
+
+
+def iter_cdr_paths(paths: Iterable[str], columns: ColumnMap = DEFAULT_COLUMNS) -> Iterator[CdrRecord]:
+    """Yield records from files or directories, taken as read_cdr_paths
+    takes them."""
+    for table in read_cdr_paths(paths, columns):
+        yield from _records(table)
+
+
+# --- binning --------------------------------------------------------------
+
+def _record_arrays(records: Iterable[Union[CdrRecord, np.ndarray]]) -> Iterator[np.ndarray]:
+    """Record arrays pass through; loose CdrRecords become one more array."""
+    loose = []
+    for item in records:
+        if isinstance(item, CdrRecord):
+            loose.append((item.cell_id, item.timestamp, item.internet_activity))
+        else:
+            yield item
+    if loose:
+        yield np.array(loose, dtype=CDR_DTYPE)
+
+
+def _bin_sums(table: np.ndarray, span_start: int,
+              span_end: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Cell ids, bin indices and activity sums of every (cell, bin) that
+    the in-span records of `table` touch, plus the out-of-span count.
+
+    Each bin is summed over its values in ascending order, so the sums
+    do not depend on the order of the records in `table`.
+    """
+    timestamp = table["timestamp"]
+    inside = (timestamp >= span_start) & (timestamp < span_end)
+    dropped = int(inside.size - np.count_nonzero(inside))
+    if dropped:
+        table = table[inside]
+    bins = (table["timestamp"] - span_start) // BIN_WIDTH_MS
+    order = np.lexsort((table["activity"], bins, table["cell_id"]))
+    cell, bins, value = table["cell_id"][order], bins[order], table["activity"][order]
+    first = np.ones(cell.size, dtype=bool)
+    first[1:] = (cell[1:] != cell[:-1]) | (bins[1:] != bins[:-1])
+    starts = np.flatnonzero(first)
+    return cell[starts], bins[starts], np.add.reduceat(value, starts), dropped
+
+
+def bin_series(records: Iterable[Union[CdrRecord, np.ndarray]], span_start: int,
+               span_end: int) -> BinningResult:
     """Aggregate records into per-cell 30-minute activity sums.
 
-    Bin b of a cell holds the sum of internet_activity over its records
-    with span_start + b*30min <= timestamp < span_start + (b+1)*30min.
-    Accumulation is compensated (Kahan) so the per-cell totals match an
-    exact sum to high precision. Records outside [span_start, span_end)
-    are dropped and counted, not treated as errors.
+    `records` yields record arrays (read_cdr_paths gives one per file),
+    CdrRecords, or both; the CdrRecords count as one more array. Bin b
+    of a cell holds the sum of activity over its records with
+    span_start + b*30min <= timestamp < span_start + (b+1)*30min.
+    Records outside [span_start, span_end) are dropped and counted, not
+    treated as errors.
+
+    Within one array each bin is summed in ascending order of value, so
+    its bits depend only on which records the array holds, never on
+    their order. The per-array sums are then added to the cell series
+    in array order, which cannot change a bin whose records lie in at
+    most two arrays (per-day files keep every bin in one). Memory is one
+    array plus cells x bins floats, twice those floats while an array
+    brings cells not seen before.
 
     Raises
     ------
@@ -179,30 +361,22 @@ def bin_series(records: Iterable[CdrRecord], span_start: int, span_end: int) -> 
         raise UnalignedSpan("span_start must precede span_end")
     n_bins = (span_end - span_start) // BIN_WIDTH_MS
 
-    sums: dict[int, np.ndarray] = {}
-    comps: dict[int, np.ndarray] = {}
+    ids = np.empty(0, dtype=np.int64)  # sorted; row i of totals is cell ids[i]
+    totals = np.zeros((0, n_bins))
     dropped = 0
-    for rec in records:
-        if not (span_start <= rec.timestamp < span_end):
-            dropped += 1
-            continue
-        values = sums.get(rec.cell_id)
-        if values is None:
-            values = np.zeros(n_bins)
-            sums[rec.cell_id] = values
-            comps[rec.cell_id] = np.zeros(n_bins)
-        comp = comps[rec.cell_id]
-        b = (rec.timestamp - span_start) // BIN_WIDTH_MS
-        # Kahan step: carry the rounding error of each addition forward.
-        y = rec.internet_activity - comp[b]
-        t = values[b] + y
-        comp[b] = (t - values[b]) - y
-        values[b] = t
+    for table in _record_arrays(records):
+        cells, bins, sums, out = _bin_sums(table, span_start, span_end)
+        dropped += out
+        new = np.setdiff1d(cells, ids)
+        if new.size:
+            grown_ids = np.union1d(ids, new)
+            grown = np.zeros((grown_ids.size, n_bins))
+            grown[np.searchsorted(grown_ids, ids)] = totals
+            ids, totals = grown_ids, grown
+        totals[np.searchsorted(ids, cells), bins] += sums
 
-    cells = {
-        cid: BinnedCellSeries(cid, span_start, values)
-        for cid, values in sums.items()
-    }
+    cells = {cid: BinnedCellSeries(cid, span_start, totals[row])
+             for row, cid in enumerate(ids.tolist())}
     return BinningResult(cells=cells, dropped=dropped, span_start=span_start, span_end=span_end)
 
 
@@ -234,7 +408,8 @@ def save_bins_json(cells: dict[int, BinnedCellSeries], path: str) -> None:
             "cells": {str(cid): cells[cid].values.tolist() for cid in sorted(cells)},
         }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        # json.dumps uses the C encoder; json.dump(doc, fh) never does.
+        fh.write(json.dumps(doc))
         fh.write("\n")
 
 

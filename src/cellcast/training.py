@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, UnknownCluster
+from .errors import ConfigError, MalformedResults, UnknownCluster
 from .ingest import BIN_WIDTH_MS, BinnedCellSeries
 from .prep import (
     WINDOW,
@@ -359,18 +359,34 @@ def save_results_csv(result: GridResult, path: str, record_timing: bool = False)
 
 
 def load_results_csv(path: str) -> GridResult:
+    """Read a results.csv written by save_results_csv.
+
+    Raises
+    ------
+    MalformedResults
+        The file is empty, or a row is short or has a non-numeric
+        field; the message names the file and the 1-based line.
+    """
     runs = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
+        if next(reader, None) is None:
+            raise MalformedResults(f"{path}: empty file, expected a header line")
         for row in reader:
-            cluster, cell, layers, units = int(row[0]), row[1], int(row[2]), int(row[3])
-            runs.append(TrainRunResult(
-                label=config_label(cell, cluster, layers, units),
-                cluster=cluster, cell_kind=cell, hidden_layers=layers, units=units,
-                run=int(row[4]), seed=int(row[5]), loss_trace=[],
-                rmse=float(row[6]), mae=float(row[7]), seconds=float(row[8]),
-            ))
+            where = f"{path}:{reader.line_num}"
+            if len(row) < len(RESULTS_HEADER):
+                raise MalformedResults(f"{where}: expected {len(RESULTS_HEADER)} fields, "
+                                       f"got {len(row)}")
+            try:
+                cluster, cell, layers, units = int(row[0]), row[1], int(row[2]), int(row[3])
+                runs.append(TrainRunResult(
+                    label=config_label(cell, cluster, layers, units),
+                    cluster=cluster, cell_kind=cell, hidden_layers=layers, units=units,
+                    run=int(row[4]), seed=int(row[5]), loss_trace=[],
+                    rmse=float(row[6]), mae=float(row[7]), seconds=float(row[8]),
+                ))
+            except ValueError as exc:
+                raise MalformedResults(f"{where}: {exc}") from None
     return _aggregate(runs)
 
 

@@ -90,6 +90,39 @@ class TestExitCodes:
         assert code == 2
         assert "'three'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad_row,where", [
+        ("0,lstm,1,4,0,0,abc,0.5,0\n", ":3: "), ("0,lstm,1,4\n", ":3: "), (None, ": empty file")],
+        ids=["bad_float", "short_row", "empty_file"])
+    def test_malformed_results_names_line(self, tmp_path, capsys, bad_row, where):
+        results = tmp_path / "results.csv"
+        results.write_text("" if bad_row is None else
+                           "cluster,cell,layers,units,run,seed,rmse,mae,seconds\n"
+                           "0,gru,1,4,0,0,0.25,0.5,0\n" + bad_row)
+        out = tmp_path / "comparison.json"
+        code = main(["compare", "--results", str(results), "--out", str(out)])
+        assert code == 2
+        assert f"{results}{where}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("levels,code", [([0, 0, 0, 0, 1, 5], 0), ([0, 0, 0, 0, 1, 1], 2)],
+                             ids=["three_distinct", "two_distinct"])
+    def test_k_auto_with_dead_cells(self, tmp_path, capsys, levels, code):
+        """All-zero cells share one profile; the elbow scan stops at the
+        distinct count and needs three of them."""
+        bins = tmp_path / "bins.json"
+        bins.write_text(json.dumps({"span_start": 0, "bin_width_minutes": 30, "cells": {
+            str(cid): [float(level)] * 48 for cid, level in enumerate(levels, start=1)}}))
+        out = tmp_path / "clusters.json"
+        assert main(["cluster", "--bins", str(bins), "--k", "auto", "--kmax", "5",
+                     "--out", str(out), "--curve", str(tmp_path / "curve.csv"),
+                     "--series", str(tmp_path / "series.json")]) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert [line.split(",")[0] for line in captured.out.splitlines()] == ["1", "2", "3"]
+        else:
+            assert "at least 3 distinct profiles, got 2" in captured.err
+            assert not out.exists()
+
     def test_unknown_config_key_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"out_dir": str(tmp_path / "out"), "synth": {"archetypes": 1}, "wat": 1}))

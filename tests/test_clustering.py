@@ -17,7 +17,7 @@ from cellcast import (
     knee_point,
     period_profile,
 )
-from cellcast.clustering import load_cluster_json, save_cluster_json, save_sse_csv
+from cellcast.clustering import _assign, _update, load_cluster_json, save_cluster_json, save_sse_csv
 from cellcast.errors import (
     CurveTooShort,
     Empty,
@@ -154,6 +154,48 @@ def test_kmeans_argument_validation():
         kmeans([], 1)
 
 
+def _broadcast_assign(points, centroids):
+    """Reference: the (n, k, dims) difference tensor summed over dims."""
+    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    labels = np.argmin(d2, axis=1)
+    return labels, float(d2[np.arange(points.shape[0]), labels].sum())
+
+
+def _loop_update(points, labels, k, centroids):
+    """Reference: one masked mean per cluster slot, same empty-slot repair."""
+    new = centroids.copy()
+    counts = np.bincount(labels, minlength=k)
+    for j in range(k):
+        if counts[j] > 0:
+            new[j] = points[labels == j].mean(axis=0)
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        d_own = ((points - new[labels]) ** 2).sum(axis=1)
+        order = np.argsort(-d_own, kind="stable")
+        for slot, j in enumerate(empty):
+            new[j] = points[order[slot % len(order)]]
+    return new
+
+
+@pytest.mark.parametrize("trial", range(20))
+def test_assign_and_update_match_reference_bits(trial):
+    """The per-dimension assignment and bincount update add the same
+    numbers in the same order as the reference formulas."""
+    rng = np.random.default_rng(trial)
+    n, k = int(rng.integers(1, 400)), int(rng.integers(1, 25))
+    points = rng.lognormal(size=(n, 6)) * 10.0 ** rng.integers(-3, 4)
+    centroids = rng.lognormal(size=(k, 6)) * 10.0 ** rng.integers(-3, 4)
+    labels, sse = _assign(points, centroids)
+    ref_labels, ref_sse = _broadcast_assign(points, centroids)
+    np.testing.assert_array_equal(labels, ref_labels)
+    assert sse == ref_sse
+    # a labelling that leaves about half the slots empty
+    sparse = rng.choice(rng.permutation(k)[:max(1, k // 2)], size=n)
+    for lab in (labels, sparse):
+        assert _update(points, lab, k, centroids).tobytes() == \
+            _loop_update(points, lab, k, centroids).tobytes()
+
+
 def test_duplicate_points_count_once_for_k_limit():
     """Five points but only three distinct locations caps k at 3."""
     pts = [[0.0] * 6, [0.0] * 6, [1.0] * 6, [1.0] * 6, [2.0] * 6]
@@ -173,6 +215,20 @@ def test_elbow_scan_covers_one_through_k_max():
     assert [k for k, _ in curve.entries] == [1, 2, 3, 4, 5]
     sses = [s for _, s in curve.entries]
     assert all(s >= 0 for s in sses)
+
+
+def test_elbow_scan_caps_k_max_at_distinct_profiles():
+    """Dead all-zero cells share one profile: 6 cells, 3 distinct."""
+    pts = [[0.0] * 6] * 4 + [[1.0] * 6, [5.0] * 6]
+    curve = elbow_scan(profiles_from(pts), k_max=5, seed=0)
+    assert [k for k, _ in curve.entries] == [1, 2, 3]
+    assert curve.entries[-1][1] == 0.0
+
+
+def test_elbow_scan_needs_three_distinct_profiles():
+    pts = [[0.0] * 6] * 4 + [[1.0] * 6] * 2
+    with pytest.raises(TooFewPoints, match="got 2"):
+        elbow_scan(profiles_from(pts), k_max=5, seed=0)
 
 
 def test_knee_on_reference_curve():

@@ -14,6 +14,7 @@ from cellcast import (
     load_bins_json,
     merge_binned,
     parse_cdr_line,
+    read_cdr_paths,
     save_bins_csv,
     save_bins_json,
 )
@@ -97,6 +98,62 @@ class TestFileIteration:
         assert len(list(iter_cdr_paths([str(path)]))) == 1
 
 
+class TestFileLayouts:
+    """Text layouts a bulk column reader could treat differently from a
+    line-by-line one."""
+
+    RECORD = CdrRecord(42, 1383260400000, 5.25)
+
+    @pytest.mark.parametrize("text,count", [
+        (CANONICAL + "\r\n" + CANONICAL + "\r\n", 2),
+        (" 42 \t 1383260400000 \t39\t\t\t\t\t 5.25 \n", 1),
+        (CANONICAL + "\textra\t7\n", 1),
+        (CANONICAL + "\n\n" + CANONICAL + "\n", 2),
+        (CANONICAL + "\n   \n\t\t\n" + CANONICAL, 2),
+        ("square_id\ttime\tcountry\ta\tb\tc\td\tinternet\n", 0),
+        ("", 0),
+    ], ids=["crlf", "spaces_around_fields", "extra_columns", "blank_line_mid_file",
+            "whitespace_only_lines", "header_only", "no_lines"])
+    def test_layout_reads_as_line_parser(self, tmp_path, text, count):
+        path = tmp_path / "cdr.tsv"
+        path.write_bytes(text.encode())
+        assert list(iter_cdr_file(str(path))) == [self.RECORD] * count
+
+
+class TestErrorLocations:
+    """Every ingest error names the file and the 1-based line."""
+
+    @pytest.mark.parametrize("bad,error,detail", [
+        ("42\t1383260400000\t39", MalformedLine, "expected at least 8 columns, got 3"),
+        ("42\t13832604x0000\t39\t\t\t\t\t5.25", MalformedLine, "timestamp: '13832604x0000'"),
+        ("42\t1383260400000\t39\t\t\t\t\t-0.5", NegativeActivity, "activity -0.5 < 0"),
+        ("0\t1383260400000\t39\t\t\t\t\t5.25", MalformedLine, "cell id must be >= 1"),
+        ("42\t1383260400000\t39\t\t\t\t\tnan", MalformedLine, "non-finite activity value"),
+        ("42\t1383260400000\t39\t\t\t\t\tinf", MalformedLine, "non-finite activity value"),
+        ("42\t1383260400000\t39\t\t\t\t\tx", MalformedLine, "non-numeric activity field: 'x'"),
+        ("42\t1383260400000\t39\t\t\t\t\t5\udcff", MalformedLine, "not UTF-8 text"),
+    ], ids=["short_line", "non_numeric_timestamp", "negative", "cell_id_zero", "nan", "inf",
+            "non_numeric_activity", "not_utf8"])
+    def test_bad_line_deep_in_file(self, tmp_path, bad, error, detail):
+        # header, 500 records, a blank line, 300 records, then the bad line 803
+        lines = ["square_id\ttime\tcountry\ta\tb\tc\td\tinternet"]
+        lines += [CANONICAL] * 500 + [""] + [CANONICAL] * 300 + [bad] + [CANONICAL] * 5
+        path = tmp_path / "day.tsv"
+        # surrogateescape writes the lone surrogate of the not_utf8 case as byte 0xff
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+        with pytest.raises(error) as exc:
+            bin_series(read_cdr_paths([str(path)]), SPAN_START, SPAN_START + BIN)
+        assert str(exc.value).startswith(f"{path}:803: ")
+        assert detail in str(exc.value)
+
+    def test_first_bad_line_reported(self, tmp_path):
+        """A value error on line 2 precedes a short line 3."""
+        path = tmp_path / "day.tsv"
+        path.write_text(CANONICAL + "\n" + CANONICAL.replace("5.25", "-1") + "\n42\t1\n")
+        with pytest.raises(NegativeActivity, match=f"^{path}:2: "):
+            list(iter_cdr_file(str(path)))
+
+
 class TestBinning:
     def test_boundary_placement(self):
         """First ms of a bin belongs to it, first ms of the next does not."""
@@ -145,6 +202,41 @@ class TestBinning:
         result = bin_series(records, SPAN_START, SPAN_START + 48 * BIN)
         total = math.fsum(result.cells[1].values)
         assert abs(total - math.fsum(parts)) < 1e-9
+
+    def test_record_and_file_order_do_not_change_bits(self, tmp_path):
+        """Bin sums are taken in a canonical order: shuffling the records
+        of each file and reversing the file order gives the same bits,
+        here with bins shared by two files."""
+        rng = np.random.default_rng(5)
+        files = []
+        for first_bin in (0, 4, 8):  # file f covers bins first_bin .. first_bin + 7
+            n = 1200
+            files.append(list(zip(
+                rng.integers(1, 4, size=n).tolist(),
+                (SPAN_START + first_bin * BIN + rng.integers(0, 8 * BIN, size=n)).tolist(),
+                rng.lognormal(0.0, 2.0, size=n).tolist())))
+
+        def write(name, records):
+            path = tmp_path / name
+            path.write_text("".join(f"{c}\t{t}\t39\t\t\t\t\t{v!r}\n" for c, t, v in records))
+            return str(path)
+
+        end = SPAN_START + 16 * BIN
+        paths = [write(f"in-{i}.tsv", recs) for i, recs in enumerate(files)]
+        reference = bin_series(read_cdr_paths(paths), SPAN_START, end).cells
+        for trial in range(3):
+            shuffled = [write(f"t{trial}-{i}.tsv", [recs[j] for j in rng.permutation(len(recs))])
+                        for i, recs in enumerate(files)]
+            cells = bin_series(read_cdr_paths(shuffled[::-1]), SPAN_START, end).cells
+            assert sorted(cells) == sorted(reference)
+            for cid in reference:
+                assert cells[cid].values.tobytes() == reference[cid].values.tobytes()
+
+        records = [CdrRecord(c, t, v) for c, t, v in files[0]]
+        one_pass = bin_series(records, SPAN_START, end).cells
+        reordered = bin_series(records[::-1], SPAN_START, end).cells
+        for cid in one_pass:
+            assert reordered[cid].values.tobytes() == one_pass[cid].values.tobytes()
 
     def test_bin_start_helper(self):
         result = bin_series([CdrRecord(1, SPAN_START, 1.0)], SPAN_START, SPAN_START + 2 * BIN)
