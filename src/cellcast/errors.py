@@ -81,6 +81,10 @@ class TapeMismatch(ValidationError):
     """Backward pass called with a tape from a different batch."""
 
 
+class MalformedModel(ValidationError):
+    """A model file is not JSON, or a key is missing, unknown or misshaped."""
+
+
 # --- training -------------------------------------------------------------
 
 class MalformedResults(ValidationError):

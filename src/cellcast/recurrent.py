@@ -7,9 +7,17 @@ consumed as a 4-step univariate sequence; every recurrent layer hands
 its full hidden sequence upward and only the last timestep reaches the
 head.
 
-forward() records every intermediate on a tape; backward() replays the
-tape to produce exact reverse-mode gradients of the batch-mean squared
-error, which a small ADAM implementation consumes.
+Each layer stores its gates stacked: W_x (G*U, D), W_h (G*U, U) and
+b (G*U) with G = 4 gates for the LSTM and 3 for the GRU, plus a (3U)
+peephole block for the LSTM. Every parameter of a network is a view
+into one flat float64 vector. forward() projects the input of all
+timesteps with one GEMM per layer, then runs one recurrent GEMM per
+step, recording every intermediate on a tape of preallocated
+(T, rows, B) arrays. backward() replays the tape to produce exact
+reverse-mode gradients of the batch-mean squared error, in a flat
+vector laid out like the parameters; only the recurrent GEMM stays in
+its per-step loop, and each weight block's gradient is one GEMM over
+the time-stacked activations. ADAM updates the flat vector in place.
 
 The LSTM carries peephole connections (gates read the cell state
 directly); they can be switched off for comparison. The cell-input and
@@ -21,22 +29,33 @@ its biases can be dropped.
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Empty, LengthMismatch, ShapeMismatch, TapeMismatch
+from .errors import Empty, LengthMismatch, MalformedModel, ShapeMismatch, TapeMismatch
 from .prep import WINDOW, MinMaxScaler
+
+# Version written into model files; files without the field are format 1,
+# which holds the same keys.
+MODEL_FORMAT = 2
 
 
 # ---------------------------------------------------------------------------
 # activations
 
-def sigmoid(x):
-    """Logistic function, stable on both tails (saturates, never NaN)."""
+def sigmoid(x, out=None):
+    """Logistic function 1 / (1 + exp(-x)), saturating on both tails
+    (exp overflows to inf below x = -709, giving 0, never NaN). Writes
+    into `out` when given."""
     x = np.asarray(x, dtype=np.float64)
-    ex = np.exp(-np.abs(x))  # in (0, 1], so neither branch can overflow
-    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    out = np.empty_like(x) if out is None else out
+    with np.errstate(over="ignore"):
+        np.exp(np.negative(x, out=out), out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def hard_sigmoid(x):
@@ -45,16 +64,19 @@ def hard_sigmoid(x):
     return np.clip(0.2 * x + 0.5, 0.0, 1.0)
 
 
-def tanh(x):
-    return np.tanh(np.asarray(x, dtype=np.float64))
+def tanh(x, out=None):
+    return np.tanh(np.asarray(x, dtype=np.float64), out=out)
 
 
-def _dsigmoid_from_y(y):
-    return y * (1.0 - y)
+def _dsigmoid_from_y(y, out=None):
+    out = np.subtract(1.0, y, out=out)
+    out *= y
+    return out
 
 
-def _dtanh_from_y(y):
-    return 1.0 - y * y
+def _dtanh_from_y(y, out=None):
+    out = np.multiply(y, y, out=out)
+    return np.subtract(1.0, out, out=out)
 
 
 # name -> (function, derivative expressed via the function's output)
@@ -90,78 +112,137 @@ DEFAULT_ACTIVATIONS = Activations()
 
 
 # ---------------------------------------------------------------------------
-# layer parameter containers
+# layer parameters
 
-@dataclass
-class LstmLayerParams:
-    """One LSTM layer's weights; peephole vectors are None when disabled."""
+def _gate_view(block: str, k: int):
+    def view(self):
+        arr = getattr(self, block)
+        return None if arr is None else arr[k * self.units:(k + 1) * self.units]
+    return view
 
-    w_xi: np.ndarray  # (units, input_dim)
-    w_xf: np.ndarray
-    w_xc: np.ndarray
-    w_xo: np.ndarray
-    w_hi: np.ndarray  # (units, units)
-    w_hf: np.ndarray
-    w_hc: np.ndarray
-    w_ho: np.ndarray
-    w_ci: np.ndarray | None  # (units,), element-wise
-    w_cf: np.ndarray | None
-    w_co: np.ndarray | None
-    b_i: np.ndarray  # (units,)
-    b_f: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
 
-    @property
-    def units(self) -> int:
-        return self.w_xi.shape[0]
+class _StackedLayer:
+    """One recurrent layer's weights, stacked by gate.
 
-    @property
-    def input_dim(self) -> int:
-        return self.w_xi.shape[1]
+    wx (G*U, D) and wh (G*U, U) hold the gate blocks in GATE_ARRAYS
+    order, b (G*U) the biases and, for the LSTM, peep (3U) the i, f and
+    o peephole vectors; the OPTIONAL block is None when switched off.
+    All blocks are views into one flat vector, `flat`, laid out in
+    names() order, so `flat` is the concatenation of the per-gate
+    arrays. Each per-gate array (w_xi, b_f, ...) reads as a view into
+    its block, so writing into it in place changes the layer.
+    """
+
+    GATE_ARRAYS: tuple  # (per-gate name, block, gate index) in names() order
+    OPTIONAL: str  # the block that can be switched off
+    BLOCKS: tuple  # stacked blocks in memory order
+
+    def __init_subclass__(cls):
+        cls.BLOCKS = tuple(dict.fromkeys(block for _, block, _ in cls.GATE_ARRAYS))
+        for name, block, k in cls.GATE_ARRAYS:
+            setattr(cls, name, property(_gate_view(block, k)))
+
+    @classmethod
+    def from_arrays(cls, arrays: dict, units: int, input_dim: int):
+        """A layer from its per-gate arrays by name; see _fill."""
+        layer = cls.__new__(cls)
+        layer._fill(arrays, units, input_dim)
+        return layer
+
+    def _fill(self, arrays: dict, units: int | None = None, input_dim: int | None = None):
+        """Copy per-gate arrays, by name, into a fresh flat vector. The
+        optional gate arrays are all given or all left out. Shapes are
+        checked against (units, input_dim), by default the shape of the
+        first input-weight matrix; ShapeMismatch names the first array
+        that is missing or does not fit."""
+        if units is None:
+            first_name = self.GATE_ARRAYS[0][0]
+            first = np.shape(arrays[first_name])
+            if len(first) != 2:
+                raise ShapeMismatch(f"{first_name}: shape {first}, expected (units, input_dim)")
+            units, input_dim = first
+        self.units, self.input_dim = int(units), int(input_dim)
+        optional = any(arrays.get(name) is not None
+                       for name, block, _ in self.GATE_ARRAYS if block == self.OPTIONAL)
+        cols = {"wx": (self.input_dim,), "wh": (self.units,)}
+        self._shapes = {  # block -> shape, for the blocks present
+            block: (self.units * sum(b == block for _, b, _ in self.GATE_ARRAYS),
+                    *cols.get(block, ()))
+            for block in self.BLOCKS if optional or block != self.OPTIONAL}
+        self._bind(np.empty(sum(math.prod(shape) for shape in self._shapes.values())))
+        for name in self.names():
+            view = getattr(self, name)
+            if arrays.get(name) is None:
+                raise ShapeMismatch(f"{name}: missing")
+            try:
+                value = np.asarray(arrays[name], dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ShapeMismatch(f"{name}: not a numeric array of shape {view.shape}") from None
+            if value.shape != view.shape:
+                raise ShapeMismatch(f"{name}: shape {value.shape}, expected {view.shape}")
+            view[...] = value
+
+    def views(self, flat: np.ndarray) -> dict:
+        """block -> view into `flat` laid out like this layer (None for a
+        block switched off); gives gradient blocks as well as weights."""
+        out = dict.fromkeys(self.BLOCKS)
+        offset = 0
+        for block, shape in self._shapes.items():
+            size = math.prod(shape)
+            out[block] = flat[offset:offset + size].reshape(shape)
+            offset += size
+        return out
+
+    def _bind(self, flat: np.ndarray) -> None:
+        self.flat = flat
+        for block, view in self.views(flat).items():
+            setattr(self, block, view)
+
+    def names(self) -> list[str]:
+        return [name for name, block, _ in self.GATE_ARRAYS if block in self._shapes]
+
+
+class LstmLayerParams(_StackedLayer):
+    """One LSTM layer's weights, gates in i, f, c, o order; the peephole
+    block (and w_ci, w_cf, w_co) is None when disabled. The constructor
+    copies the per-gate arrays into the stacked blocks."""
+
+    GATE_ARRAYS = tuple(
+        [(f"w_x{g}", "wx", k) for k, g in enumerate("ifco")]
+        + [(f"w_h{g}", "wh", k) for k, g in enumerate("ifco")]
+        + [(f"w_c{g}", "peep", k) for k, g in enumerate("ifo")]
+        + [(f"b_{g}", "b", k) for k, g in enumerate("ifco")])
+    OPTIONAL = "peep"
+
+    def __init__(self, w_xi, w_xf, w_xc, w_xo, w_hi, w_hf, w_hc, w_ho,
+                 w_ci, w_cf, w_co, b_i, b_f, b_c, b_o):
+        self._fill(dict(w_xi=w_xi, w_xf=w_xf, w_xc=w_xc, w_xo=w_xo,
+                        w_hi=w_hi, w_hf=w_hf, w_hc=w_hc, w_ho=w_ho,
+                        w_ci=w_ci, w_cf=w_cf, w_co=w_co, b_i=b_i, b_f=b_f, b_c=b_c, b_o=b_o))
 
     @property
     def peepholes(self) -> bool:
-        return self.w_ci is not None
-
-    def names(self) -> list[str]:
-        base = ["w_xi", "w_xf", "w_xc", "w_xo", "w_hi", "w_hf", "w_hc", "w_ho"]
-        if self.peepholes:
-            base += ["w_ci", "w_cf", "w_co"]
-        return base + ["b_i", "b_f", "b_c", "b_o"]
+        return self.peep is not None
 
 
-@dataclass
-class GruLayerParams:
-    """One GRU layer's weights; bias vectors are None when disabled."""
+class GruLayerParams(_StackedLayer):
+    """One GRU layer's weights, gates in z, r, candidate order; the bias
+    block (and b_z, b_r, b_h) is None when disabled. The constructor
+    copies the per-gate arrays into the stacked blocks."""
 
-    w_z: np.ndarray  # (units, input_dim)
-    w_r: np.ndarray
-    w_h: np.ndarray
-    u_z: np.ndarray  # (units, units)
-    u_r: np.ndarray
-    u_h: np.ndarray
-    b_z: np.ndarray | None  # (units,)
-    b_r: np.ndarray | None
-    b_h: np.ndarray | None
+    GATE_ARRAYS = tuple(
+        [(f"w_{g}", "wx", k) for k, g in enumerate("zrh")]
+        + [(f"u_{g}", "wh", k) for k, g in enumerate("zrh")]
+        + [(f"b_{g}", "b", k) for k, g in enumerate("zrh")])
+    OPTIONAL = "b"
 
-    @property
-    def units(self) -> int:
-        return self.w_z.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.w_z.shape[1]
+    def __init__(self, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h):
+        self._fill(dict(w_z=w_z, w_r=w_r, w_h=w_h, u_z=u_z, u_r=u_r, u_h=u_h,
+                        b_z=b_z, b_r=b_r, b_h=b_h))
 
     @property
     def biases(self) -> bool:
-        return self.b_z is not None
-
-    def names(self) -> list[str]:
-        base = ["w_z", "w_r", "w_h", "u_z", "u_r", "u_h"]
-        if self.biases:
-            base += ["b_z", "b_r", "b_h"]
-        return base
+        return self.b is not None
 
 
 @dataclass
@@ -172,8 +253,18 @@ class LstmState:
     h: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class RecurrentNetwork:
+    """Recurrent layers plus the dense head, all in one flat float64
+    vector, `flat`, in parameters() order.
+
+    Construction copies the layers' weights and the head into `flat`;
+    the layers' blocks, their per-gate arrays, head_w and head_b are
+    then views into it, so an in-place write through any of them
+    changes the network, and one in-place update of `flat` moves every
+    parameter.
+    """
+
     cell_kind: str  # "lstm" or "gru"
     window: int
     activations: Activations
@@ -181,9 +272,43 @@ class RecurrentNetwork:
     head_w: np.ndarray  # (last layer units,)
     head_b: np.ndarray  # (1,)
 
+    def __post_init__(self):
+        if not self.layers:
+            raise ShapeMismatch("layers: a network needs at least one layer")
+        for i, layer in enumerate(self.layers):
+            expected = 1 if i == 0 else self.layers[i - 1].units
+            if layer.input_dim != expected:
+                raise ShapeMismatch(f"layers[{i}].input_dim: {layer.input_dim}, expected {expected}")
+        last = self.layers[-1].units
+        head_w = np.asarray(self.head_w, dtype=np.float64)
+        head_b = np.asarray(self.head_b, dtype=np.float64)
+        if head_w.shape != (last,):
+            raise ShapeMismatch(f"head.w: shape {head_w.shape}, expected ({last},)")
+        if head_b.shape != (1,):
+            raise ShapeMismatch(f"head.b: shape {head_b.shape}, expected (1,)")
+
+        self.flat = np.empty(sum(layer.flat.size for layer in self.layers) + last + 1)
+        self._layer_slices = []
+        offset = 0
+        for layer in self.layers:
+            seg = slice(offset, offset + layer.flat.size)
+            self.flat[seg] = layer.flat
+            layer._bind(self.flat[seg])
+            self._layer_slices.append(seg)
+            offset = seg.stop
+        self.flat[offset:-1] = head_w
+        self.flat[-1] = head_b[0]
+        self.head_w, self.head_b = self.flat[offset:-1], self.flat[-1:]
+
+        self._layout = {}
+        offset = 0
+        for path, arr in self.parameters():
+            self._layout[path] = (slice(offset, offset + arr.size), arr.shape)
+            offset += arr.size
+
     def parameters(self) -> list[tuple[str, np.ndarray]]:
-        """Flat (path, array) view of every trainable parameter, in a
-        fixed order shared by gradients and optimizer state."""
+        """(path, array) view of every trainable parameter, in the order
+        of `flat` and shared by gradients."""
         out = []
         for i, layer in enumerate(self.layers):
             for name in layer.names():
@@ -192,14 +317,24 @@ class RecurrentNetwork:
         out.append(("head.b", self.head_b))
         return out
 
-    def set_parameter(self, path: str, value: np.ndarray) -> None:
-        if path == "head.w":
-            self.head_w = value
-        elif path == "head.b":
-            self.head_b = value
-        else:
-            _, idx, name = path.split(".")
-            setattr(self.layers[int(idx)], name, value)
+
+class Gradients(Mapping):
+    """Gradients keyed like RecurrentNetwork.parameters(). Every value is
+    a view into `flat`, which is laid out like the network's `flat`."""
+
+    def __init__(self, flat: np.ndarray, layout: dict):
+        self.flat = flat
+        self._layout = layout
+
+    def __getitem__(self, path: str) -> np.ndarray:
+        seg, shape = self._layout[path]
+        return self.flat[seg].reshape(shape)
+
+    def __iter__(self):
+        return iter(self._layout)
+
+    def __len__(self) -> int:
+        return len(self._layout)
 
 
 # ---------------------------------------------------------------------------
@@ -277,31 +412,182 @@ def build_network(cell_kind: str, hidden_layers: int, units: int, seed,
 
 
 # ---------------------------------------------------------------------------
+# one layer over a sequence
+#
+# Activations are feature-major: units by batch. A layer reads its input
+# as x2 (D, T*B), timestep t in columns [t*B, (t+1)*B), so the input
+# projection of all timesteps is one GEMM; per-step arrays are
+# (T, rows, B), so every gate block of a step is contiguous.
+
+def _runs(fns: list, u: int) -> list:
+    """[(fn, rows)] over consecutive U-row gate blocks: one entry per run
+    of blocks that share fn, so each run takes one call."""
+    runs = []
+    for k, fn in enumerate(fns):
+        if runs and runs[-1][0] is fn:
+            runs[-1] = (fn, slice(runs[-1][1].start, (k + 1) * u))
+        else:
+            runs.append((fn, slice(k * u, (k + 1) * u)))
+    return runs
+
+
+def _time_stacked(steps: np.ndarray) -> np.ndarray:
+    """(T, K, B) per-step arrays as one (K, T*B) matrix."""
+    return steps.transpose(1, 0, 2).reshape(steps.shape[1], -1)
+
+
+def _lstm_forward(p: LstmLayerParams, x2, n_steps: int, acts: Activations,
+                  h0=None, c0=None) -> dict:
+    """Run an LSTM layer over x2 (D, T*B) from state (h0, c0), zero by
+    default. The tape holds x2, h and c (T+1, U, B) with the start state
+    in row 0, and the activations s (T, 5U, B) of i, f, the candidate,
+    o and cell_output(c)."""
+    gate, cin, cout = (_resolve(name) for name in
+                       (acts.gate, acts.cell_input, acts.cell_output))
+    in_runs, out_runs = _runs([gate, gate, cin], p.units), _runs([gate, cout], p.units)
+    u, n = p.units, x2.shape[1] // n_steps
+    a = p.wx @ x2
+    a += p.b[:, None]
+    h = np.empty((n_steps + 1, u, n))
+    c = np.empty((n_steps + 1, u, n))
+    h[0], c[0] = (0.0, 0.0) if h0 is None else (h0, c0)
+    s = np.empty((n_steps, 5 * u, n))
+    pre = np.empty((5 * u, n))  # pre-activations of i, f, candidate, o, then c
+    if p.peepholes:
+        peep = p.peep.reshape(3, u, 1)
+    for t in range(n_steps):
+        st = s[t]
+        np.matmul(p.wh, h[t], out=pre[:4 * u])
+        pre[:4 * u] += a[:, t * n:(t + 1) * n]
+        if p.peepholes:
+            pre[:2 * u].reshape(2, u, n)[...] += c[t] * peep[:2]
+        for (fn, _), rows in in_runs:
+            fn(pre[rows], out=st[rows])
+        np.multiply(st[u:2 * u], c[t], out=c[t + 1])
+        c[t + 1] += st[:u] * st[2 * u:3 * u]
+        if p.peepholes:
+            pre[3 * u:4 * u] += c[t + 1] * peep[2]  # output gate peeks at the NEW cell state
+        pre[4 * u:] = c[t + 1]
+        for (fn, _), rows in out_runs:
+            fn(pre[3 * u:][rows], out=st[3 * u:][rows])
+        np.multiply(st[3 * u:4 * u], st[4 * u:], out=h[t + 1])
+    return {"x2": x2, "h": h, "c": c, "s": s}
+
+
+def _lstm_backward(p: LstmLayerParams, tape: dict, dh_out, acts: Activations,
+                   grad: dict, need_dx: bool):
+    """BPTT through one LSTM layer. dh_out (U, T*B) is the loss gradient
+    reaching each step's output from above. Writes the weight gradients
+    into the `grad` blocks; returns the gradient of the layer input
+    (D, T*B), or None when need_dx is false."""
+    gate, cin, cout = (_resolve(name) for name in
+                       (acts.gate, acts.cell_input, acts.cell_output))
+    in_runs, out_runs = _runs([gate, gate, cin], p.units), _runs([gate, cout], p.units)
+    x2, h, c, s = tape["x2"], tape["h"], tape["c"], tape["s"]
+    n_steps, _, n = s.shape
+    u = p.units
+    if p.peepholes:
+        w_ci, w_cf, w_co = p.peep.reshape(3, u, 1)
+    da = np.empty((n_steps, 4 * u, n))  # d loss / d gate pre-activations
+    slopes = np.empty((2 * u, n))  # of o and cell_output(c), this step
+    dh_rec = dc = None
+    for t in range(n_steps - 1, -1, -1):
+        st, dat = s[t], da[t]
+        i, f, g, o, sc = (st[k * u:(k + 1) * u] for k in range(5))
+        dh = dh_out[:, t * n:(t + 1) * n]
+        if dh_rec is not None:
+            dh = dh + dh_rec
+        for (_, deriv), rows in out_runs:
+            deriv(st[3 * u:][rows], out=slopes[rows])
+        dc_out = dh * o * slopes[u:]
+        dc = dc_out if dc is None else dc + dc_out
+        np.multiply(dh * sc, slopes[:u], out=dat[3 * u:])
+        if p.peepholes:
+            dc = dc + dat[3 * u:] * w_co
+        np.multiply(dc, g, out=dat[:u])
+        np.multiply(dc, c[t], out=dat[u:2 * u])
+        np.multiply(dc, i, out=dat[2 * u:3 * u])
+        for (_, deriv), rows in in_runs:
+            dat[rows] *= deriv(st[rows])
+        if t == 0:
+            break  # the start state is a constant
+        dc = dc * f
+        if p.peepholes:
+            dc = dc + dat[:u] * w_ci + dat[u:2 * u] * w_cf
+        dh_rec = p.wh.T @ dat
+
+    da2 = _time_stacked(da)
+    np.matmul(da2, x2.T, out=grad["wx"])
+    np.matmul(da2, _time_stacked(h[:-1]).T, out=grad["wh"])
+    da2.sum(axis=1, out=grad["b"])
+    if p.peepholes:
+        g_ci, g_cf, g_co = grad["peep"].reshape(3, u)
+        np.sum(da[:, :u] * c[:-1], axis=(0, 2), out=g_ci)
+        np.sum(da[:, u:2 * u] * c[:-1], axis=(0, 2), out=g_cf)
+        np.sum(da[:, 3 * u:] * c[1:], axis=(0, 2), out=g_co)
+    return p.wx.T @ da2 if need_dx else None
+
+
+def _gru_forward(p: GruLayerParams, x2, n_steps: int, acts: Activations, h0=None) -> dict:
+    """Run a GRU layer over x2 (D, T*B) from state h0, zero by default.
+    The tape holds x2, h (T+1, U, B) with the start state in row 0, the
+    activations s (T, 3U, B) of z, r and the candidate, and the
+    recurrent projection hw = W_h @ h_prev (T, 3U, B)."""
+    gate_fn = _resolve(acts.gate)[0]
+    u, n = p.units, x2.shape[1] // n_steps
+    a = p.wx @ x2
+    if p.biases:
+        a += p.b[:, None]
+    h = np.empty((n_steps + 1, u, n))
+    h[0] = 0.0 if h0 is None else h0
+    s = np.empty((n_steps, 3 * u, n))
+    hw = np.empty((n_steps, 3 * u, n))
+    for t in range(n_steps):
+        st, hwt, at = s[t], hw[t], a[:, t * n:(t + 1) * n]
+        np.matmul(p.wh, h[t], out=hwt)
+        gate_fn(at[:2 * u] + hwt[:2 * u], out=st[:2 * u])
+        z = st[:u]
+        np.tanh(at[2 * u:] + st[u:2 * u] * hwt[2 * u:], out=st[2 * u:])
+        np.multiply(1.0 - z, h[t], out=h[t + 1])
+        h[t + 1] += z * st[2 * u:]
+    return {"x2": x2, "h": h, "s": s, "hw": hw}
+
+
+def _gru_backward(p: GruLayerParams, tape: dict, dh_out, acts: Activations,
+                  grad: dict, need_dx: bool):
+    """BPTT through one GRU layer; see _lstm_backward."""
+    gate_d = _resolve(acts.gate)[1]
+    x2, h, s, hw = tape["x2"], tape["h"], tape["s"], tape["hw"]
+    n_steps, _, n = s.shape
+    u = p.units
+    da = np.empty((n_steps, 3 * u, n))  # d loss / d pre-activations, input side
+    dah = np.empty((n_steps, 3 * u, n))  # the same for the recurrent weights
+    dh_rec = None
+    for t in range(n_steps - 1, -1, -1):
+        st, dat = s[t], da[t]
+        z, r, cand = st[:u], st[u:2 * u], st[2 * u:]
+        dh = dh_out[:, t * n:(t + 1) * n]
+        if dh_rec is not None:
+            dh = dh + dh_rec
+        np.multiply(dh * z, _dtanh_from_y(cand), out=dat[2 * u:])
+        np.multiply(dh, cand - h[t], out=dat[:u])
+        np.multiply(dat[2 * u:], hw[t, 2 * u:], out=dat[u:2 * u])
+        dat[:2 * u] *= gate_d(st[:2 * u])
+        dah[t, :2 * u] = dat[:2 * u]
+        np.multiply(dat[2 * u:], r, out=dah[t, 2 * u:])
+        if t > 0:
+            dh_rec = dh * (1.0 - z) + p.wh.T @ dah[t]
+
+    da2 = _time_stacked(da)
+    np.matmul(da2, x2.T, out=grad["wx"])
+    np.matmul(_time_stacked(dah), _time_stacked(h[:-1]).T, out=grad["wh"])
+    if p.biases:
+        da2.sum(axis=1, out=grad["b"])
+    return p.wx.T @ da2 if need_dx else None
+
+
+# ---------------------------------------------------------------------------
 # cell steps
-
-def _lstm_step_full(params: LstmLayerParams, x, h_prev, c_prev, acts: Activations):
-    gate_fn, _ = _resolve(acts.gate)
-    cin_fn, _ = _resolve(acts.cell_input)
-    cout_fn, _ = _resolve(acts.cell_output)
-    a_i = x @ params.w_xi.T + h_prev @ params.w_hi.T + params.b_i
-    a_f = x @ params.w_xf.T + h_prev @ params.w_hf.T + params.b_f
-    if params.peepholes:
-        a_i = a_i + c_prev * params.w_ci
-        a_f = a_f + c_prev * params.w_cf
-    i = gate_fn(a_i)
-    f = gate_fn(a_f)
-    g = cin_fn(x @ params.w_xc.T + h_prev @ params.w_hc.T + params.b_c)
-    c = f * c_prev + i * g
-    a_o = x @ params.w_xo.T + h_prev @ params.w_ho.T + params.b_o
-    if params.peepholes:
-        a_o = a_o + c * params.w_co  # output gate peeks at the NEW cell state
-    o = gate_fn(a_o)
-    sc = cout_fn(c)
-    h = o * sc
-    cache = {"x": x, "h_prev": h_prev, "c_prev": c_prev,
-             "i": i, "f": f, "g": g, "o": o, "c": c, "sc": sc}
-    return h, c, cache
-
 
 def lstm_step(params: LstmLayerParams, x_t: np.ndarray, state: LstmState,
               activations: Activations = DEFAULT_ACTIVATIONS) -> tuple[np.ndarray, LstmState]:
@@ -312,28 +598,10 @@ def lstm_step(params: LstmLayerParams, x_t: np.ndarray, state: LstmState,
     if state.h.shape != (params.units,) or state.c.shape != (params.units,):
         raise ShapeMismatch(f"state shapes {state.h.shape}/{state.c.shape}, "
                             f"expected ({params.units},)")
-    h, c, _ = _lstm_step_full(params, x_t[None, :], state.h[None, :],
-                              state.c[None, :], activations)
-    return h[0], LstmState(c=c[0], h=h[0])
-
-
-def _gru_step_full(params: GruLayerParams, x, h_prev, acts: Activations):
-    gate_fn, _ = _resolve(acts.gate)
-    a_z = x @ params.w_z.T + h_prev @ params.u_z.T
-    a_r = x @ params.w_r.T + h_prev @ params.u_r.T
-    if params.biases:
-        a_z = a_z + params.b_z
-        a_r = a_r + params.b_r
-    z = gate_fn(a_z)
-    r = gate_fn(a_r)
-    uh = h_prev @ params.u_h.T
-    a_h = x @ params.w_h.T + r * uh
-    if params.biases:
-        a_h = a_h + params.b_h
-    h_tilde = np.tanh(a_h)
-    h = (1.0 - z) * h_prev + z * h_tilde
-    cache = {"x": x, "h_prev": h_prev, "z": z, "r": r, "uh": uh, "h_tilde": h_tilde}
-    return h, cache
+    tape = _lstm_forward(params, x_t[:, None], 1, activations,
+                         state.h[:, None], state.c[:, None])
+    h, c = tape["h"][1, :, 0], tape["c"][1, :, 0]
+    return h, LstmState(c=c, h=h)
 
 
 def gru_step(params: GruLayerParams, x_t: np.ndarray, h_prev: np.ndarray,
@@ -345,8 +613,7 @@ def gru_step(params: GruLayerParams, x_t: np.ndarray, h_prev: np.ndarray,
         raise ShapeMismatch(f"x_t shape {x_t.shape}, expected ({params.input_dim},)")
     if h_prev.shape != (params.units,):
         raise ShapeMismatch(f"h_prev shape {h_prev.shape}, expected ({params.units},)")
-    h, _ = _gru_step_full(params, x_t[None, :], h_prev[None, :], activations)
-    return h[0]
+    return _gru_forward(params, x_t[:, None], 1, activations, h_prev[:, None])["h"][1, :, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -364,26 +631,15 @@ def forward(net: RecurrentNetwork, inputs: np.ndarray) -> tuple[np.ndarray, dict
         raise ShapeMismatch(f"input shape {inputs.shape}, expected (*, {net.window})")
     n = batch.shape[0]
 
+    layer_forward = _lstm_forward if net.cell_kind == "lstm" else _gru_forward
+    x2 = np.ascontiguousarray(batch.T).reshape(1, -1)  # one univariate step per B columns
     layer_tapes = []
-    # sequence of (B, d) inputs, one per timestep
-    seq = [batch[:, t:t + 1] for t in range(net.window)]
     for layer in net.layers:
-        steps = []
-        h = np.zeros((n, layer.units))
-        c = np.zeros((n, layer.units))
-        out_seq = []
-        for x_t in seq:
-            if net.cell_kind == "lstm":
-                h, c, cache = _lstm_step_full(layer, x_t, h, c, net.activations)
-            else:
-                h, cache = _gru_step_full(layer, x_t, h, net.activations)
-            steps.append(cache)
-            out_seq.append(h)
-        layer_tapes.append(steps)
-        seq = out_seq
+        layer_tapes.append(layer_forward(layer, x2, net.window, net.activations))
+        x2 = _time_stacked(layer_tapes[-1]["h"][1:])
 
-    h_last = seq[-1]
-    pre_head = h_last @ net.head_w + net.head_b[0]
+    h_last = layer_tapes[-1]["h"][-1]  # (U, B)
+    pre_head = net.head_w @ h_last + net.head_b[0]
     preds = hard_sigmoid(pre_head)
     tape = {
         "cell_kind": net.cell_kind,
@@ -410,94 +666,10 @@ def mse_loss(preds: np.ndarray, targets: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # backward (exact BPTT)
 
-def _lstm_layer_backward(params: LstmLayerParams, steps, dh_inject, acts: Activations):
-    _, gate_d = _resolve(acts.gate)
-    _, cin_d = _resolve(acts.cell_input)
-    _, cout_d = _resolve(acts.cell_output)
-    grads = {name: np.zeros_like(getattr(params, name)) for name in params.names()}
-    n = dh_inject[0].shape[0]
-    dh_rec = np.zeros((n, params.units))
-    dc = np.zeros((n, params.units))
-    dx_seq = []
-    for t in range(len(steps) - 1, -1, -1):
-        s = steps[t]
-        dh = dh_inject[t] + dh_rec
-        do = dh * s["sc"]
-        dc = dc + dh * s["o"] * cout_d(s["sc"])
-        da_o = do * gate_d(s["o"])
-        if params.peepholes:
-            dc = dc + da_o * params.w_co
-        di = dc * s["g"]
-        dg = dc * s["i"]
-        df = dc * s["c_prev"]
-        dc_prev = dc * s["f"]
-        da_i = di * gate_d(s["i"])
-        da_f = df * gate_d(s["f"])
-        da_g = dg * cin_d(s["g"])
-        if params.peepholes:
-            dc_prev = dc_prev + da_i * params.w_ci + da_f * params.w_cf
-            grads["w_ci"] += (da_i * s["c_prev"]).sum(axis=0)
-            grads["w_cf"] += (da_f * s["c_prev"]).sum(axis=0)
-            grads["w_co"] += (da_o * s["c"]).sum(axis=0)
-        grads["w_xi"] += da_i.T @ s["x"]
-        grads["w_xf"] += da_f.T @ s["x"]
-        grads["w_xc"] += da_g.T @ s["x"]
-        grads["w_xo"] += da_o.T @ s["x"]
-        grads["w_hi"] += da_i.T @ s["h_prev"]
-        grads["w_hf"] += da_f.T @ s["h_prev"]
-        grads["w_hc"] += da_g.T @ s["h_prev"]
-        grads["w_ho"] += da_o.T @ s["h_prev"]
-        grads["b_i"] += da_i.sum(axis=0)
-        grads["b_f"] += da_f.sum(axis=0)
-        grads["b_c"] += da_g.sum(axis=0)
-        grads["b_o"] += da_o.sum(axis=0)
-        dx_seq.append(da_i @ params.w_xi + da_f @ params.w_xf +
-                      da_g @ params.w_xc + da_o @ params.w_xo)
-        dh_rec = (da_i @ params.w_hi + da_f @ params.w_hf +
-                  da_g @ params.w_hc + da_o @ params.w_ho)
-        dc = dc_prev
-    dx_seq.reverse()
-    return grads, dx_seq
-
-
-def _gru_layer_backward(params: GruLayerParams, steps, dh_inject, acts: Activations):
-    _, gate_d = _resolve(acts.gate)
-    grads = {name: np.zeros_like(getattr(params, name)) for name in params.names()}
-    n = dh_inject[0].shape[0]
-    dh_rec = np.zeros((n, params.units))
-    dx_seq = []
-    for t in range(len(steps) - 1, -1, -1):
-        s = steps[t]
-        dh = dh_inject[t] + dh_rec
-        dz = dh * (s["h_tilde"] - s["h_prev"])
-        dh_tilde = dh * s["z"]
-        dh_prev = dh * (1.0 - s["z"])
-        da_h = dh_tilde * _dtanh_from_y(s["h_tilde"])
-        dr = da_h * s["uh"]
-        duh = da_h * s["r"]
-        dh_prev = dh_prev + duh @ params.u_h
-        da_z = dz * gate_d(s["z"])
-        da_r = dr * gate_d(s["r"])
-        dh_prev = dh_prev + da_z @ params.u_z + da_r @ params.u_r
-        grads["w_z"] += da_z.T @ s["x"]
-        grads["w_r"] += da_r.T @ s["x"]
-        grads["w_h"] += da_h.T @ s["x"]
-        grads["u_z"] += da_z.T @ s["h_prev"]
-        grads["u_r"] += da_r.T @ s["h_prev"]
-        grads["u_h"] += duh.T @ s["h_prev"]
-        if params.biases:
-            grads["b_z"] += da_z.sum(axis=0)
-            grads["b_r"] += da_r.sum(axis=0)
-            grads["b_h"] += da_h.sum(axis=0)
-        dx_seq.append(da_z @ params.w_z + da_r @ params.w_r + da_h @ params.w_h)
-        dh_rec = dh_prev
-    dx_seq.reverse()
-    return grads, dx_seq
-
-
-def backward(net: RecurrentNetwork, targets: np.ndarray, tape: dict) -> dict[str, np.ndarray]:
+def backward(net: RecurrentNetwork, targets: np.ndarray, tape: dict) -> Gradients:
     """Exact gradients of the batch-mean squared error with respect to
-    every parameter, keyed like RecurrentNetwork.parameters().
+    every parameter, keyed like RecurrentNetwork.parameters() and stored
+    in one flat vector laid out like the network's.
 
     The tape must come from forward() on the same network; inputs are
     read back from it.
@@ -515,26 +687,18 @@ def backward(net: RecurrentNetwork, targets: np.ndarray, tape: dict) -> dict[str
     # hard sigmoid passes slope 0.2 strictly inside the clamp
     dpre = dpred * np.where((pre_head > -2.5) & (pre_head < 2.5), 0.2, 0.0)
 
-    grads: dict[str, np.ndarray] = {
-        "head.w": tape["h_last"].T @ dpre,
-        "head.b": np.array([dpre.sum()]),
-    }
+    grads = Gradients(np.empty_like(net.flat), net._layout)
+    grads["head.w"][...] = tape["h_last"] @ dpre
+    grads["head.b"][0] = dpre.sum()
 
-    steps_count = net.window
-    top = len(net.layers) - 1
-    dh_inject = [np.zeros((n, net.layers[top].units)) for _ in range(steps_count)]
-    dh_inject[-1] = dpre[:, None] * net.head_w[None, :]
-
-    for idx in range(top, -1, -1):
+    layer_backward = _lstm_backward if net.cell_kind == "lstm" else _gru_backward
+    dh = np.zeros((net.layers[-1].units, net.window * n))
+    dh[:, -n:] = net.head_w[:, None] * dpre[None, :]
+    for idx in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[idx]
-        steps = tape["layer_tapes"][idx]
-        if net.cell_kind == "lstm":
-            layer_grads, dx_seq = _lstm_layer_backward(layer, steps, dh_inject, net.activations)
-        else:
-            layer_grads, dx_seq = _gru_layer_backward(layer, steps, dh_inject, net.activations)
-        for name, g in layer_grads.items():
-            grads[f"layers.{idx}.{name}"] = g
-        dh_inject = dx_seq  # what this layer read is what the one below wrote
+        # what this layer read is what the one below wrote
+        dh = layer_backward(layer, tape["layer_tapes"][idx], dh, net.activations,
+                            layer.views(grads.flat[net._layer_slices[idx]]), need_dx=idx > 0)
     return grads
 
 
@@ -549,52 +713,83 @@ class AdamConfig:
     eps: float = 1e-8
 
 
+# Elements per ADAM block: the six arrays of a block (param, grad, m, v
+# and two scratch arrays, 1.5 MB) stay in a core's L2 cache through the
+# dozen passes of the update, which streams each array from memory once.
+ADAM_BLOCK = 32_768
+
+
+def _adam_in_place(param, grad, m, v, t: int, cfg: AdamConfig) -> None:
+    """One bias-corrected ADAM step written into param, m and v, flat
+    arrays of one size, block by block."""
+    a = np.empty(min(param.size, ADAM_BLOCK))
+    b = np.empty_like(a)
+    for start in range(0, param.size, ADAM_BLOCK):
+        seg = slice(start, start + ADAM_BLOCK)
+        p, g, mb, vb = param[seg], grad[seg], m[seg], v[seg]
+        ab, bb = a[:p.size], b[:p.size]
+        mb *= cfg.beta1
+        mb += np.multiply(1.0 - cfg.beta1, g, out=ab)
+        np.multiply(1.0 - cfg.beta2, g, out=ab)
+        ab *= g
+        vb *= cfg.beta2
+        vb += ab
+        np.divide(mb, 1.0 - cfg.beta1 ** t, out=ab)  # m_hat
+        np.divide(vb, 1.0 - cfg.beta2 ** t, out=bb)  # v_hat
+        np.sqrt(bb, out=bb)
+        bb += cfg.eps
+        ab *= cfg.alpha
+        ab /= bb
+        p -= ab
+
+
 def adam_update(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
                 t: int, cfg: AdamConfig = AdamConfig()):
     """One bias-corrected ADAM step on a single array; returns
     (new_param, new_m, new_v) without mutating the inputs."""
-    param = np.asarray(param, dtype=np.float64)
+    param = np.array(param, dtype=np.float64, order="C")
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != param.shape:
         raise ShapeMismatch(f"grad shape {grad.shape} vs param {param.shape}")
     if t < 1:
         raise ValueError("step count t starts at 1")
-    m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
-    v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad * grad
-    m_hat = m / (1.0 - cfg.beta1 ** t)
-    v_hat = v / (1.0 - cfg.beta2 ** t)
-    return param - cfg.alpha * m_hat / (np.sqrt(v_hat) + cfg.eps), m, v
+    m = np.array(m, dtype=np.float64, order="C")
+    v = np.array(v, dtype=np.float64, order="C")
+    _adam_in_place(param.reshape(-1), grad.reshape(-1), m.reshape(-1), v.reshape(-1), t, cfg)
+    return param, m, v
 
 
 class AdamOptimizer:
-    """Per-parameter first and second moments for a whole network."""
+    """First and second moments of a whole network, flat like its
+    parameters, so a step is one in-place update of `net.flat`."""
 
     def __init__(self, net: RecurrentNetwork, cfg: AdamConfig = AdamConfig()):
         self.cfg = cfg
         self.t = 0
-        self.m = {path: np.zeros_like(p) for path, p in net.parameters()}
-        self.v = {path: np.zeros_like(p) for path, p in net.parameters()}
+        self.m = np.zeros_like(net.flat)
+        self.v = np.zeros_like(net.flat)
 
-    def step(self, net: RecurrentNetwork, grads: dict[str, np.ndarray]) -> None:
+    def step(self, net: RecurrentNetwork, grads: Gradients) -> None:
+        """Apply the gradients that backward() returned for `net`."""
+        if grads.flat.shape != net.flat.shape:
+            raise ShapeMismatch(f"gradient size {grads.flat.size}, network size {net.flat.size}")
         self.t += 1
-        for path, param in net.parameters():
-            new_param, self.m[path], self.v[path] = adam_update(
-                param, grads[path], self.m[path], self.v[path], self.t, self.cfg)
-            net.set_parameter(path, new_param)
+        _adam_in_place(net.flat, grads.flat, self.m, self.v, self.t, self.cfg)
 
 
 # ---------------------------------------------------------------------------
 # persistence
 
 def save_model_json(net: RecurrentNetwork, scaler: MinMaxScaler | None, path: str) -> None:
+    """Write the network as JSON, one key per per-gate array."""
     layers = []
     for layer in net.layers:
         entry = {"input_dim": layer.input_dim, "units": layer.units}
         for name in layer.names():
-            arr = getattr(layer, name)
-            entry[name] = arr.tolist()
+            entry[name] = getattr(layer, name).tolist()
         layers.append(entry)
     payload = {
+        "format": MODEL_FORMAT,
         "cell_kind": net.cell_kind,
         "window": net.window,
         "activations": {
@@ -607,36 +802,96 @@ def save_model_json(net: RecurrentNetwork, scaler: MinMaxScaler | None, path: st
         "scaler": ({"lo": scaler.lo, "hi": scaler.hi} if scaler is not None else None),
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+        # json.dumps without indent uses the C encoder; json.dump(..., indent=2) never does.
+        fh.write(json.dumps(payload))
         fh.write("\n")
 
 
-def load_model_json(path: str) -> tuple[RecurrentNetwork, MinMaxScaler | None]:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    cell_kind = payload["cell_kind"]
+def _key(obj, key: str, where: str = ""):
+    """obj[key]; MalformedModel names the key when obj is not an object
+    or lacks it."""
+    if not isinstance(obj, dict):
+        raise MalformedModel(f"{where.rstrip('.') or 'model'}: not a JSON object")
+    if key not in obj:
+        raise MalformedModel(f"{where}{key}: missing")
+    return obj[key]
+
+
+def _positive_int(obj, key: str, where: str = "") -> int:
+    value = _key(obj, key, where)
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise MalformedModel(f"{where}{key}: {value!r}, expected a positive integer")
+    return value
+
+
+def _number(obj, key: str, where: str = "") -> float:
+    value = _key(obj, key, where)
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise MalformedModel(f"{where}{key}: {value!r}, expected a number")
+    return float(value)
+
+
+def _model_from_payload(payload) -> tuple[RecurrentNetwork, MinMaxScaler | None]:
+    version = payload.get("format", 1) if isinstance(payload, dict) else 1
+    if version not in (1, MODEL_FORMAT):
+        raise MalformedModel(f"format: {version!r}, expected 1 or {MODEL_FORMAT}")
+    kind = _key(payload, "cell_kind")
+    layer_cls = {"lstm": LstmLayerParams, "gru": GruLayerParams}.get(kind)
+    if layer_cls is None:
+        raise MalformedModel(f"cell_kind: {kind!r}, expected 'lstm' or 'gru'")
+    raw_acts = _key(payload, "activations")
+    acts = {}
+    for name in ("gate", "cell_input", "cell_output"):
+        acts[name] = _key(raw_acts, name, "activations.")
+        if acts[name] not in _ACTIVATIONS:
+            raise MalformedModel(f"activations.{name}: {acts[name]!r}, "
+                                 f"expected one of {sorted(_ACTIVATIONS)}")
+    window = _positive_int(payload, "window")
+
+    entries = _key(payload, "layers")
+    if not isinstance(entries, list) or not entries:
+        raise MalformedModel("layers: expected a non-empty list")
     layers = []
-    for entry in payload["layers"]:
-        arrays = {k: np.asarray(v, dtype=np.float64)
-                  for k, v in entry.items() if k not in ("input_dim", "units")}
-        if cell_kind == "lstm":
-            for name in ("w_ci", "w_cf", "w_co"):
-                arrays.setdefault(name, None)
-            layers.append(LstmLayerParams(**arrays))
-        else:
-            for name in ("b_z", "b_r", "b_h"):
-                arrays.setdefault(name, None)
-            layers.append(GruLayerParams(**arrays))
-    acts = payload["activations"]
-    net = RecurrentNetwork(
-        cell_kind=cell_kind,
-        window=int(payload["window"]),
-        activations=Activations(gate=acts["gate"], cell_input=acts["cell_input"],
-                                cell_output=acts["cell_output"]),
-        layers=layers,
-        head_w=np.asarray(payload["head"]["w"], dtype=np.float64),
-        head_b=np.array([float(payload["head"]["b"])]),
-    )
+    known = {name for name, _, _ in layer_cls.GATE_ARRAYS} | {"input_dim", "units"}
+    for i, entry in enumerate(entries):
+        where = f"layers[{i}]."
+        input_dim = _positive_int(entry, "input_dim", where)
+        units = _positive_int(entry, "units", where)
+        unknown = sorted(set(entry) - known)
+        if unknown:
+            raise MalformedModel(f"{where}{unknown[0]}: unknown key for a {kind} layer")
+        try:
+            layers.append(layer_cls.from_arrays(entry, units, input_dim))
+        except ShapeMismatch as exc:
+            raise MalformedModel(f"{where}{exc}") from None
+
+    head = _key(payload, "head")
+    try:
+        head_w = np.asarray(_key(head, "w", "head."), dtype=np.float64)
+    except (TypeError, ValueError):
+        raise MalformedModel("head.w: not a numeric array") from None
+    head_b = np.array([_number(head, "b", "head.")])
+    try:
+        net = RecurrentNetwork(cell_kind=kind, window=window, activations=Activations(**acts),
+                               layers=layers, head_w=head_w, head_b=head_b)
+    except ShapeMismatch as exc:
+        raise MalformedModel(str(exc)) from None
     raw = payload.get("scaler")
-    scaler = MinMaxScaler(lo=float(raw["lo"]), hi=float(raw["hi"])) if raw else None
+    scaler = (MinMaxScaler(lo=_number(raw, "lo", "scaler."), hi=_number(raw, "hi", "scaler."))
+              if raw is not None else None)
     return net, scaler
+
+
+def load_model_json(path: str) -> tuple[RecurrentNetwork, MinMaxScaler | None]:
+    """Read a model file of any format up to MODEL_FORMAT. A file that
+    does not describe a network raises MalformedModel naming the file
+    and the key, e.g. `m.json: layers[1].w_hf: shape (5, 4), expected (5, 5)`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise MalformedModel(f"{path}: not valid JSON ({exc})") from None
+    try:
+        return _model_from_payload(payload)
+    except MalformedModel as exc:
+        raise MalformedModel(f"{path}: {exc}") from None

@@ -219,6 +219,37 @@ class TestPipelineOutputs:
         assert out.splitlines()[0] == "timestamp,truth,prediction"
 
 
+class TestMalformedModel:
+    """A model file that does not fit its network exits 2 naming the
+    file and the key."""
+
+    @staticmethod
+    def truncate_matrix(doc):
+        doc["layers"][1]["w_hf"] = [row[:-1] for row in doc["layers"][1]["w_hf"]]
+        return "layers[1].w_hf: shape (4, 3), expected (4, 4)"
+
+    @staticmethod
+    def unknown_kind(doc):
+        doc["cell_kind"] = "rnn"
+        return "cell_kind: 'rnn', expected 'lstm' or 'gru'"
+
+    @staticmethod
+    def missing_key(doc):
+        del doc["layers"][0]["b_o"]
+        return "layers[0].b_o: missing"
+
+    @pytest.mark.parametrize("corrupt", ["truncate_matrix", "unknown_kind", "missing_key"])
+    def test_predict_rejects_model(self, pipeline_run, tmp_path, capsys, corrupt):
+        doc = json.loads((pipeline_run / "lstm_c0.json").read_text())
+        message = getattr(self, corrupt)(doc)
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(doc))
+        code = main(["predict", "--model", str(model),
+                     "--bins", str(pipeline_run / "cluster_series.json"), "--cluster", "0"])
+        assert code == 2
+        assert f"{model}: {message}" in capsys.readouterr().err
+
+
 class TestSubcommandsOnPipelineOutputs:
     def test_train_with_grid_file(self, pipeline_run, tmp_path):
         grid = tmp_path / "grid.json"

@@ -1,4 +1,8 @@
-"""Recurrent cells: hand-derived step values, BPTT gradient checks, ADAM."""
+"""Recurrent cells: hand-derived step values, BPTT gradient checks, ADAM,
+the flat parameter layout and model files."""
+
+import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -25,7 +29,12 @@ from cellcast import (
     sigmoid,
     tanh,
 )
-from cellcast.errors import Empty, LengthMismatch, ShapeMismatch, TapeMismatch
+from cellcast.errors import Empty, LengthMismatch, MalformedModel, ShapeMismatch, TapeMismatch
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+# Network options that change which parameters exist.
+VARIANTS = [("lstm", {}), ("lstm", {"peepholes": False}), ("gru", {}), ("gru", {"gru_biases": False})]
 
 # Seeds whose random nets give finite-difference checks comfortably away
 # from the central-difference noise floor (entries ~1e-7 against an
@@ -203,6 +212,11 @@ class TestForward:
         dims = [(l.input_dim, l.units) for l in net.layers]
         assert dims == [(1, 4), (4, 7), (7, 7)]
 
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    def test_empty_batch(self, kind):
+        preds, _ = forward(build_network(kind, 1, 3, seed=0), np.zeros((0, 4)))
+        assert preds.shape == (0,)
+
     def test_wrong_window_rejected(self):
         net = build_network("gru", 1, 4, seed=0)
         with pytest.raises(ShapeMismatch):
@@ -355,6 +369,80 @@ class TestAdam:
             return np.concatenate([a.ravel() for _, a in net.parameters()])
         np.testing.assert_array_equal(run(), run())
 
+    def test_update_matches_reference_formula(self):
+        """adam_update evaluates the textbook expression in its order, bit for bit."""
+        rng = np.random.default_rng(3)
+        cfg = AdamConfig()
+        p, g = rng.normal(size=50), rng.normal(size=50)
+        m, v = 0.1 * rng.normal(size=50), 0.01 * rng.random(50)
+        for t in (1, 2, 7):
+            new_p, new_m, new_v = adam_update(p, g, m, v, t, cfg)
+            ref_m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+            ref_v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+            m_hat = ref_m / (1.0 - cfg.beta1 ** t)
+            v_hat = ref_v / (1.0 - cfg.beta2 ** t)
+            np.testing.assert_array_equal(new_m, ref_m)
+            np.testing.assert_array_equal(new_v, ref_v)
+            np.testing.assert_array_equal(new_p, p - cfg.alpha * m_hat / (np.sqrt(v_hat) + cfg.eps))
+
+    @pytest.mark.parametrize("kind,extras", VARIANTS)
+    def test_flat_step_matches_per_array_updates(self, kind, extras):
+        """One in-place step over the flat vector equals adam_update on
+        every parameter array, bit for bit, over several steps."""
+        net = build_network(kind, 2, 5, seed=4, **extras)
+        opt = AdamOptimizer(net)
+        ref = {path: (arr.copy(), np.zeros_like(arr), np.zeros_like(arr))
+               for path, arr in net.parameters()}
+        rng = np.random.default_rng(5)
+        for t in range(1, 7):
+            _, tape = forward(net, rng.random((8, 4)))
+            grads = backward(net, rng.random(8), tape)
+            opt.step(net, grads)
+            for path, arr in net.parameters():
+                param, m, v = ref[path]
+                ref[path] = adam_update(param, grads[path], m, v, t)
+                np.testing.assert_array_equal(arr, ref[path][0], err_msg=f"{path} step {t}")
+
+
+class TestFlatLayout:
+    @pytest.mark.parametrize("kind,extras", VARIANTS)
+    def test_parameters_and_gradients_are_views_of_one_vector(self, kind, extras):
+        net = build_network(kind, 2, 3, seed=1, **extras)
+        params = net.parameters()
+        np.testing.assert_array_equal(net.flat, np.concatenate([a.ravel() for _, a in params]))
+        assert all(np.shares_memory(arr, net.flat) for _, arr in params)
+        _, tape = forward(net, np.full((3, 4), 0.5))
+        grads = backward(net, np.zeros(3), tape)
+        assert list(grads) == [path for path, _ in params]
+        for path, arr in params:
+            assert grads[path].shape == arr.shape
+            assert np.shares_memory(grads[path], grads.flat)
+
+    def test_per_gate_write_reaches_the_stacked_block(self):
+        net = build_network("lstm", 1, 3, seed=0)
+        x = np.random.default_rng(1).random((4, 4))
+        before = forward(net, x)[0]
+        layer = net.layers[1]
+        layer.w_hf[0, 0] += 0.5
+        layer.b_o[:] = 2.0
+        assert layer.wh[3, 0] == layer.w_hf[0, 0]  # f is the second block of 3 rows
+        np.testing.assert_array_equal(layer.b[9:], 2.0)
+        assert not np.array_equal(forward(net, x)[0], before)
+
+    def test_constructor_copies_and_views_cannot_be_rebound(self):
+        w = np.ones((2, 1))
+        layer = GruLayerParams(w, w, w, *(np.zeros((2, 2)),) * 3, None, None, None)
+        w[...] = 5.0
+        np.testing.assert_array_equal(layer.w_z, 1.0)
+        assert layer.b is None and layer.b_z is None and layer.names()[-1] == "u_h"
+        with pytest.raises(AttributeError):
+            layer.w_z = np.zeros((2, 1))
+
+    def test_constructor_rejects_a_misshaped_gate(self):
+        with pytest.raises(ShapeMismatch, match=r"u_r: shape \(2, 3\), expected \(2, 2\)"):
+            GruLayerParams(*(np.zeros((2, 1)),) * 3, np.zeros((2, 2)), np.zeros((2, 3)),
+                           np.zeros((2, 2)), None, None, None)
+
 
 class TestBuildAndPersist:
     def test_build_is_seeded(self):
@@ -403,3 +491,65 @@ class TestBuildAndPersist:
         save_model_json(net, None, str(path))
         _, scaler = load_model_json(str(path))
         assert scaler is None
+
+    def test_model_json_is_format_2_on_one_line(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model_json(build_network("gru", 1, 3, seed=0), None, str(path))
+        text = path.read_text()
+        assert json.loads(text)["format"] == 2
+        assert text.count("\n") == 1 and text.endswith("\n")
+
+    @pytest.mark.parametrize("name,kind,seed,extras,scaler", [
+        ("model_format1_lstm.json", "lstm", 11, {}, MinMaxScaler(lo=2.5, hi=40.0)),
+        ("model_format1_gru_nobias.json", "gru", 12, {"gru_biases": False},
+         MinMaxScaler(lo=0.0, hi=7.0)),
+    ])
+    def test_reads_format_1_files(self, name, kind, seed, extras, scaler):
+        """Files written before model files carried a format field (indented,
+        no "format" key) still load to the network that wrote them."""
+        loaded, loaded_scaler = load_model_json(str(DATA / name))
+        assert "format" not in json.loads((DATA / name).read_text())
+        assert loaded_scaler == scaler
+        want = build_network(kind, 1, 3, seed=seed, **extras)
+        assert [p for p, _ in loaded.parameters()] == [p for p, _ in want.parameters()]
+        np.testing.assert_array_equal(loaded.flat, want.flat)
+
+    @pytest.mark.parametrize("corrupt,message", [
+        (lambda d: d.update(format=3), "format: 3, expected 1 or 2"),
+        (lambda d: d["layers"][0].update(w_xz=[[0.0]] * 4),
+         "layers[0].w_xz: unknown key for a lstm layer"),
+        (lambda d: d["layers"][0].pop("w_cf"), "layers[0].w_cf: missing"),
+        (lambda d: d["layers"][0].update(w_xi=[[1.0], [], [1.0], [1.0]]),
+         "layers[0].w_xi: not a numeric array of shape (4, 1)"),
+        (lambda d: d["layers"][1].update(units=2), "layers[1].w_xi: shape (3, 4), expected (2, 4)"),
+        (lambda d: d["layers"][0].update(units=0),
+         "layers[0].units: 0, expected a positive integer"),
+        (lambda d: d["head"].update(w=[0.0, 1.0]), "head.w: shape (2,), expected (3,)"),
+        (lambda d: d["activations"].update(gate="relu"),
+         "activations.gate: 'relu', expected one of ['sigmoid', 'tanh']"),
+        (lambda d: d.pop("window"), "window: missing"),
+    ])
+    def test_load_rejects_malformed_model(self, tmp_path, corrupt, message):
+        doc = json.loads((DATA / "model_format1_lstm.json").read_text())
+        corrupt(doc)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedModel) as exc:
+            load_model_json(str(path))
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_load_rejects_a_chain_mismatch(self, tmp_path):
+        """Each layer must read the units of the layer below it."""
+        path = tmp_path / "m.json"
+        save_model_json(build_network("gru", 2, 3, seed=0), None, str(path))
+        doc = json.loads(path.read_text())
+        doc["layers"][1] = doc["layers"][2]  # (3 -> 3) where 4 -> 3 is due
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedModel, match=r"m.json: layers\[1\].input_dim: 3, expected 4"):
+            load_model_json(str(path))
+
+    def test_load_rejects_text_that_is_not_json(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"cell_kind": "lstm", "layers": [')
+        with pytest.raises(MalformedModel, match="m.json: not valid JSON"):
+            load_model_json(str(path))
