@@ -15,12 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import jsonfile
 from .errors import (
     CurveTooShort,
     Empty,
     EmptySeries,
     InvalidK,
     LengthMismatch,
+    MalformedClusters,
+    MalformedFile,
     MissingSeries,
     SpanMismatch,
     TooFewPoints,
@@ -130,26 +133,50 @@ def _init_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centroids
 
 
-def _assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, float]:
+class _Scratch:
+    """What every assignment pass of one fit reuses: the points as
+    contiguous (dims, 1, n) columns and two (k, n) distance buffers."""
+
+    def __init__(self, points: np.ndarray, k: int):
+        n = points.shape[0]
+        self.columns = np.ascontiguousarray(points.T)[:, None, :]
+        self.d2 = np.empty((k, n))
+        self.diff = np.empty((k, n))
+        self.rows = np.arange(n)
+
+
+def _assign(points: np.ndarray, centroids: np.ndarray,
+            scratch: _Scratch | None = None) -> tuple[np.ndarray, float]:
     # Squared distances summed one dimension at a time: the same additions
     # in the same order as summing an (n, k, dims) difference tensor over
-    # its last axis, without allocating it.
-    d2 = np.zeros((points.shape[0], centroids.shape[0]))
-    for d in range(points.shape[1]):
-        d2 += (points[:, d, None] - centroids[None, :, d]) ** 2
-    labels = np.argmin(d2, axis=1)  # ties resolve to the lowest index
-    sse = float(d2[np.arange(points.shape[0]), labels].sum())
+    # its last axis, without allocating it. The sum starts from the first
+    # square rather than from 0.0, which is the same number since a square
+    # is never -0.0.
+    if scratch is None:
+        scratch = _Scratch(points, centroids.shape[0])
+    d2, diff = scratch.d2, scratch.diff
+    centroid_columns = np.ascontiguousarray(centroids.T)[:, :, None]
+    for d, column in enumerate(scratch.columns):
+        out = d2 if d == 0 else diff
+        np.subtract(column, centroid_columns[d], out=out)
+        np.square(out, out=out)
+        if d:
+            d2 += diff
+    labels = np.argmin(d2, axis=0)  # ties resolve to the lowest index
+    sse = float(d2[labels, scratch.rows].sum())
     return labels, sse
 
 
 def _update(points: np.ndarray, labels: np.ndarray, k: int,
             centroids: np.ndarray) -> np.ndarray:
+    dims = points.shape[1]
     new = centroids.copy()
     counts = np.bincount(labels, minlength=k)
-    # bincount adds each cluster's points in index order, as a per-cluster
-    # mean over axis 0 does, so the centroids keep their bits.
-    sums = np.column_stack([np.bincount(labels, weights=points[:, d], minlength=k)
-                            for d in range(points.shape[1])])
+    # One bincount over the (label, dim) bins of the row-major points: each
+    # bin adds its points in index order, as a per-cluster mean over axis 0
+    # does, so the centroids keep their bits.
+    bins = (labels[:, None] * dims + np.arange(dims)).ravel()
+    sums = np.bincount(bins, weights=np.ravel(points), minlength=k * dims).reshape(k, dims)
     filled = counts > 0
     new[filled] = sums[filled] / counts[filled, None]
     empty = np.flatnonzero(~filled)
@@ -163,16 +190,17 @@ def _update(points: np.ndarray, labels: np.ndarray, k: int,
     return new
 
 
-def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
+def _lloyd(points: np.ndarray, centroids: np.ndarray,
            max_iter: int) -> tuple[np.ndarray, np.ndarray, float, list[float], int]:
-    centroids = _init_centroids(points, k, rng)
-    labels, sse = _assign(points, centroids)
+    k = centroids.shape[0]
+    scratch = _Scratch(points, k)
+    labels, sse = _assign(points, centroids, scratch)
     history = [sse]
     iterations = 0
     for _ in range(max_iter):
         iterations += 1
         centroids = _update(points, labels, k, centroids)
-        new_labels, sse = _assign(points, centroids)
+        new_labels, sse = _assign(points, centroids, scratch)
         history.append(sse)
         if np.array_equal(new_labels, labels):
             break
@@ -181,7 +209,8 @@ def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
 
 
 def kmeans(profiles: list[PeriodProfile] | ProfileMatrix, k: int, seed: int = 0,
-           max_iter: int = 300, restarts: int = 10) -> ClusterModel:
+           max_iter: int = 300, restarts: int = 10,
+           _seedings: list[np.ndarray] | None = None) -> ClusterModel:
     """Best-of-restarts Lloyd clustering of the period profiles, given as
     a list or as a ProfileMatrix built once for several fits.
 
@@ -189,6 +218,10 @@ def kmeans(profiles: list[PeriodProfile] | ProfileMatrix, k: int, seed: int = 0,
     restarts never perturbs earlier ones, and the same restart explores
     the same initial points at every k (which keeps the SSE-vs-k curve
     well behaved). Ties on SSE go to the earliest restart.
+
+    ``_seedings`` (private to elbow_scan) holds each restart's seeding
+    drawn at a larger k; the fit takes its first k rows, which are the
+    rows the restart's own stream would draw.
     """
     if k < 1:
         raise InvalidK(f"k must be >= 1, got {k}")
@@ -199,8 +232,11 @@ def kmeans(profiles: list[PeriodProfile] | ProfileMatrix, k: int, seed: int = 0,
 
     best = None
     for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        result = _lloyd(points, k, rng, max_iter)
+        if _seedings is None:
+            initial = _init_centroids(points, k, np.random.default_rng([seed, r]))
+        else:
+            initial = _seedings[r][:k]
+        result = _lloyd(points, initial, max_iter)
         if best is None or result[2] < best[2]:
             best = result
     centroids, labels, sse, history, iterations = best
@@ -224,9 +260,15 @@ def elbow_scan(profiles: list[PeriodProfile], k_max: int, seed: int = 0,
     if matrix.n_distinct < 3:
         raise TooFewPoints(f"an elbow scan needs at least 3 distinct profiles, "
                            f"got {matrix.n_distinct}")
+    k_top = min(k_max, matrix.n_distinct)
+    # Centroid j is drawn from the first j centroids and the restart's
+    # stream alone, never from k, so the seeding for any k is the first k
+    # rows of the seeding for k_top: draw each restart's seeding once.
+    seedings = [_init_centroids(matrix.points, k_top, np.random.default_rng([seed, r]))
+                for r in range(restarts)]
     entries = []
-    for k in range(1, min(k_max, matrix.n_distinct) + 1):
-        model = kmeans(matrix, k, seed=seed, restarts=restarts)
+    for k in range(1, k_top + 1):
+        model = kmeans(matrix, k, seed=seed, restarts=restarts, _seedings=seedings)
         entries.append((k, model.sse))
     return SseCurve(entries=entries)
 
@@ -341,16 +383,27 @@ def save_cluster_json(model: ClusterModel, path: str) -> None:
         fh.write("\n")
 
 
+def _clusters_from_doc(doc: dict) -> ClusterModel:
+    k = jsonfile.positive_int(doc, "k")
+    centroids = jsonfile.finite_array(jsonfile.key(doc, "centroids"), "centroids", ndim=2)
+    if centroids.shape != (k, N_PERIODS):
+        raise MalformedFile(f"centroids: shape {centroids.shape}, expected ({k}, {N_PERIODS})")
+    raw = jsonfile.mapping(doc, "assignment")
+    assignment = {}
+    for text in raw:
+        cluster = jsonfile.integer(raw, text, "assignment.")
+        if not 0 <= cluster < k:
+            raise MalformedFile(f"assignment.{text}: {cluster}, expected a cluster in 0..{k - 1}")
+        assignment[jsonfile.int_key(text, "assignment.")] = cluster
+    return ClusterModel(k=k, centroids=centroids, assignment=assignment,
+                        iterations_run=0, sse=jsonfile.number(doc, "sse"))
+
+
 def load_cluster_json(path: str) -> ClusterModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return ClusterModel(
-        k=int(payload["k"]),
-        centroids=np.asarray(payload["centroids"], dtype=np.float64),
-        assignment={int(cid): int(c) for cid, c in payload["assignment"].items()},
-        iterations_run=0,
-        sse=float(payload["sse"]),
-    )
+    """Read a cluster file. One whose centroids are not k rows of six
+    finite numbers, or that assigns a cell outside 0..k-1, raises
+    MalformedClusters naming the file and the key."""
+    return jsonfile.load(path, _clusters_from_doc, MalformedClusters)
 
 
 def save_sse_csv(curve: SseCurve, path: str) -> None:

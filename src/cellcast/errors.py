@@ -13,6 +13,12 @@ class ValidationError(CellcastError, ValueError):
     """Bad inputs detected before any work is done."""
 
 
+class MalformedFile(ValidationError):
+    """A JSON artefact is not a JSON object, or a key in it is missing,
+    unknown or misshaped. Loaders raise a subclass whose message names
+    the file and the key."""
+
+
 # --- ingest ---------------------------------------------------------------
 
 class MalformedLine(ValidationError):
@@ -25,6 +31,11 @@ class NegativeActivity(ValidationError):
 
 class UnalignedSpan(ValidationError):
     """Span boundaries are not whole multiples of the bin width."""
+
+
+class MalformedBins(MalformedFile):
+    """A bins file is not JSON, or a key is missing or misshaped, or its
+    series differ in length."""
 
 
 # --- clustering -----------------------------------------------------------
@@ -51,6 +62,11 @@ class MissingSeries(ValidationError):
 
 class SpanMismatch(ValidationError):
     """Series being combined do not share span and bin width."""
+
+
+class MalformedClusters(MalformedFile):
+    """A cluster file is not JSON, or a key is missing or misshaped, or a
+    cell is assigned to a cluster outside 0..k-1."""
 
 
 # --- series prep ----------------------------------------------------------
@@ -81,7 +97,7 @@ class TapeMismatch(ValidationError):
     """Backward pass called with a tape from a different batch."""
 
 
-class MalformedModel(ValidationError):
+class MalformedModel(MalformedFile):
     """A model file is not JSON, or a key is missing, unknown or misshaped."""
 
 

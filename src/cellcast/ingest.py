@@ -25,7 +25,8 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from .errors import MalformedLine, NegativeActivity, UnalignedSpan
+from . import jsonfile
+from .errors import MalformedBins, MalformedFile, MalformedLine, NegativeActivity, UnalignedSpan
 
 BIN_WIDTH_MS = 30 * 60 * 1000
 BIN_WIDTH_MINUTES = 30
@@ -413,14 +414,28 @@ def save_bins_json(cells: dict[int, BinnedCellSeries], path: str) -> None:
         fh.write("\n")
 
 
+def _bins_from_doc(doc: dict) -> dict[int, BinnedCellSeries]:
+    span_start = jsonfile.integer(doc, "span_start")
+    width = jsonfile.positive_int(doc, "bin_width_minutes") * 60000
+    raw_cells = jsonfile.mapping(doc, "cells")
+    cells = {}
+    n_bins = None
+    for text, vals in raw_cells.items():
+        values = jsonfile.finite_array(vals, f"cells.{text}", ndim=1)
+        if n_bins is None:
+            n_bins = values.size
+        elif values.size != n_bins:
+            raise MalformedFile(f"cells.{text}: {values.size} values, expected {n_bins} "
+                                f"like the first cell")
+        cid = jsonfile.int_key(text, "cells.")
+        cells[cid] = BinnedCellSeries(cid, span_start, values, width)
+    return cells
+
+
 def load_bins_json(path: str) -> dict[int, BinnedCellSeries]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    width = doc["bin_width_minutes"] * 60000
-    return {
-        int(cid): BinnedCellSeries(int(cid), doc["span_start"], np.array(vals, dtype=np.float64), width)
-        for cid, vals in doc["cells"].items()
-    }
+    """Read a bins file. One that does not hold equal-length series of
+    finite numbers raises MalformedBins naming the file and the key."""
+    return jsonfile.load(path, _bins_from_doc, MalformedBins)
 
 
 def save_bins_csv(cells: dict[int, BinnedCellSeries], path: str) -> None:

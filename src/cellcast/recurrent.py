@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jsonfile
 from .errors import Empty, LengthMismatch, MalformedModel, ShapeMismatch, TapeMismatch
 from .prep import WINDOW, MinMaxScaler
 
@@ -807,56 +808,32 @@ def save_model_json(net: RecurrentNetwork, scaler: MinMaxScaler | None, path: st
         fh.write("\n")
 
 
-def _key(obj, key: str, where: str = ""):
-    """obj[key]; MalformedModel names the key when obj is not an object
-    or lacks it."""
-    if not isinstance(obj, dict):
-        raise MalformedModel(f"{where.rstrip('.') or 'model'}: not a JSON object")
-    if key not in obj:
-        raise MalformedModel(f"{where}{key}: missing")
-    return obj[key]
-
-
-def _positive_int(obj, key: str, where: str = "") -> int:
-    value = _key(obj, key, where)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise MalformedModel(f"{where}{key}: {value!r}, expected a positive integer")
-    return value
-
-
-def _number(obj, key: str, where: str = "") -> float:
-    value = _key(obj, key, where)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise MalformedModel(f"{where}{key}: {value!r}, expected a number")
-    return float(value)
-
-
 def _model_from_payload(payload) -> tuple[RecurrentNetwork, MinMaxScaler | None]:
-    version = payload.get("format", 1) if isinstance(payload, dict) else 1
+    version = payload.get("format", 1)
     if version not in (1, MODEL_FORMAT):
         raise MalformedModel(f"format: {version!r}, expected 1 or {MODEL_FORMAT}")
-    kind = _key(payload, "cell_kind")
+    kind = jsonfile.key(payload, "cell_kind")
     layer_cls = {"lstm": LstmLayerParams, "gru": GruLayerParams}.get(kind)
     if layer_cls is None:
         raise MalformedModel(f"cell_kind: {kind!r}, expected 'lstm' or 'gru'")
-    raw_acts = _key(payload, "activations")
+    raw_acts = jsonfile.key(payload, "activations")
     acts = {}
     for name in ("gate", "cell_input", "cell_output"):
-        acts[name] = _key(raw_acts, name, "activations.")
+        acts[name] = jsonfile.key(raw_acts, name, "activations.")
         if acts[name] not in _ACTIVATIONS:
             raise MalformedModel(f"activations.{name}: {acts[name]!r}, "
                                  f"expected one of {sorted(_ACTIVATIONS)}")
-    window = _positive_int(payload, "window")
+    window = jsonfile.positive_int(payload, "window")
 
-    entries = _key(payload, "layers")
+    entries = jsonfile.key(payload, "layers")
     if not isinstance(entries, list) or not entries:
         raise MalformedModel("layers: expected a non-empty list")
     layers = []
     known = {name for name, _, _ in layer_cls.GATE_ARRAYS} | {"input_dim", "units"}
     for i, entry in enumerate(entries):
         where = f"layers[{i}]."
-        input_dim = _positive_int(entry, "input_dim", where)
-        units = _positive_int(entry, "units", where)
+        input_dim = jsonfile.positive_int(entry, "input_dim", where)
+        units = jsonfile.positive_int(entry, "units", where)
         unknown = sorted(set(entry) - known)
         if unknown:
             raise MalformedModel(f"{where}{unknown[0]}: unknown key for a {kind} layer")
@@ -865,19 +842,20 @@ def _model_from_payload(payload) -> tuple[RecurrentNetwork, MinMaxScaler | None]
         except ShapeMismatch as exc:
             raise MalformedModel(f"{where}{exc}") from None
 
-    head = _key(payload, "head")
+    head = jsonfile.key(payload, "head")
     try:
-        head_w = np.asarray(_key(head, "w", "head."), dtype=np.float64)
+        head_w = np.asarray(jsonfile.key(head, "w", "head."), dtype=np.float64)
     except (TypeError, ValueError):
         raise MalformedModel("head.w: not a numeric array") from None
-    head_b = np.array([_number(head, "b", "head.")])
+    head_b = np.array([jsonfile.number(head, "b", "head.")])
     try:
         net = RecurrentNetwork(cell_kind=kind, window=window, activations=Activations(**acts),
                                layers=layers, head_w=head_w, head_b=head_b)
     except ShapeMismatch as exc:
         raise MalformedModel(str(exc)) from None
     raw = payload.get("scaler")
-    scaler = (MinMaxScaler(lo=_number(raw, "lo", "scaler."), hi=_number(raw, "hi", "scaler."))
+    scaler = (MinMaxScaler(lo=jsonfile.number(raw, "lo", "scaler."),
+                           hi=jsonfile.number(raw, "hi", "scaler."))
               if raw is not None else None)
     return net, scaler
 
@@ -886,12 +864,4 @@ def load_model_json(path: str) -> tuple[RecurrentNetwork, MinMaxScaler | None]:
     """Read a model file of any format up to MODEL_FORMAT. A file that
     does not describe a network raises MalformedModel naming the file
     and the key, e.g. `m.json: layers[1].w_hf: shape (5, 4), expected (5, 5)`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise MalformedModel(f"{path}: not valid JSON ({exc})") from None
-    try:
-        return _model_from_payload(payload)
-    except MalformedModel as exc:
-        raise MalformedModel(f"{path}: {exc}") from None
+    return jsonfile.load(path, _model_from_payload, MalformedModel)

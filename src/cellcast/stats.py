@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .errors import DomainError, Empty, EmptyGroup, LengthMismatch, TooFewGroups
 
@@ -134,12 +134,29 @@ def kruskal_wallis(samples: list[MetricSample]) -> KruskalWallisResult:
 
 def chi_square_upper_tail(x: float, df: int) -> float:
     """P(X >= x) for a chi-square variable, the regularized upper
-    incomplete gamma Q(df/2, x/2)."""
+    incomplete gamma Q(df/2, x/2), in closed form for integer df.
+
+    With y = x/2, even df sums exp(-y) y^j / j! over j < df/2; odd df
+    adds exp(-y) y^(j-1/2) / Gamma(j+1/2) for j = 1..(df-1)/2 to
+    erfc(sqrt(y)). Each term is taken in log space, so a large x or df
+    underflows to 0 instead of overflowing to inf or NaN.
+    """
     if x < 0:
         raise DomainError(f"chi-square statistic must be >= 0, got {x}")
     if df < 1:
         raise DomainError(f"df must be >= 1, got {df}")
-    return float(gammaincc(df / 2.0, x / 2.0))
+    if x == 0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    y = x / 2.0
+    log_y = math.log(y)
+    if df % 2 == 0:
+        return math.fsum(math.exp(j * log_y - y - math.lgamma(j + 1))
+                         for j in range(df // 2))
+    return math.fsum([math.erfc(math.sqrt(y))]
+                     + [math.exp((j - 0.5) * log_y - y - math.lgamma(j + 0.5))
+                        for j in range(1, (df + 1) // 2)])
 
 
 def box_stats(values) -> BoxStats:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, MalformedResults, UnknownCluster
+from .errors import ConfigError, ConstantSeries, MalformedResults, UnknownCluster
 from .ingest import BIN_WIDTH_MS, BinnedCellSeries
 from .prep import (
     WINDOW,
@@ -128,7 +128,10 @@ def prepare_dataset(series: BinnedCellSeries, ratio: float = 0.8,
     """Split chronologically, fit the scaler on the training portion
     only, and window each split independently."""
     train_raw, test_raw = split_train_test(series.values, ratio)
-    scaler = fit_scaler(train_raw)
+    try:
+        scaler = fit_scaler(train_raw)
+    except ConstantSeries as exc:
+        raise ConstantSeries(f"cluster {series.cell_id}: {exc}") from None
     train = make_windows(scaler.transform(train_raw), window)
     test = make_windows(scaler.transform(test_raw), window)
     return ClusterDataset(cluster=series.cell_id, train=train, test=test,

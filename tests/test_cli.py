@@ -250,6 +250,103 @@ class TestMalformedModel:
         assert f"{model}: {message}" in capsys.readouterr().err
 
 
+def _bins_doc():
+    """Four cells over one day; cells 3 and 4 are dead (all zero)."""
+    varying = [float(1 + (b % 7)) for b in range(48)]
+    return {"span_start": 0, "bin_width_minutes": 30,
+            "cells": {"1": varying, "2": varying[::-1], "3": [0.0] * 48, "4": [0.0] * 48}}
+
+
+def _clusters_doc():
+    return {"k": 2, "centroids": [[1.0] * 6, [0.0] * 6],
+            "assignment": {"1": 0, "2": 0, "3": 1, "4": 1}, "sse": 0.0}
+
+
+class TestMalformedArtefacts:
+    """A bins or cluster file that cannot be read exits 2 naming the
+    file and the key, in every subcommand that reads it."""
+
+    BINS_CASES = {
+        "invalid_json": (None, "not valid JSON"),
+        "missing_key": (lambda d: d.pop("cells"), "cells: missing"),
+        "ragged": (lambda d: d["cells"]["2"].pop(), "cells.2: 47 values, expected 48"),
+        "non_numeric": (lambda d: d["cells"]["3"].__setitem__(5, "x"),
+                        "cells.3: not a 1-d list of numbers"),
+    }
+    CLUSTER_CASES = {
+        "invalid_json": (None, "not valid JSON"),
+        "missing_key": (lambda d: d.pop("assignment"), "assignment: missing"),
+        "cluster_out_of_range": (lambda d: d["assignment"].update({"4": 2}),
+                                 "assignment.4: 2, expected a cluster in 0..1"),
+        "ragged_centroids": (lambda d: d["centroids"][1].pop(),
+                             "centroids: not a 2-d list of numbers"),
+    }
+
+    @staticmethod
+    def _write(path, doc, corrupt):
+        if corrupt is None:
+            path.write_text(json.dumps(doc)[:-7])
+        else:
+            corrupt(doc)
+            path.write_text(json.dumps(doc))
+
+    def _expect(self, capsys, argv, path, message):
+        assert main(argv) == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(BINS_CASES))
+    def test_cluster_rejects_bins(self, tmp_path, capsys, case):
+        corrupt, message = self.BINS_CASES[case]
+        bins = tmp_path / "bins.json"
+        self._write(bins, _bins_doc(), corrupt)
+        out = tmp_path / "clusters.json"
+        self._expect(capsys, ["cluster", "--bins", str(bins), "--k", "2", "--out", str(out)],
+                     bins, message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(CLUSTER_CASES))
+    def test_train_rejects_clusters(self, tmp_path, capsys, case):
+        corrupt, message = self.CLUSTER_CASES[case]
+        bins, clusters = tmp_path / "bins.json", tmp_path / "clusters.json"
+        bins.write_text(json.dumps(_bins_doc()))
+        self._write(clusters, _clusters_doc(), corrupt)
+        self._expect(capsys, ["train", "--clusters", str(clusters), "--bins", str(bins),
+                              "--out-dir", str(tmp_path / "train")], clusters, message)
+
+    @pytest.mark.parametrize("case", ["missing_key", "ragged"])
+    def test_train_rejects_bins(self, tmp_path, capsys, case):
+        corrupt, message = self.BINS_CASES[case]
+        bins, clusters = tmp_path / "bins.json", tmp_path / "clusters.json"
+        self._write(bins, _bins_doc(), corrupt)
+        clusters.write_text(json.dumps(_clusters_doc()))
+        self._expect(capsys, ["train", "--clusters", str(clusters), "--bins", str(bins),
+                              "--out-dir", str(tmp_path / "train")], bins, message)
+
+    @pytest.mark.parametrize("case", sorted(BINS_CASES))
+    def test_predict_rejects_bins(self, pipeline_run, tmp_path, capsys, case):
+        corrupt, message = self.BINS_CASES[case]
+        bins = tmp_path / "series.json"
+        self._write(bins, _bins_doc(), corrupt)
+        self._expect(capsys, ["predict", "--model", str(pipeline_run / "lstm_c0.json"),
+                              "--bins", str(bins), "--cluster", "1"], bins, message)
+
+    def test_train_names_a_constant_cluster(self, tmp_path, capsys):
+        """Fail fast: a cluster whose mean series is constant stops the
+        train stage before any result is written."""
+        bins, clusters = tmp_path / "bins.json", tmp_path / "clusters.json"
+        bins.write_text(json.dumps(_bins_doc()))
+        clusters.write_text(json.dumps(_clusters_doc()))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"hidden_layers": [1], "units": [2], "cell_kinds": ["gru"]}))
+        out_dir = tmp_path / "train"
+        assert main(["train", "--clusters", str(clusters), "--bins", str(bins),
+                     "--grid", str(grid), "--runs", "1", "--epochs", "1",
+                     "--out-dir", str(out_dir)]) == 2
+        assert "error: cluster 1: cannot scale a constant series (value 0.0)" in \
+            capsys.readouterr().err
+        assert not (out_dir / "results.csv").exists()
+
+
 class TestSubcommandsOnPipelineOutputs:
     def test_train_with_grid_file(self, pipeline_run, tmp_path):
         grid = tmp_path / "grid.json"

@@ -1,6 +1,7 @@
 """Day-period profiles, K-Means with Lloyd's algorithm, knee picking, ARI."""
 
 import csv
+import itertools
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from cellcast import (
     adjusted_rand_index,
     build_profiles,
     cluster_mean_series,
+    clustering,
     elbow_scan,
     kmeans,
     knee_point,
@@ -231,6 +233,60 @@ def test_elbow_scan_needs_three_distinct_profiles():
         elbow_scan(profiles_from(pts), k_max=5, seed=0)
 
 
+def _tiny_gap_points():
+    """Three distinct profiles, two of them so close that their squared
+    distance underflows to 0: after two picks every squared distance to
+    the picked centroids is 0, so the third centroid is a uniform draw at
+    a picked location, and its cluster starts empty."""
+    return [[0.0] * 6] * 3 + [[1e-170] + [0.0] * 5] * 2 + [[1.0] * 6] * 3
+
+
+@pytest.mark.parametrize("case", ["blobs", "dead_cells", "empty_repair"])
+def test_elbow_scan_fits_equal_independent_kmeans(monkeypatch, case):
+    """Every fit of the scan, which takes its seedings as prefixes of one
+    k_max seeding per restart, equals a kmeans call of its own bit for bit."""
+    rng = np.random.default_rng(12)
+    if case == "blobs":
+        points = np.vstack([rng.normal(size=(10, 6)) + c for c in (0.0, 4.0, 9.0)])
+        k_max, seed, restarts = 8, 5, 4
+    elif case == "dead_cells":
+        points = np.vstack([np.zeros((5, 6)), rng.lognormal(size=(9, 6)), np.zeros((3, 6))])
+        k_max, seed, restarts = 12, 0, 3
+    else:
+        points = np.array(_tiny_gap_points())
+        k_max, seed, restarts = 5, 2, 3
+    profiles = profiles_from(points)
+
+    fits, repairs = [], []
+    real_kmeans, real_update = clustering.kmeans, clustering._update
+
+    def recording_kmeans(*args, **kwargs):
+        fits.append(real_kmeans(*args, **kwargs))
+        return fits[-1]
+
+    def recording_update(points, labels, k, centroids):
+        repairs.append(bool((np.bincount(labels, minlength=k) == 0).any()))
+        return real_update(points, labels, k, centroids)
+
+    monkeypatch.setattr(clustering, "kmeans", recording_kmeans)
+    monkeypatch.setattr(clustering, "_update", recording_update)
+    curve = elbow_scan(profiles, k_max, seed=seed, restarts=restarts)
+    monkeypatch.setattr(clustering, "_update", real_update)
+    if case == "empty_repair":
+        assert any(repairs)
+
+    n_distinct = np.unique(points, axis=0).shape[0]
+    assert [m.k for m in fits] == list(range(1, min(k_max, n_distinct) + 1))
+    assert curve.entries == [(m.k, m.sse) for m in fits]
+    for fit in fits:
+        alone = real_kmeans(profiles, fit.k, seed=seed, restarts=restarts)
+        assert fit.centroids.tobytes() == alone.centroids.tobytes()
+        assert fit.assignment == alone.assignment
+        assert fit.sse == alone.sse
+        assert fit.sse_history == alone.sse_history
+        assert fit.iterations_run == alone.iterations_run
+
+
 def test_knee_on_reference_curve():
     curve = SseCurve([(1, 100.0), (2, 10.0), (3, 9.0), (4, 8.5)])
     assert knee_point(curve) == 2
@@ -392,6 +448,33 @@ def test_ari_validation():
         adjusted_rand_index([0, 1], [0])
     with pytest.raises(Empty):
         adjusted_rand_index([], [])
+
+
+def _pair_counting_ari(a, b):
+    """Reference: ARI from the four pair counts over all n(n-1)/2 pairs."""
+    same_both = same_a = same_b = only_a = only_b = neither = 0
+    for i, j in itertools.combinations(range(len(a)), 2):
+        in_a, in_b = a[i] == a[j], b[i] == b[j]
+        same_both += in_a and in_b
+        only_a += in_a and not in_b
+        only_b += in_b and not in_a
+        neither += not in_a and not in_b
+    denominator = ((neither + only_a) * (only_a + same_both)
+                   + (neither + only_b) * (only_b + same_both))
+    if denominator == 0:
+        return 1.0
+    return 2.0 * (neither * same_both - only_a * only_b) / denominator
+
+
+def test_ari_matches_pair_counting_oracle():
+    rng = np.random.default_rng(13)
+    cases = [([0, 0, 0], [1, 1, 1]), ([0, 1, 2], [5, 6, 7]), ([0, 1], [0, 0])]
+    for _ in range(40):
+        n = int(rng.integers(2, 40))
+        cases.append((rng.integers(0, int(rng.integers(1, 6)), size=n).tolist(),
+                      rng.integers(0, int(rng.integers(1, 6)), size=n).tolist()))
+    for a, b in cases:
+        assert abs(adjusted_rand_index(a, b) - _pair_counting_ari(a, b)) < 1e-12
 
 
 def test_ari_matches_sklearn():

@@ -1,12 +1,17 @@
 """Metrics, Kruskal-Wallis rank statistics, chi-square tail, box summaries."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cellcast
 from cellcast import (
     MetricSample,
     box_stats,
@@ -158,6 +163,23 @@ class TestChiSquareTail:
                 lower, _ = integrate.quad(density, 0, x, args=(df,), limit=200)
                 assert abs(chi_square_upper_tail(x, df) - (1.0 - lower)) < 1e-9
 
+    def test_matches_gammaincc(self):
+        """The closed forms against scipy's regularized upper incomplete
+        gamma, out to x where the tail underflows."""
+        special = pytest.importorskip("scipy.special")
+        for df in range(1, 31):
+            for x in (0.0, 1e-12, 0.5, 3.84, 20.0, 200.0, 2000.0):
+                ours = chi_square_upper_tail(x, df)
+                theirs = float(special.gammaincc(df / 2.0, x / 2.0))
+                assert math.isfinite(ours), (df, x)
+                assert (abs(ours - theirs) <= 1e-12 * theirs
+                        or abs(ours - theirs) <= 1e-300), (df, x, ours, theirs)
+
+    def test_large_arguments_stay_finite(self):
+        for df in (1, 2, 999, 1000):
+            for x in (1e4, 1e300, math.inf):
+                assert chi_square_upper_tail(x, df) == 0.0
+
     def test_strictly_decreasing_in_x(self):
         xs = np.linspace(0.0, 30.0, 40)
         for df in (1, 4, 9):
@@ -234,3 +256,16 @@ class TestReports:
         assert lines[0] == "label,median,q1,q3,lo,hi,outliers"
         fields = lines[1].split(",")
         assert fields[0] == "cfg" and fields[6] == "100"
+
+
+def test_import_loads_no_scipy():
+    """scipy is a test oracle only: importing the package and its command
+    line must not pull it in."""
+    src = str(Path(cellcast.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, cellcast, cellcast.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
