@@ -52,6 +52,33 @@ def _require_keys(payload: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
+_REQUIRED = object()
+
+
+def _float_list(value) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise TypeError("not a list")
+    return tuple(float(w) for w in value)
+
+
+_KINDS = {int: "an integer", float: "a number", _float_list: "a list of numbers"}
+
+
+def _field(payload: dict, key: str, convert, where: str, default=_REQUIRED):
+    """payload[key] through convert, or default when absent; a missing
+    required key or a value convert rejects is a ConfigError that names
+    where.key."""
+    if key not in payload:
+        if default is _REQUIRED:
+            raise ConfigError(f"{where}.{key} is required")
+        return default
+    try:
+        return convert(payload[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}.{key} must be {_KINDS[convert]}, "
+                          f"got {payload[key]!r}") from None
+
+
 def parse_synth_spec(payload: dict, default_seed: int) -> synth.SynthSpec:
     _require_keys(payload, {"archetypes", "cells_per_archetype", "days", "seed",
                             "span_start", "start_weekday", "country_code"}, "synth")
@@ -59,23 +86,24 @@ def parse_synth_spec(payload: dict, default_seed: int) -> synth.SynthSpec:
         raise ConfigError("synth needs an archetypes list")
     archetypes = []
     for i, raw in enumerate(payload["archetypes"]):
+        where = f"synth.archetypes[{i}]"
         _require_keys(raw, {"id", "base_level", "period_weights",
-                            "weekend_factor", "noise_sd"}, f"synth.archetypes[{i}]")
+                            "weekend_factor", "noise_sd"}, where)
         archetypes.append(synth.Archetype(
-            id=int(raw.get("id", i)),
-            base_level=float(raw["base_level"]),
-            period_weights=tuple(float(w) for w in raw["period_weights"]),
-            weekend_factor=float(raw.get("weekend_factor", 1.0)),
-            noise_sd=float(raw.get("noise_sd", 0.0)),
+            id=_field(raw, "id", int, where, i),
+            base_level=_field(raw, "base_level", float, where),
+            period_weights=_field(raw, "period_weights", _float_list, where),
+            weekend_factor=_field(raw, "weekend_factor", float, where, 1.0),
+            noise_sd=_field(raw, "noise_sd", float, where, 0.0),
         ))
     spec = synth.SynthSpec(
         archetypes=archetypes,
-        cells_per_archetype=int(payload.get("cells_per_archetype", 1)),
-        days=int(payload.get("days", 62)),
-        seed=int(payload.get("seed", default_seed)),
-        span_start=int(payload.get("span_start", synth.DEFAULT_SPAN_START)),
-        start_weekday=int(payload.get("start_weekday", synth.FRIDAY)),
-        country_code=int(payload.get("country_code", 39)),
+        cells_per_archetype=_field(payload, "cells_per_archetype", int, "synth", 1),
+        days=_field(payload, "days", int, "synth", 62),
+        seed=_field(payload, "seed", int, "synth", default_seed),
+        span_start=_field(payload, "span_start", int, "synth", synth.DEFAULT_SPAN_START),
+        start_weekday=_field(payload, "start_weekday", int, "synth", synth.FRIDAY),
+        country_code=_field(payload, "country_code", int, "synth", 39),
     )
     synth.validate_spec(spec)
     return spec
@@ -398,9 +426,10 @@ def cmd_pipeline(args) -> int:
 
     if cfg.synth_spec is not None:
         data_dir = os.path.join(out, "data")
-        paths, _ = synth.generate(cfg.synth_spec, data_dir)
-        _log(f"pipeline: synth wrote {len(paths)} day files")
-        input_paths = [data_dir]
+        # Only the files written now: data_dir may hold day files of an
+        # earlier run.
+        input_paths, _ = synth.generate(cfg.synth_spec, data_dir)
+        _log(f"pipeline: synth wrote {len(input_paths)} day files")
         truth_path = os.path.join(data_dir, "truth.csv")
     else:
         input_paths = cfg.input_paths

@@ -20,6 +20,8 @@ from .ingest import BIN_WIDTH_MS
 
 BINS_PER_DAY = 48
 BINS_PER_PERIOD = 8
+MAX_PARTS = 4  # records per cell bin
+CELLS_PER_BLOCK = 32  # cells formatted per write; bounds the text held in memory
 
 # 2013-11-01 00:00 in a UTC+1 local clock; day zero is a Friday.
 DEFAULT_SPAN_START = 1_383_260_400_000
@@ -63,7 +65,11 @@ def validate_spec(spec: SynthSpec) -> None:
         raise InvalidSpec("start_weekday must be in 0..6")
     if spec.span_start % BIN_WIDTH_MS:
         raise InvalidSpec("span_start must be 30-minute aligned")
+    seen = set()
     for arch in spec.archetypes:
+        if arch.id in seen:
+            raise InvalidSpec(f"archetype id {arch.id} appears more than once")
+        seen.add(arch.id)
         if len(arch.period_weights) != 6:
             raise InvalidSpec(f"archetype {arch.id}: need 6 period weights")
         if arch.base_level < 0 or arch.noise_sd < 0:
@@ -118,29 +124,18 @@ def generate(spec: SynthSpec, out_dir: str) -> tuple[list[str], dict[int, int]]:
     truth = cell_layout(spec)
     arch_by_id = {a.id: a for a in spec.archetypes}
     cell_ids = sorted(truth)
-    series = {cid: bin_values_for_cell(spec, arch_by_id[truth[cid]], cid) for cid in cell_ids}
+    series = np.stack([bin_values_for_cell(spec, arch_by_id[truth[cid]], cid)
+                       for cid in cell_ids])
 
     paths = []
     for day in range(spec.days):
         path = os.path.join(out_dir, f"cdr-day-{day:03d}.tsv")
         paths.append(path)
-        day_start = spec.span_start + day * BINS_PER_DAY * BIN_WIDTH_MS
+        day_values = series[:, day * BINS_PER_DAY:(day + 1) * BINS_PER_DAY]
         with open(path, "w", encoding="utf-8") as fh:
-            for cell_id in cell_ids:
-                # Separate stream from the noise draws in bin_values_for_cell.
-                rng = np.random.default_rng([spec.seed, cell_id, day, 1])
-                day_values = series[cell_id][day * BINS_PER_DAY:(day + 1) * BINS_PER_DAY]
-                for b in range(BINS_PER_DAY):
-                    n_parts = int(rng.integers(1, 5))
-                    weights = rng.random(n_parts)
-                    parts = day_values[b] * weights / weights.sum()
-                    offsets = np.sort(rng.integers(0, BIN_WIDTH_MS, size=n_parts))
-                    bin_start = day_start + b * BIN_WIDTH_MS
-                    for part, off in zip(parts, offsets):
-                        fh.write(
-                            f"{cell_id}\t{bin_start + int(off)}\t{spec.country_code}"
-                            f"\t\t\t\t\t{part:.17g}\n"
-                        )
+            for lo in range(0, len(cell_ids), CELLS_PER_BLOCK):
+                hi = lo + CELLS_PER_BLOCK
+                fh.write(_block_text(spec, day, cell_ids[lo:hi], day_values[lo:hi]))
 
     truth_path = os.path.join(out_dir, "truth.csv")
     with open(truth_path, "w", encoding="utf-8", newline="") as fh:
@@ -150,6 +145,50 @@ def generate(spec: SynthSpec, out_dir: str) -> tuple[list[str], dict[int, int]]:
             writer.writerow([cell_id, truth[cell_id]])
 
     return paths, truth
+
+
+def _block_text(spec: SynthSpec, day: int, cell_ids: list[int], values: np.ndarray) -> str:
+    """CDR lines of one day for a block of cells, in file order.
+
+    `values` holds the block's bin values for the day, one row per cell.
+    Each (cell, day) stream draws, bin by bin, a part count n in 1..4, n
+    weights and n offsets inside the bin. A bin's activities are
+    value * weight / sum in draw order; its timestamps are the offsets in
+    ascending order.
+    """
+    counts, weights, offsets = [], [], []
+    for cell_id in cell_ids:
+        # Separate stream from the noise draws in bin_values_for_cell.
+        rng = np.random.default_rng([spec.seed, cell_id, day, 1])
+        integers, random = rng.integers, rng.random
+        for _ in range(BINS_PER_DAY):
+            n = int(integers(1, MAX_PARTS + 1))
+            counts.append(n)
+            weights.append(random(n))
+            offsets.append(integers(0, BIN_WIDTH_MS, size=n))
+    counts = np.array(counts)
+    used = np.arange(MAX_PARTS) < counts[:, None]
+    # A zero-padded row sums left to right, bit for bit as weights.sum()
+    # does for up to four values (np.add.reduceat does not).
+    w = np.zeros(used.shape)
+    w[used] = np.concatenate(weights)
+    parts = values.reshape(-1, 1) * w / w.sum(axis=1, keepdims=True)
+    # Padding sorts after every offset, since offsets are below BIN_WIDTH_MS.
+    off = np.full(used.shape, BIN_WIDTH_MS, dtype=np.int64)
+    off[used] = np.concatenate(offsets)
+    off.sort(axis=1)
+    day_start = spec.span_start + day * BINS_PER_DAY * BIN_WIDTH_MS
+    bin_starts = day_start + np.arange(BINS_PER_DAY, dtype=np.int64) * BIN_WIDTH_MS
+    stamps = np.tile(bin_starts, len(cell_ids))[:, None] + off
+    cells = np.repeat(np.repeat(cell_ids, BINS_PER_DAY), counts)
+
+    n_records = len(cells)
+    fields = [None] * (3 * n_records)
+    fields[0::3] = cells.tolist()
+    fields[1::3] = stamps[used].tolist()
+    fields[2::3] = parts[used].tolist()
+    line = f"%d\t%d\t{spec.country_code}\t\t\t\t\t%.17g\n"
+    return (line * n_records) % tuple(fields)
 
 
 def load_truth(path: str) -> dict[int, int]:

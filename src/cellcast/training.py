@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,6 +224,10 @@ def grid_search(grid: GridSpec, datasets: list[ClusterDataset], cfg: TrainConfig
     if workers <= 1:
         results = [_run_task(t) for t in tasks]
     else:
+        # Imported here, so that a caller that never starts a pool does
+        # not pay for loading multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_task, tasks))
 

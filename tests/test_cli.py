@@ -129,6 +129,76 @@ class TestExitCodes:
         assert main(["pipeline", "--config", str(cfg)]) == 2
 
 
+def _two_archetype_synth(**overrides):
+    synth = {"archetypes": [
+        {"id": 0, "base_level": 10.0, "period_weights": [6, 1, 1, 1, 1, 1], "noise_sd": 0.3},
+        {"id": 1, "base_level": 20.0, "period_weights": [1, 1, 6, 1, 1, 1], "noise_sd": 0.3},
+    ], "cells_per_archetype": 3, "days": 3}
+    synth.update(overrides)
+    return synth
+
+
+def _small_pipeline(out_dir, synth):
+    """A pipeline config on a synth spec that trains one tiny net per kind."""
+    return {"out_dir": str(out_dir), "seed": 3, "k": 2, "synth": synth,
+            "grid": {"hidden_layers": [1], "units": [2], "cell_kinds": ["lstm", "gru"]},
+            "train": {"epochs": 1, "runs": 1}}
+
+
+class TestSynthSpecErrors:
+    """A bad synth spec exits 2 and names the offending key, from both
+    the synth subcommand and the pipeline."""
+
+    CASES = {
+        "missing_base_level": (lambda s: s["archetypes"][0].pop("base_level"),
+                               "synth.archetypes[0].base_level"),
+        "text_base_level": (lambda s: s["archetypes"][0].update(base_level="abc"),
+                            "synth.archetypes[0].base_level"),
+        "text_days": (lambda s: s.update(days="x"), "synth.days"),
+        "scalar_period_weights": (lambda s: s["archetypes"][0].update(period_weights=5),
+                                  "synth.archetypes[0].period_weights"),
+        "duplicate_id": (lambda s: s["archetypes"][1].update(id=0), "archetype id 0"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("command", ["synth", "pipeline"])
+    def test_exits_two_naming_key(self, tmp_path, capsys, case, command):
+        mutate, named = self.CASES[case]
+        spec = _two_archetype_synth()
+        mutate(spec)
+        out = tmp_path / "out"
+        if command == "synth":
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(spec))
+            argv = ["synth", "--spec", str(path), "--out", str(out)]
+        else:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(_small_pipeline(out, spec)))
+            argv = ["pipeline", "--config", str(path)]
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_pipeline_synth_mode_ingests_only_its_own_files(tmp_path, capsys):
+    """A rerun into an out_dir that holds an earlier run's day files bins
+    exactly what a fresh run bins."""
+    def run(out_dir, **synth):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(_small_pipeline(out_dir, _two_archetype_synth(**synth))))
+        capsys.readouterr()
+        assert main(["pipeline", "--config", str(cfg_path)]) == 0
+        return capsys.readouterr().err
+
+    start = 1_383_260_400_000
+    run(tmp_path / "reused", span_start=start, days=10)
+    log = run(tmp_path / "reused", span_start=start + 5 * MS_PER_DAY)
+    run(tmp_path / "fresh", span_start=start + 5 * MS_PER_DAY)
+    assert "0 records outside span dropped" in log
+    assert ((tmp_path / "reused" / "bins.json").read_bytes()
+            == (tmp_path / "fresh" / "bins.json").read_bytes())
+
+
 @pytest.fixture(scope="module")
 def pipeline_run(tmp_path_factory):
     """One tiny end-to-end pipeline shared by the CLI integration tests."""

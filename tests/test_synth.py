@@ -1,11 +1,25 @@
 """Synthetic CDR generation: round trips, determinism, spec validation."""
 
+import hashlib
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellcast import Archetype, SynthSpec, bin_series, generate, iter_cdr_paths, well_separated_city
 from cellcast.errors import InvalidSpec
-from cellcast.synth import BINS_PER_DAY, bin_values_for_cell, cell_layout, load_truth
+from cellcast.ingest import BIN_WIDTH_MS, read_cdr_paths
+from cellcast.synth import (
+    BINS_PER_DAY,
+    DEFAULT_SPAN_START,
+    MAX_PARTS,
+    bin_values_for_cell,
+    cell_layout,
+    load_truth,
+)
 
 
 def roundtrip(spec, out_dir):
@@ -152,3 +166,122 @@ def test_invalid_spec_rejected(bad, flat_spec):
 def test_invalid_archetype_rejected(arch):
     with pytest.raises(InvalidSpec):
         generate(SynthSpec(archetypes=[arch]), "/tmp/unused")
+
+
+def test_duplicate_archetype_id_rejected():
+    archs = [Archetype(id=3, base_level=1.0, period_weights=(1.0,) * 6),
+             Archetype(id=3, base_level=9.0, period_weights=(2.0,) * 6)]
+    with pytest.raises(InvalidSpec, match="archetype id 3"):
+        generate(SynthSpec(archetypes=archs), "/tmp/unused")
+
+
+# SHA-256 of every file generate writes, recorded with the per-record
+# generator that preceded the block-wise one.
+GOLDEN = {
+    "well_separated": (
+        lambda: well_separated_city(3, 4, days=3, seed=5),
+        {"cdr-day-000.tsv": "dbfdb9f9d4781211f8962c8e68b591cc6db3668df573ccc24f1fce2af747695a",
+         "cdr-day-001.tsv": "90d6f22bc0986f7d9355d25564edb40efb9a8c8d659e84f4bec78484d1842f16",
+         "cdr-day-002.tsv": "ae664de0bf0c7d5ba579759b1dce6abd3e89033655d1f36bf288cb554a4172c8",
+         "truth.csv": "ca4e45d05a5b70c74f1234043ab27e605b550708ac6ee82928ba7f3b1a7275ed"}),
+    # Days 1 and 2 are a weekend, the first archetype's noise clamps many
+    # bins to zero, and the span starts 37 bins late.
+    "weekend_clamped": (
+        lambda: SynthSpec(
+            archetypes=[
+                Archetype(id=7, base_level=1.0, period_weights=(1.0, 0.5, 2.0, 0.0, 3.0, 1.0),
+                          weekend_factor=1.7, noise_sd=3.0),
+                Archetype(id=2, base_level=10.0, period_weights=(0.2, 1.0, 1.0, 4.0, 0.0, 2.5),
+                          weekend_factor=0.4, noise_sd=0.5)],
+            cells_per_archetype=2, days=4, seed=11,
+            span_start=DEFAULT_SPAN_START + 37 * BIN_WIDTH_MS, country_code=44),
+        {"cdr-day-000.tsv": "f5dd618c4d9fd8c188cec0efdb613ed123454056f6e8f6e8a83e3535ce9d1205",
+         "cdr-day-001.tsv": "b5d42f3767637c2af935c037c96c214995294d6f33b46175c28b19563eb7cb9d",
+         "cdr-day-002.tsv": "4cc7706dc874cb38ed29217f9bce123641ceec787d026b2972ca3a68fd4af329",
+         "cdr-day-003.tsv": "63201643a14cdeff25c8058c82ce9af6b63126f9ab99b98b408833bea1c114a6",
+         "truth.csv": "3db4a275c0b241f34f556fe2931a9e457af00391f132657715cbc3e9fbb8b929"}),
+    "one_cell_one_day": (
+        lambda: SynthSpec(archetypes=[Archetype(id=3, base_level=3.0,
+                                                period_weights=(1, 2, 3, 4, 5, 6), noise_sd=1.0)],
+                          days=1, seed=9),
+        {"cdr-day-000.tsv": "af208a48707341611e408b50f029143148160b1b133d98ce0b95b60d4e5e9fad",
+         "truth.csv": "74ab741778555609dbfa7f045c0bb7840b2a347144d09bdfb874cdb7b409fff3"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_generated_files_match_golden_hashes(name, tmp_path):
+    make_spec, expected = GOLDEN[name]
+    generate(make_spec(), str(tmp_path))
+    written = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+               for f in os.listdir(tmp_path)}
+    assert written == expected
+
+
+def test_padded_row_sums_equal_weights_sum():
+    """generate sums each bin's weights as one zero-padded row of a
+    block; that must equal weights.sum() bit for bit for every part count."""
+    rng = np.random.default_rng(0)
+    draws = [rng.random(n) for n in rng.integers(1, MAX_PARTS + 1, size=4000)]
+    assert {len(w) for w in draws} == set(range(1, MAX_PARTS + 1))
+    padded = np.zeros((len(draws), MAX_PARTS))
+    for row, w in zip(padded, draws):
+        row[:len(w)] = w
+    expected = np.array([w.sum() for w in draws])
+    np.testing.assert_array_equal(padded.sum(axis=1).view(np.int64), expected.view(np.int64))
+
+
+archetype_strategy = st.builds(
+    lambda level, weights, weekend, noise: (level, tuple(weights), weekend, noise),
+    st.floats(min_value=0.0, max_value=100.0),
+    st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=6, max_size=6).filter(
+        lambda ws: any(w > 0 for w in ws)),
+    st.floats(min_value=0.05, max_value=2.0),
+    st.floats(min_value=0.0, max_value=10.0),
+)
+
+
+@given(
+    archs=st.lists(archetype_strategy, min_size=1, max_size=3),
+    cells=st.integers(min_value=1, max_value=2),
+    days=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    start_bin=st.integers(min_value=0, max_value=200),
+    start_weekday=st.integers(min_value=0, max_value=6),
+    country_code=st.integers(min_value=1, max_value=999),
+)
+@settings(max_examples=40, deadline=None)
+def test_small_spec_round_trip(archs, cells, days, seed, start_bin, start_weekday,
+                               country_code):
+    """Any small spec: ingest gives back the oracle's bins, and each bin
+    is 1-4 records with sorted timestamps inside the bin."""
+    spec = SynthSpec(
+        archetypes=[Archetype(id=i, base_level=level, period_weights=weights,
+                              weekend_factor=weekend, noise_sd=noise)
+                    for i, (level, weights, weekend, noise) in enumerate(archs)],
+        cells_per_archetype=cells, days=days, seed=seed,
+        span_start=DEFAULT_SPAN_START + start_bin * BIN_WIDTH_MS,
+        start_weekday=start_weekday, country_code=country_code)
+    with tempfile.TemporaryDirectory() as out_dir:
+        paths, truth = generate(spec, out_dir)
+        result = bin_series(read_cdr_paths(paths), spec.span_start, spec.span_end)
+        tables = list(read_cdr_paths(paths))
+        countries = {line.split("\t")[2] for p in paths for line in open(p, encoding="utf-8")}
+
+    assert countries == {str(country_code)}
+    assert result.dropped == 0 and set(result.cells) == set(truth)
+    for cid, arch_id in truth.items():
+        expected = bin_values_for_cell(spec, spec.archetypes[arch_id], cid)
+        np.testing.assert_allclose(result.cells[cid].values, expected, rtol=1e-12, atol=1e-12)
+
+    for day, table in enumerate(tables):
+        day_start = spec.span_start + day * BINS_PER_DAY * BIN_WIDTH_MS
+        assert list(np.unique(table["cell_id"])) == sorted(truth)
+        assert np.all(np.diff(table["cell_id"]) >= 0)
+        for cid in truth:
+            stamps = table["timestamp"][table["cell_id"] == cid]
+            assert np.all(np.diff(stamps) >= 0)
+            bins = (stamps - day_start) // BIN_WIDTH_MS
+            counts = np.bincount(bins, minlength=BINS_PER_DAY)
+            assert len(counts) == BINS_PER_DAY
+            assert counts.min() >= 1 and counts.max() <= MAX_PARTS

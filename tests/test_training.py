@@ -2,10 +2,15 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cellcast
 from cellcast import (
     BinnedCellSeries,
     GridSpec,
@@ -328,3 +333,16 @@ class TestPersistence:
         lines = path.read_text().splitlines()
         assert lines[0] == "label,run,epoch,loss"
         assert len(lines) == 1 + FAST.runs * FAST.epochs
+
+
+def test_import_loads_no_process_pool():
+    """Only grid_search with workers > 1 needs the pool machinery, so
+    importing the command line must not load it."""
+    src = str(Path(cellcast.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, cellcast.cli; print(sorted(m for m in sys.modules "
+            "if m in ('concurrent.futures.process', 'multiprocessing')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
