@@ -22,20 +22,13 @@ from cellcast import (
 )
 
 z = np.zeros
-lstm = LstmLayerParams(
-    z((2, 1)), z((2, 1)), z((2, 1)), z((2, 1)),
-    z((2, 2)), z((2, 2)), z((2, 2)), z((2, 2)),
-    z(2), z(2), z(2),
-    z(2), z(2), z(2), z(2),
-)
+lstm = LstmLayerParams(units=2, input_dim=1)  # every block starts at zero
 h, state = lstm_step(lstm, np.array([1.0]), LstmState(c=z(2), h=z(2)))
 print("zero-parameter LSTM step:")
 print(f"  every gate = sigmoid(0) = 0.5, cell = 0.5 * 0.5 = {state.c[0]:.4f}")
 print(f"  h = 0.5 * sigmoid(0.25) = {h[0]:.5f}")
 
-gru = GruLayerParams(z((2, 1)), z((2, 1)), z((2, 1)),
-                     z((2, 2)), z((2, 2)), z((2, 2)),
-                     z(2), z(2), z(2))
+gru = GruLayerParams(units=2, input_dim=1)
 h = gru_step(gru, np.array([1.0]), z(2))
 print(f"zero-parameter GRU step: h = {h}")
 

@@ -61,7 +61,20 @@ def _float_list(value) -> tuple[float, ...]:
     return tuple(float(w) for w in value)
 
 
-_KINDS = {int: "an integer", float: "a number", _float_list: "a list of numbers"}
+def _int_list(value) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise TypeError("not a list")
+    return tuple(int(w) for w in value)
+
+
+def _name_list(value) -> tuple[str, ...]:
+    if not isinstance(value, list):
+        raise TypeError("not a list")
+    return tuple(str(w).lower() for w in value)
+
+
+_KINDS = {int: "an integer", float: "a number", _float_list: "a list of numbers",
+          _int_list: "a list of integers", _name_list: "a list of names"}
 
 
 def _field(payload: dict, key: str, convert, where: str, default=_REQUIRED):
@@ -127,9 +140,9 @@ def parse_grid(payload: dict, where: str) -> training.GridSpec:
     _require_keys(payload, {"hidden_layers", "units", "cell_kinds"}, where)
     default = training.GridSpec()
     grid = training.GridSpec(
-        hidden_layers=tuple(int(h) for h in payload.get("hidden_layers", default.hidden_layers)),
-        units=tuple(int(u) for u in payload.get("units", default.units)),
-        cell_kinds=tuple(str(c).lower() for c in payload.get("cell_kinds", default.cell_kinds)),
+        hidden_layers=_field(payload, "hidden_layers", _int_list, where, default.hidden_layers),
+        units=_field(payload, "units", _int_list, where, default.units),
+        cell_kinds=_field(payload, "cell_kinds", _name_list, where, default.cell_kinds),
     )
     training.validate_grid(grid)
     return grid
@@ -157,8 +170,9 @@ def parse_pipeline_config(payload: dict) -> PipelineConfig:
                             "workers"}, "config")
     if "out_dir" not in payload:
         raise ConfigError("config needs out_dir")
-    seed = int(payload.get("seed", 0))
-    utc_offset = float(payload.get("utc_offset_hours", clustering.DEFAULT_UTC_OFFSET_HOURS))
+    seed = _field(payload, "seed", int, "config", 0)
+    utc_offset = _field(payload, "utc_offset_hours", float, "config",
+                        clustering.DEFAULT_UTC_OFFSET_HOURS)
 
     has_synth = "synth" in payload
     has_input = "input" in payload
@@ -185,11 +199,11 @@ def parse_pipeline_config(payload: dict) -> PipelineConfig:
     _require_keys(train_payload, {"epochs", "batch_size", "runs", "base_seed",
                                   "shuffle_each_epoch"}, "train")
     cfg = training.TrainConfig(
-        epochs=int(train_payload.get("epochs", 50)),
-        batch_size=int(train_payload.get("batch_size", 32)),
-        runs=int(train_payload.get("runs", 30)),
+        epochs=_field(train_payload, "epochs", int, "train", 50),
+        batch_size=_field(train_payload, "batch_size", int, "train", 32),
+        runs=_field(train_payload, "runs", int, "train", 30),
         shuffle_each_epoch=bool(train_payload.get("shuffle_each_epoch", True)),
-        base_seed=int(train_payload.get("base_seed", seed)),
+        base_seed=_field(train_payload, "base_seed", int, "train", seed),
     )
     training.validate_train_config(cfg)
 
@@ -200,12 +214,12 @@ def parse_pipeline_config(payload: dict) -> PipelineConfig:
         span=span,
         utc_offset_hours=utc_offset,
         k=k,
-        kmax=int(payload.get("kmax", 50)),
-        restarts=int(payload.get("restarts", 10)),
+        kmax=_field(payload, "kmax", int, "config", 50),
+        restarts=_field(payload, "restarts", int, "config", 10),
         grid=grid,
         train=cfg,
         seed=seed,
-        workers=int(payload.get("workers", 1)),
+        workers=_field(payload, "workers", int, "config", 1),
     )
 
 

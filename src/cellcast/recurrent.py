@@ -28,6 +28,7 @@ its biases can be dropped.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from collections.abc import Mapping
@@ -39,9 +40,9 @@ from . import jsonfile
 from .errors import Empty, LengthMismatch, MalformedModel, ShapeMismatch, TapeMismatch
 from .prep import WINDOW, MinMaxScaler
 
-# Version written into model files; files without the field are format 1,
-# which holds the same keys.
-MODEL_FORMAT = 2
+# Version written into model files. Formats 1 (no such field, indented)
+# and 2 hold one key per gate array of each layer and still load.
+MODEL_FORMAT = 3
 
 
 # ---------------------------------------------------------------------------
@@ -115,78 +116,50 @@ DEFAULT_ACTIVATIONS = Activations()
 # ---------------------------------------------------------------------------
 # layer parameters
 
-def _gate_view(block: str, k: int):
-    def view(self):
-        arr = getattr(self, block)
-        return None if arr is None else arr[k * self.units:(k + 1) * self.units]
-    return view
+# Per-gate key -> (block, gate index), in the order of each layer's flat
+# vector. The keys name a layer's arrays in parameters() paths and in
+# model formats 1 and 2; gate k of a block is its rows k*U:(k+1)*U.
+GATES = {
+    "lstm": {
+        "w_xi": ("wx", 0), "w_xf": ("wx", 1), "w_xc": ("wx", 2), "w_xo": ("wx", 3),
+        "w_hi": ("wh", 0), "w_hf": ("wh", 1), "w_hc": ("wh", 2), "w_ho": ("wh", 3),
+        "w_ci": ("peep", 0), "w_cf": ("peep", 1), "w_co": ("peep", 2),
+        "b_i": ("b", 0), "b_f": ("b", 1), "b_c": ("b", 2), "b_o": ("b", 3),
+    },
+    "gru": {
+        "w_z": ("wx", 0), "w_r": ("wx", 1), "w_h": ("wx", 2),
+        "u_z": ("wh", 0), "u_r": ("wh", 1), "u_h": ("wh", 2),
+        "b_z": ("b", 0), "b_r": ("b", 1), "b_h": ("b", 2),
+    },
+}
 
 
 class _StackedLayer:
-    """One recurrent layer's weights, stacked by gate.
+    """One recurrent layer's weights, stacked by gate and zero at first.
 
-    wx (G*U, D) and wh (G*U, U) hold the gate blocks in GATE_ARRAYS
-    order, b (G*U) the biases and, for the LSTM, peep (3U) the i, f and
-    o peephole vectors; the OPTIONAL block is None when switched off.
-    All blocks are views into one flat vector, `flat`, laid out in
-    names() order, so `flat` is the concatenation of the per-gate
-    arrays. Each per-gate array (w_xi, b_f, ...) reads as a view into
-    its block, so writing into it in place changes the layer.
+    wx (G*U, D) and wh (G*U, U) hold the gate blocks in GATES order, b
+    (G*U) the biases and, for the LSTM, peep (3U) the i, f and o
+    peephole vectors; the OPTIONAL block is None when switched off. All
+    blocks are views into one flat vector, `flat`, in that order.
     """
 
-    GATE_ARRAYS: tuple  # (per-gate name, block, gate index) in names() order
-    OPTIONAL: str  # the block that can be switched off
-    BLOCKS: tuple  # stacked blocks in memory order
+    KIND: str  # the cell kind, which picks the layer's row of GATES
+    OPTION: str  # the name of the switch for the OPTIONAL block
+    OPTIONAL: str
 
-    def __init_subclass__(cls):
-        cls.BLOCKS = tuple(dict.fromkeys(block for _, block, _ in cls.GATE_ARRAYS))
-        for name, block, k in cls.GATE_ARRAYS:
-            setattr(cls, name, property(_gate_view(block, k)))
-
-    @classmethod
-    def from_arrays(cls, arrays: dict, units: int, input_dim: int):
-        """A layer from its per-gate arrays by name; see _fill."""
-        layer = cls.__new__(cls)
-        layer._fill(arrays, units, input_dim)
-        return layer
-
-    def _fill(self, arrays: dict, units: int | None = None, input_dim: int | None = None):
-        """Copy per-gate arrays, by name, into a fresh flat vector. The
-        optional gate arrays are all given or all left out. Shapes are
-        checked against (units, input_dim), by default the shape of the
-        first input-weight matrix; ShapeMismatch names the first array
-        that is missing or does not fit."""
-        if units is None:
-            first_name = self.GATE_ARRAYS[0][0]
-            first = np.shape(arrays[first_name])
-            if len(first) != 2:
-                raise ShapeMismatch(f"{first_name}: shape {first}, expected (units, input_dim)")
-            units, input_dim = first
+    def __init__(self, units: int, input_dim: int, optional: bool):
         self.units, self.input_dim = int(units), int(input_dim)
-        optional = any(arrays.get(name) is not None
-                       for name, block, _ in self.GATE_ARRAYS if block == self.OPTIONAL)
+        blocks = [block for block, _ in GATES[self.KIND].values()]  # one entry per gate
         cols = {"wx": (self.input_dim,), "wh": (self.units,)}
         self._shapes = {  # block -> shape, for the blocks present
-            block: (self.units * sum(b == block for _, b, _ in self.GATE_ARRAYS),
-                    *cols.get(block, ()))
-            for block in self.BLOCKS if optional or block != self.OPTIONAL}
-        self._bind(np.empty(sum(math.prod(shape) for shape in self._shapes.values())))
-        for name in self.names():
-            view = getattr(self, name)
-            if arrays.get(name) is None:
-                raise ShapeMismatch(f"{name}: missing")
-            try:
-                value = np.asarray(arrays[name], dtype=np.float64)
-            except (TypeError, ValueError):
-                raise ShapeMismatch(f"{name}: not a numeric array of shape {view.shape}") from None
-            if value.shape != view.shape:
-                raise ShapeMismatch(f"{name}: shape {value.shape}, expected {view.shape}")
-            view[...] = value
+            block: (self.units * blocks.count(block), *cols.get(block, ()))
+            for block in dict.fromkeys(blocks) if optional or block != self.OPTIONAL}
+        self._bind(np.zeros(sum(math.prod(shape) for shape in self._shapes.values())))
 
     def views(self, flat: np.ndarray) -> dict:
         """block -> view into `flat` laid out like this layer (None for a
         block switched off); gives gradient blocks as well as weights."""
-        out = dict.fromkeys(self.BLOCKS)
+        out = dict.fromkeys(block for block, _ in GATES[self.KIND].values())
         offset = 0
         for block, shape in self._shapes.items():
             size = math.prod(shape)
@@ -199,27 +172,22 @@ class _StackedLayer:
         for block, view in self.views(flat).items():
             setattr(self, block, view)
 
-    def names(self) -> list[str]:
-        return [name for name, block, _ in self.GATE_ARRAYS if block in self._shapes]
+    def gates(self) -> list[tuple[str, np.ndarray]]:
+        """(per-gate key, writable view into its block) for every gate
+        present, in flat order."""
+        u = self.units
+        return [(key, getattr(self, block)[k * u:(k + 1) * u])
+                for key, (block, k) in GATES[self.KIND].items() if block in self._shapes]
 
 
 class LstmLayerParams(_StackedLayer):
-    """One LSTM layer's weights, gates in i, f, c, o order; the peephole
-    block (and w_ci, w_cf, w_co) is None when disabled. The constructor
-    copies the per-gate arrays into the stacked blocks."""
+    """One LSTM layer, gates in i, f, c, o order; peep is None without
+    peepholes."""
 
-    GATE_ARRAYS = tuple(
-        [(f"w_x{g}", "wx", k) for k, g in enumerate("ifco")]
-        + [(f"w_h{g}", "wh", k) for k, g in enumerate("ifco")]
-        + [(f"w_c{g}", "peep", k) for k, g in enumerate("ifo")]
-        + [(f"b_{g}", "b", k) for k, g in enumerate("ifco")])
-    OPTIONAL = "peep"
+    KIND, OPTION, OPTIONAL = "lstm", "peepholes", "peep"
 
-    def __init__(self, w_xi, w_xf, w_xc, w_xo, w_hi, w_hf, w_hc, w_ho,
-                 w_ci, w_cf, w_co, b_i, b_f, b_c, b_o):
-        self._fill(dict(w_xi=w_xi, w_xf=w_xf, w_xc=w_xc, w_xo=w_xo,
-                        w_hi=w_hi, w_hf=w_hf, w_hc=w_hc, w_ho=w_ho,
-                        w_ci=w_ci, w_cf=w_cf, w_co=w_co, b_i=b_i, b_f=b_f, b_c=b_c, b_o=b_o))
+    def __init__(self, units: int, input_dim: int, peepholes: bool = True):
+        super().__init__(units, input_dim, peepholes)
 
     @property
     def peepholes(self) -> bool:
@@ -227,19 +195,13 @@ class LstmLayerParams(_StackedLayer):
 
 
 class GruLayerParams(_StackedLayer):
-    """One GRU layer's weights, gates in z, r, candidate order; the bias
-    block (and b_z, b_r, b_h) is None when disabled. The constructor
-    copies the per-gate arrays into the stacked blocks."""
+    """One GRU layer, gates in z, r, candidate order; b is None without
+    biases."""
 
-    GATE_ARRAYS = tuple(
-        [(f"w_{g}", "wx", k) for k, g in enumerate("zrh")]
-        + [(f"u_{g}", "wh", k) for k, g in enumerate("zrh")]
-        + [(f"b_{g}", "b", k) for k, g in enumerate("zrh")])
-    OPTIONAL = "b"
+    KIND, OPTION, OPTIONAL = "gru", "biases", "b"
 
-    def __init__(self, w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h):
-        self._fill(dict(w_z=w_z, w_r=w_r, w_h=w_h, u_z=u_z, u_r=u_r, u_h=u_h,
-                        b_z=b_z, b_r=b_r, b_h=b_h))
+    def __init__(self, units: int, input_dim: int, biases: bool = True):
+        super().__init__(units, input_dim, biases)
 
     @property
     def biases(self) -> bool:
@@ -260,10 +222,9 @@ class RecurrentNetwork:
     vector, `flat`, in parameters() order.
 
     Construction copies the layers' weights and the head into `flat`;
-    the layers' blocks, their per-gate arrays, head_w and head_b are
-    then views into it, so an in-place write through any of them
-    changes the network, and one in-place update of `flat` moves every
-    parameter.
+    the layers' blocks, head_w and head_b are then views into it, so an
+    in-place write through any of them changes the network, and one
+    in-place update of `flat` moves every parameter.
     """
 
     cell_kind: str  # "lstm" or "gru"
@@ -310,10 +271,8 @@ class RecurrentNetwork:
     def parameters(self) -> list[tuple[str, np.ndarray]]:
         """(path, array) view of every trainable parameter, in the order
         of `flat` and shared by gradients."""
-        out = []
-        for i, layer in enumerate(self.layers):
-            for name in layer.names():
-                out.append((f"layers.{i}.{name}", getattr(layer, name)))
+        out = [(f"layers.{i}.{key}", view)
+               for i, layer in enumerate(self.layers) for key, view in layer.gates()]
         out.append(("head.w", self.head_w))
         out.append(("head.b", self.head_b))
         return out
@@ -346,40 +305,6 @@ def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
-def _init_lstm_layer(rng, input_dim, units, peepholes):
-    return LstmLayerParams(
-        w_xi=_glorot(rng, units, input_dim),
-        w_xf=_glorot(rng, units, input_dim),
-        w_xc=_glorot(rng, units, input_dim),
-        w_xo=_glorot(rng, units, input_dim),
-        w_hi=_glorot(rng, units, units),
-        w_hf=_glorot(rng, units, units),
-        w_hc=_glorot(rng, units, units),
-        w_ho=_glorot(rng, units, units),
-        w_ci=np.zeros(units) if peepholes else None,
-        w_cf=np.zeros(units) if peepholes else None,
-        w_co=np.zeros(units) if peepholes else None,
-        b_i=np.zeros(units),
-        b_f=np.ones(units),  # forget-gate warm start
-        b_c=np.zeros(units),
-        b_o=np.zeros(units),
-    )
-
-
-def _init_gru_layer(rng, input_dim, units, biases):
-    return GruLayerParams(
-        w_z=_glorot(rng, units, input_dim),
-        w_r=_glorot(rng, units, input_dim),
-        w_h=_glorot(rng, units, input_dim),
-        u_z=_glorot(rng, units, units),
-        u_r=_glorot(rng, units, units),
-        u_h=_glorot(rng, units, units),
-        b_z=np.zeros(units) if biases else None,
-        b_r=np.zeros(units) if biases else None,
-        b_h=np.zeros(units) if biases else None,
-    )
-
-
 def build_network(cell_kind: str, hidden_layers: int, units: int, seed,
                   window: int = WINDOW,
                   activations: Activations = DEFAULT_ACTIVATIONS,
@@ -399,11 +324,16 @@ def build_network(cell_kind: str, hidden_layers: int, units: int, seed,
     dims = [(1, window)] + [(window if i == 0 else units, units)
                             for i in range(hidden_layers)]
     layers = []
-    for input_dim, layer_units in dims:
+    for input_dim, u in dims:
         if cell_kind == "lstm":
-            layers.append(_init_lstm_layer(rng, input_dim, layer_units, peepholes))
+            layer = LstmLayerParams(u, input_dim, peepholes)
+            layer.b[u:2 * u] = 1.0  # forget-gate warm start
         else:
-            layers.append(_init_gru_layer(rng, input_dim, layer_units, gru_biases))
+            layer = GruLayerParams(u, input_dim, gru_biases)
+        for w in (layer.wx, layer.wh):  # every input gate, then every recurrent one
+            for k in range(0, len(w), u):
+                w[k:k + u] = _glorot(rng, u, w.shape[1])
+        layers.append(layer)
     last_units = dims[-1][1]
     head_w = _glorot(rng, 1, last_units)[0]
     head_b = np.zeros(1)
@@ -488,7 +418,7 @@ def _lstm_backward(p: LstmLayerParams, tape: dict, dh_out, acts: Activations,
     n_steps, _, n = s.shape
     u = p.units
     if p.peepholes:
-        w_ci, w_cf, w_co = p.peep.reshape(3, u, 1)
+        peep_i, peep_f, peep_o = p.peep.reshape(3, u, 1)
     da = np.empty((n_steps, 4 * u, n))  # d loss / d gate pre-activations
     slopes = np.empty((2 * u, n))  # of o and cell_output(c), this step
     dh_rec = dc = None
@@ -504,7 +434,7 @@ def _lstm_backward(p: LstmLayerParams, tape: dict, dh_out, acts: Activations,
         dc = dc_out if dc is None else dc + dc_out
         np.multiply(dh * sc, slopes[:u], out=dat[3 * u:])
         if p.peepholes:
-            dc = dc + dat[3 * u:] * w_co
+            dc = dc + dat[3 * u:] * peep_o
         np.multiply(dc, g, out=dat[:u])
         np.multiply(dc, c[t], out=dat[u:2 * u])
         np.multiply(dc, i, out=dat[2 * u:3 * u])
@@ -514,7 +444,7 @@ def _lstm_backward(p: LstmLayerParams, tape: dict, dh_out, acts: Activations,
             break  # the start state is a constant
         dc = dc * f
         if p.peepholes:
-            dc = dc + dat[:u] * w_ci + dat[u:2 * u] * w_cf
+            dc = dc + dat[:u] * peep_i + dat[u:2 * u] * peep_f
         dh_rec = p.wh.T @ dat
 
     da2 = _time_stacked(da)
@@ -782,13 +712,8 @@ class AdamOptimizer:
 # persistence
 
 def save_model_json(net: RecurrentNetwork, scaler: MinMaxScaler | None, path: str) -> None:
-    """Write the network as JSON, one key per per-gate array."""
-    layers = []
-    for layer in net.layers:
-        entry = {"input_dim": layer.input_dim, "units": layer.units}
-        for name in layer.names():
-            entry[name] = getattr(layer, name).tolist()
-        layers.append(entry)
+    """Write the network as one line of JSON: a header that describes the
+    layers, then `net.flat` as base64 of its little-endian float64 bytes."""
     payload = {
         "format": MODEL_FORMAT,
         "cell_kind": net.cell_kind,
@@ -798,20 +723,75 @@ def save_model_json(net: RecurrentNetwork, scaler: MinMaxScaler | None, path: st
             "cell_input": net.activations.cell_input,
             "cell_output": net.activations.cell_output,
         },
-        "layers": layers,
-        "head": {"w": net.head_w.tolist(), "b": float(net.head_b[0])},
         "scaler": ({"lo": scaler.lo, "hi": scaler.hi} if scaler is not None else None),
+        "layers": [{"input_dim": layer.input_dim, "units": layer.units,
+                    layer.OPTION: layer.OPTIONAL in layer._shapes} for layer in net.layers],
+        "parameters": base64.b64encode(net.flat.astype("<f8", copy=False).tobytes()).decode("ascii"),
     }
     with open(path, "w", encoding="utf-8") as fh:
-        # json.dumps without indent uses the C encoder; json.dump(..., indent=2) never does.
         fh.write(json.dumps(payload))
         fh.write("\n")
 
 
+# The top-level keys of a format-3 file, all required.
+_HEADER = {"format", "cell_kind", "window", "activations", "scaler", "layers", "parameters"}
+
+
+def _layer_from_entry(layer_cls, entry, where: str, version: int):
+    """One entry of a file's `layers` list as a zero layer (format 3,
+    whose weights are in the blob) or a layer holding the entry's
+    per-gate arrays (formats 1 and 2, where the optional gate arrays are
+    all given or all left out)."""
+    input_dim = jsonfile.positive_int(entry, "input_dim", where)
+    units = jsonfile.positive_int(entry, "units", where)
+    table = GATES[layer_cls.KIND]
+    fields = {layer_cls.OPTION} if version == MODEL_FORMAT else set(table)
+    unknown = sorted(set(entry) - fields - {"input_dim", "units"})
+    if unknown:
+        raise MalformedModel(f"{where}{unknown[0]}: unknown key for a {layer_cls.KIND} layer")
+    if version == MODEL_FORMAT:
+        option = jsonfile.key(entry, layer_cls.OPTION, where)
+        if not isinstance(option, bool):
+            raise MalformedModel(f"{where}{layer_cls.OPTION}: {option!r}, expected true or false")
+        return layer_cls(units, input_dim, option)
+
+    layer = layer_cls(units, input_dim, any(
+        entry.get(key) is not None
+        for key, (block, _) in table.items() if block == layer_cls.OPTIONAL))
+    for key, view in layer.gates():
+        if entry.get(key) is None:
+            raise MalformedModel(f"{where}{key}: missing")
+        try:
+            value = np.asarray(entry[key], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise MalformedModel(f"{where}{key}: not a numeric array of shape {view.shape}") from None
+        if value.shape != view.shape:
+            raise MalformedModel(f"{where}{key}: shape {value.shape}, expected {view.shape}")
+        view[...] = value
+    return layer
+
+
+def _blob(text, size: int) -> np.ndarray:
+    """The base64 `parameters` of a format-3 file as `size` float64 values."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError):
+        raise MalformedModel("parameters: not base64") from None
+    if len(raw) != 8 * size:
+        count = f"{len(raw) // 8} values" if len(raw) % 8 == 0 else f"{len(raw)} bytes"
+        raise MalformedModel(f"parameters: {count}, expected {size}")
+    return np.frombuffer(raw, dtype="<f8")
+
+
 def _model_from_payload(payload) -> tuple[RecurrentNetwork, MinMaxScaler | None]:
     version = payload.get("format", 1)
-    if version not in (1, MODEL_FORMAT):
-        raise MalformedModel(f"format: {version!r}, expected 1 or {MODEL_FORMAT}")
+    if version not in (1, 2, MODEL_FORMAT):
+        raise MalformedModel(f"format: {version!r}, expected 1, 2 or {MODEL_FORMAT}")
+    if version == MODEL_FORMAT:
+        mismatch = sorted(_HEADER ^ set(payload))
+        if mismatch:
+            name = mismatch[0]
+            raise MalformedModel(f"{name}: {'missing' if name in _HEADER else 'unknown key'}")
     kind = jsonfile.key(payload, "cell_kind")
     layer_cls = {"lstm": LstmLayerParams, "gru": GruLayerParams}.get(kind)
     if layer_cls is None:
@@ -828,31 +808,24 @@ def _model_from_payload(payload) -> tuple[RecurrentNetwork, MinMaxScaler | None]
     entries = jsonfile.key(payload, "layers")
     if not isinstance(entries, list) or not entries:
         raise MalformedModel("layers: expected a non-empty list")
-    layers = []
-    known = {name for name, _, _ in layer_cls.GATE_ARRAYS} | {"input_dim", "units"}
-    for i, entry in enumerate(entries):
-        where = f"layers[{i}]."
-        input_dim = jsonfile.positive_int(entry, "input_dim", where)
-        units = jsonfile.positive_int(entry, "units", where)
-        unknown = sorted(set(entry) - known)
-        if unknown:
-            raise MalformedModel(f"{where}{unknown[0]}: unknown key for a {kind} layer")
+    layers = [_layer_from_entry(layer_cls, entry, f"layers[{i}].", version)
+              for i, entry in enumerate(entries)]
+    if version == MODEL_FORMAT:
+        head_w, head_b = np.zeros(layers[-1].units), np.zeros(1)  # filled from the blob
+    else:
+        head = jsonfile.key(payload, "head")
         try:
-            layers.append(layer_cls.from_arrays(entry, units, input_dim))
-        except ShapeMismatch as exc:
-            raise MalformedModel(f"{where}{exc}") from None
-
-    head = jsonfile.key(payload, "head")
-    try:
-        head_w = np.asarray(jsonfile.key(head, "w", "head."), dtype=np.float64)
-    except (TypeError, ValueError):
-        raise MalformedModel("head.w: not a numeric array") from None
-    head_b = np.array([jsonfile.number(head, "b", "head.")])
+            head_w = np.asarray(jsonfile.key(head, "w", "head."), dtype=np.float64)
+        except (TypeError, ValueError):
+            raise MalformedModel("head.w: not a numeric array") from None
+        head_b = np.array([jsonfile.number(head, "b", "head.")])
     try:
         net = RecurrentNetwork(cell_kind=kind, window=window, activations=Activations(**acts),
                                layers=layers, head_w=head_w, head_b=head_b)
     except ShapeMismatch as exc:
         raise MalformedModel(str(exc)) from None
+    if version == MODEL_FORMAT:
+        net.flat[...] = _blob(payload["parameters"], net.flat.size)
     raw = payload.get("scaler")
     scaler = (MinMaxScaler(lo=jsonfile.number(raw, "lo", "scaler."),
                            hi=jsonfile.number(raw, "hi", "scaler."))
@@ -863,5 +836,5 @@ def _model_from_payload(payload) -> tuple[RecurrentNetwork, MinMaxScaler | None]
 def load_model_json(path: str) -> tuple[RecurrentNetwork, MinMaxScaler | None]:
     """Read a model file of any format up to MODEL_FORMAT. A file that
     does not describe a network raises MalformedModel naming the file
-    and the key, e.g. `m.json: layers[1].w_hf: shape (5, 4), expected (5, 5)`."""
+    and the key, e.g. `m.json: parameters: 11308 values, expected 11309`."""
     return jsonfile.load(path, _model_from_payload, MalformedModel)

@@ -112,23 +112,13 @@ def test_01_gradient_exactness():
 
 def test_02_hand_derived_step_values():
     """Zero-parameter cells reproduce the hand-worked step outputs."""
-    zl = np.zeros
-    lstm = LstmLayerParams(
-        zl((3, 2)), zl((3, 2)), zl((3, 2)), zl((3, 2)),
-        zl((3, 3)), zl((3, 3)), zl((3, 3)), zl((3, 3)),
-        zl(3), zl(3), zl(3),
-        zl(3), zl(3), zl(3), zl(3),
-    )
+    lstm = LstmLayerParams(3, 2)
     h, _ = lstm_step(lstm, np.array([5.0, -2.0]), LstmState(c=np.zeros(3), h=np.zeros(3)))
     expected = 0.5 * float(sigmoid(np.array(0.25)))  # ~0.28110 per element
     lstm_err = float(np.abs(h - expected).max())
     assert lstm_err < 1e-5, f"LSTM zero step off by {lstm_err:.3e}"
 
-    gru = GruLayerParams(
-        zl((3, 2)), zl((3, 2)), zl((3, 2)),
-        zl((3, 3)), zl((3, 3)), zl((3, 3)),
-        zl(3), zl(3), zl(3),
-    )
+    gru = GruLayerParams(3, 2)
     h = gru_step(gru, np.array([4.0, 4.0]), np.zeros(3))
     gru_err = float(np.abs(h).max())
     assert gru_err < 1e-5, f"GRU zero step off by {gru_err:.3e}"

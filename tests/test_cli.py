@@ -1,5 +1,6 @@
 """Command-line surface: span parsing, exit codes, and the wired pipeline."""
 
+import base64
 import csv
 import json
 
@@ -180,6 +181,33 @@ class TestSynthSpecErrors:
         assert not out.exists()
 
 
+class TestPipelineConfigErrors:
+    """A config value of the wrong type exits 2 and names its key."""
+
+    CASES = {
+        "text_kmax": (lambda c: c.update(kmax="x"), "config.kmax"),
+        "text_workers": (lambda c: c.update(workers="two"), "config.workers"),
+        "null_restarts": (lambda c: c.update(restarts=None), "config.restarts"),
+        "text_utc_offset": (lambda c: c.update(utc_offset_hours="one"), "config.utc_offset_hours"),
+        "text_seed": (lambda c: c.update(seed="s"), "config.seed"),
+        "text_epochs": (lambda c: c["train"].update(epochs="many"), "train.epochs"),
+        "text_units": (lambda c: c["grid"].update(units=["x"]), "grid.units"),
+        "scalar_hidden_layers": (lambda c: c["grid"].update(hidden_layers=3), "grid.hidden_layers"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_two_naming_key(self, tmp_path, capsys, case):
+        mutate, named = self.CASES[case]
+        out = tmp_path / "out"
+        config = _small_pipeline(out, _two_archetype_synth())
+        mutate(config)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["pipeline", "--config", str(path)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_pipeline_synth_mode_ingests_only_its_own_files(tmp_path, capsys):
     """A rerun into an out_dir that holds an earlier run's day files bins
     exactly what a fresh run bins."""
@@ -295,8 +323,11 @@ class TestMalformedModel:
 
     @staticmethod
     def truncate_matrix(doc):
-        doc["layers"][1]["w_hf"] = [row[:-1] for row in doc["layers"][1]["w_hf"]]
-        return "layers[1].w_hf: shape (4, 3), expected (4, 4)"
+        """The last matrix, the head's weights, loses its last value."""
+        blob = base64.b64decode(doc["parameters"])
+        doc["parameters"] = base64.b64encode(blob[:-8]).decode("ascii")
+        size = len(blob) // 8
+        return f"parameters: {size - 1} values, expected {size}"
 
     @staticmethod
     def unknown_kind(doc):
@@ -305,8 +336,8 @@ class TestMalformedModel:
 
     @staticmethod
     def missing_key(doc):
-        del doc["layers"][0]["b_o"]
-        return "layers[0].b_o: missing"
+        del doc["layers"][0]["peepholes"]
+        return "layers[0].peepholes: missing"
 
     @pytest.mark.parametrize("corrupt", ["truncate_matrix", "unknown_kind", "missing_key"])
     def test_predict_rejects_model(self, pipeline_run, tmp_path, capsys, corrupt):
@@ -438,6 +469,17 @@ class TestSubcommandsOnPipelineOutputs:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert {c: set(labels) for c, labels in summary.items()} == {
             c: {f"GRU-{c}-1L-3U", f"GRU-{c}-1L-5U"} for c in "012"}
+
+    @pytest.mark.parametrize("axes,named", [({"units": ["x"]}, "units"),
+                                            ({"hidden_layers": 3}, "hidden_layers")])
+    def test_train_rejects_a_bad_grid_file(self, pipeline_run, tmp_path, capsys, axes, named):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(axes))
+        code = main(["train", "--clusters", str(pipeline_run / "clusters.json"),
+                     "--bins", str(pipeline_run / "bins.json"), "--grid", str(grid),
+                     "--out-dir", str(tmp_path / "train")])
+        assert code == 2
+        assert f"grid file.{named} must be a list of integers" in capsys.readouterr().err
 
     def test_compare_with_box(self, pipeline_run, tmp_path):
         out, box = tmp_path / "comparison.json", tmp_path / "box.csv"

@@ -1,6 +1,7 @@
 """Recurrent cells: hand-derived step values, BPTT gradient checks, ADAM,
 the flat parameter layout and model files."""
 
+import base64
 import json
 import pathlib
 
@@ -42,25 +43,9 @@ VARIANTS = [("lstm", {}), ("lstm", {"peepholes": False}), ("gru", {}), ("gru", {
 GRADCHECK_SEEDS = (2, 6, 15, 26, 28)
 
 
-def zeros_lstm(units, input_dim, peepholes=True):
-    z = np.zeros
-    peep = (z(units), z(units), z(units)) if peepholes else (None, None, None)
-    return LstmLayerParams(
-        z((units, input_dim)), z((units, input_dim)), z((units, input_dim)), z((units, input_dim)),
-        z((units, units)), z((units, units)), z((units, units)), z((units, units)),
-        *peep,
-        z(units), z(units), z(units), z(units),
-    )
-
-
-def zeros_gru(units, input_dim, biases=True):
-    z = np.zeros
-    b = (z(units), z(units), z(units)) if biases else (None, None, None)
-    return GruLayerParams(
-        z((units, input_dim)), z((units, input_dim)), z((units, input_dim)),
-        z((units, units)), z((units, units)), z((units, units)),
-        *b,
-    )
+def gate(layer, key):
+    """The writable view of one gate array of a layer, by its key."""
+    return dict(layer.gates())[key]
 
 
 def zeroed_network(cell_kind, hidden_layers=1, units=8):
@@ -68,6 +53,30 @@ def zeroed_network(cell_kind, hidden_layers=1, units=8):
     for _, arr in net.parameters():
         arr[...] = 0.0
     return net
+
+
+def edited(doc, edit):
+    edit(doc)
+    return doc
+
+
+def drop_last_parameter(doc):
+    blob = base64.b64decode(doc["parameters"])
+    doc["parameters"] = base64.b64encode(blob[:-8]).decode("ascii")
+
+
+def on_format_1(edit):
+    """A corrupt model: the format-1 LSTM fixture (layers 1->4->3) after edit."""
+    return lambda tmp_path: edited(json.loads((DATA / "model_format1_lstm.json").read_text()), edit)
+
+
+def on_format_3(edit):
+    """A corrupt model: a freshly saved format-3 LSTM (layers 1->4->3, 217
+    parameters) after edit."""
+    def saved(tmp_path):
+        save_model_json(build_network("lstm", 1, 3, seed=11), None, str(tmp_path / "saved.json"))
+        return json.loads((tmp_path / "saved.json").read_text())
+    return lambda tmp_path: edited(saved(tmp_path), edit)
 
 
 class TestActivations:
@@ -90,7 +99,7 @@ class TestActivations:
 class TestLstmStep:
     def test_zero_parameters(self):
         """All gates sit at 0.5, so h = 0.5 * sigmoid(0.25) per element."""
-        params = zeros_lstm(3, 2)
+        params = LstmLayerParams(3, 2)
         state = LstmState(c=np.zeros(3), h=np.zeros(3))
         h, new = lstm_step(params, np.array([5.0, -2.0]), state)
         expected = 0.5 * sigmoid(np.array(0.25))
@@ -98,15 +107,15 @@ class TestLstmStep:
         np.testing.assert_allclose(new.c, 0.25, atol=1e-12)
 
     def test_saturated_forget_gate_carries_memory(self):
-        params = zeros_lstm(1, 1)
-        params.b_f[:] = 50.0
+        params = LstmLayerParams(1, 1)
+        gate(params, "b_f")[:] = 50.0
         state = LstmState(c=np.array([1.0]), h=np.zeros(1))
         _, new = lstm_step(params, np.array([0.0]), state)
         assert abs(new.c[0] - 1.25) < 1e-6  # c_prev + 0.5*sigmoid(0)
 
     def test_saturated_input_gate(self):
-        params = zeros_lstm(1, 1)
-        params.w_xi[:] = 50.0
+        params = LstmLayerParams(1, 1)
+        gate(params, "w_xi")[:] = 50.0
         state = LstmState(c=np.zeros(1), h=np.zeros(1))
         h, new = lstm_step(params, np.array([1.0]), state)
         assert abs(new.c[0] - 0.5) < 1e-6
@@ -114,9 +123,9 @@ class TestLstmStep:
 
     def test_memory_drift_with_gates_forced(self):
         """f ~ 1 and i ~ 0 keep the cell state put across steps."""
-        params = zeros_lstm(4, 1)
-        params.b_f[:] = 50.0
-        params.b_i[:] = -50.0
+        params = LstmLayerParams(4, 1)
+        gate(params, "b_f")[:] = 50.0
+        gate(params, "b_i")[:] = -50.0
         state = LstmState(c=np.array([0.3, -0.7, 1.2, 0.0]), h=np.zeros(4))
         c0 = state.c.copy()
         rng = np.random.default_rng(0)
@@ -125,38 +134,38 @@ class TestLstmStep:
         assert np.abs(state.c - c0).max() < 1e-6
 
     def test_shape_mismatch(self):
-        params = zeros_lstm(3, 2)
+        params = LstmLayerParams(3, 2)
         with pytest.raises(ShapeMismatch):
             lstm_step(params, np.zeros(5), LstmState(c=np.zeros(3), h=np.zeros(3)))
 
 
 class TestGruStep:
     def test_zero_parameters_zero_state(self):
-        params = zeros_gru(3, 2)
+        params = GruLayerParams(3, 2)
         h = gru_step(params, np.array([4.0, 4.0]), np.zeros(3))
         np.testing.assert_array_equal(h, 0.0)
 
     def test_zero_parameters_interpolate_toward_zero(self):
-        params = zeros_gru(3, 1)
+        params = GruLayerParams(3, 1)
         v = np.array([0.8, -0.4, 0.1])
         h = gru_step(params, np.zeros(1), v)
         np.testing.assert_allclose(h, 0.5 * v, atol=1e-12)
 
     def test_closed_update_gate_is_identity(self):
-        params = zeros_gru(2, 1)
-        params.b_z[:] = -50.0
+        params = GruLayerParams(2, 1)
+        gate(params, "b_z")[:] = -50.0
         v = np.array([0.9, -0.3])
         h = gru_step(params, np.array([2.0]), v)
         np.testing.assert_allclose(h, v, atol=1e-6)
 
     def test_biasless_layer_matches_zero_bias_layer(self):
         rng = np.random.default_rng(1)
-        with_b = zeros_gru(3, 2)
-        without_b = zeros_gru(3, 2, biases=False)
+        with_b = GruLayerParams(3, 2)
+        without_b = GruLayerParams(3, 2, biases=False)
         for name in ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h"):
-            w = rng.normal(size=getattr(with_b, name).shape)
-            getattr(with_b, name)[...] = w
-            getattr(without_b, name)[...] = w
+            w = rng.normal(size=gate(with_b, name).shape)
+            gate(with_b, name)[...] = w
+            gate(without_b, name)[...] = w
         x, h_prev = rng.normal(size=2), rng.normal(size=3)
         np.testing.assert_array_equal(gru_step(with_b, x, h_prev), gru_step(without_b, x, h_prev))
 
@@ -165,21 +174,22 @@ class TestGruStep:
     def test_output_is_convex_combination(self, seed):
         """Each unit of h lands between h_prev and the candidate state."""
         rng = np.random.default_rng(seed)
-        params = zeros_gru(4, 2)
+        params = GruLayerParams(4, 2)
+        g = dict(params.gates())
         for name in ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h", "b_z", "b_r", "b_h"):
-            getattr(params, name)[...] = rng.normal(scale=2.0, size=getattr(params, name).shape)
+            g[name][...] = rng.normal(scale=2.0, size=g[name].shape)
         x, h_prev = rng.normal(size=2), rng.normal(size=4)
         h = gru_step(params, x, h_prev)
         # recompute the candidate independently of the step implementation
-        r = sigmoid(params.w_r @ x + params.u_r @ h_prev + params.b_r)
-        h_tilde = tanh(params.w_h @ x + r * (params.u_h @ h_prev) + params.b_h)
+        r = sigmoid(g["w_r"] @ x + g["u_r"] @ h_prev + g["b_r"])
+        h_tilde = tanh(g["w_h"] @ x + r * (g["u_h"] @ h_prev) + g["b_h"])
         lo = np.minimum(h_prev, h_tilde) - 1e-12
         hi = np.maximum(h_prev, h_tilde) + 1e-12
         assert ((lo <= h) & (h <= hi)).all()
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            gru_step(zeros_gru(3, 2), np.zeros(2), np.zeros(4))
+            gru_step(GruLayerParams(3, 2), np.zeros(2), np.zeros(4))
 
 
 class TestForward:
@@ -422,26 +432,21 @@ class TestFlatLayout:
         net = build_network("lstm", 1, 3, seed=0)
         x = np.random.default_rng(1).random((4, 4))
         before = forward(net, x)[0]
-        layer = net.layers[1]
-        layer.w_hf[0, 0] += 0.5
-        layer.b_o[:] = 2.0
-        assert layer.wh[3, 0] == layer.w_hf[0, 0]  # f is the second block of 3 rows
+        layer, params = net.layers[1], dict(net.parameters())
+        params["layers.1.w_hf"][0, 0] += 0.5
+        params["layers.1.b_o"][:] = 2.0
+        assert layer.wh[3, 0] == params["layers.1.w_hf"][0, 0]  # f is the second block of 3 rows
         np.testing.assert_array_equal(layer.b[9:], 2.0)
         assert not np.array_equal(forward(net, x)[0], before)
 
-    def test_constructor_copies_and_views_cannot_be_rebound(self):
-        w = np.ones((2, 1))
-        layer = GruLayerParams(w, w, w, *(np.zeros((2, 2)),) * 3, None, None, None)
-        w[...] = 5.0
-        np.testing.assert_array_equal(layer.w_z, 1.0)
-        assert layer.b is None and layer.b_z is None and layer.names()[-1] == "u_h"
-        with pytest.raises(AttributeError):
-            layer.w_z = np.zeros((2, 1))
-
-    def test_constructor_rejects_a_misshaped_gate(self):
-        with pytest.raises(ShapeMismatch, match=r"u_r: shape \(2, 3\), expected \(2, 2\)"):
-            GruLayerParams(*(np.zeros((2, 1)),) * 3, np.zeros((2, 2)), np.zeros((2, 3)),
-                           np.zeros((2, 2)), None, None, None)
+    def test_constructors_allocate_zero_blocks(self):
+        lstm, gru = LstmLayerParams(2, 3), GruLayerParams(2, 1, biases=False)
+        assert (lstm.wx.shape, lstm.wh.shape, lstm.peep.shape, lstm.b.shape) == (
+            (8, 3), (8, 2), (6,), (8,))
+        assert lstm.flat.size == 24 + 16 + 6 + 8 and not lstm.flat.any()
+        assert gru.b is None and not gru.biases and gru.flat.size == 6 + 12
+        assert [key for key, _ in gru.gates()] == ["w_z", "w_r", "w_h", "u_z", "u_r", "u_h"]
+        assert all(np.shares_memory(view, gru.flat) for _, view in gru.gates())
 
 
 class TestBuildAndPersist:
@@ -455,13 +460,13 @@ class TestBuildAndPersist:
     def test_forget_bias_starts_at_one(self):
         net = build_network("lstm", 1, 8, seed=0)
         for layer in net.layers:
-            np.testing.assert_array_equal(layer.b_f, 1.0)
-            np.testing.assert_array_equal(layer.b_i, 0.0)
-            np.testing.assert_array_equal(layer.w_ci, 0.0)
+            np.testing.assert_array_equal(gate(layer, "b_f"), 1.0)
+            np.testing.assert_array_equal(gate(layer, "b_i"), 0.0)
+            np.testing.assert_array_equal(gate(layer, "w_ci"), 0.0)
 
     def test_glorot_bounds(self):
         net = build_network("gru", 1, 250, seed=0)
-        w = net.layers[1].w_z
+        w = gate(net.layers[1], "w_z")
         limit = np.sqrt(6.0 / (w.shape[0] + w.shape[1]))
         assert np.abs(w).max() <= limit
         assert np.abs(w).max() > 0.5 * limit  # actually spread out
@@ -492,46 +497,72 @@ class TestBuildAndPersist:
         _, scaler = load_model_json(str(path))
         assert scaler is None
 
-    def test_model_json_is_format_2_on_one_line(self, tmp_path):
+    def test_model_json_is_format_3_on_one_line(self, tmp_path):
+        """A header without arrays, then the flat vector as one base64
+        blob of little-endian float64 values."""
         path = tmp_path / "model.json"
-        save_model_json(build_network("gru", 1, 3, seed=0), None, str(path))
+        net = build_network("gru", 1, 3, seed=0, gru_biases=False)
+        save_model_json(net, None, str(path))
         text = path.read_text()
-        assert json.loads(text)["format"] == 2
         assert text.count("\n") == 1 and text.endswith("\n")
+        doc = json.loads(text)
+        assert list(doc) == ["format", "cell_kind", "window", "activations", "scaler",
+                             "layers", "parameters"]
+        assert doc["format"] == 3
+        assert doc["layers"] == [{"input_dim": 1, "units": 4, "biases": False},
+                                 {"input_dim": 4, "units": 3, "biases": False}]
+        blob = base64.b64decode(doc["parameters"], validate=True)
+        assert blob == net.flat.astype("<f8").tobytes()
 
     @pytest.mark.parametrize("name,kind,seed,extras,scaler", [
         ("model_format1_lstm.json", "lstm", 11, {}, MinMaxScaler(lo=2.5, hi=40.0)),
         ("model_format1_gru_nobias.json", "gru", 12, {"gru_biases": False},
          MinMaxScaler(lo=0.0, hi=7.0)),
+        ("model_format2_lstm.json", "lstm", 13, {}, MinMaxScaler(lo=1.0, hi=9.0)),
     ])
     def test_reads_format_1_files(self, name, kind, seed, extras, scaler):
-        """Files written before model files carried a format field (indented,
-        no "format" key) still load to the network that wrote them."""
+        """Files with one key per gate array still load to the network that
+        wrote them: format 1 (indented, no "format" key) and format 2 (one
+        line), each written by the code of its time."""
         loaded, loaded_scaler = load_model_json(str(DATA / name))
-        assert "format" not in json.loads((DATA / name).read_text())
+        version = json.loads((DATA / name).read_text()).get("format", 1)
+        assert name.startswith(f"model_format{version}_")
         assert loaded_scaler == scaler
-        want = build_network(kind, 1, 3, seed=seed, **extras)
+        want = build_network(kind, len(loaded.layers) - 1, 3, seed=seed, **extras)
         assert [p for p, _ in loaded.parameters()] == [p for p, _ in want.parameters()]
         np.testing.assert_array_equal(loaded.flat, want.flat)
 
     @pytest.mark.parametrize("corrupt,message", [
-        (lambda d: d.update(format=3), "format: 3, expected 1 or 2"),
-        (lambda d: d["layers"][0].update(w_xz=[[0.0]] * 4),
+        (on_format_1(lambda d: d["layers"][0].update(w_xz=[[0.0]] * 4)),
          "layers[0].w_xz: unknown key for a lstm layer"),
-        (lambda d: d["layers"][0].pop("w_cf"), "layers[0].w_cf: missing"),
-        (lambda d: d["layers"][0].update(w_xi=[[1.0], [], [1.0], [1.0]]),
+        (on_format_1(lambda d: d["layers"][0].pop("w_cf")), "layers[0].w_cf: missing"),
+        (on_format_1(lambda d: d["layers"][0].update(w_xi=[[1.0], [], [1.0], [1.0]])),
          "layers[0].w_xi: not a numeric array of shape (4, 1)"),
-        (lambda d: d["layers"][1].update(units=2), "layers[1].w_xi: shape (3, 4), expected (2, 4)"),
-        (lambda d: d["layers"][0].update(units=0),
+        (on_format_1(lambda d: d["layers"][1].update(units=2)),
+         "layers[1].w_xi: shape (3, 4), expected (2, 4)"),
+        (on_format_1(lambda d: d["layers"][0].update(units=0)),
          "layers[0].units: 0, expected a positive integer"),
-        (lambda d: d["head"].update(w=[0.0, 1.0]), "head.w: shape (2,), expected (3,)"),
-        (lambda d: d["activations"].update(gate="relu"),
+        (on_format_1(lambda d: d["head"].update(w=[0.0, 1.0])), "head.w: shape (2,), expected (3,)"),
+        (on_format_1(lambda d: d["activations"].update(gate="relu")),
          "activations.gate: 'relu', expected one of ['sigmoid', 'tanh']"),
-        (lambda d: d.pop("window"), "window: missing"),
+        (on_format_1(lambda d: d.pop("window")), "window: missing"),
+        (on_format_3(lambda d: d.update(format=4)), "format: 4, expected 1, 2 or 3"),
+        (on_format_3(lambda d: d.update(parameters=d["parameters"][:-2] + "!=")),
+         "parameters: not base64"),
+        (on_format_3(drop_last_parameter), "parameters: 216 values, expected 217"),
+        (on_format_3(lambda d: d["layers"][1].update(units=2)),
+         "parameters: 217 values, expected 173"),
+        (on_format_3(lambda d: d["layers"][1].update(units=0)),
+         "layers[1].units: 0, expected a positive integer"),
+        (on_format_3(lambda d: d["layers"][1].update(peepholes="yes")),
+         "layers[1].peepholes: 'yes', expected true or false"),
+        (on_format_3(lambda d: d["layers"][0].update(w_xi=[[0.0]] * 4)),
+         "layers[0].w_xi: unknown key for a lstm layer"),
+        (on_format_3(lambda d: d.update(head={"w": [0.0] * 3, "b": 0.0})), "head: unknown key"),
+        (on_format_3(lambda d: d.pop("parameters")), "parameters: missing"),
     ])
     def test_load_rejects_malformed_model(self, tmp_path, corrupt, message):
-        doc = json.loads((DATA / "model_format1_lstm.json").read_text())
-        corrupt(doc)
+        doc = corrupt(tmp_path)
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(MalformedModel) as exc:
