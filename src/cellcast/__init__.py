@@ -46,6 +46,7 @@ from .recurrent import (
     LstmLayerParams,
     LstmState,
     RecurrentNetwork,
+    Tape,
     adam_update,
     backward,
     build_network,

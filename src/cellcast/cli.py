@@ -55,6 +55,26 @@ def _require_keys(payload: dict, allowed: set[str], where: str) -> None:
 _REQUIRED = object()
 
 
+def _integer(value) -> int:
+    """int(value), refusing what int() would silently truncate: a bool
+    or a float with a fractional part."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError("not an integer")
+    return int(value)
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError("not a boolean")
+    return value
+
+
+def _path_list(value) -> list[str]:
+    if not isinstance(value, list) or not value or not all(isinstance(p, str) for p in value):
+        raise TypeError("not a non-empty list of paths")
+    return value
+
+
 def _float_list(value) -> tuple[float, ...]:
     if not isinstance(value, list):
         raise TypeError("not a list")
@@ -64,7 +84,7 @@ def _float_list(value) -> tuple[float, ...]:
 def _int_list(value) -> tuple[int, ...]:
     if not isinstance(value, list):
         raise TypeError("not a list")
-    return tuple(int(w) for w in value)
+    return tuple(_integer(w) for w in value)
 
 
 def _name_list(value) -> tuple[str, ...]:
@@ -73,7 +93,8 @@ def _name_list(value) -> tuple[str, ...]:
     return tuple(str(w).lower() for w in value)
 
 
-_KINDS = {int: "an integer", float: "a number", _float_list: "a list of numbers",
+_KINDS = {_integer: "an integer", float: "a number", _boolean: "true or false",
+          _path_list: "a non-empty list of paths", _float_list: "a list of numbers",
           _int_list: "a list of integers", _name_list: "a list of names"}
 
 
@@ -103,7 +124,7 @@ def parse_synth_spec(payload: dict, default_seed: int) -> synth.SynthSpec:
         _require_keys(raw, {"id", "base_level", "period_weights",
                             "weekend_factor", "noise_sd"}, where)
         archetypes.append(synth.Archetype(
-            id=_field(raw, "id", int, where, i),
+            id=_field(raw, "id", _integer, where, i),
             base_level=_field(raw, "base_level", float, where),
             period_weights=_field(raw, "period_weights", _float_list, where),
             weekend_factor=_field(raw, "weekend_factor", float, where, 1.0),
@@ -111,12 +132,12 @@ def parse_synth_spec(payload: dict, default_seed: int) -> synth.SynthSpec:
         ))
     spec = synth.SynthSpec(
         archetypes=archetypes,
-        cells_per_archetype=_field(payload, "cells_per_archetype", int, "synth", 1),
-        days=_field(payload, "days", int, "synth", 62),
-        seed=_field(payload, "seed", int, "synth", default_seed),
-        span_start=_field(payload, "span_start", int, "synth", synth.DEFAULT_SPAN_START),
-        start_weekday=_field(payload, "start_weekday", int, "synth", synth.FRIDAY),
-        country_code=_field(payload, "country_code", int, "synth", 39),
+        cells_per_archetype=_field(payload, "cells_per_archetype", _integer, "synth", 1),
+        days=_field(payload, "days", _integer, "synth", 62),
+        seed=_field(payload, "seed", _integer, "synth", default_seed),
+        span_start=_field(payload, "span_start", _integer, "synth", synth.DEFAULT_SPAN_START),
+        start_weekday=_field(payload, "start_weekday", _integer, "synth", synth.FRIDAY),
+        country_code=_field(payload, "country_code", _integer, "synth", 39),
     )
     synth.validate_spec(spec)
     return spec
@@ -127,7 +148,7 @@ def parse_k(value, where: str):
     if value == "auto":
         return value
     try:
-        k = int(value)
+        k = _integer(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{where} must be an integer or 'auto', got {value!r}") from None
     if k < 1:
@@ -170,7 +191,7 @@ def parse_pipeline_config(payload: dict) -> PipelineConfig:
                             "workers"}, "config")
     if "out_dir" not in payload:
         raise ConfigError("config needs out_dir")
-    seed = _field(payload, "seed", int, "config", 0)
+    seed = _field(payload, "seed", _integer, "config", 0)
     utc_offset = _field(payload, "utc_offset_hours", float, "config",
                         clustering.DEFAULT_UTC_OFFSET_HOURS)
 
@@ -180,9 +201,7 @@ def parse_pipeline_config(payload: dict) -> PipelineConfig:
         raise ConfigError("config needs exactly one of synth or input")
 
     synth_spec = parse_synth_spec(payload["synth"], seed) if has_synth else None
-    input_paths = [str(p) for p in payload["input"]] if has_input else None
-    if has_input and not input_paths:
-        raise ConfigError("input list is empty")
+    input_paths = _field(payload, "input", _path_list, "config") if has_input else None
 
     span = None
     if "span" in payload:
@@ -199,11 +218,11 @@ def parse_pipeline_config(payload: dict) -> PipelineConfig:
     _require_keys(train_payload, {"epochs", "batch_size", "runs", "base_seed",
                                   "shuffle_each_epoch"}, "train")
     cfg = training.TrainConfig(
-        epochs=_field(train_payload, "epochs", int, "train", 50),
-        batch_size=_field(train_payload, "batch_size", int, "train", 32),
-        runs=_field(train_payload, "runs", int, "train", 30),
-        shuffle_each_epoch=bool(train_payload.get("shuffle_each_epoch", True)),
-        base_seed=_field(train_payload, "base_seed", int, "train", seed),
+        epochs=_field(train_payload, "epochs", _integer, "train", 50),
+        batch_size=_field(train_payload, "batch_size", _integer, "train", 32),
+        runs=_field(train_payload, "runs", _integer, "train", 30),
+        shuffle_each_epoch=_field(train_payload, "shuffle_each_epoch", _boolean, "train", True),
+        base_seed=_field(train_payload, "base_seed", _integer, "train", seed),
     )
     training.validate_train_config(cfg)
 
@@ -214,12 +233,12 @@ def parse_pipeline_config(payload: dict) -> PipelineConfig:
         span=span,
         utc_offset_hours=utc_offset,
         k=k,
-        kmax=_field(payload, "kmax", int, "config", 50),
-        restarts=_field(payload, "restarts", int, "config", 10),
+        kmax=_field(payload, "kmax", _integer, "config", 50),
+        restarts=_field(payload, "restarts", _integer, "config", 10),
         grid=grid,
         train=cfg,
         seed=seed,
-        workers=_field(payload, "workers", int, "config", 1),
+        workers=_field(payload, "workers", _integer, "config", 1),
     )
 
 

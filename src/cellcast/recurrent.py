@@ -12,10 +12,11 @@ b (G*U) with G = 4 gates for the LSTM and 3 for the GRU, plus a (3U)
 peephole block for the LSTM. Every parameter of a network is a view
 into one flat float64 vector. forward() projects the input of all
 timesteps with one GEMM per layer, then runs one recurrent GEMM per
-step, recording every intermediate on a tape of preallocated
-(T, rows, B) arrays. backward() replays the tape to produce exact
-reverse-mode gradients of the batch-mean squared error, in a flat
-vector laid out like the parameters; only the recurrent GEMM stays in
+step, recording every intermediate on a Tape of (T, rows, B) arrays
+that training allocates once per batch size and reuses for every
+step. backward() replays the tape to produce exact reverse-mode
+gradients of the batch-mean squared error, in a flat vector laid out
+like the parameters; only the recurrent GEMM stays in
 its per-step loop, and each weight block's gradient is one GEMM over
 the time-stacked activations. ADAM updates the flat vector in place.
 
@@ -29,6 +30,7 @@ its biases can be dropped.
 from __future__ import annotations
 
 import base64
+import functools
 import json
 import math
 from collections.abc import Mapping
@@ -55,7 +57,13 @@ def sigmoid(x, out=None):
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x) if out is None else out
     with np.errstate(over="ignore"):
-        np.exp(np.negative(x, out=out), out=out)
+        return _sigmoid(x, out=out)
+
+
+def _sigmoid(x, out):
+    """sigmoid() as the gate kernel: float64 x, a given out, and the
+    overflow of exp left to the caller's np.errstate."""
+    np.exp(np.negative(x, out=out), out=out)
     out += 1.0
     return np.divide(1.0, out, out=out)
 
@@ -81,10 +89,10 @@ def _dtanh_from_y(y, out=None):
     return np.subtract(1.0, out, out=out)
 
 
-# name -> (function, derivative expressed via the function's output)
+# name -> (kernel, derivative expressed via the function's output)
 _ACTIVATIONS = {
-    "sigmoid": (sigmoid, _dsigmoid_from_y),
-    "tanh": (tanh, _dtanh_from_y),
+    "sigmoid": (_sigmoid, _dsigmoid_from_y),
+    "tanh": (np.tanh, _dtanh_from_y),
 }
 
 
@@ -348,7 +356,11 @@ def build_network(cell_kind: str, hidden_layers: int, units: int, seed,
 # Activations are feature-major: units by batch. A layer reads its input
 # as x2 (D, T*B), timestep t in columns [t*B, (t+1)*B), so the input
 # projection of all timesteps is one GEMM; per-step arrays are
-# (T, rows, B), so every gate block of a step is contiguous.
+# (T, rows, B), so every gate block of a step is contiguous. A layer tape
+# allocates these arrays, their per-step views and its scratch once, and
+# every pass writes into them. Each temporary of the equations has a
+# scratch array filled by the same operation on the same operands, so a
+# reused tape gives the bits of a fresh one.
 
 def _runs(fns: list, u: int) -> list:
     """[(fn, rows)] over consecutive U-row gate blocks: one entry per run
@@ -362,159 +374,262 @@ def _runs(fns: list, u: int) -> list:
     return runs
 
 
-def _time_stacked(steps: np.ndarray) -> np.ndarray:
-    """(T, K, B) per-step arrays as one (K, T*B) matrix."""
-    return steps.transpose(1, 0, 2).reshape(steps.shape[1], -1)
+def _time_stacked(steps: np.ndarray, buffer=None) -> tuple:
+    """(T, K, B) per-step arrays as one (K, T*B) matrix laid out as
+    numpy's reshape lays it out: a view of `steps` when an axis has length
+    1, else `buffer` or a new array. Returns (matrix, refresh), where
+    refresh() copies steps into the matrix (nothing to do for a view)."""
+    n_steps, k, n = steps.shape
+    source = steps.transpose(1, 0, 2)
+    if 1 in steps.shape:
+        return source.reshape(k, n_steps * n), lambda: None
+    stacked = np.empty((k, n_steps * n)) if buffer is None else buffer
+    return stacked, functools.partial(np.copyto, stacked.reshape(k, n_steps, n), source)
 
 
-def _lstm_forward(p: LstmLayerParams, x2, n_steps: int, acts: Activations,
-                  h0=None, c0=None) -> dict:
-    """Run an LSTM layer over x2 (D, T*B) from state (h0, c0), zero by
-    default. The tape holds x2, h and c (T+1, U, B) with the start state
-    in row 0, and the activations s (T, 5U, B) of i, f, the candidate,
-    o and cell_output(c)."""
-    gate, cin, cout = (_resolve(name) for name in
-                       (acts.gate, acts.cell_input, acts.cell_output))
-    in_runs, out_runs = _runs([gate, gate, cin], p.units), _runs([gate, cout], p.units)
-    u, n = p.units, x2.shape[1] // n_steps
-    a = p.wx @ x2
-    a += p.b[:, None]
-    h = np.empty((n_steps + 1, u, n))
-    c = np.empty((n_steps + 1, u, n))
-    h[0], c[0] = (0.0, 0.0) if h0 is None else (h0, c0)
-    s = np.empty((n_steps, 5 * u, n))
-    pre = np.empty((5 * u, n))  # pre-activations of i, f, candidate, o, then c
-    if p.peepholes:
-        peep = p.peep.reshape(3, u, 1)
-    for t in range(n_steps):
-        st = s[t]
-        np.matmul(p.wh, h[t], out=pre[:4 * u])
-        pre[:4 * u] += a[:, t * n:(t + 1) * n]
-        if p.peepholes:
-            pre[:2 * u].reshape(2, u, n)[...] += c[t] * peep[:2]
-        for (fn, _), rows in in_runs:
-            fn(pre[rows], out=st[rows])
-        np.multiply(st[u:2 * u], c[t], out=c[t + 1])
-        c[t + 1] += st[:u] * st[2 * u:3 * u]
-        if p.peepholes:
-            pre[3 * u:4 * u] += c[t + 1] * peep[2]  # output gate peeks at the NEW cell state
-        pre[4 * u:] = c[t + 1]
-        for (fn, _), rows in out_runs:
-            fn(pre[3 * u:][rows], out=st[3 * u:][rows])
-        np.multiply(st[3 * u:4 * u], st[4 * u:], out=h[t + 1])
-    return {"x2": x2, "h": h, "c": c, "s": s}
+def _by_step(matrix: np.ndarray, n_steps: int) -> list:
+    """The (K, B) column block of each timestep of a (K, T*B) matrix."""
+    k, cols = matrix.shape
+    return list(matrix.reshape(k, n_steps, cols // n_steps).transpose(1, 0, 2))
 
 
-def _lstm_backward(p: LstmLayerParams, tape: dict, dh_out, acts: Activations,
-                   grad: dict, need_dx: bool):
-    """BPTT through one LSTM layer. dh_out (U, T*B) is the loss gradient
-    reaching each step's output from above. Writes the weight gradients
-    into the `grad` blocks; returns the gradient of the layer input
-    (D, T*B), or None when need_dx is false."""
-    gate, cin, cout = (_resolve(name) for name in
-                       (acts.gate, acts.cell_input, acts.cell_output))
-    in_runs, out_runs = _runs([gate, gate, cin], p.units), _runs([gate, cout], p.units)
-    x2, h, c, s = tape["x2"], tape["h"], tape["c"], tape["s"]
-    n_steps, _, n = s.shape
-    u = p.units
-    if p.peepholes:
-        peep_i, peep_f, peep_o = p.peep.reshape(3, u, 1)
-    da = np.empty((n_steps, 4 * u, n))  # d loss / d gate pre-activations
-    slopes = np.empty((2 * u, n))  # of o and cell_output(c), this step
-    dh_rec = dc = None
-    for t in range(n_steps - 1, -1, -1):
-        st, dat = s[t], da[t]
-        i, f, g, o, sc = (st[k * u:(k + 1) * u] for k in range(5))
-        dh = dh_out[:, t * n:(t + 1) * n]
-        if dh_rec is not None:
-            dh = dh + dh_rec
-        for (_, deriv), rows in out_runs:
-            deriv(st[3 * u:][rows], out=slopes[rows])
-        dc_out = dh * o * slopes[u:]
-        dc = dc_out if dc is None else dc + dc_out
-        np.multiply(dh * sc, slopes[:u], out=dat[3 * u:])
-        if p.peepholes:
-            dc = dc + dat[3 * u:] * peep_o
-        np.multiply(dc, g, out=dat[:u])
-        np.multiply(dc, c[t], out=dat[u:2 * u])
-        np.multiply(dc, i, out=dat[2 * u:3 * u])
-        for (_, deriv), rows in in_runs:
-            dat[rows] *= deriv(st[rows])
-        if t == 0:
-            break  # the start state is a constant
-        dc = dc * f
-        if p.peepholes:
-            dc = dc + dat[:u] * peep_i + dat[u:2 * u] * peep_f
-        dh_rec = p.wh.T @ dat
-
-    da2 = _time_stacked(da)
-    np.matmul(da2, x2.T, out=grad["wx"])
-    np.matmul(da2, _time_stacked(h[:-1]).T, out=grad["wh"])
-    da2.sum(axis=1, out=grad["b"])
-    if p.peepholes:
-        g_ci, g_cf, g_co = grad["peep"].reshape(3, u)
-        np.sum(da[:, :u] * c[:-1], axis=(0, 2), out=g_ci)
-        np.sum(da[:, u:2 * u] * c[:-1], axis=(0, 2), out=g_cf)
-        np.sum(da[:, 3 * u:] * c[1:], axis=(0, 2), out=g_co)
-    return p.wx.T @ da2 if need_dx else None
+def _blocks(arr: np.ndarray, u: int) -> tuple:
+    """The consecutive U-row gate blocks of arr (rows, B)."""
+    return tuple(arr.reshape(len(arr) // u, u, arr.shape[1]))
 
 
-def _gru_forward(p: GruLayerParams, x2, n_steps: int, acts: Activations, h0=None) -> dict:
-    """Run a GRU layer over x2 (D, T*B) from state h0, zero by default.
-    The tape holds x2, h (T+1, U, B) with the start state in row 0, the
-    activations s (T, 3U, B) of z, r and the candidate, and the
-    recurrent projection hw = W_h @ h_prev (T, 3U, B)."""
-    gate_fn = _resolve(acts.gate)[0]
-    u, n = p.units, x2.shape[1] // n_steps
-    a = p.wx @ x2
-    if p.biases:
-        a += p.b[:, None]
-    h = np.empty((n_steps + 1, u, n))
-    h[0] = 0.0 if h0 is None else h0
-    s = np.empty((n_steps, 3 * u, n))
-    hw = np.empty((n_steps, 3 * u, n))
-    for t in range(n_steps):
-        st, hwt, at = s[t], hw[t], a[:, t * n:(t + 1) * n]
-        np.matmul(p.wh, h[t], out=hwt)
-        gate_fn(at[:2 * u] + hwt[:2 * u], out=st[:2 * u])
-        z = st[:u]
-        np.tanh(at[2 * u:] + st[u:2 * u] * hwt[2 * u:], out=st[2 * u:])
-        np.multiply(1.0 - z, h[t], out=h[t + 1])
-        h[t + 1] += z * st[2 * u:]
-    return {"x2": x2, "h": h, "s": s, "hw": hw}
+class _LayerTape:
+    """One layer's pass arrays over T steps of B columns.
+
+    The layer reads x2 (D, T*B); backward() writes the gradient of x2
+    into dx when one is given. h (T+1, U, B) starts from h0, zero unless
+    given. With stacked, forward() also fills hs, h[1:] time-stacked, the
+    input of the layer above. backward() starts from dh_out (U, T*B), the
+    loss gradient reaching each step's output from above. s holds each
+    step's activations, a U-row block per ROWS entry, slopes their
+    derivatives and da the gradients of the gate pre-activations.
+    """
+
+    ROWS: int
+
+    def __init__(self, p, n_steps: int, x2, dx, stacked: bool, h0):
+        u, g, n = p.units, len(p.wx), x2.shape[1] // n_steps
+        self.p, self.x2, self.dx, self.last = p, x2, dx, n_steps - 1
+        self.h = np.zeros((n_steps + 1, u, n))
+        if h0 is not None:
+            self.h[0] = h0
+        self.s = np.empty((n_steps, self.ROWS * u, n))
+        # The input projection a, the slopes and da2 (da time-stacked) are
+        # live in turn: forward() reads a, backward() the slopes in its
+        # step loop and da2 after it. They share one buffer (G <= ROWS).
+        work = np.empty(self.s.size)
+        self.a = work[:g * n_steps * n].reshape(g, n_steps * n)
+        self.slopes = work.reshape(self.s.shape)
+        self.da = np.empty((n_steps, g, n))
+        self.dh_out = np.zeros((u, n_steps * n))
+        self.dh, self.dh_rec, self.tmp = (np.empty((u, n)) for _ in range(3))
+        self.da2, self.stack_da = _time_stacked(self.da, self.a)
+        self.hp, self.stack_hp = _time_stacked(self.h[:-1])
+        self.hs, self.stack_hs = _time_stacked(self.h[1:]) if stacked else (None, lambda: None)
+        # each step's (a_t, h_t, h_next, s_t, dh_t, da_t, slopes_t), for zip
+        self.by_step = (_by_step(self.a, n_steps), self.h[:-1], self.h[1:], self.s,
+                        _by_step(self.dh_out, n_steps), self.da, self.slopes)
+
+    def _project(self, bias) -> None:
+        np.matmul(self.p.wx, self.x2, out=self.a)
+        if bias is not None:
+            self.a += bias[:, None]
+
+    def _weight_gradients(self, grad: dict, dah2) -> None:
+        """The input and recurrent weight gradients, the bias gradient and,
+        with dx, the input gradient, from da and dah2 (the time-stacked
+        gradients reaching W_h)."""
+        self.stack_hp()
+        np.matmul(self.da2, self.x2.T, out=grad["wx"])
+        np.matmul(dah2, self.hp.T, out=grad["wh"])
+        if grad["b"] is not None:
+            self.da2.sum(axis=1, out=grad["b"])
+        if self.dx is not None:
+            np.matmul(self.p.wx.T, self.da2, out=self.dx)
 
 
-def _gru_backward(p: GruLayerParams, tape: dict, dh_out, acts: Activations,
-                  grad: dict, need_dx: bool):
-    """BPTT through one GRU layer; see _lstm_backward."""
-    gate_d = _resolve(acts.gate)[1]
-    x2, h, s, hw = tape["x2"], tape["h"], tape["s"], tape["hw"]
-    n_steps, _, n = s.shape
-    u = p.units
-    da = np.empty((n_steps, 3 * u, n))  # d loss / d pre-activations, input side
-    dah = np.empty((n_steps, 3 * u, n))  # the same for the recurrent weights
-    dh_rec = None
-    for t in range(n_steps - 1, -1, -1):
-        st, dat = s[t], da[t]
-        z, r, cand = st[:u], st[u:2 * u], st[2 * u:]
-        dh = dh_out[:, t * n:(t + 1) * n]
-        if dh_rec is not None:
-            dh = dh + dh_rec
-        np.multiply(dh * z, _dtanh_from_y(cand), out=dat[2 * u:])
-        np.multiply(dh, cand - h[t], out=dat[:u])
-        np.multiply(dat[2 * u:], hw[t, 2 * u:], out=dat[u:2 * u])
-        dat[:2 * u] *= gate_d(st[:2 * u])
-        dah[t, :2 * u] = dat[:2 * u]
-        np.multiply(dat[2 * u:], r, out=dah[t, 2 * u:])
-        if t > 0:
-            dh_rec = dh * (1.0 - z) + p.wh.T @ dah[t]
+class _LstmTape(_LayerTape):
+    """An LSTM layer's tape: s holds i, f, the candidate, o and
+    cell_output(c), and c (T+1, U, B) the cell state from c0."""
 
-    da2 = _time_stacked(da)
-    np.matmul(da2, x2.T, out=grad["wx"])
-    np.matmul(_time_stacked(dah), _time_stacked(h[:-1]).T, out=grad["wh"])
-    if p.biases:
-        da2.sum(axis=1, out=grad["b"])
-    return p.wx.T @ da2 if need_dx else None
+    ROWS = 5
+
+    def __init__(self, p: LstmLayerParams, acts: Activations, n_steps: int, x2,
+                 dx=None, stacked: bool = False, h0=None, c0=None):
+        super().__init__(p, n_steps, x2, dx, stacked, h0)
+        gate, cin, cout = (_resolve(name) for name in
+                           (acts.gate, acts.cell_input, acts.cell_output))
+        u, n = p.units, self.h.shape[2]
+        self.c = np.zeros_like(self.h)
+        if c0 is not None:
+            self.c[0] = c0
+        self.pre = pre = np.empty((5 * u, n))  # pre-activations of i, f, candidate, o, then c
+        self.peep = None if p.peep is None else p.peep.reshape(3, u, 1)
+        self.dc, self.peep_tmp = np.empty((u, n)), np.empty((2, u, n))
+        self.peep_prod = np.empty((n_steps, u, n))
+        in_runs, out_runs = _runs([gate, gate, cin], u), _runs([gate, cout], u)
+        self.steps = [
+            (a_t, h_t, h_next, c_t, c_next,
+             [(fn, pre[rows], s_t[rows]) for (fn, _), rows in in_runs],
+             [(fn, pre[3 * u:][rows], s_t[3 * u:][rows]) for (fn, _), rows in out_runs],
+             _blocks(s_t, u), dh_t, da_t, _blocks(da_t, u), _blocks(sl_t, u)[3:],
+             da_t[:3 * u], sl_t[:3 * u])
+            for a_t, h_t, h_next, s_t, dh_t, da_t, sl_t, c_t, c_next
+            in zip(*self.by_step, self.c[:-1], self.c[1:])]
+        self.deriv_views = [(deriv, self.s[:, rows], self.slopes[:, rows])
+                            for (_, deriv), rows in _runs([gate, gate, cin, gate, cout], u)]
+
+    def forward(self) -> None:
+        """Run the layer over x2 from its start state."""
+        self._project(self.p.b)
+        u, wh, peep, tmp, peep_tmp = self.p.units, self.p.wh, self.peep, self.tmp, self.peep_tmp
+        pre4, pre_if, pre_o, pre_c = (self.pre[:4 * u], self.pre[:2 * u].reshape(peep_tmp.shape),
+                                      self.pre[3 * u:4 * u], self.pre[4 * u:])
+        peep_if, peep_o = (None, None) if peep is None else (peep[:2], peep[2])
+        for a_t, h_t, h_next, c_t, c_next, in_runs, out_runs, (i, f, g, o, sc), *_ in self.steps:
+            np.matmul(wh, h_t, out=pre4)
+            pre4 += a_t
+            if peep is not None:
+                np.multiply(c_t, peep_if, out=peep_tmp)
+                pre_if += peep_tmp
+            for fn, x, out in in_runs:
+                fn(x, out=out)
+            np.multiply(f, c_t, out=c_next)
+            np.multiply(i, g, out=tmp)
+            c_next += tmp
+            if peep is not None:
+                np.multiply(c_next, peep_o, out=tmp)
+                pre_o += tmp  # the output gate peeks at the NEW cell state
+            np.copyto(pre_c, c_next)
+            for fn, x, out in out_runs:
+                fn(x, out=out)
+            np.multiply(o, sc, out=h_next)
+        self.stack_hs()
+
+    def backward(self, grad: dict) -> None:
+        """BPTT from dh_out: writes the weight gradients into the `grad`
+        blocks and, with dx, the input gradient."""
+        for deriv, y, out in self.deriv_views:
+            deriv(y, out=out)
+        peep, tmp, dc, wh_t, last = self.peep, self.tmp, self.dc, self.p.wh.T, self.last
+        peep_i, peep_f, peep_o = (None, None, None) if peep is None else peep
+        for t in range(last, -1, -1):
+            (_, _, _, c_t, _, _, _, (i, f, g, o, sc), dh_t, da_t, (d_i, d_f, d_g, d_o),
+             (sl_o, sl_sc), da_3, sl_3) = self.steps[t]
+            dh = dh_t if t == last else np.add(dh_t, self.dh_rec, out=self.dh)
+            if t == last:
+                np.multiply(dh, o, out=dc)
+                dc *= sl_sc
+            else:
+                np.multiply(dh, o, out=tmp)
+                tmp *= sl_sc
+                dc += tmp
+            np.multiply(dh, sc, out=d_o)
+            d_o *= sl_o
+            if peep is not None:
+                np.multiply(d_o, peep_o, out=tmp)
+                dc += tmp
+            np.multiply(dc, g, out=d_i)
+            np.multiply(dc, c_t, out=d_f)
+            np.multiply(dc, i, out=d_g)
+            da_3 *= sl_3
+            if t == 0:
+                break  # the start state is a constant
+            dc *= f
+            if peep is not None:
+                np.multiply(d_i, peep_i, out=tmp)
+                dc += tmp
+                np.multiply(d_f, peep_f, out=tmp)
+                dc += tmp
+            np.matmul(wh_t, da_t, out=self.dh_rec)
+
+        self.stack_da()
+        self._weight_gradients(grad, self.da2)
+        if peep is not None:  # gates i and f peek at c[t], gate o (block 3) at c[t+1]
+            u, c = self.p.units, self.c
+            peep_grads = grad["peep"].reshape(3, u)
+            for k, cells, out in zip((0, 1, 3), (c[:-1], c[:-1], c[1:]), peep_grads):
+                np.multiply(self.da[:, k * u:(k + 1) * u], cells, out=self.peep_prod)
+                np.add.reduce(self.peep_prod, axis=(0, 2), out=out)
+
+
+class _GruTape(_LayerTape):
+    """A GRU layer's tape: s holds z, r and the candidate, hw the
+    recurrent projection W_h @ h_prev (T, 3U, B) and dah the gradient
+    reaching its pre-activations; omz holds 1 - z and jump the candidate
+    minus h_prev (T, U, B), both used again by backward()."""
+
+    ROWS = 3
+
+    def __init__(self, p: GruLayerParams, acts: Activations, n_steps: int, x2,
+                 dx=None, stacked: bool = False, h0=None):
+        super().__init__(p, n_steps, x2, dx, stacked, h0)
+        self.gate_fn, gate_d = _resolve(acts.gate)
+        u, n = p.units, self.h.shape[2]
+        self.hw, self.dah = np.empty_like(self.s), np.empty_like(self.s)
+        self.dah2, self.stack_dah = _time_stacked(self.dah)
+        self.omz, self.jump = np.empty_like(self.h[1:]), np.empty_like(self.h[1:])
+        self.pre = np.empty((3 * u, n))
+        self.steps = [
+            (h_t, h_next, hw_t, s_t[:2 * u], hw_t[:2 * u], a_t[:2 * u], hw_t[2 * u:], a_t[2 * u:],
+             _blocks(s_t, u), omz_t, dh_t, da_t[:2 * u], _blocks(da_t, u), sl_t[:2 * u],
+             sl_t[2 * u:], dah_t, dah_t[:2 * u], dah_t[2 * u:], jump_t)
+            for a_t, h_t, h_next, s_t, dh_t, da_t, sl_t, hw_t, dah_t, omz_t, jump_t
+            in zip(*self.by_step, self.hw, self.dah, self.omz, self.jump)]
+        self.deriv_views = [(gate_d, self.s[:, :2 * u], self.slopes[:, :2 * u]),
+                            (_dtanh_from_y, self.s[:, 2 * u:], self.slopes[:, 2 * u:])]
+
+    def forward(self) -> None:
+        """Run the layer over x2 from its start state."""
+        self._project(self.p.b)
+        u, wh, gate_fn, tmp = self.p.units, self.p.wh, self.gate_fn, self.tmp
+        pre_zr, pre_c = self.pre[:2 * u], self.pre[2 * u:]
+        for h_t, h_next, hw_t, s_zr, hw_zr, a_zr, hw_c, a_c, (z, r, cand), omz, *_ in self.steps:
+            np.matmul(wh, h_t, out=hw_t)
+            np.add(a_zr, hw_zr, out=pre_zr)
+            gate_fn(pre_zr, out=s_zr)
+            np.multiply(r, hw_c, out=pre_c)
+            np.add(a_c, pre_c, out=pre_c)
+            np.tanh(pre_c, out=cand)
+            np.subtract(1.0, z, out=omz)
+            np.multiply(omz, h_t, out=h_next)
+            np.multiply(z, cand, out=tmp)
+            h_next += tmp
+        self.stack_hs()
+
+    def backward(self, grad: dict) -> None:
+        """BPTT from dh_out; see _LstmTape.backward."""
+        for deriv, y, out in self.deriv_views:
+            deriv(y, out=out)
+        np.subtract(self.s[:, 2 * self.p.units:], self.h[:-1], out=self.jump)
+        tmp, wh_t, last = self.tmp, self.p.wh.T, self.last
+        for t in range(last, -1, -1):
+            (_, _, _, _, _, _, hw_c, _, (z, r, _), omz, dh_t, da_zr, (d_z, d_r, d_c),
+             sl_zr, sl_c, dah_t, dah_zr, dah_c, jump) = self.steps[t]
+            dh = dh_t if t == last else np.add(dh_t, self.dh_rec, out=self.dh)
+            np.multiply(dh, z, out=d_c)
+            d_c *= sl_c
+            np.multiply(dh, jump, out=d_z)
+            np.multiply(d_c, hw_c, out=d_r)
+            da_zr *= sl_zr
+            np.copyto(dah_zr, da_zr)
+            np.multiply(d_c, r, out=dah_c)
+            if t > 0:
+                np.multiply(dh, omz, out=tmp)
+                np.matmul(wh_t, dah_t, out=self.dh_rec)
+                np.add(tmp, self.dh_rec, out=self.dh_rec)
+
+        self.stack_da()
+        self.stack_dah()
+        self._weight_gradients(grad, self.dah2)
+
+
+_LAYER_TAPES = {"lstm": _LstmTape, "gru": _GruTape}
 
 
 # ---------------------------------------------------------------------------
@@ -529,9 +644,11 @@ def lstm_step(params: LstmLayerParams, x_t: np.ndarray, state: LstmState,
     if state.h.shape != (params.units,) or state.c.shape != (params.units,):
         raise ShapeMismatch(f"state shapes {state.h.shape}/{state.c.shape}, "
                             f"expected ({params.units},)")
-    tape = _lstm_forward(params, x_t[:, None], 1, activations,
-                         state.h[:, None], state.c[:, None])
-    h, c = tape["h"][1, :, 0], tape["c"][1, :, 0]
+    layer = _LstmTape(params, activations, 1, x_t[:, None],
+                      h0=state.h[:, None], c0=state.c[:, None])
+    with np.errstate(over="ignore"):
+        layer.forward()
+    h, c = layer.h[1, :, 0], layer.c[1, :, 0]
     return h, LstmState(c=c, h=h)
 
 
@@ -544,44 +661,80 @@ def gru_step(params: GruLayerParams, x_t: np.ndarray, h_prev: np.ndarray,
         raise ShapeMismatch(f"x_t shape {x_t.shape}, expected ({params.input_dim},)")
     if h_prev.shape != (params.units,):
         raise ShapeMismatch(f"h_prev shape {h_prev.shape}, expected ({params.units},)")
-    return _gru_forward(params, x_t[:, None], 1, activations, h_prev[:, None])["h"][1, :, 0]
+    layer = _GruTape(params, activations, 1, x_t[:, None], h0=h_prev[:, None])
+    with np.errstate(over="ignore"):
+        layer.forward()
+    return layer.h[1, :, 0]
 
 
 # ---------------------------------------------------------------------------
 # forward
 
-def forward(net: RecurrentNetwork, inputs: np.ndarray) -> tuple[np.ndarray, dict]:
+class Tape:
+    """What forward() records for backward() on one network and batch
+    size: every layer's tape, chained so each layer reads the one below,
+    the head's values, and a gradient vector laid out like `net.flat`.
+
+    Build it once per batch size and pass it to every forward(); each
+    pass overwrites it, and backward() returns Gradients over its one
+    gradient vector, which the next backward() overwrites too.
+    """
+
+    def __init__(self, net: RecurrentNetwork, batch_size: int):
+        self.net, self.batch_size = net, int(batch_size)
+        n_steps, n = net.window, self.batch_size
+        self.x0 = np.empty((1, n_steps * n))  # one univariate step per B columns
+        self.x0_steps = self.x0.reshape(n_steps, n)
+        self.grads = Gradients(np.empty_like(net.flat), net._layout)
+        self.layers, self.grad_blocks = [], []
+        x2, dx = self.x0, None
+        for k, layer in enumerate(net.layers):
+            tape = _LAYER_TAPES[net.cell_kind](layer, net.activations, n_steps, x2, dx,
+                                               stacked=k + 1 < len(net.layers))
+            self.layers.append(tape)
+            self.grad_blocks.append(layer.views(self.grads.flat[net._layer_slices[k]]))
+            x2, dx = tape.hs, tape.dh_out  # what this layer reads is what the one below wrote
+        self.h_last = self.layers[-1].h[-1]  # (U, B)
+        self.dh_last = self.layers[-1].dh_out[:, (n_steps - 1) * n:]
+        self.head_w_grad = self.grads["head.w"]
+        self.pre_head = np.empty(n)
+        self.preds = None
+
+    def check(self, net: RecurrentNetwork) -> None:
+        """Raise TapeMismatch unless the tape was built for `net`."""
+        if net is not self.net:
+            raise TapeMismatch(f"tape was built for another network "
+                               f"({self.net.cell_kind}, {len(self.net.layers)} layers)")
+
+
+def forward(net: RecurrentNetwork, inputs: np.ndarray,
+            tape: Tape | None = None) -> tuple[np.ndarray, Tape]:
     """Run a window (shape (4,)) or a batch of windows (shape (B, 4))
     through the network. Returns (predictions, tape); predictions match
     the input's batch shape (scalar ndarray for a single window).
+
+    The pass is recorded on `tape`, which must have been built for this
+    network and batch size, or on a fresh one when tape is None.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     single = inputs.ndim == 1
     batch = inputs[None, :] if single else inputs
     if batch.ndim != 2 or batch.shape[1] != net.window:
         raise ShapeMismatch(f"input shape {inputs.shape}, expected (*, {net.window})")
-    n = batch.shape[0]
+    if tape is None:
+        tape = Tape(net, batch.shape[0])
+    tape.check(net)
+    if batch.shape[0] != tape.batch_size:
+        raise TapeMismatch(f"batch of {batch.shape[0]}, tape built for {tape.batch_size}")
 
-    layer_forward = _lstm_forward if net.cell_kind == "lstm" else _gru_forward
-    x2 = np.ascontiguousarray(batch.T).reshape(1, -1)  # one univariate step per B columns
-    layer_tapes = []
-    for layer in net.layers:
-        layer_tapes.append(layer_forward(layer, x2, net.window, net.activations))
-        x2 = _time_stacked(layer_tapes[-1]["h"][1:])
-
-    h_last = layer_tapes[-1]["h"][-1]  # (U, B)
-    pre_head = net.head_w @ h_last + net.head_b[0]
-    preds = hard_sigmoid(pre_head)
-    tape = {
-        "cell_kind": net.cell_kind,
-        "n_layers": len(net.layers),
-        "batch_size": n,
-        "layer_tapes": layer_tapes,
-        "h_last": h_last,
-        "pre_head": pre_head,
-        "preds": preds,
-    }
-    return (preds[0] if single else preds), tape
+    with np.errstate(over="ignore"):
+        np.copyto(tape.x0_steps, batch.T)
+        for layer in tape.layers:
+            layer.forward()
+        np.matmul(net.head_w, tape.h_last, out=tape.pre_head)
+        tape.pre_head += net.head_b[0]
+        tape.preds = hard_sigmoid(tape.pre_head)
+    return (tape.preds[0] if single else tape.preds), tape
 
 
 def mse_loss(preds: np.ndarray, targets: np.ndarray) -> float:
@@ -597,39 +750,31 @@ def mse_loss(preds: np.ndarray, targets: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # backward (exact BPTT)
 
-def backward(net: RecurrentNetwork, targets: np.ndarray, tape: dict) -> Gradients:
+def backward(net: RecurrentNetwork, targets: np.ndarray, tape: Tape) -> Gradients:
     """Exact gradients of the batch-mean squared error with respect to
     every parameter, keyed like RecurrentNetwork.parameters() and stored
-    in one flat vector laid out like the network's.
+    in the tape's flat vector, laid out like the network's.
 
-    The tape must come from forward() on the same network; inputs are
-    read back from it.
+    The tape must hold a forward() of this network; inputs are read back
+    from it.
     """
     targets = np.asarray(targets, dtype=np.float64)
-    if tape.get("cell_kind") != net.cell_kind or tape.get("n_layers") != len(net.layers):
-        raise TapeMismatch("tape was not produced by this network")
-    n = tape["batch_size"]
+    tape.check(net)
+    n = tape.batch_size
     if targets.shape != (n,):
         raise TapeMismatch(f"targets shape {targets.shape}, tape batch {n}")
 
-    preds = tape["preds"]
-    pre_head = tape["pre_head"]
-    dpred = 2.0 * (preds - targets) / n
-    # hard sigmoid passes slope 0.2 strictly inside the clamp
-    dpre = dpred * np.where((pre_head > -2.5) & (pre_head < 2.5), 0.2, 0.0)
-
-    grads = Gradients(np.empty_like(net.flat), net._layout)
-    grads["head.w"][...] = tape["h_last"] @ dpre
-    grads["head.b"][0] = dpre.sum()
-
-    layer_backward = _lstm_backward if net.cell_kind == "lstm" else _gru_backward
-    dh = np.zeros((net.layers[-1].units, net.window * n))
-    dh[:, -n:] = net.head_w[:, None] * dpre[None, :]
-    for idx in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[idx]
-        # what this layer read is what the one below wrote
-        dh = layer_backward(layer, tape["layer_tapes"][idx], dh, net.activations,
-                            layer.views(grads.flat[net._layer_slices[idx]]), need_dx=idx > 0)
+    grads = tape.grads
+    with np.errstate(over="ignore"):
+        pre_head = tape.pre_head
+        dpred = 2.0 * (tape.preds - targets) / n
+        # hard sigmoid passes slope 0.2 strictly inside the clamp
+        dpre = dpred * np.where((pre_head > -2.5) & (pre_head < 2.5), 0.2, 0.0)
+        np.matmul(tape.h_last, dpre, out=tape.head_w_grad)
+        grads.flat[-1] = dpre.sum()
+        np.multiply(net.head_w[:, None], dpre[None, :], out=tape.dh_last)
+        for layer, blocks in zip(reversed(tape.layers), reversed(tape.grad_blocks)):
+            layer.backward(blocks)
     return grads
 
 
@@ -650,11 +795,16 @@ class AdamConfig:
 ADAM_BLOCK = 32_768
 
 
-def _adam_in_place(param, grad, m, v, t: int, cfg: AdamConfig) -> None:
+def _adam_scratch(size: int) -> tuple:
+    """The two scratch blocks of an ADAM step on `size` parameters, as
+    two arrays: rows of one array would leave the second unaligned."""
+    return np.empty(min(size, ADAM_BLOCK)), np.empty(min(size, ADAM_BLOCK))
+
+
+def _adam_in_place(param, grad, m, v, t: int, cfg: AdamConfig, scratch: tuple) -> None:
     """One bias-corrected ADAM step written into param, m and v, flat
-    arrays of one size, block by block."""
-    a = np.empty(min(param.size, ADAM_BLOCK))
-    b = np.empty_like(a)
+    arrays of one size, block by block, with _adam_scratch() blocks."""
+    a, b = scratch
     for start in range(0, param.size, ADAM_BLOCK):
         seg = slice(start, start + ADAM_BLOCK)
         p, g, mb, vb = param[seg], grad[seg], m[seg], v[seg]
@@ -686,7 +836,8 @@ def adam_update(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarra
         raise ValueError("step count t starts at 1")
     m = np.array(m, dtype=np.float64, order="C")
     v = np.array(v, dtype=np.float64, order="C")
-    _adam_in_place(param.reshape(-1), grad.reshape(-1), m.reshape(-1), v.reshape(-1), t, cfg)
+    _adam_in_place(param.reshape(-1), grad.reshape(-1), m.reshape(-1), v.reshape(-1), t, cfg,
+                   _adam_scratch(param.size))
     return param, m, v
 
 
@@ -699,13 +850,14 @@ class AdamOptimizer:
         self.t = 0
         self.m = np.zeros_like(net.flat)
         self.v = np.zeros_like(net.flat)
+        self.scratch = _adam_scratch(net.flat.size)
 
     def step(self, net: RecurrentNetwork, grads: Gradients) -> None:
         """Apply the gradients that backward() returned for `net`."""
         if grads.flat.shape != net.flat.shape:
             raise ShapeMismatch(f"gradient size {grads.flat.size}, network size {net.flat.size}")
         self.t += 1
-        _adam_in_place(net.flat, grads.flat, self.m, self.v, self.t, self.cfg)
+        _adam_in_place(net.flat, grads.flat, self.m, self.v, self.t, self.cfg, self.scratch)
 
 
 # ---------------------------------------------------------------------------

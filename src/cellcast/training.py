@@ -31,6 +31,7 @@ from .recurrent import (
     AdamConfig,
     AdamOptimizer,
     RecurrentNetwork,
+    Tape,
     backward,
     build_network,
     forward,
@@ -144,7 +145,8 @@ def _fit(cell_kind: str, hidden_layers: int, units: int,
          seed: int) -> tuple[RecurrentNetwork, list[float]]:
     """Seeded network + training loop shared by scoring and replay. The
     loss trace records each epoch's MSE over its batches as they were
-    seen (before each update)."""
+    seen (before each update). Every batch of one size reuses one tape:
+    the full batches share one, a ragged last batch gets its own."""
     validate_train_config(cfg)
     net = build_network(cell_kind, hidden_layers, units, seed=[seed, 0])
     shuffle_rng = np.random.default_rng([seed, 1])
@@ -153,6 +155,7 @@ def _fit(cell_kind: str, hidden_layers: int, units: int,
     targets = dataset.train.targets
     n = targets.size
 
+    tapes = {}  # batch size -> Tape
     trace = []
     for _ in range(cfg.epochs):
         order = shuffle_rng.permutation(n) if cfg.shuffle_each_epoch else np.arange(n)
@@ -160,7 +163,10 @@ def _fit(cell_kind: str, hidden_layers: int, units: int,
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             y = targets[idx]
-            preds, tape = forward(net, inputs[idx])
+            tape = tapes.get(idx.size)
+            if tape is None:
+                tape = tapes[idx.size] = Tape(net, idx.size)
+            preds, _ = forward(net, inputs[idx], tape)
             sq_sum += float(np.sum((preds - y) ** 2))
             opt.step(net, backward(net, y, tape))
         trace.append(sq_sum / n)

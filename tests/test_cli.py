@@ -156,6 +156,7 @@ class TestSynthSpecErrors:
         "text_base_level": (lambda s: s["archetypes"][0].update(base_level="abc"),
                             "synth.archetypes[0].base_level"),
         "text_days": (lambda s: s.update(days="x"), "synth.days"),
+        "fractional_days": (lambda s: s.update(days=2.5), "synth.days"),
         "scalar_period_weights": (lambda s: s["archetypes"][0].update(period_weights=5),
                                   "synth.archetypes[0].period_weights"),
         "duplicate_id": (lambda s: s["archetypes"][1].update(id=0), "archetype id 0"),
@@ -181,8 +182,17 @@ class TestSynthSpecErrors:
         assert not out.exists()
 
 
+def _input_mode(paths):
+    """A config edit that swaps the synth spec for `paths` as input."""
+    def edit(config):
+        del config["synth"]
+        config.update(input=paths, span="2013-11-01..2013-11-04")
+    return edit
+
+
 class TestPipelineConfigErrors:
-    """A config value of the wrong type exits 2 and names its key."""
+    """A config value of the wrong type exits 2 and names its key; no
+    value is truncated or coerced into one of another meaning."""
 
     CASES = {
         "text_kmax": (lambda c: c.update(kmax="x"), "config.kmax"),
@@ -193,6 +203,19 @@ class TestPipelineConfigErrors:
         "text_epochs": (lambda c: c["train"].update(epochs="many"), "train.epochs"),
         "text_units": (lambda c: c["grid"].update(units=["x"]), "grid.units"),
         "scalar_hidden_layers": (lambda c: c["grid"].update(hidden_layers=3), "grid.hidden_layers"),
+        "text_shuffle": (lambda c: c["train"].update(shuffle_each_epoch="false"),
+                         "train.shuffle_each_epoch"),
+        "number_shuffle": (lambda c: c["train"].update(shuffle_each_epoch=0),
+                           "train.shuffle_each_epoch"),
+        "text_input": (_input_mode("data/"), "config.input"),
+        "empty_input": (_input_mode([]), "config.input"),
+        "number_in_input": (_input_mode(["data/", 3]), "config.input"),
+        "fractional_epochs": (lambda c: c["train"].update(epochs=2.7), "train.epochs"),
+        "bool_kmax": (lambda c: c.update(kmax=True), "config.kmax"),
+        "bool_seed": (lambda c: c.update(seed=False), "config.seed"),
+        "fractional_k": (lambda c: c.update(k=2.5), "k must be an integer"),
+        "fractional_units": (lambda c: c["grid"].update(units=[2.7]), "grid.units"),
+        "bool_hidden_layers": (lambda c: c["grid"].update(hidden_layers=[True]), "grid.hidden_layers"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -1,9 +1,10 @@
-"""Recurrent cells: hand-derived step values, BPTT gradient checks, ADAM,
-the flat parameter layout and model files."""
+"""Recurrent cells: hand-derived step values, BPTT gradient checks,
+reusable tapes, ADAM, the flat parameter layout and model files."""
 
 import base64
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from cellcast import (
     LstmLayerParams,
     LstmState,
     MinMaxScaler,
+    Tape,
     adam_update,
     backward,
     build_network,
@@ -31,6 +33,8 @@ from cellcast import (
     tanh,
 )
 from cellcast.errors import Empty, LengthMismatch, MalformedModel, ShapeMismatch, TapeMismatch
+from cellcast.prep import make_windows
+from cellcast.training import ClusterDataset, TrainConfig, _fit
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -329,6 +333,106 @@ class TestGradients:
         _, tape = forward(gru, np.zeros((2, 4)))
         with pytest.raises(TapeMismatch):
             backward(lstm, np.zeros(2), tape)
+
+
+def fit_loop(net, inputs, targets, epochs, batch_size, seed, tapes):
+    """_fit's training loop, also recording every gradient vector. tapes
+    is a dict of tapes reused by batch size, or None for a fresh tape on
+    every forward(). Returns (flat bytes, loss trace, gradient bytes)."""
+    opt = AdamOptimizer(net)
+    rng = np.random.default_rng(seed)
+    trace, grads = [], []
+    for _ in range(epochs):
+        order = rng.permutation(targets.size)
+        sq_sum = 0.0
+        for start in range(0, targets.size, batch_size):
+            idx = order[start:start + batch_size]
+            if tapes is not None and idx.size not in tapes:
+                tapes[idx.size] = Tape(net, idx.size)
+            preds, tape = forward(net, inputs[idx], None if tapes is None else tapes[idx.size])
+            sq_sum += float(np.sum((preds - targets[idx]) ** 2))
+            g = backward(net, targets[idx], tape)
+            grads.append(g.flat.tobytes())
+            opt.step(net, g)
+        trace.append(sq_sum / targets.size)
+    return net.flat.tobytes(), trace, grads
+
+
+def tape_arrays(tape):
+    """Every array a tape and its layer tapes hold, by name."""
+    holders = [("tape", tape)] + [(f"layers[{k}]", layer) for k, layer in enumerate(tape.layers)]
+    return {f"{where}.{name}": value.tobytes() for where, holder in holders
+            for name, value in vars(holder).items() if isinstance(value, np.ndarray)}
+
+
+class TestTape:
+    @pytest.mark.parametrize("kind,extras", VARIANTS)
+    def test_reused_tapes_train_bit_for_bit_like_fresh_ones(self, kind, extras):
+        """20 windows in batches of 8 end on a ragged batch of 4, which
+        gets a tape of its own."""
+        rng = np.random.default_rng(7)
+        inputs, targets = rng.random((20, 4)), rng.random(20)
+        runs = [fit_loop(build_network(kind, 2, 5, seed=3, **extras), inputs, targets,
+                         epochs=3, batch_size=8, seed=1, tapes=tapes) for tapes in (None, {})]
+        assert runs[0][0] == runs[1][0]
+        assert runs[0][1] == runs[1][1]
+        assert runs[0][2] == runs[1][2] and len(runs[0][2]) == 9
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    def test_fit_matches_a_fresh_tape_loop(self, kind):
+        series = np.random.default_rng(2).random(40)
+        dataset = ClusterDataset(cluster=0, train=make_windows(series[:30]),
+                                 test=make_windows(series[30:]),
+                                 scaler=MinMaxScaler(lo=0.0, hi=1.0), split_index=30)
+        net, trace = _fit(kind, 1, 6, dataset, TrainConfig(epochs=2, batch_size=8), seed=4)
+        flat, ref_trace, _ = fit_loop(build_network(kind, 1, 6, seed=[4, 0]),
+                                      dataset.train.inputs, dataset.train.targets,
+                                      epochs=2, batch_size=8, seed=[4, 1], tapes=None)
+        assert net.flat.tobytes() == flat
+        assert trace == ref_trace
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    def test_a_fresh_forward_leaves_an_earlier_tape_alone(self, kind):
+        net = build_network(kind, 2, 4, seed=0)
+        rng = np.random.default_rng(0)
+        _, first = forward(net, rng.random((5, 4)))
+        before = tape_arrays(first)
+        _, second = forward(net, rng.random((5, 4)))
+        backward(net, rng.random(5), second)
+        assert second is not first
+        assert tape_arrays(first) == before
+
+    @pytest.mark.parametrize("case", ["batch size", "kind", "network"])
+    def test_forward_rejects_a_tape_built_for_something_else(self, case):
+        net = build_network("lstm", 1, 4, seed=0)
+        other = {"batch size": net, "kind": build_network("gru", 1, 4, seed=0),
+                 "network": build_network("lstm", 1, 4, seed=0)}[case]
+        tape = Tape(other, 3 if case == "batch size" else 5)
+        with pytest.raises(TapeMismatch):
+            forward(net, np.zeros((5, 4)), tape)
+
+    def test_backward_rejects_a_tape_of_another_network(self):
+        net, twin = build_network("gru", 1, 4, seed=0), build_network("gru", 1, 4, seed=0)
+        _, tape = forward(twin, np.zeros((2, 4)))
+        with pytest.raises(TapeMismatch):
+            backward(net, np.zeros(2), tape)
+
+    @pytest.mark.parametrize("kind,extras", VARIANTS)
+    def test_saturated_gates_warn_nothing_and_stay_finite(self, kind, extras):
+        """Gate pre-activations near -1000 overflow exp(-x); the gates
+        saturate to 0 with neither a RuntimeWarning nor a NaN."""
+        net = build_network(kind, 2, 5, seed=0, **extras)
+        for layer in net.layers:
+            if layer.b is not None:
+                layer.b[...] = -1000.0
+            layer.wx[...] *= 300.0
+        inputs = np.random.default_rng(0).normal(size=(6, 4)) * 10.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            preds, tape = forward(net, inputs)
+            grads = backward(net, np.full(6, 0.3), tape)
+        assert (tape.layers[0].s == 0.0).any()
+        assert np.isfinite(preds).all() and np.isfinite(grads.flat).all()
 
 
 class TestAdam:
