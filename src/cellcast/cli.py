@@ -10,14 +10,16 @@ randomness derives from a single seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
-import json
+import inspect
+import math
 import os
 import re
 import sys
 from dataclasses import dataclass
 
-from . import clustering, ingest, recurrent, stats, synth, training
+from . import clustering, ingest, jsonfile, recurrent, stats, synth, training
 from .errors import ConfigError, ValidationError
 
 MS_PER_DAY = 86_400_000
@@ -44,29 +46,38 @@ def parse_span(text: str, utc_offset_hours: float) -> tuple[int, int]:
     return start, end
 
 
-def _require_keys(payload: dict, allowed: set[str], where: str) -> None:
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {type(payload).__name__}")
-    unknown = sorted(set(payload) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
-
-
-_REQUIRED = object()
+def _number(value) -> float:
+    """A finite JSON number; true, NaN and Infinity are none."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise TypeError("not a finite number")
+    return float(value)
 
 
 def _integer(value) -> int:
-    """int(value), refusing what int() would silently truncate: a bool
-    or a float with a fractional part."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """A JSON number with no fractional part: 2 and 2.0, not true or 2.5."""
+    if not _number(value).is_integer():
         raise ValueError("not an integer")
     return int(value)
 
 
-def _boolean(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError("not a boolean")
-    return value
+def finite_number(text: str) -> float:
+    """A command-line number; argparse exits 2 on text, nan or inf."""
+    return _number(float(text))
+
+
+def _instance_of(kind: type):
+    def convert(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"not a {kind.__name__}")
+        return value
+    return convert
+
+
+_text, _boolean, _object = _instance_of(str), _instance_of(bool), _instance_of(dict)
+
+
+def _k(value):
+    return value if value == "auto" else _integer(value)
 
 
 def _path_list(value) -> list[str]:
@@ -75,96 +86,80 @@ def _path_list(value) -> list[str]:
     return value
 
 
-def _float_list(value) -> tuple[float, ...]:
+def _list_of(convert):
+    def convert_list(value) -> tuple:
+        if not isinstance(value, list):
+            raise TypeError("not a list")
+        return tuple(convert(item) for item in value)
+    return convert_list
+
+
+_number_list, _int_list = _list_of(_number), _list_of(_integer)
+_name_list = _list_of(lambda name: _text(name).lower())
+
+
+def _archetypes(value) -> list[synth.Archetype]:
     if not isinstance(value, list):
         raise TypeError("not a list")
-    return tuple(float(w) for w in value)
+    return [_section(raw, f"synth.archetypes[{i}]", _ARCHETYPE, synth.Archetype, id=i)
+            for i, raw in enumerate(value)]
 
 
-def _int_list(value) -> tuple[int, ...]:
-    if not isinstance(value, list):
-        raise TypeError("not a list")
-    return tuple(_integer(w) for w in value)
+_KINDS = {_integer: "an integer", _number: "a finite number", _text: "a string",
+          _boolean: "true or false", _object: "a JSON object", _k: "an integer or 'auto'",
+          _path_list: "a non-empty list of paths", _number_list: "a list of finite numbers",
+          _int_list: "a list of integers", _name_list: "a list of names",
+          _archetypes: "a list of archetypes"}
+
+# Each config section: key -> converter. A key a section leaves out takes
+# the default of the dataclass the section builds.
+_ARCHETYPE = {"id": _integer, "base_level": _number, "period_weights": _number_list,
+              "weekend_factor": _number, "noise_sd": _number}
+_SYNTH = {"archetypes": _archetypes, "cells_per_archetype": _integer, "days": _integer,
+          "seed": _integer, "span_start": _integer, "start_weekday": _integer,
+          "country_code": _integer}
+_GRID = {"hidden_layers": _int_list, "units": _int_list, "cell_kinds": _name_list}
+_TRAIN = {"epochs": _integer, "batch_size": _integer, "runs": _integer,
+          "shuffle_each_epoch": _boolean, "base_seed": _integer}
+_CONFIG = {"out_dir": _text, "synth": _object, "input": _path_list, "span": _text,
+           "utc_offset_hours": _number, "k": _k, "kmax": _integer, "restarts": _integer,
+           "grid": _object, "train": _object, "seed": _integer, "workers": _integer}
 
 
-def _name_list(value) -> tuple[str, ...]:
-    if not isinstance(value, list):
-        raise TypeError("not a list")
-    return tuple(str(w).lower() for w in value)
-
-
-_KINDS = {_integer: "an integer", float: "a number", _boolean: "true or false",
-          _path_list: "a non-empty list of paths", _float_list: "a list of numbers",
-          _int_list: "a list of integers", _name_list: "a list of names"}
-
-
-def _field(payload: dict, key: str, convert, where: str, default=_REQUIRED):
-    """payload[key] through convert, or default when absent; a missing
-    required key or a value convert rejects is a ConfigError that names
-    where.key."""
-    if key not in payload:
-        if default is _REQUIRED:
+def _section(payload, where: str, fields: dict, target, **defaults):
+    """target(**defaults, **values), where values holds each key of the
+    JSON object payload through its converter in fields. An unknown key, a
+    value its converter rejects, or a key target needs and payload lacks
+    is a ConfigError that names where.key."""
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(payload).__name__}")
+    unknown = sorted(set(payload) - set(fields))
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    values = dict(defaults)
+    for key, value in payload.items():
+        try:
+            values[key] = fields[key](value)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"{where}.{key} must be {_KINDS[fields[key]]}, "
+                              f"got {value!r}") from None
+    for key, param in inspect.signature(target).parameters.items():
+        if key in fields and key not in values and param.default is param.empty:
             raise ConfigError(f"{where}.{key} is required")
-        return default
-    try:
-        return convert(payload[key])
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}.{key} must be {_KINDS[convert]}, "
-                          f"got {payload[key]!r}") from None
+    return target(**values)
 
 
 def parse_synth_spec(payload: dict, default_seed: int) -> synth.SynthSpec:
-    _require_keys(payload, {"archetypes", "cells_per_archetype", "days", "seed",
-                            "span_start", "start_weekday", "country_code"}, "synth")
-    if not isinstance(payload.get("archetypes"), list):
-        raise ConfigError("synth needs an archetypes list")
-    archetypes = []
-    for i, raw in enumerate(payload["archetypes"]):
-        where = f"synth.archetypes[{i}]"
-        _require_keys(raw, {"id", "base_level", "period_weights",
-                            "weekend_factor", "noise_sd"}, where)
-        archetypes.append(synth.Archetype(
-            id=_field(raw, "id", _integer, where, i),
-            base_level=_field(raw, "base_level", float, where),
-            period_weights=_field(raw, "period_weights", _float_list, where),
-            weekend_factor=_field(raw, "weekend_factor", float, where, 1.0),
-            noise_sd=_field(raw, "noise_sd", float, where, 0.0),
-        ))
-    spec = synth.SynthSpec(
-        archetypes=archetypes,
-        cells_per_archetype=_field(payload, "cells_per_archetype", _integer, "synth", 1),
-        days=_field(payload, "days", _integer, "synth", 62),
-        seed=_field(payload, "seed", _integer, "synth", default_seed),
-        span_start=_field(payload, "span_start", _integer, "synth", synth.DEFAULT_SPAN_START),
-        start_weekday=_field(payload, "start_weekday", _integer, "synth", synth.FRIDAY),
-        country_code=_field(payload, "country_code", _integer, "synth", 39),
-    )
+    spec = _section(payload, "synth", _SYNTH, synth.SynthSpec, seed=default_seed)
     synth.validate_spec(spec)
     return spec
 
 
-def parse_k(value, where: str):
-    """A cluster count >= 1, or "auto" for the elbow pick."""
-    if value == "auto":
-        return value
-    try:
-        k = _integer(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be an integer or 'auto', got {value!r}") from None
-    if k < 1:
-        raise ConfigError(f"{where} must be >= 1 or 'auto', got {value}")
-    return k
-
-
 def parse_grid(payload: dict, where: str) -> training.GridSpec:
     """Grid axes from JSON; an absent axis takes the GridSpec default."""
-    _require_keys(payload, {"hidden_layers", "units", "cell_kinds"}, where)
-    default = training.GridSpec()
-    grid = training.GridSpec(
-        hidden_layers=_field(payload, "hidden_layers", _int_list, where, default.hidden_layers),
-        units=_field(payload, "units", _int_list, where, default.units),
-        cell_kinds=_field(payload, "cell_kinds", _name_list, where, default.cell_kinds),
-    )
+    grid = _section(payload, where, _GRID, training.GridSpec)
     training.validate_grid(grid)
     return grid
 
@@ -174,78 +169,49 @@ class PipelineConfig:
     out_dir: str
     synth_spec: synth.SynthSpec | None
     input_paths: list[str] | None
-    span: tuple[int, int] | None
-    utc_offset_hours: float
-    k: object  # int or "auto"
-    kmax: int
-    restarts: int
+    span: tuple[int, int]
     grid: training.GridSpec
     train: training.TrainConfig
-    seed: int
-    workers: int
+    utc_offset_hours: float = clustering.DEFAULT_UTC_OFFSET_HOURS
+    k: object = "auto"  # int or "auto"
+    kmax: int = 50
+    restarts: int = clustering.DEFAULT_RESTARTS
+    seed: int = 0
+    workers: int = 1
+
+
+def _pipeline_config(out_dir, synth=None, input=None, span=None, grid=None, train=None,
+                     seed=PipelineConfig.seed, utc_offset_hours=PipelineConfig.utc_offset_hours,
+                     **settings) -> PipelineConfig:
+    """The config from its converted top-level keys. The sections are
+    parsed here, since their defaults depend on the seed and the offset."""
+    if (synth is None) == (input is None):
+        raise ConfigError("config needs exactly one of synth or input")
+    spec = None if synth is None else parse_synth_spec(synth, seed)
+    if span is not None:
+        span = parse_span(span, utc_offset_hours)
+    elif spec is not None:
+        span = (spec.span_start, spec.span_end)
+    else:
+        raise ConfigError("config needs a span when input paths are given")
+    grid_spec = parse_grid(grid or {}, "grid")
+    train_cfg = _section(train or {}, "train", _TRAIN, training.TrainConfig, base_seed=seed)
+    training.validate_train_config(train_cfg)
+    cfg = PipelineConfig(out_dir, spec, input, span, grid_spec, train_cfg,
+                         utc_offset_hours=utc_offset_hours, seed=seed, **settings)
+    clustering.validate_settings(cfg.k, cfg.kmax, cfg.restarts, "config.")
+    return cfg
 
 
 def parse_pipeline_config(payload: dict) -> PipelineConfig:
-    _require_keys(payload, {"out_dir", "synth", "input", "span", "utc_offset_hours",
-                            "k", "kmax", "restarts", "grid", "train", "seed",
-                            "workers"}, "config")
-    if "out_dir" not in payload:
-        raise ConfigError("config needs out_dir")
-    seed = _field(payload, "seed", _integer, "config", 0)
-    utc_offset = _field(payload, "utc_offset_hours", float, "config",
-                        clustering.DEFAULT_UTC_OFFSET_HOURS)
-
-    has_synth = "synth" in payload
-    has_input = "input" in payload
-    if has_synth == has_input:
-        raise ConfigError("config needs exactly one of synth or input")
-
-    synth_spec = parse_synth_spec(payload["synth"], seed) if has_synth else None
-    input_paths = _field(payload, "input", _path_list, "config") if has_input else None
-
-    span = None
-    if "span" in payload:
-        span = parse_span(str(payload["span"]), utc_offset)
-    elif has_synth:
-        span = (synth_spec.span_start, synth_spec.span_end)
-    else:
-        raise ConfigError("config needs a span when input paths are given")
-
-    k = parse_k(payload.get("k", "auto"), "k")
-    grid = parse_grid(payload.get("grid", {}), "grid")
-
-    train_payload = payload.get("train", {})
-    _require_keys(train_payload, {"epochs", "batch_size", "runs", "base_seed",
-                                  "shuffle_each_epoch"}, "train")
-    cfg = training.TrainConfig(
-        epochs=_field(train_payload, "epochs", _integer, "train", 50),
-        batch_size=_field(train_payload, "batch_size", _integer, "train", 32),
-        runs=_field(train_payload, "runs", _integer, "train", 30),
-        shuffle_each_epoch=_field(train_payload, "shuffle_each_epoch", _boolean, "train", True),
-        base_seed=_field(train_payload, "base_seed", _integer, "train", seed),
-    )
-    training.validate_train_config(cfg)
-
-    return PipelineConfig(
-        out_dir=str(payload["out_dir"]),
-        synth_spec=synth_spec,
-        input_paths=input_paths,
-        span=span,
-        utc_offset_hours=utc_offset,
-        k=k,
-        kmax=_field(payload, "kmax", _integer, "config", 50),
-        restarts=_field(payload, "restarts", _integer, "config", 10),
-        grid=grid,
-        train=cfg,
-        seed=seed,
-        workers=_field(payload, "workers", _integer, "config", 1),
-    )
+    return _section(payload, "config", _CONFIG, _pipeline_config)
 
 
 # ---------------------------------------------------------------------------
-# stage helpers shared by subcommands and the pipeline
+# stages: each writes its own files; the subcommands and the pipeline call them
 
-def _ingest_paths(paths: list[str], span: tuple[int, int]) -> ingest.BinningResult:
+def _ingest_stage(paths: list[str], span: tuple[int, int], out: str,
+                  csv_path: str | None = None) -> ingest.BinningResult:
     for p in paths:
         if not os.path.exists(p):
             raise FileNotFoundError(f"input path does not exist: {p}")
@@ -253,12 +219,18 @@ def _ingest_paths(paths: list[str], span: tuple[int, int]) -> ingest.BinningResu
     _log(f"ingest: {len(result.cells)} cells, "
          f"{(span[1] - span[0]) // ingest.BIN_WIDTH_MS} bins each, "
          f"{result.dropped} records outside span dropped")
+    ingest.save_bins_json(result.cells, out)
+    if csv_path:
+        ingest.save_bins_csv(result.cells, csv_path)
+    _log(f"ingest: wrote {out}")
     return result
 
 
 def _cluster_stage(cells: dict, k, kmax: int, seed: int, restarts: int,
                    utc_offset_hours: float, truth_path: str | None,
-                   print_curve: bool = False):
+                   out: str, curve_path: str, series_path: str, print_curve: bool = False):
+    """Clusters, SSE curve (k "auto" only) and per-cluster mean series,
+    each written to its path; returns the series."""
     profiles = clustering.build_profiles(cells, utc_offset_hours)
     curve = None
     if k == "auto":
@@ -279,7 +251,12 @@ def _cluster_stage(cells: dict, k, kmax: int, seed: int, restarts: int,
             [truth[c] for c in cell_ids])
         _log(f"cluster: adjusted Rand vs truth = {ari:.4f}")
     series = clustering.cluster_mean_series(model, cells)
-    return model, curve, series
+    clustering.save_cluster_json(model, out)
+    if curve is not None:
+        clustering.save_sse_csv(curve, curve_path)
+    ingest.save_bins_json(series, series_path)
+    _log(f"cluster: wrote {out} and {series_path}")
+    return series
 
 
 def _best_run_seed(runs: list[training.TrainRunResult]) -> int:
@@ -315,10 +292,12 @@ def _train_stage(series: dict, grid: training.GridSpec, cfg: training.TrainConfi
             model_paths[label] = path
             _log(f"train: cluster {cluster} best {kind} = {label} "
                  f"(mean rmse {result.mean_rmse[label]:.6g}), model -> {path}")
+    _log(f"train: wrote results to {out_dir}")
     return result, model_paths
 
 
-def _compare_stage(result: training.GridResult, clusters: list[int]) -> dict:
+def _compare_stage(result: training.GridResult, clusters: list[int], out: str,
+                   box_path: str | None = None) -> None:
     report = {}
     for cluster in clusters:
         samples = _winner_samples(result, cluster)
@@ -328,13 +307,22 @@ def _compare_stage(result: training.GridResult, clusters: list[int]) -> dict:
         report[str(cluster)] = stats.comparison_report(samples)
         _log(f"compare: cluster {cluster} p={report[str(cluster)]['p_value']:.4g} "
              f"-> {report[str(cluster)]['verdict']}")
-    return report
+    stats.save_comparison_json(report, out)
+    if box_path:
+        stats.save_box_csv([s for c in clusters for s in _winner_samples(result, c)], box_path)
+    _log(f"compare: wrote {out}")
 
 
-def _write_predictions_csv(table: training.PredictionTable, fh) -> None:
-    fh.write("timestamp,truth,prediction\n")
-    for ts, truth, pred in zip(table.timestamps, table.truth, table.prediction):
-        fh.write(f"{int(ts)},{truth:.17g},{pred:.17g}\n")
+def _predict_stage(net: recurrent.RecurrentNetwork, scaler, series, out: str | None) -> None:
+    """Test-span predictions of series as CSV, to out or to stdout."""
+    table = training.predict_test_split(net, scaler, series)
+    with (open(out, "w", encoding="utf-8", newline="") if out else
+          contextlib.nullcontext(sys.stdout)) as fh:
+        fh.write("timestamp,truth,prediction\n")
+        for ts, truth, pred in zip(table.timestamps, table.truth, table.prediction):
+            fh.write(f"{int(ts)},{truth:.17g},{pred:.17g}\n")
+    if out:
+        _log(f"predict: wrote {out}")
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +330,7 @@ def _write_predictions_csv(table: training.PredictionTable, fh) -> None:
 
 def cmd_synth(args) -> int:
     if args.spec:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            spec = parse_synth_spec(json.load(fh), args.seed)
+        spec = jsonfile.load(args.spec, lambda doc: parse_synth_spec(doc, args.seed), ConfigError)
     else:
         spec = synth.well_separated_city(
             n_archetypes=args.archetypes, cells_per_archetype=args.cells,
@@ -354,26 +341,19 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    span = parse_span(args.span, args.utc_offset)
-    result = _ingest_paths(args.input, span)
-    ingest.save_bins_json(result.cells, args.out)
-    if args.csv:
-        ingest.save_bins_csv(result.cells, args.csv)
-    _log(f"ingest: wrote {args.out}")
+    _ingest_stage(args.input, parse_span(args.span, args.utc_offset), args.out, args.csv)
     return 0
 
 
 def cmd_cluster(args) -> int:
-    k = parse_k(args.k, "--k")
-    cells = ingest.load_bins_json(args.bins)
-    model, curve, series = _cluster_stage(
-        cells, k, args.kmax, args.seed, args.restarts,
-        args.utc_offset, args.truth, print_curve=True)
-    clustering.save_cluster_json(model, args.out)
-    if curve is not None:
-        clustering.save_sse_csv(curve, args.curve)
-    ingest.save_bins_json(series, args.series)
-    _log(f"cluster: wrote {args.out} and {args.series}")
+    try:
+        k = args.k if args.k == "auto" else int(args.k)
+    except ValueError:
+        raise ConfigError(f"--k must be an integer or 'auto', got {args.k!r}") from None
+    clustering.validate_settings(k, args.kmax, args.restarts, "--")
+    _cluster_stage(ingest.load_bins_json(args.bins), k, args.kmax, args.seed, args.restarts,
+                   args.utc_offset, args.truth, args.out, args.curve, args.series,
+                   print_curve=True)
     return 0
 
 
@@ -384,14 +364,12 @@ def cmd_train(args) -> int:
     if args.grid == "default":
         grid = training.GridSpec()
     else:
-        with open(args.grid, "r", encoding="utf-8") as fh:
-            grid = parse_grid(json.load(fh), "grid file")
+        grid = jsonfile.load(args.grid, lambda doc: parse_grid(doc, "grid file"), ConfigError)
     cfg = training.TrainConfig(epochs=args.epochs, batch_size=args.batch,
                                runs=args.runs, base_seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     _train_stage(series, grid, cfg, args.workers, args.out_dir,
                  record_timing=args.record_timing)
-    _log(f"train: wrote results to {args.out_dir}")
     return 0
 
 
@@ -415,14 +393,8 @@ def _parse_cluster_range(text: str, available: list[int]) -> list[int]:
 
 def cmd_compare(args) -> int:
     result = training.load_results_csv(args.results)
-    available = sorted({r.cluster for r in result.runs})
-    clusters = _parse_cluster_range(args.clusters, available)
-    report = _compare_stage(result, clusters)
-    stats.save_comparison_json(report, args.out)
-    if args.box:
-        samples = [s for cluster in clusters for s in _winner_samples(result, cluster)]
-        stats.save_box_csv(samples, args.box)
-    _log(f"compare: wrote {args.out}")
+    clusters = _parse_cluster_range(args.clusters, sorted({r.cluster for r in result.runs}))
+    _compare_stage(result, clusters, args.out, args.box)
     return 0
 
 
@@ -439,19 +411,12 @@ def cmd_predict(args) -> int:
         series = next(iter(cells.values()))
     else:
         raise ConfigError(f"{args.bins} holds {len(cells)} series; pass --cluster")
-    table = training.predict_test_split(net, scaler, series)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            _write_predictions_csv(table, fh)
-        _log(f"predict: wrote {args.out}")
-    else:
-        _write_predictions_csv(table, sys.stdout)
+    _predict_stage(net, scaler, series, args.out)
     return 0
 
 
 def cmd_pipeline(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = parse_pipeline_config(json.load(fh))
+    cfg = jsonfile.load(args.config, parse_pipeline_config, ConfigError)
     if args.workers is not None:
         cfg.workers = args.workers
     out = cfg.out_dir
@@ -465,31 +430,19 @@ def cmd_pipeline(args) -> int:
         _log(f"pipeline: synth wrote {len(input_paths)} day files")
         truth_path = os.path.join(data_dir, "truth.csv")
     else:
-        input_paths = cfg.input_paths
-        truth_path = None
+        input_paths, truth_path = cfg.input_paths, None
 
-    binned = _ingest_paths(input_paths, cfg.span)
-    ingest.save_bins_json(binned.cells, os.path.join(out, "bins.json"))
-
-    model, curve, series = _cluster_stage(
-        binned.cells, cfg.k, cfg.kmax, cfg.seed, cfg.restarts,
-        cfg.utc_offset_hours, truth_path)
-    clustering.save_cluster_json(model, os.path.join(out, "clusters.json"))
-    if curve is not None:
-        clustering.save_sse_csv(curve, os.path.join(out, "sse_curve.csv"))
-    ingest.save_bins_json(series, os.path.join(out, "cluster_series.json"))
-
+    binned = _ingest_stage(input_paths, cfg.span, os.path.join(out, "bins.json"))
+    series = _cluster_stage(binned.cells, cfg.k, cfg.kmax, cfg.seed, cfg.restarts,
+                            cfg.utc_offset_hours, truth_path, os.path.join(out, "clusters.json"),
+                            os.path.join(out, "sse_curve.csv"),
+                            os.path.join(out, "cluster_series.json"))
     result, model_paths = _train_stage(series, cfg.grid, cfg.train, cfg.workers, out)
-
-    report = _compare_stage(result, sorted(series))
-    stats.save_comparison_json(report, os.path.join(out, "comparison.json"))
-
+    _compare_stage(result, sorted(series), os.path.join(out, "comparison.json"))
     for cluster in sorted(series):
         net, scaler = recurrent.load_model_json(model_paths[result.best_config[cluster]])
-        table = training.predict_test_split(net, scaler, series[cluster])
-        with open(os.path.join(out, f"predictions_c{cluster}.csv"),
-                  "w", encoding="utf-8", newline="") as fh:
-            _write_predictions_csv(table, fh)
+        _predict_stage(net, scaler, series[cluster],
+                       os.path.join(out, f"predictions_c{cluster}.csv"))
     _log(f"pipeline: done, outputs in {out}")
     return 0
 
@@ -510,26 +463,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--archetypes", type=int, default=12)
     p.add_argument("--cells", type=int, default=50, help="cells per archetype")
     p.add_argument("--days", type=int, default=62)
-    p.add_argument("--noise", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--noise", type=finite_number, default=0.5)
+    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("ingest", help="bin raw CDR files into 30-minute series")
     p.add_argument("--input", required=True, nargs="+", help="CDR files or directories")
     p.add_argument("--span", required=True, help="local date range, e.g. 2013-11-01..2014-01-02")
-    p.add_argument("--utc-offset", type=float, default=1.0, dest="utc_offset",
-                   help="local clock offset in hours (default 1, Milan)")
+    p.add_argument("--utc-offset", type=finite_number, default=PipelineConfig.utc_offset_hours,
+                   dest="utc_offset", help="local clock offset in hours (default %(default)s, Milan)")
     p.add_argument("--out", required=True, help="bins JSON output")
     p.add_argument("--csv", help="also write bins as CSV")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("cluster", help="cluster cells on day-period profiles")
     p.add_argument("--bins", required=True)
-    p.add_argument("--k", default="auto", help="cluster count, or 'auto' for the elbow pick")
-    p.add_argument("--kmax", type=int, default=50)
-    p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--utc-offset", type=float, default=1.0, dest="utc_offset")
+    p.add_argument("--k", default=PipelineConfig.k,
+                   help="cluster count, or 'auto' for the elbow pick")
+    p.add_argument("--kmax", type=int, default=PipelineConfig.kmax)
+    p.add_argument("--restarts", type=int, default=PipelineConfig.restarts)
+    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
+    p.add_argument("--utc-offset", type=finite_number, default=PipelineConfig.utc_offset_hours,
+                   dest="utc_offset")
     p.add_argument("--truth", help="truth.csv to score the clustering against")
     p.add_argument("--out", default="clusters.json")
     p.add_argument("--curve", default="sse_curve.csv")
@@ -541,11 +496,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clusters", required=True, help="clusters.json")
     p.add_argument("--bins", required=True, help="bins.json the clusters came from")
     p.add_argument("--grid", default="default", help="'default' or a grid JSON file")
-    p.add_argument("--runs", type=int, default=30)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--runs", type=int, default=training.TrainConfig.runs)
+    p.add_argument("--epochs", type=int, default=training.TrainConfig.epochs)
+    p.add_argument("--batch", type=int, default=training.TrainConfig.batch_size)
+    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
+    p.add_argument("--workers", type=int, default=PipelineConfig.workers)
     p.add_argument("--record-timing", action="store_true", dest="record_timing",
                    help="write wall times into results.csv (breaks rerun byte-identity)")
     p.add_argument("--out-dir", default=".", dest="out_dir")

@@ -10,13 +10,13 @@ the elbow).
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import jsonfile
 from .errors import (
+    ConfigError,
     CurveTooShort,
     Empty,
     EmptySeries,
@@ -34,6 +34,7 @@ N_PERIODS = 6
 HOURS_PER_PERIOD = 4
 PERIOD_NAMES = ("LateNight", "EarlyMorning", "Morning", "Afternoon", "Evening", "Night")
 DEFAULT_UTC_OFFSET_HOURS = 1.0  # Milan's local clock in the source data
+DEFAULT_RESTARTS = 10
 
 
 @dataclass(frozen=True)
@@ -208,8 +209,20 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray,
     return centroids, labels, sse, history, iterations
 
 
+def validate_settings(k, k_max: int, restarts: int, prefix: str) -> None:
+    """The rules for a clustering run, checked before any work: k >= 1 or
+    "auto", restarts >= 1, and k_max >= 3 when k is "auto", since an elbow
+    needs three points. Errors name each setting as prefix + its key."""
+    if k != "auto" and k < 1:
+        raise ConfigError(f"{prefix}k must be >= 1 or 'auto', got {k}")
+    if restarts < 1:
+        raise ConfigError(f"{prefix}restarts must be >= 1, got {restarts}")
+    if k == "auto" and k_max < 3:
+        raise ConfigError(f"{prefix}kmax must be >= 3 when k is 'auto', got {k_max}")
+
+
 def kmeans(profiles: list[PeriodProfile] | ProfileMatrix, k: int, seed: int = 0,
-           max_iter: int = 300, restarts: int = 10,
+           max_iter: int = 300, restarts: int = DEFAULT_RESTARTS,
            _seedings: list[np.ndarray] | None = None) -> ClusterModel:
     """Best-of-restarts Lloyd clustering of the period profiles, given as
     a list or as a ProfileMatrix built once for several fits.
@@ -246,7 +259,7 @@ def kmeans(profiles: list[PeriodProfile] | ProfileMatrix, k: int, seed: int = 0,
 
 
 def elbow_scan(profiles: list[PeriodProfile], k_max: int, seed: int = 0,
-               restarts: int = 10) -> SseCurve:
+               restarts: int = DEFAULT_RESTARTS) -> SseCurve:
     """Best-of-restarts SSE for every k in 1..k_max, with k_max capped at
     the number of distinct profiles (cells with equal profiles, such as
     dead all-zero cells, cannot be split).
@@ -378,9 +391,7 @@ def save_cluster_json(model: ClusterModel, path: str) -> None:
         "assignment": {str(cid): model.assignment[cid] for cid in sorted(model.assignment)},
         "sse": float(model.sse),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    jsonfile.save(path, payload, indent=2)
 
 
 def _clusters_from_doc(doc: dict) -> ClusterModel:

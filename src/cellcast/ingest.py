@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import os
 import re
@@ -408,10 +407,7 @@ def save_bins_json(cells: dict[int, BinnedCellSeries], path: str) -> None:
             "bin_width_minutes": any_series.bin_width_ms // 60000,
             "cells": {str(cid): cells[cid].values.tolist() for cid in sorted(cells)},
         }
-    with open(path, "w", encoding="utf-8") as fh:
-        # json.dumps uses the C encoder; json.dump(doc, fh) never does.
-        fh.write(json.dumps(doc))
-        fh.write("\n")
+    jsonfile.save(path, doc)
 
 
 def _bins_from_doc(doc: dict) -> dict[int, BinnedCellSeries]:

@@ -1,5 +1,5 @@
-"""Reading the pipeline's JSON artefacts (bins, clusters, models) so that
-every load error names the file and the key, e.g.
+"""Reading and writing the pipeline's JSON files. Every load error names
+the file and the key, e.g.
 `clusters.json: assignment.7: 3, expected a cluster in 0..2`."""
 
 from __future__ import annotations
@@ -9,12 +9,20 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from .errors import MalformedFile
+from .errors import MalformedFile, ValidationError
 
 T = TypeVar("T")
 
 
-def load(path: str, parse: Callable[[dict], T], error: type[MalformedFile]) -> T:
+def save(path: str, doc, indent: int | None = None) -> None:
+    """Write doc as JSON plus a newline. json.dumps uses the C encoder
+    when indent is None; json.dump(doc, fh) never does."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=indent))
+        fh.write("\n")
+
+
+def load(path: str, parse: Callable[[dict], T], error: type[ValidationError]) -> T:
     """parse(document) of the JSON object in the file at path. Text that is
     not a JSON object, and a MalformedFile raised by parse, become `error`
     with the path in front of the message."""

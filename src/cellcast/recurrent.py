@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import base64
 import functools
-import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -880,9 +879,7 @@ def save_model_json(net: RecurrentNetwork, scaler: MinMaxScaler | None, path: st
                     layer.OPTION: layer.OPTIONAL in layer._shapes} for layer in net.layers],
         "parameters": base64.b64encode(net.flat.astype("<f8", copy=False).tobytes()).decode("ascii"),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload))
-        fh.write("\n")
+    jsonfile.save(path, payload)
 
 
 # The top-level keys of a format-3 file, all required.

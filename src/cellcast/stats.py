@@ -9,12 +9,12 @@ back the dispersion analysis.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import jsonfile
 from .errors import DomainError, Empty, EmptyGroup, LengthMismatch, TooFewGroups
 
 SIGNIFICANCE = 0.05
@@ -189,9 +189,7 @@ def comparison_report(samples: list[MetricSample]) -> dict:
 
 
 def save_comparison_json(report: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    jsonfile.save(path, report, indent=2)
 
 
 def save_box_csv(samples: list[MetricSample], path: str) -> None:

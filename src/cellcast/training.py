@@ -11,12 +11,12 @@ mean RMSE, and breaks near-ties by median, dispersion, then model size.
 from __future__ import annotations
 
 import csv
-import json
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import jsonfile
 from .errors import ConfigError, ConstantSeries, MalformedResults, UnknownCluster
 from .ingest import BIN_WIDTH_MS, BinnedCellSeries
 from .prep import (
@@ -419,9 +419,7 @@ def save_summary_json(result: GridResult, path: str) -> None:
                 "best": label in best,
             }
         summary[str(cluster)] = entries
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    jsonfile.save(path, summary, indent=2)
 
 
 def save_loss_traces_csv(result: GridResult, path: str) -> None:

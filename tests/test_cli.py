@@ -549,3 +549,124 @@ class TestSubcommandsStandalone:
         assert json.loads(out.read_text())["k"] == 2
         assert curve.read_text().splitlines()[0] == "k,sse"
         assert set(json.loads(series.read_text())["cells"]) == {"0", "1"}
+
+
+def _expect_rejected(argv, capsys, named, out):
+    """argv exits 2 naming `named` and leaves `out` unwritten."""
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+class TestStrictConfigTypes:
+    """A config number takes a finite JSON number that is not a bool, and
+    out_dir and span take strings: nothing is coerced."""
+
+    SPEC_CASES = {
+        "text_base_level": (lambda a: a.update(base_level="15"), "base_level"),
+        "text_and_bool_weights": (lambda a: a.update(period_weights=["5", True, 1, 1, 1, 1]),
+                                  "period_weights"),
+        "text_noise_sd": (lambda a: a.update(noise_sd="0.3"), "noise_sd"),
+        "nan_base_level": (lambda a: a.update(base_level=float("nan")), "base_level"),
+        "infinite_noise_sd": (lambda a: a.update(noise_sd=float("inf")), "noise_sd"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SPEC_CASES))
+    def test_synth_spec(self, tmp_path, capsys, case):
+        mutate, key = self.SPEC_CASES[case]
+        spec = {"archetypes": [{"id": 0, "base_level": 15, "period_weights": [5, 1, 1, 1, 1, 1],
+                                "noise_sd": 0.3}], "days": 2}
+        mutate(spec["archetypes"][0])
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "raw"
+        _expect_rejected(["synth", "--spec", str(path), "--out", str(out)], capsys,
+                         f"synth.archetypes[0].{key}", out)
+
+    CONFIG_CASES = {
+        "text_utc_offset": (lambda c: c.update(utc_offset_hours="1"), "config.utc_offset_hours"),
+        "infinite_utc_offset": (lambda c: c.update(utc_offset_hours=float("inf")),
+                                "config.utc_offset_hours"),
+        "null_out_dir": (lambda c: c.update(out_dir=None), "config.out_dir"),
+        "number_span": (lambda c: c.update(span=20131101), "config.span"),
+        "text_days": (lambda c: c["synth"].update(days="3"), "synth.days"),
+        "text_seed": (lambda c: c.update(seed="3"), "config.seed"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CONFIG_CASES))
+    def test_pipeline_config(self, tmp_path, capsys, monkeypatch, case):
+        mutate, named = self.CONFIG_CASES[case]
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        config = _small_pipeline(out, _two_archetype_synth())
+        mutate(config)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        _expect_rejected(["pipeline", "--config", str(path)], capsys, named, out)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("command", ["pipeline", "synth", "train"])
+def test_invalid_json_names_the_file(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"out_dir": "o", ')
+    bins, clusters = tmp_path / "bins.json", tmp_path / "clusters.json"
+    bins.write_text(json.dumps(_bins_doc()))
+    clusters.write_text(json.dumps(_clusters_doc()))
+    out = tmp_path / "out"
+    argv = {"pipeline": ["pipeline", "--config", str(bad)],
+            "synth": ["synth", "--spec", str(bad), "--out", str(out)],
+            "train": ["train", "--clusters", str(clusters), "--bins", str(bins),
+                      "--grid", str(bad), "--out-dir", str(out)]}[command]
+    _expect_rejected(argv, capsys, f"{bad}: not valid JSON", out)
+
+
+class TestClusterSettings:
+    """restarts >= 1, and kmax >= 3 when k is "auto", checked before any
+    file is written."""
+
+    @pytest.mark.parametrize("edit,named", [
+        ({"restarts": 0}, "config.restarts"), ({"restarts": -1}, "config.restarts"),
+        ({"k": "auto", "kmax": 0}, "config.kmax"), ({"k": "auto", "kmax": 2}, "config.kmax")],
+        ids=["restarts_0", "restarts_negative", "kmax_0", "kmax_2"])
+    def test_pipeline(self, tmp_path, capsys, edit, named):
+        out = tmp_path / "out"
+        config = _small_pipeline(out, _two_archetype_synth())
+        config.update(edit)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        _expect_rejected(["pipeline", "--config", str(path)], capsys, named,
+                         out / "bins.json")
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--k", "2", "--restarts", "0"], "--restarts"),
+        (["--k", "auto", "--restarts", "0"], "--restarts"),
+        (["--k", "auto", "--kmax", "2"], "--kmax")],
+        ids=["k_2_restarts_0", "auto_restarts_0", "auto_kmax_2"])
+    def test_cluster(self, tmp_path, capsys, flags, named):
+        bins = tmp_path / "bins.json"
+        bins.write_text(json.dumps(_bins_doc()))
+        out = tmp_path / "clusters.json"
+        _expect_rejected(["cluster", "--bins", str(bins), *flags, "--out", str(out),
+                          "--curve", str(tmp_path / "curve.csv"),
+                          "--series", str(tmp_path / "series.json")], capsys, named, out)
+
+    def test_fixed_k_needs_no_elbow_range(self):
+        config = _small_pipeline("out", _two_archetype_synth())
+        config.update(k=2, kmax=1)
+        assert parse_pipeline_config(config).kmax == 1
+
+
+@pytest.mark.parametrize("flag,value", [("--noise", "nan"), ("--utc-offset", "inf"),
+                                        ("--utc-offset", "nan")])
+def test_non_finite_flag_exits_two(tmp_path, capsys, flag, value):
+    """A float flag takes a finite number, as a config number does."""
+    out = tmp_path / "out"
+    argv = {"--noise": ["synth", "--cells", "1", "--days", "1", "--out", str(out)],
+            "--utc-offset": ["ingest", "--input", str(tmp_path),
+                             "--span", "2013-11-01..2013-11-02", "--out", str(out)]}[flag]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not out.exists()
