@@ -32,8 +32,8 @@ for a_idx, arch in enumerate(spec.archetypes):
         truth.append(a_idx)
 
 profiles = build_profiles(series)
-print(f"built {len(profiles)} profiles; cell 1 day-period means:")
-print("  " + ", ".join(f"{m:.1f}" for m in profiles[0].means))
+print(f"built {len(profiles.cell_ids)} profiles; cell 1 day-period means:")
+print("  " + ", ".join(f"{m:.1f}" for m in profiles.points[0]))
 
 curve = elbow_scan(profiles, k_max=10, seed=0)
 print("\nSSE by k:")

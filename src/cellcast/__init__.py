@@ -4,7 +4,7 @@ search and rank-test evaluation."""
 
 from .clustering import (
     ClusterModel,
-    PeriodProfile,
+    ProfileMatrix,
     SseCurve,
     adjusted_rand_index,
     build_profiles,
@@ -12,7 +12,6 @@ from .clustering import (
     elbow_scan,
     kmeans,
     knee_point,
-    period_profile,
 )
 from .errors import CellcastError, ValidationError
 from .ingest import (

@@ -200,6 +200,7 @@ def _pipeline_config(out_dir, synth=None, input=None, span=None, grid=None, trai
     cfg = PipelineConfig(out_dir, spec, input, span, grid_spec, train_cfg,
                          utc_offset_hours=utc_offset_hours, seed=seed, **settings)
     clustering.validate_settings(cfg.k, cfg.kmax, cfg.restarts, "config.")
+    training.validate_workers(cfg.workers, "config.workers")
     return cfg
 
 
@@ -358,6 +359,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_train(args) -> int:
+    training.validate_workers(args.workers, "--workers")
     model = clustering.load_cluster_json(args.clusters)
     cells = ingest.load_bins_json(args.bins)
     series = clustering.cluster_mean_series(model, cells)
@@ -418,6 +420,7 @@ def cmd_predict(args) -> int:
 def cmd_pipeline(args) -> int:
     cfg = jsonfile.load(args.config, parse_pipeline_config, ConfigError)
     if args.workers is not None:
+        training.validate_workers(args.workers, "--workers")
         cfg.workers = args.workers
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
@@ -460,10 +463,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate synthetic CDR data")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--spec", help="synth spec JSON (overrides the preset flags)")
-    p.add_argument("--archetypes", type=int, default=12)
-    p.add_argument("--cells", type=int, default=50, help="cells per archetype")
-    p.add_argument("--days", type=int, default=62)
-    p.add_argument("--noise", type=finite_number, default=0.5)
+    preset = inspect.signature(synth.well_separated_city).parameters
+    p.add_argument("--archetypes", type=int, default=preset["n_archetypes"].default)
+    p.add_argument("--cells", type=int, default=preset["cells_per_archetype"].default,
+                   help="cells per archetype")
+    p.add_argument("--days", type=int, default=preset["days"].default)
+    p.add_argument("--noise", type=finite_number, default=preset["noise_sd"].default)
     p.add_argument("--seed", type=int, default=PipelineConfig.seed)
     p.set_defaults(func=cmd_synth)
 

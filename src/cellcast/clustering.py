@@ -37,18 +37,6 @@ DEFAULT_UTC_OFFSET_HOURS = 1.0  # Milan's local clock in the source data
 DEFAULT_RESTARTS = 10
 
 
-@dataclass(frozen=True)
-class PeriodProfile:
-    """Mean 30-minute activity of one cell per day period.
-
-    ``means`` is ordered [LateNight, EarlyMorning, Morning, Afternoon,
-    Evening, Night], i.e. by period start hour 0, 4, 8, 12, 16, 20.
-    """
-
-    cell_id: int
-    means: np.ndarray
-
-
 @dataclass
 class ClusterModel:
     k: int
@@ -66,54 +54,52 @@ class SseCurve:
     entries: list[tuple[int, float]]  # (k, sse), k strictly increasing
 
 
-def bin_periods(series: BinnedCellSeries, utc_offset_hours: float) -> np.ndarray:
-    """Day-period index (0..5) of each bin's local start time."""
-    offset_ms = round(utc_offset_hours * MS_PER_HOUR)
-    starts = series.span_start + np.arange(series.n_bins, dtype=np.int64) * series.bin_width_ms
-    local_hours = ((starts + offset_ms) // MS_PER_HOUR) % 24
-    return (local_hours // HOURS_PER_PERIOD).astype(np.intp)
+@dataclass(frozen=True)
+class ProfileMatrix:
+    """Day-period profiles as rows, in ``cell_ids`` order, and their count
+    of distinct rows (the largest k they can be split into). Columns are
+    [LateNight, EarlyMorning, Morning, Afternoon, Evening, Night], i.e.
+    periods starting at local hour 0, 4, 8, 12, 16, 20."""
+
+    cell_ids: list[int]
+    points: np.ndarray
+    n_distinct: int = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "n_distinct", np.unique(self.points, axis=0).shape[0])
 
 
-def period_profile(series: BinnedCellSeries,
-                   utc_offset_hours: float = DEFAULT_UTC_OFFSET_HOURS) -> PeriodProfile:
-    """Average the series within each of the six four-hour day periods.
+def build_profiles(cells: dict[int, BinnedCellSeries],
+                   utc_offset_hours: float = DEFAULT_UTC_OFFSET_HOURS) -> ProfileMatrix:
+    """The mean 30-minute activity of every cell in each of the six
+    four-hour day periods of its local clock, rows ordered by cell id.
 
     Periods are start-inclusive, end-exclusive: a bin starting 04:00
     local time counts toward EarlyMorning. Periods with no bins (series
     shorter than a day) get mean 0.
     """
-    if series.n_bins == 0:
-        raise EmptySeries(f"cell {series.cell_id} has no bins")
-    periods = bin_periods(series, utc_offset_hours)
-    sums = np.bincount(periods, weights=series.values, minlength=N_PERIODS)
-    counts = np.bincount(periods, minlength=N_PERIODS)
-    means = np.divide(sums, counts, out=np.zeros(N_PERIODS), where=counts > 0)
-    return PeriodProfile(cell_id=series.cell_id, means=means)
-
-
-def build_profiles(cells: dict[int, BinnedCellSeries],
-                   utc_offset_hours: float = DEFAULT_UTC_OFFSET_HOURS) -> list[PeriodProfile]:
-    """Profiles for every cell, ordered by cell id."""
-    return [period_profile(cells[cid], utc_offset_hours) for cid in sorted(cells)]
-
-
-@dataclass(frozen=True)
-class ProfileMatrix:
-    """Profiles stacked as rows, in input order, with their count of
-    distinct rows (the largest k they can be split into)."""
-
-    cell_ids: list[int]
-    points: np.ndarray
-    n_distinct: int
-
-
-def profile_matrix(profiles: list[PeriodProfile]) -> ProfileMatrix:
-    """Stack the profiles and count their distinct rows once."""
-    if not profiles:
+    if not cells:
         raise TooFewPoints("no profiles to cluster")
-    points = np.vstack([np.asarray(p.means, dtype=np.float64) for p in profiles])
-    return ProfileMatrix(cell_ids=[p.cell_id for p in profiles], points=points,
-                         n_distinct=np.unique(points, axis=0).shape[0])
+    ids = sorted(cells)
+    spans: dict[tuple[int, int, int], list[int]] = {}
+    for row, cid in enumerate(ids):
+        series = cells[cid]
+        if series.n_bins == 0:
+            raise EmptySeries(f"cell {series.cell_id} has no bins")
+        spans.setdefault((series.span_start, series.bin_width_ms, series.n_bins), []).append(row)
+    offset_ms = round(utc_offset_hours * MS_PER_HOUR)
+    points = np.empty((len(ids), N_PERIODS))
+    for (span_start, width, n_bins), rows in spans.items():
+        starts = span_start + offset_ms + np.arange(n_bins, dtype=np.int64) * width
+        periods = (starts // MS_PER_HOUR % 24 // HOURS_PER_PERIOD).astype(np.intp)
+        # One bincount over (row, period) keys adds each row's bins in
+        # index order, as a bincount of that row alone does.
+        keys = (np.arange(len(rows))[:, None] * N_PERIODS + periods).ravel()
+        values = np.concatenate([cells[ids[row]].values for row in rows])
+        sums = np.bincount(keys, values, len(rows) * N_PERIODS).reshape(len(rows), N_PERIODS)
+        counts = np.bincount(periods, minlength=N_PERIODS)
+        points[rows] = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+    return ProfileMatrix(cell_ids=ids, points=points)
 
 
 def _init_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -221,11 +207,10 @@ def validate_settings(k, k_max: int, restarts: int, prefix: str) -> None:
         raise ConfigError(f"{prefix}kmax must be >= 3 when k is 'auto', got {k_max}")
 
 
-def kmeans(profiles: list[PeriodProfile] | ProfileMatrix, k: int, seed: int = 0,
+def kmeans(profiles: ProfileMatrix, k: int, seed: int = 0,
            max_iter: int = 300, restarts: int = DEFAULT_RESTARTS,
            _seedings: list[np.ndarray] | None = None) -> ClusterModel:
-    """Best-of-restarts Lloyd clustering of the period profiles, given as
-    a list or as a ProfileMatrix built once for several fits.
+    """Best-of-restarts Lloyd clustering of the period profiles.
 
     Restart r draws from its own stream derived as [seed, r], so adding
     restarts never perturbs earlier ones, and the same restart explores
@@ -238,10 +223,10 @@ def kmeans(profiles: list[PeriodProfile] | ProfileMatrix, k: int, seed: int = 0,
     """
     if k < 1:
         raise InvalidK(f"k must be >= 1, got {k}")
-    matrix = profiles if isinstance(profiles, ProfileMatrix) else profile_matrix(profiles)
-    if matrix.n_distinct < k:
-        raise TooFewPoints(f"{matrix.n_distinct} distinct profiles < k={k}")
-    points = matrix.points
+    validate_settings(k, k, restarts, "")
+    if profiles.n_distinct < k:
+        raise TooFewPoints(f"{profiles.n_distinct} distinct profiles < k={k}")
+    points = profiles.points
 
     best = None
     for r in range(restarts):
@@ -253,12 +238,12 @@ def kmeans(profiles: list[PeriodProfile] | ProfileMatrix, k: int, seed: int = 0,
         if best is None or result[2] < best[2]:
             best = result
     centroids, labels, sse, history, iterations = best
-    assignment = dict(zip(matrix.cell_ids, labels.tolist()))
+    assignment = dict(zip(profiles.cell_ids, labels.tolist()))
     return ClusterModel(k=k, centroids=centroids, assignment=assignment,
                         iterations_run=iterations, sse=sse, sse_history=history)
 
 
-def elbow_scan(profiles: list[PeriodProfile], k_max: int, seed: int = 0,
+def elbow_scan(profiles: ProfileMatrix, k_max: int, seed: int = 0,
                restarts: int = DEFAULT_RESTARTS) -> SseCurve:
     """Best-of-restarts SSE for every k in 1..k_max, with k_max capped at
     the number of distinct profiles (cells with equal profiles, such as
@@ -269,19 +254,18 @@ def elbow_scan(profiles: list[PeriodProfile], k_max: int, seed: int = 0,
     TooFewPoints
         Fewer than three distinct profiles, too few for an elbow.
     """
-    matrix = profile_matrix(profiles)
-    if matrix.n_distinct < 3:
+    if profiles.n_distinct < 3:
         raise TooFewPoints(f"an elbow scan needs at least 3 distinct profiles, "
-                           f"got {matrix.n_distinct}")
-    k_top = min(k_max, matrix.n_distinct)
+                           f"got {profiles.n_distinct}")
+    k_top = min(k_max, profiles.n_distinct)
     # Centroid j is drawn from the first j centroids and the restart's
     # stream alone, never from k, so the seeding for any k is the first k
     # rows of the seeding for k_top: draw each restart's seeding once.
-    seedings = [_init_centroids(matrix.points, k_top, np.random.default_rng([seed, r]))
+    seedings = [_init_centroids(profiles.points, k_top, np.random.default_rng([seed, r]))
                 for r in range(restarts)]
     entries = []
     for k in range(1, k_top + 1):
-        model = kmeans(matrix, k, seed=seed, restarts=restarts, _seedings=seedings)
+        model = kmeans(profiles, k, seed=seed, restarts=restarts, _seedings=seedings)
         entries.append((k, model.sse))
     return SseCurve(entries=entries)
 

@@ -17,10 +17,9 @@ import csv
 import io
 import math
 import os
-import re
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -88,72 +87,73 @@ class BinningResult:
 
 def _activity(field: str) -> float:
     """loadtxt converter for the activity column. An empty field (the
-    dataset's mark of an inactive channel) becomes NaN, so a literal
-    NaN in the file is rejected here to keep that mark unambiguous;
-    infinities are rejected after parsing."""
-    if field.strip():
+    dataset's mark of an inactive channel) becomes NaN; a literal NaN is
+    rejected to keep that mark unambiguous, as is any other non-number.
+    Infinities are rejected after parsing."""
+    if not field.strip():
+        return math.nan
+    try:
         value = float(field)
-        if value == value:
-            return value
+    except ValueError:
+        raise MalformedLine(f"non-numeric activity field: {field!r:.100}") from None
+    if value != value:
         raise MalformedLine(f"non-finite activity value: {field.strip()!r}")
-    return math.nan
+    return value
 
 
-def _load_table(source, columns: ColumnMap, skip: int,
-                max_rows: Optional[int] = None) -> np.ndarray:
+def _load_table(source, columns: ColumnMap, skip: int) -> np.ndarray:
     """All data rows of `source` (a path or a list of lines) as a CDR_DTYPE
     array; rows with an empty activity field hold NaN there. loadtxt skips
     empty lines and raises ValueError on the first row it cannot read."""
     with warnings.catch_warnings():
-        # An empty file, or empty lines before max_rows is reached, is normal here.
+        # An empty file is normal here.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        warnings.filterwarnings("ignore", r"Input line \d+ contained no data", UserWarning)
         return np.loadtxt(
             source, dtype=CDR_DTYPE, delimiter="\t", comments=None,
             usecols=(columns.cell_id, columns.timestamp, columns.internet),
             converters={columns.internet: _activity},
-            skiprows=skip, max_rows=max_rows, ndmin=1, encoding="utf-8")
+            skiprows=skip, ndmin=1, encoding="utf-8")
 
 
-# loadtxt's error messages; the first counts rows from 1, the second from 0.
-_SHORT_ROW = re.compile(r"invalid column index \d+ at row (\d+) with (\d+) columns")
-_BAD_FIELD = re.compile(r"could not convert string (.*) to \w+ at row (\d+), column (\d+)")
+def _int64(field: str, name: str) -> int:
+    """An integer field as loadtxt reads int64: an optional sign and ASCII
+    digits with whitespace around, inside the int64 range. Leading zeros
+    aside, at most 19 digits reach int(), which refuses very long text."""
+    text = field.strip()
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if digits.isascii() and digits.isdigit() and len(digits.lstrip("0")) <= 19:
+        if -2**63 <= int(text) < 2**63:
+            return int(text)
+    raise MalformedLine(f"non-numeric or non-integer {name}: {field!r:.100}")
 
 
-def _read_failure(exc: ValueError, columns: ColumnMap) -> Optional[tuple[int, str]]:
-    """(0-based data row, message) of a loadtxt failure, None if unknown."""
-    text = str(exc)
-    short = _SHORT_ROW.search(text)
-    if short:
+def _line_record(line: str, columns: ColumnMap) -> tuple[int, int, float]:
+    """The record of one non-blank CDR line, read by the rules that
+    _load_table reads it with and then held to the value rules; raises
+    the first rule the line breaks, without its location.
+
+    Fields are read in turn (cell id, timestamp, activity), and one that
+    is missing when its turn comes makes a short line. Unless the
+    activity is empty (NaN), the cell id must be >= 1 and the activity
+    finite and >= 0. A field is quoted cut at 100 characters, so that a
+    garbage line cannot flood the message.
+    """
+    fields = line.rstrip("\r\n").split("\t")
+    try:
+        cell_id = _int64(fields[columns.cell_id], "cell id")
+        timestamp = _int64(fields[columns.timestamp], "timestamp")
+        activity = _activity(fields[columns.internet])
+    except IndexError:
         needed = max(columns.cell_id, columns.timestamp, columns.internet) + 1
-        return int(short[1]) - 1, f"expected at least {needed} columns, got {short[2]}"
-    bad = _BAD_FIELD.search(text)
-    if bad is None:
-        return None
-    field, row, column = bad[1], int(bad[2]), int(bad[3]) - 1
-    if isinstance(exc.__cause__, MalformedLine):
-        return row, str(exc.__cause__)
-    if column == columns.internet:
-        return row, f"non-numeric activity field: {field}"
-    name = "cell id" if column == columns.cell_id else "timestamp"
-    return row, f"non-numeric or non-integer {name}: {field}"
-
-
-def _check_values(table: np.ndarray, where: Callable[[int], str]) -> None:
-    """Raise for the first row that breaks a value rule, in the order a
-    line is checked: cell id >= 1, finite activity, activity >= 0. Rows
-    with an empty activity field are skipped records and not checked."""
-    cell, activity = table["cell_id"], table["activity"]
-    bad = ((cell < 1) & ~np.isnan(activity)) | np.isinf(activity) | (activity < 0)
-    if not bad.any():
-        return
-    row = int(np.argmax(bad))
-    cell_id, value = int(cell[row]), float(activity[row])
-    if cell_id < 1:
-        raise MalformedLine(f"{where(row)}: cell id must be >= 1, got {cell_id}")
-    if math.isinf(value):
-        raise MalformedLine(f"{where(row)}: non-finite activity value: {value}")
-    raise NegativeActivity(f"{where(row)}: activity {value} < 0")
+        raise MalformedLine(f"expected at least {needed} columns, got {len(fields)}") from None
+    if activity == activity:
+        if cell_id < 1:
+            raise MalformedLine(f"cell id must be >= 1, got {cell_id}")
+        if math.isinf(activity):
+            raise MalformedLine(f"non-finite activity value: {activity}")
+        if activity < 0:
+            raise NegativeActivity(f"activity {activity} < 0")
+    return cell_id, timestamp, activity
 
 
 def _lines(source) -> list[str]:
@@ -171,44 +171,32 @@ def _lines(source) -> list[str]:
     return io.StringIO(text, newline=None).readlines()
 
 
-def _locator(name: str, source, skip: int) -> Callable[[int], str]:
-    """Maps a loadtxt data row to `name:line`, counting the skipped
-    header and the empty lines loadtxt passes over."""
-    def where(row: int) -> str:
-        lines = _lines(source)
-        seen = -1
-        for number in range(skip, len(lines)):
-            seen += bool(lines[number].rstrip("\r\n"))
-            if seen == row:
-                return f"{name}:{number + 1}"
-        return name
-    return where
-
-
 def _parse(source, name: str, skip: int, columns: ColumnMap) -> np.ndarray:
     """The records of one CDR text as a CDR_DTYPE array, in line order.
-    Errors name `name` and the 1-based line."""
-    where = _locator(name, source, skip)
+    An error names `name` and the 1-based line that breaks a rule."""
     try:
         table = _load_table(source, columns, skip)
     except ValueError as exc:
-        lines = _lines(source)
-        if any(line.isspace() and line != "\n" for line in lines):
-            # Whitespace-only lines are blank here but rows to loadtxt: read
-            # again with them emptied, which keeps every line number.
-            blanked = ["\n" if line.isspace() else line for line in lines]
-            return _parse(blanked, name, skip, columns)
-        failure = _read_failure(exc, columns)
-        if failure is None:
-            raise MalformedLine(f"{name}: {exc}") from None
-        row, message = failure
-        # Report a value error on an earlier line first, as a line-by-line
-        # reader would.
-        _check_values(_load_table(source, columns, skip, max_rows=row), where)
-        raise MalformedLine(f"{where(row)}: {message}") from None
-    _check_values(table, where)
-    present = ~np.isnan(table["activity"])
-    return table if present.all() else table[present]
+        failure = str(exc)
+    else:
+        cell, activity = table["cell_id"], table["activity"]
+        present = ~np.isnan(activity)
+        # The value rules of _line_record over every record at once.
+        if not (((cell < 1) & present) | np.isinf(activity) | (activity < 0)).any():
+            return table if present.all() else table[present]
+        failure = "a record breaks a value rule"
+    lines = _lines(source)
+    for number in range(skip, len(lines)):
+        if lines[number].strip():
+            try:
+                _line_record(lines[number], columns)
+            except (MalformedLine, NegativeActivity) as exc:
+                raise type(exc)(f"{name}:{number + 1}: {exc}") from None
+    if any(line.isspace() and line != "\n" for line in lines):
+        # Whitespace-only lines are blank here but rows to loadtxt: read
+        # again with them emptied, which keeps every line number.
+        return _parse(["\n" if line.isspace() else line for line in lines], name, skip, columns)
+    raise MalformedLine(f"{name}: {failure}")
 
 
 def read_cdr_file(path: str, columns: ColumnMap = DEFAULT_COLUMNS) -> np.ndarray:

@@ -73,17 +73,9 @@ def mae(f, y) -> float:
 
 def average_ranks(pooled: np.ndarray) -> np.ndarray:
     """Ranks 1..N with ties sharing the average of the ranks they span."""
-    order = np.argsort(pooled, kind="stable")
-    ranks = np.empty(pooled.size)
-    i = 0
-    while i < pooled.size:
-        j = i
-        while j + 1 < pooled.size and pooled[order[j + 1]] == pooled[order[i]]:
-            j += 1
-        # positions i..j (0-based) share ranks i+1..j+1
-        ranks[order[i:j + 1]] = (i + j + 2) / 2.0
-        i = j + 1
-    return ranks
+    values, counts = np.unique(pooled, return_counts=True)
+    # A group of t equal values ending at rank c spans ranks c-t+1..c.
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[np.searchsorted(values, pooled)]
 
 
 def kruskal_wallis(samples: list[MetricSample]) -> KruskalWallisResult:

@@ -107,6 +107,11 @@ def validate_train_config(cfg: TrainConfig) -> None:
         raise ConfigError(f"runs must be >= 1, got {cfg.runs}")
 
 
+def validate_workers(workers: int, name: str = "workers") -> None:
+    if workers < 1:
+        raise ConfigError(f"{name} must be >= 1, got {workers}")
+
+
 def validate_grid(grid: GridSpec) -> None:
     if not grid.hidden_layers or not grid.units or not grid.cell_kinds:
         raise ConfigError("grid axes must be non-empty")
@@ -215,6 +220,7 @@ def grid_search(grid: GridSpec, datasets: list[ClusterDataset], cfg: TrainConfig
     """
     validate_grid(grid)
     validate_train_config(cfg)
+    validate_workers(workers)
     if not datasets:
         raise ConfigError("no cluster datasets given")
 

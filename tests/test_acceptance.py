@@ -23,7 +23,7 @@ from cellcast import (
     LstmLayerParams,
     LstmState,
     MetricSample,
-    PeriodProfile,
+    ProfileMatrix,
     SynthSpec,
     TrainConfig,
     adjusted_rand_index,
@@ -154,7 +154,7 @@ def test_03_clustering_matches_exhaustive_oracle():
     for instance in range(20):
         rng = np.random.default_rng(instance)
         points = rng.normal(size=(8, 6))
-        profiles = [PeriodProfile(cell_id=i + 1, means=points[i]) for i in range(8)]
+        profiles = ProfileMatrix(cell_ids=list(range(1, 9)), points=points)
         for k in (1, 2, 3):
             oracle = min(partition_sse(points, labels)
                          for labels in all_partitions(8, k))

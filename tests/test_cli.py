@@ -657,6 +657,35 @@ class TestClusterSettings:
         assert parse_pipeline_config(config).kmax == 1
 
 
+class TestWorkers:
+    """workers >= 1 from the config and from the --workers flags, checked
+    before any file is written."""
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_pipeline_config(self, tmp_path, capsys, workers):
+        out = tmp_path / "out"
+        config = _small_pipeline(out, _two_archetype_synth())
+        config["workers"] = workers
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        _expect_rejected(["pipeline", "--config", str(path)], capsys, "config.workers", out)
+
+    def test_pipeline_flag(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(_small_pipeline(out, _two_archetype_synth())))
+        _expect_rejected(["pipeline", "--config", str(path), "--workers", "0"], capsys,
+                         "--workers", out)
+
+    def test_train_flag(self, tmp_path, capsys):
+        bins, clusters = tmp_path / "bins.json", tmp_path / "clusters.json"
+        bins.write_text(json.dumps(_bins_doc()))
+        clusters.write_text(json.dumps(_clusters_doc()))
+        out = tmp_path / "out"
+        _expect_rejected(["train", "--clusters", str(clusters), "--bins", str(bins),
+                          "--workers", "0", "--out-dir", str(out)], capsys, "--workers", out)
+
+
 @pytest.mark.parametrize("flag,value", [("--noise", "nan"), ("--utc-offset", "inf"),
                                         ("--utc-offset", "nan")])
 def test_non_finite_flag_exits_two(tmp_path, capsys, flag, value):

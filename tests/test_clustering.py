@@ -2,13 +2,14 @@
 
 import csv
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cellcast import (
     BinnedCellSeries,
-    PeriodProfile,
+    ProfileMatrix,
     SseCurve,
     adjusted_rand_index,
     build_profiles,
@@ -17,7 +18,6 @@ from cellcast import (
     elbow_scan,
     kmeans,
     knee_point,
-    period_profile,
 )
 from cellcast.clustering import _assign, _update, load_cluster_json, save_cluster_json, save_sse_csv
 from cellcast.errors import (
@@ -29,6 +29,7 @@ from cellcast.errors import (
     MissingSeries,
     SpanMismatch,
     TooFewPoints,
+    ValidationError,
 )
 
 SPAN_START = 1_383_260_400_000  # 2013-10-31 23:00 UTC == midnight at UTC+1
@@ -36,7 +37,13 @@ BIN = 1_800_000
 
 
 def profiles_from(points):
-    return [PeriodProfile(cell_id=i + 1, means=np.asarray(p, dtype=float)) for i, p in enumerate(points)]
+    points = np.asarray(points, dtype=float)
+    return ProfileMatrix(cell_ids=list(range(1, len(points) + 1)), points=points)
+
+
+def period_profile(series, utc_offset_hours=clustering.DEFAULT_UTC_OFFSET_HOURS):
+    """One series' profile row, as build_profiles computes it."""
+    return SimpleNamespace(means=build_profiles({series.cell_id: series}, utc_offset_hours).points[0])
 
 
 # --- brute-force oracle ----------------------------------------------------
@@ -113,9 +120,9 @@ def test_each_point_assigned_to_nearest_centroid():
     points = rng.normal(size=(25, 6))
     profiles = profiles_from(points)
     model = kmeans(profiles, 3, seed=0)
-    for prof in profiles:
-        dists = np.linalg.norm(model.centroids - prof.means, axis=1)
-        own = dists[model.assignment[prof.cell_id]]
+    for cell_id, means in zip(profiles.cell_ids, profiles.points):
+        dists = np.linalg.norm(model.centroids - means, axis=1)
+        own = dists[model.assignment[cell_id]]
         assert own <= dists.min() + 1e-12
 
 
@@ -153,7 +160,7 @@ def test_kmeans_argument_validation():
     with pytest.raises(TooFewPoints):
         kmeans(profiles, 4)
     with pytest.raises(TooFewPoints):
-        kmeans([], 1)
+        kmeans(profiles_from(np.empty((0, 6))), 1)
 
 
 def _broadcast_assign(points, centroids):
@@ -217,6 +224,14 @@ def test_elbow_scan_covers_one_through_k_max():
     assert [k for k, _ in curve.entries] == [1, 2, 3, 4, 5]
     sses = [s for _, s in curve.entries]
     assert all(s >= 0 for s in sses)
+
+
+@pytest.mark.parametrize("fit", [lambda p: kmeans(p, 2, restarts=0),
+                                 lambda p: elbow_scan(p, k_max=3, restarts=0)],
+                         ids=["kmeans", "elbow_scan"])
+def test_restarts_below_one_rejected(fit):
+    with pytest.raises(ValidationError, match="restarts must be >= 1, got 0"):
+        fit(profiles_from(np.eye(6)[:4]))
 
 
 def test_elbow_scan_caps_k_max_at_distinct_profiles():
@@ -363,13 +378,26 @@ def test_empty_series_rejected():
         period_profile(series)
 
 
+def test_build_profiles_mixed_spans_match_each_cell_alone():
+    """Cells over different spans share one matrix; each row has the bits
+    of the cell's profile built on its own."""
+    rng = np.random.default_rng(4)
+    cells = {cid: BinnedCellSeries(cid, SPAN_START + shift * BIN, rng.random(n_bins))
+             for cid, shift, n_bins in [(1, 0, 48), (2, 3, 48), (3, 0, 48), (4, 0, 5), (5, 3, 48)]}
+    matrix = build_profiles(cells, utc_offset_hours=1.0)
+    assert matrix.cell_ids == [1, 2, 3, 4, 5]
+    for row, cid in enumerate(matrix.cell_ids):
+        alone = build_profiles({cid: cells[cid]}, utc_offset_hours=1.0)
+        assert matrix.points[row].tobytes() == alone.points[0].tobytes()
+
+
 def test_build_profiles_sorted_by_cell_id():
     cells = {
         5: BinnedCellSeries(5, SPAN_START, np.ones(48)),
         2: BinnedCellSeries(2, SPAN_START, np.ones(48)),
     }
     profs = build_profiles(cells)
-    assert [p.cell_id for p in profs] == [2, 5]
+    assert profs.cell_ids == [2, 5]
 
 
 # --- cluster mean series ------------------------------------------------------

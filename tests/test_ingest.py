@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellcast import (
     CdrRecord,
@@ -18,6 +20,7 @@ from cellcast import (
     save_bins_csv,
     save_bins_json,
 )
+from cellcast import ingest
 from cellcast.errors import MalformedLine, NegativeActivity, UnalignedSpan
 
 SPAN_START = 1_383_260_400_000
@@ -322,3 +325,63 @@ class TestPersistence:
         # 17 significant digits round-trip float64 exactly
         assert float(lines[2].split(",")[2]) == math.e
         assert float(lines[3].split(",")[2]) == math.pi
+
+
+# --- one statement of the line rules -----------------------------------------
+
+INTEGER_FIELDS = ["+42", "-42", "0042", "-0", "4_2", "٤٢", "４", " 42 ", "\x0c42　",
+                  "9223372036854775807", "-9223372036854775808", "9223372036854775808",
+                  "-9223372036854775809", "1.0", "1e3", "", "   ", "x"]
+ACTIVITY_FIELDS = ["0", "-0.0", "-0.5", "nan", "-nan", "inf", "-inf", "1e400", "-1e400", "4_2",
+                   "٤", " 3.5 ", "", "   ", "　", "x", "x" * 120]
+HEADER = "square_id\ttime\tcountry\ta\tb\tc\td\tinternet"
+
+# Mostly canonical fields, so that a bad one sits at any depth of a file.
+_field = st.one_of(st.sampled_from(["42", "1383260400000", "5.25", "39", ""]),
+                   st.sampled_from(INTEGER_FIELDS + ACTIVITY_FIELDS))
+_row = st.integers(min_value=0, max_value=10).flatmap(
+    lambda n: st.lists(_field, min_size=n, max_size=n).map("\t".join))
+_canonical = st.just(CANONICAL)
+_blank = st.sampled_from(["", "   ", "\t\t", "\x0c", "　"])
+_file = st.tuples(st.booleans(), st.lists(st.one_of(_canonical, _row, _blank), max_size=8),
+                  st.sampled_from(["\n", "\r\n"]))
+
+
+class TestLineRules:
+    """read_cdr_file reads a file in bulk, and _line_record states the rules
+    of one line. They must agree: the file fails exactly when a line breaks
+    a rule, naming the first such line, and otherwise holds the records of
+    its lines."""
+
+    @given(_file)
+    @settings(max_examples=300, deadline=None)
+    def test_file_reads_as_its_lines(self, tmp_path_factory, drawn):
+        header, rows, newline = drawn
+        lines = [HEADER] * header + rows
+        path = tmp_path_factory.getbasetemp() / "line_rules.tsv"
+        path.write_bytes("".join(line + newline for line in lines).encode())
+        # The header rule of read_cdr_file: a first field that is no number.
+        try:
+            float(lines[0].encode().split(b"\t", 1)[0] if lines else b"0")
+            skip = 0
+        except ValueError:
+            skip = 1
+        records, failure = [], None
+        for number, line in enumerate(lines[skip:], skip + 1):
+            if not line.strip():
+                continue
+            try:
+                record = ingest._line_record(line, ColumnMap())
+            except (MalformedLine, NegativeActivity) as exc:
+                failure = type(exc), f"{path}:{number}: {exc}"
+                break
+            if not math.isnan(record[2]):
+                records.append(record)
+        if failure is None:
+            table = ingest.read_cdr_file(str(path))
+            assert table.tobytes() == np.array(records, dtype=ingest.CDR_DTYPE).tobytes()
+        else:
+            with pytest.raises(failure[0]) as exc:
+                ingest.read_cdr_file(str(path))
+            assert type(exc.value) is failure[0]
+            assert str(exc.value) == failure[1]

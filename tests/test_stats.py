@@ -81,6 +81,14 @@ class TestRanks:
         n = len(values)
         assert abs(ranks.sum() - n * (n + 1) / 2) < 1e-9
 
+    @given(st.lists(st.sampled_from([-2.5, -0.0, 0.0, 1.0, 1.5, 3.0, 1e300]), min_size=1,
+                    max_size=60))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scipy_rankdata(self, values):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        pooled = np.array(values)
+        assert average_ranks(pooled).tobytes() == scipy_stats.rankdata(pooled).tobytes()
+
 
 class TestKruskalWallis:
     def test_reference_two_groups(self):

@@ -94,6 +94,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             validate_grid(dataclasses.replace(GridSpec(), **{field: value}))
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_grid_search_rejects_workers_below_one(self, dataset, workers):
+        with pytest.raises(ConfigError, match="workers must be >= 1"):
+            grid_search(GridSpec((1,), (2,), ("gru",)), [dataset], TrainConfig(epochs=1, runs=1),
+                        workers=workers)
+
 
 class TestLabels:
     def test_label_format(self):
