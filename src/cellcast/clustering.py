@@ -35,6 +35,7 @@ HOURS_PER_PERIOD = 4
 PERIOD_NAMES = ("LateNight", "EarlyMorning", "Morning", "Afternoon", "Evening", "Night")
 DEFAULT_UTC_OFFSET_HOURS = 1.0  # Milan's local clock in the source data
 DEFAULT_RESTARTS = 10
+PROFILE_BLOCK_BINS = 1 << 17  # bins summed per bincount; bounds its temporaries
 
 
 @dataclass
@@ -92,13 +93,17 @@ def build_profiles(cells: dict[int, BinnedCellSeries],
     for (span_start, width, n_bins), rows in spans.items():
         starts = span_start + offset_ms + np.arange(n_bins, dtype=np.int64) * width
         periods = (starts // MS_PER_HOUR % 24 // HOURS_PER_PERIOD).astype(np.intp)
-        # One bincount over (row, period) keys adds each row's bins in
-        # index order, as a bincount of that row alone does.
-        keys = (np.arange(len(rows))[:, None] * N_PERIODS + periods).ravel()
-        values = np.concatenate([cells[ids[row]].values for row in rows])
-        sums = np.bincount(keys, values, len(rows) * N_PERIODS).reshape(len(rows), N_PERIODS)
         counts = np.bincount(periods, minlength=N_PERIODS)
-        points[rows] = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+        # One bincount over the (row, period) keys of a block of rows adds
+        # each row's bins in index order, as a bincount of that row alone does.
+        step = min(len(rows), max(1, PROFILE_BLOCK_BINS // n_bins))
+        keys = (np.arange(step)[:, None] * N_PERIODS + periods).ravel()
+        for lo in range(0, len(rows), step):
+            block = rows[lo:lo + step]
+            values = np.concatenate([cells[ids[row]].values for row in block])
+            sums = np.bincount(keys[:len(values)], values, len(block) * N_PERIODS)
+            sums = sums.reshape(len(block), N_PERIODS)
+            points[block] = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
     return ProfileMatrix(cell_ids=ids, points=points)
 
 

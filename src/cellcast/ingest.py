@@ -101,18 +101,32 @@ def _activity(field: str) -> float:
     return value
 
 
-def _load_table(source, columns: ColumnMap, skip: int) -> np.ndarray:
-    """All data rows of `source` (a path or a list of lines) as a CDR_DTYPE
-    array; rows with an empty activity field hold NaN there. loadtxt skips
-    empty lines and raises ValueError on the first row it cannot read."""
-    with warnings.catch_warnings():
-        # An empty file is normal here.
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(
-            source, dtype=CDR_DTYPE, delimiter="\t", comments=None,
-            usecols=(columns.cell_id, columns.timestamp, columns.internet),
-            converters={columns.internet: _activity},
-            skiprows=skip, ndmin=1, encoding="utf-8")
+def _load_table(source, columns: ColumnMap, skip: int) -> Optional[np.ndarray]:
+    """The records of `source` (a path or a list of lines) as loadtxt reads
+    them, as a CDR_DTYPE array without the rows whose activity is empty;
+    None when loadtxt refuses the text or a record breaks a value rule.
+
+    A path is read as ASCII, as the whole dataset is: loadtxt's integer
+    parser takes some other letters for digits, and reads U+01FE followed
+    by "1" as 4621. loadtxt skips empty lines.
+    """
+    try:
+        with warnings.catch_warnings():
+            # An empty file is normal here.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(
+                source, dtype=CDR_DTYPE, delimiter="\t", comments=None,
+                usecols=(columns.cell_id, columns.timestamp, columns.internet),
+                converters={columns.internet: _activity},
+                skiprows=skip, ndmin=1, encoding="ascii")
+    except ValueError:
+        return None
+    cell, activity = table["cell_id"], table["activity"]
+    present = ~np.isnan(activity)
+    # The value rules of _line_record over every record at once.
+    if (((cell < 1) & present) | np.isinf(activity) | (activity < 0)).any():
+        return None
+    return table if present.all() else table[present]
 
 
 def _int64(field: str, name: str) -> int:
@@ -132,13 +146,17 @@ def _line_record(line: str, columns: ColumnMap) -> tuple[int, int, float]:
     _load_table reads it with and then held to the value rules; raises
     the first rule the line breaks, without its location.
 
+    A line may end in one line break (\\n, \\r\\n or \\r) and hold no other.
     Fields are read in turn (cell id, timestamp, activity), and one that
     is missing when its turn comes makes a short line. Unless the
     activity is empty (NaN), the cell id must be >= 1 and the activity
     finite and >= 0. A field is quoted cut at 100 characters, so that a
     garbage line cannot flood the message.
     """
-    fields = line.rstrip("\r\n").split("\t")
+    body = line.removesuffix("\n").removesuffix("\r")
+    if "\n" in body or "\r" in body:
+        raise MalformedLine("line holds a line break")
+    fields = body.split("\t")
     try:
         cell_id = _int64(fields[columns.cell_id], "cell id")
         timestamp = _int64(fields[columns.timestamp], "timestamp")
@@ -156,47 +174,40 @@ def _line_record(line: str, columns: ColumnMap) -> tuple[int, int, float]:
     return cell_id, timestamp, activity
 
 
-def _lines(source) -> list[str]:
-    """`source` as a list of lines; a path is read as loadtxt reads it,
-    as UTF-8 with universal newlines."""
-    if not isinstance(source, str):
-        return list(source)
-    with open(source, "rb") as fh:
+def _lines(path: str) -> list[str]:
+    """The lines of a file as UTF-8 text, split at universal newlines as
+    loadtxt splits them."""
+    with open(path, "rb") as fh:
         data = fh.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
-        raise MalformedLine(f"{source}:{line}: not UTF-8 text") from None
+        raise MalformedLine(f"{path}:{line}: not UTF-8 text") from None
     return io.StringIO(text, newline=None).readlines()
 
 
-def _parse(source, name: str, skip: int, columns: ColumnMap) -> np.ndarray:
-    """The records of one CDR text as a CDR_DTYPE array, in line order.
-    An error names `name` and the 1-based line that breaks a rule."""
-    try:
-        table = _load_table(source, columns, skip)
-    except ValueError as exc:
-        failure = str(exc)
-    else:
-        cell, activity = table["cell_id"], table["activity"]
-        present = ~np.isnan(activity)
-        # The value rules of _line_record over every record at once.
-        if not (((cell < 1) & present) | np.isinf(activity) | (activity < 0)).any():
-            return table if present.all() else table[present]
-        failure = "a record breaks a value rule"
-    lines = _lines(source)
+def _parse(path: str, skip: int, columns: ColumnMap) -> np.ndarray:
+    """The records of one CDR file as a CDR_DTYPE array, in line order.
+    An error names the file and the 1-based line that breaks a rule."""
+    table = _load_table(path, columns, skip)
+    if table is not None:
+        return table
+    lines = _lines(path)
     for number in range(skip, len(lines)):
         if lines[number].strip():
             try:
                 _line_record(lines[number], columns)
             except (MalformedLine, NegativeActivity) as exc:
-                raise type(exc)(f"{name}:{number + 1}: {exc}") from None
-    if any(line.isspace() and line != "\n" for line in lines):
-        # Whitespace-only lines are blank here but rows to loadtxt: read
-        # again with them emptied, which keeps every line number.
-        return _parse(["\n" if line.isspace() else line for line in lines], name, skip, columns)
-    raise MalformedLine(f"{name}: {failure}")
+                raise type(exc)(f"{path}:{number + 1}: {exc}") from None
+    # Every line keeps the rules, so loadtxt refused text that is not
+    # ASCII, or whitespace-only lines, which are blank here but rows to
+    # loadtxt. Read the checked lines, those emptied, which keeps every
+    # line number.
+    table = _load_table(["\n" if line.isspace() else line for line in lines], columns, skip)
+    if table is None:
+        raise MalformedLine(f"{path}: loadtxt refuses lines that keep every line rule")
+    return table
 
 
 def read_cdr_file(path: str, columns: ColumnMap = DEFAULT_COLUMNS) -> np.ndarray:
@@ -223,11 +234,11 @@ def read_cdr_file(path: str, columns: ColumnMap = DEFAULT_COLUMNS) -> np.ndarray
         skip = 0
     except ValueError:
         skip = 1
-    return _parse(path, path, skip, columns)
+    return _parse(path, skip, columns)
 
 
 def parse_cdr_line(line: str, columns: ColumnMap = DEFAULT_COLUMNS) -> Optional[CdrRecord]:
-    """Parse one tab-separated CDR line with the same reader as files.
+    """Parse one tab-separated CDR line by the rules files are read by.
 
     Returns None (skip) when the line is blank or its internet-activity
     field is empty, the dataset convention for an inactive channel.
@@ -235,14 +246,18 @@ def parse_cdr_line(line: str, columns: ColumnMap = DEFAULT_COLUMNS) -> Optional[
     Raises
     ------
     MalformedLine
-        A mandatory column is absent or non-numeric.
+        A mandatory column is absent or non-numeric, or the line holds a
+        line break before its end.
     NegativeActivity
         The activity field parses below zero.
     """
-    table = _parse([line], "<line>", 0, columns)
-    if not table.size:
+    if not line.strip():
         return None
-    return CdrRecord(*table[0].tolist())
+    try:
+        record = CdrRecord(*_line_record(line, columns))
+    except (MalformedLine, NegativeActivity) as exc:
+        raise type(exc)(f"<line>: {exc}") from None
+    return None if math.isnan(record.internet_activity) else record
 
 
 CDR_EXTENSIONS = (".tsv", ".txt", ".dat")

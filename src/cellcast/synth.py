@@ -22,6 +22,10 @@ BINS_PER_DAY = 48
 BINS_PER_PERIOD = 8
 MAX_PARTS = 4  # records per cell bin
 CELLS_PER_BLOCK = 32  # cells formatted per write; bounds the text held in memory
+STREAMS_PER_GROUP = 4 * CELLS_PER_BLOCK  # streams drawn in lockstep, whole blocks; bounds memory
+WORDS_PER_STREAM = 256  # raw words first drawn per stream; one day takes about 204
+# Lemire's bound rejects a half whose m mod 2**32 falls below this.
+OFFSET_THRESHOLD = 2**32 % BIN_WIDTH_MS
 
 # 2013-11-01 00:00 in a UTC+1 local clock; day zero is a Friday.
 DEFAULT_SPAN_START = 1_383_260_400_000
@@ -134,8 +138,12 @@ def generate(spec: SynthSpec, out_dir: str) -> tuple[list[str], dict[int, int]]:
         day_values = series[:, day * BINS_PER_DAY:(day + 1) * BINS_PER_DAY]
         with open(path, "w", encoding="utf-8") as fh:
             for lo in range(0, len(cell_ids), CELLS_PER_BLOCK):
+                row = lo % STREAMS_PER_GROUP
+                if row == 0:
+                    draws = stream_draws(spec.seed, day, cell_ids[lo:lo + STREAMS_PER_GROUP])
                 hi = lo + CELLS_PER_BLOCK
-                fh.write(_block_text(spec, day, cell_ids[lo:hi], day_values[lo:hi]))
+                fh.write(_block_text(spec, day, cell_ids[lo:hi], day_values[lo:hi],
+                                     *(d[row:row + CELLS_PER_BLOCK] for d in draws)))
 
     truth_path = os.path.join(out_dir, "truth.csv")
     with open(truth_path, "w", encoding="utf-8", newline="") as fh:
@@ -147,39 +155,126 @@ def generate(spec: SynthSpec, out_dir: str) -> tuple[list[str], dict[int, int]]:
     return paths, truth
 
 
-def _block_text(spec: SynthSpec, day: int, cell_ids: list[int], values: np.ndarray) -> str:
+class _WordStreams:
+    """The raw 64-bit words of a group of PCG64 streams, one row per
+    stream, drawn in bulk and extended when a read runs past the end."""
+
+    def __init__(self, seeds: list) -> None:
+        self.gens = [np.random.PCG64(seed) for seed in seeds]
+        self._set(self._draw(WORDS_PER_STREAM))
+
+    def _draw(self, n_words: int) -> np.ndarray:
+        words = np.empty((len(self.gens), n_words), dtype="<u8")
+        for row, gen in zip(words, self.gens):
+            row[:] = gen.random_raw(n_words)
+        return words
+
+    def _set(self, words: np.ndarray) -> None:
+        self.words = words
+        # Half 2i is the low half of word i and half 2i + 1 its high half.
+        self.halves = words.view("<u4")
+        self.row_start = np.arange(len(words))[:, None] * words.shape[1]
+
+    def _reserve(self, n_words: int) -> None:
+        short = n_words - self.words.shape[1]
+        if short > 0:
+            # At least 32 more words, so that a stream extends rarely.
+            more = self._draw(max(short, WORDS_PER_STREAM // 8))
+            self._set(np.concatenate([self.words, more], axis=1))
+
+    def words_at(self, index: np.ndarray) -> np.ndarray:
+        """Word index[g, j] of stream g."""
+        self._reserve(int(index.max()) + 1)
+        return self.words.take(self.row_start + index)
+
+    def halves_at(self, index: np.ndarray) -> np.ndarray:
+        """32-bit half index[g, j] of stream g."""
+        self._reserve(int(index.max()) // 2 + 1)
+        return self.halves.take(2 * self.row_start + index)
+
+
+def stream_draws(seed: int, day: int, cell_ids: list[int]):
+    """Part counts, weights and offsets of every bin of the (cell, day)
+    streams of `cell_ids`, as (counts, weights, offsets) of shapes
+    (cells, BINS_PER_DAY) and (cells, BINS_PER_DAY, MAX_PARTS).
+
+    Stream (seed, cell, day) is what `np.random.default_rng([seed, cell,
+    day, 1])` returns, bin by bin, for `n = integers(1, MAX_PARTS + 1)`,
+    `random(n)` and `integers(0, BIN_WIDTH_MS, size=n)`. Those calls are
+    replayed here on the stream's raw PCG64 words, for all streams in
+    lockstep, by numpy's rules:
+
+    - `integers` takes 32-bit halves, the low half of a fresh word first;
+      the unused high half is kept for the next `integers` call, and
+      `random` never touches it.
+    - A half x bounded to [0, r) is m >> 32 with m = x * r, drawn again
+      while m mod 2**32 < 2**32 mod r (Lemire's multiply-and-reject).
+    - `random` takes a whole word w as (w >> 11) * 2**-53.
+
+    Weights are in draw order and zero-padded past the part count;
+    offsets are in ascending order and padded with BIN_WIDTH_MS.
+    """
+    streams = _WordStreams([[seed, cell_id, day, 1] for cell_id in cell_ids])
+    n_streams = len(cell_ids)
+    slots = np.arange(MAX_PARTS)
+    counts = np.empty((n_streams, BINS_PER_DAY), dtype=np.int8)
+    weights = np.zeros((n_streams, BINS_PER_DAY, MAX_PARTS))
+    offsets = np.full((n_streams, BINS_PER_DAY, MAX_PARTS), BIN_WIDTH_MS, dtype=np.int32)
+    # Index of each stream's next half; when it is odd, that half is the
+    # kept high half of a word whose low half was already used.
+    half = np.zeros((n_streams, 1), dtype=np.int64)
+    for b in range(BINS_PER_DAY):
+        # 2**32 % MAX_PARTS == 0, so the part count never redraws.
+        n = 1 + (streams.halves_at(half) * np.uint64(MAX_PARTS) >> np.uint64(32)).astype(np.int64)
+        half += 1
+        kept = half & 1
+        word = (half + 1) >> 1  # the next fresh word
+        used = slots < n
+        counts[:, b] = n[:, 0]
+        w = streams.words_at(word + slots) >> np.uint64(11)
+        weights[:, b] = np.where(used, w * 2.0**-53, 0.0)
+        word += n
+
+        # Offsets: the kept half, if any, then the halves of fresh words.
+        # Each round takes MAX_PARTS more candidates, until every stream
+        # has n accepted ones.
+        width = MAX_PARTS
+        while True:
+            candidates = 2 * word - kept + np.arange(width)
+            candidates[:, :1] = np.where(kept == 1, half, candidates[:, :1])
+            m = streams.halves_at(candidates) * np.uint64(BIN_WIDTH_MS)
+            accepted = (m & np.uint64(0xFFFF_FFFF)) >= np.uint64(OFFSET_THRESHOLD)
+            rank = np.cumsum(accepted, axis=1)
+            if (rank[:, -1:] >= n).all():
+                break
+            width += MAX_PARTS
+        # The first n accepted candidates are the bin's offsets.
+        drawn = np.where(accepted & (rank <= n), m >> np.uint64(32), BIN_WIDTH_MS)
+        drawn.sort(axis=1)
+        offsets[:, b] = drawn[:, :MAX_PARTS]
+        used_up = (rank < n).sum(axis=1, keepdims=True) + 1
+        half = 2 * word - kept + used_up
+    return counts, weights, offsets
+
+
+def _block_text(spec: SynthSpec, day: int, cell_ids: list[int], values: np.ndarray,
+                counts: np.ndarray, weights: np.ndarray, offsets: np.ndarray) -> str:
     """CDR lines of one day for a block of cells, in file order.
 
-    `values` holds the block's bin values for the day, one row per cell.
-    Each (cell, day) stream draws, bin by bin, a part count n in 1..4, n
-    weights and n offsets inside the bin. A bin's activities are
-    value * weight / sum in draw order; its timestamps are the offsets in
-    ascending order.
+    `values` holds the block's bin values for the day, one row per cell,
+    and the other arrays the block's rows of `stream_draws`. A bin's
+    activities are value * weight / sum in draw order; its timestamps are
+    its offsets, ascending.
     """
-    counts, weights, offsets = [], [], []
-    for cell_id in cell_ids:
-        # Separate stream from the noise draws in bin_values_for_cell.
-        rng = np.random.default_rng([spec.seed, cell_id, day, 1])
-        integers, random = rng.integers, rng.random
-        for _ in range(BINS_PER_DAY):
-            n = int(integers(1, MAX_PARTS + 1))
-            counts.append(n)
-            weights.append(random(n))
-            offsets.append(integers(0, BIN_WIDTH_MS, size=n))
-    counts = np.array(counts)
+    counts = counts.ravel()
     used = np.arange(MAX_PARTS) < counts[:, None]
     # A zero-padded row sums left to right, bit for bit as weights.sum()
     # does for up to four values (np.add.reduceat does not).
-    w = np.zeros(used.shape)
-    w[used] = np.concatenate(weights)
+    w = weights.reshape(-1, MAX_PARTS)
     parts = values.reshape(-1, 1) * w / w.sum(axis=1, keepdims=True)
-    # Padding sorts after every offset, since offsets are below BIN_WIDTH_MS.
-    off = np.full(used.shape, BIN_WIDTH_MS, dtype=np.int64)
-    off[used] = np.concatenate(offsets)
-    off.sort(axis=1)
     day_start = spec.span_start + day * BINS_PER_DAY * BIN_WIDTH_MS
     bin_starts = day_start + np.arange(BINS_PER_DAY, dtype=np.int64) * BIN_WIDTH_MS
-    stamps = np.tile(bin_starts, len(cell_ids))[:, None] + off
+    stamps = np.tile(bin_starts, len(cell_ids))[:, None] + offsets.reshape(-1, MAX_PARTS)
     cells = np.repeat(np.repeat(cell_ids, BINS_PER_DAY), counts)
 
     n_records = len(cells)

@@ -2,6 +2,7 @@
 
 import csv
 import itertools
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -389,6 +390,22 @@ def test_build_profiles_mixed_spans_match_each_cell_alone():
     for row, cid in enumerate(matrix.cell_ids):
         alone = build_profiles({cid: cells[cid]}, utc_offset_hours=1.0)
         assert matrix.points[row].tobytes() == alone.points[0].tobytes()
+
+
+def test_build_profiles_bounds_its_temporaries():
+    """A tenth of Milan (1,000 cells x 62 days) is summed block by block
+    in bounded memory, and each row keeps the bits of its cell alone."""
+    rng = np.random.default_rng(5)
+    cells = {cid: BinnedCellSeries(cid, SPAN_START, rng.random(2976)) for cid in range(1, 1001)}
+    tracemalloc.start()
+    try:
+        matrix = build_profiles(cells)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+    for row, cid in enumerate(matrix.cell_ids):
+        assert matrix.points[row].tobytes() == build_profiles({cid: cells[cid]}).points[0].tobytes()
 
 
 def test_build_profiles_sorted_by_cell_id():

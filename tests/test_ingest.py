@@ -71,6 +71,13 @@ class TestParseLine:
         with pytest.raises(MalformedLine):
             parse_cdr_line("0\t1383260400000\t39\t\t\t\t\t5.25")
 
+    @pytest.mark.parametrize("line", ["42\r\t1383260400000\t39\t\t\t\t\t5.25",
+                                      CANONICAL + "\n\n", CANONICAL + "\n\r"])
+    def test_line_break_inside_line(self, line):
+        with pytest.raises(MalformedLine) as exc:
+            parse_cdr_line(line)
+        assert str(exc.value) == "<line>: line holds a line break"
+
     def test_custom_column_map(self):
         rec = parse_cdr_line("7.5\t3\t1383260400000", ColumnMap(cell_id=1, timestamp=2, internet=0))
         assert rec == CdrRecord(3, 1383260400000, 7.5)
@@ -115,8 +122,9 @@ class TestFileLayouts:
         (CANONICAL + "\n   \n\t\t\n" + CANONICAL, 2),
         ("square_id\ttime\tcountry\ta\tb\tc\td\tinternet\n", 0),
         ("", 0),
+        ("42\t1383260400000\t\u01fe\t\t\t\t\t5.25\n", 1),
     ], ids=["crlf", "spaces_around_fields", "extra_columns", "blank_line_mid_file",
-            "whitespace_only_lines", "header_only", "no_lines"])
+            "whitespace_only_lines", "header_only", "no_lines", "non_ascii_unread_column"])
     def test_layout_reads_as_line_parser(self, tmp_path, text, count):
         path = tmp_path / "cdr.tsv"
         path.write_bytes(text.encode())
@@ -148,6 +156,16 @@ class TestErrorLocations:
             bin_series(read_cdr_paths([str(path)]), SPAN_START, SPAN_START + BIN)
         assert str(exc.value).startswith(f"{path}:803: ")
         assert detail in str(exc.value)
+
+    @pytest.mark.parametrize("cell", ["\u01fe1", "\u0761"])
+    def test_non_ascii_cell_id_named(self, tmp_path, cell):
+        """loadtxt alone reads these cell ids as 4621 and 1841."""
+        path = tmp_path / "day.tsv"
+        path.write_text(CANONICAL + "\n" + CANONICAL.replace("42", cell, 1) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(MalformedLine) as exc:
+            ingest.read_cdr_file(str(path))
+        assert str(exc.value) == f"{path}:2: non-numeric or non-integer cell id: {cell!r}"
 
     def test_first_bad_line_reported(self, tmp_path):
         """A value error on line 2 precedes a short line 3."""
@@ -329,7 +347,7 @@ class TestPersistence:
 
 # --- one statement of the line rules -----------------------------------------
 
-INTEGER_FIELDS = ["+42", "-42", "0042", "-0", "4_2", "٤٢", "４", " 42 ", "\x0c42　",
+INTEGER_FIELDS = ["+42", "-42", "0042", "-0", "4_2", "٤٢", "４", "Ǿ1", "ݡ", " 42 ", "\x0c42　",
                   "9223372036854775807", "-9223372036854775808", "9223372036854775808",
                   "-9223372036854775809", "1.0", "1e3", "", "   ", "x"]
 ACTIVITY_FIELDS = ["0", "-0.0", "-0.5", "nan", "-nan", "inf", "-inf", "1e400", "-1e400", "4_2",

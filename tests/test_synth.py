@@ -3,6 +3,8 @@
 import hashlib
 import os
 import tempfile
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellcast import Archetype, SynthSpec, bin_series, generate, iter_cdr_paths, well_separated_city
+from cellcast import synth
 from cellcast.errors import InvalidSpec
 from cellcast.ingest import BIN_WIDTH_MS, read_cdr_paths
 from cellcast.synth import (
@@ -19,6 +22,7 @@ from cellcast.synth import (
     bin_values_for_cell,
     cell_layout,
     load_truth,
+    stream_draws,
 )
 
 
@@ -285,3 +289,65 @@ def test_small_spec_round_trip(archs, cells, days, seed, start_bin, start_weekda
             counts = np.bincount(bins, minlength=BINS_PER_DAY)
             assert len(counts) == BINS_PER_DAY
             assert counts.min() >= 1 and counts.max() <= MAX_PARTS
+
+
+def reference_draws(seed, day, cell_ids):
+    """stream_draws by one Generator per stream and three calls per bin."""
+    shape = (len(cell_ids), BINS_PER_DAY, MAX_PARTS)
+    counts = np.zeros(shape[:2], dtype=np.int64)
+    weights = np.zeros(shape)
+    offsets = np.full(shape, BIN_WIDTH_MS, dtype=np.int64)
+    for row, cell_id in enumerate(cell_ids):
+        rng = np.random.default_rng([seed, cell_id, day, 1])
+        for b in range(BINS_PER_DAY):
+            n = int(rng.integers(1, MAX_PARTS + 1))
+            counts[row, b] = n
+            weights[row, b, :n] = rng.random(n)
+            offsets[row, b, :n] = np.sort(rng.integers(0, BIN_WIDTH_MS, size=n))
+    return counts, weights, offsets
+
+
+def assert_same_draws(bulk, reference):
+    counts, weights, offsets = bulk
+    np.testing.assert_array_equal(counts, reference[0])
+    np.testing.assert_array_equal(weights.view(np.int64), reference[1].view(np.int64))
+    np.testing.assert_array_equal(offsets, reference[2])
+
+
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1),
+       day=st.integers(min_value=0, max_value=400),
+       cell_ids=st.lists(st.integers(min_value=1, max_value=10**7), min_size=1, max_size=12),
+       first_words=st.sampled_from([1, 7, 64, synth.WORDS_PER_STREAM]))
+@settings(max_examples=40, deadline=None)
+def test_stream_draws_replay_generator_calls(seed, day, cell_ids, first_words):
+    """The bulk replay equals the per-bin Generator calls for any group,
+    also when the words first drawn run out and are extended."""
+    with mock.patch.object(synth, "WORDS_PER_STREAM", first_words):
+        bulk = stream_draws(seed, day, cell_ids)
+    assert_same_draws(bulk, reference_draws(seed, day, cell_ids))
+
+
+def test_stream_draws_replay_lemire_redraws():
+    """Cell 40 redraws an offset in bin 5, where four candidates are too
+    few, and cell 377 redraws one within four candidates (seed 0, day 0).
+    Without the rejection step their draws would differ."""
+    cell_ids = [40, 377]
+    reference = reference_draws(0, 0, cell_ids)
+    assert_same_draws(stream_draws(0, 0, cell_ids), reference)
+    for row, cell_id in enumerate(cell_ids):
+        with mock.patch.object(synth, "OFFSET_THRESHOLD", 0):
+            _, _, offsets = stream_draws(0, 0, [cell_id])
+        assert not np.array_equal(offsets[0], reference[2][row])
+
+
+def test_generate_memory_is_bounded(tmp_path):
+    """The benchmark's frontend-city spec generates within the 3.0 MB
+    peak that the per-bin generator needed."""
+    spec = well_separated_city(12, 80, days=2, seed=1, noise_sd=5.0)
+    tracemalloc.start()
+    try:
+        generate(spec, str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0e6
