@@ -23,7 +23,6 @@ from .ingest import (
     iter_cdr_file,
     iter_cdr_paths,
     load_bins_json,
-    merge_binned,
     parse_cdr_line,
     read_cdr_file,
     read_cdr_paths,
@@ -38,7 +37,6 @@ from .prep import (
     split_train_test,
 )
 from .recurrent import (
-    Activations,
     AdamConfig,
     AdamOptimizer,
     GruLayerParams,

@@ -13,14 +13,13 @@ import argparse
 import contextlib
 import datetime
 import inspect
-import math
 import os
 import re
 import sys
 from dataclasses import dataclass
 
 from . import clustering, ingest, jsonfile, recurrent, stats, synth, training
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, MalformedTruth, ValidationError
 
 MS_PER_DAY = 86_400_000
 
@@ -46,11 +45,7 @@ def parse_span(text: str, utc_offset_hours: float) -> tuple[int, int]:
     return start, end
 
 
-def _number(value) -> float:
-    """A finite JSON number; true, NaN and Infinity are none."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise TypeError("not a finite number")
-    return float(value)
+_number = jsonfile.as_number
 
 
 def _integer(value) -> int:
@@ -232,6 +227,11 @@ def _cluster_stage(cells: dict, k, kmax: int, seed: int, restarts: int,
                    out: str, curve_path: str, series_path: str, print_curve: bool = False):
     """Clusters, SSE curve (k "auto" only) and per-cluster mean series,
     each written to its path; returns the series."""
+    if truth_path:
+        truth = synth.load_truth(truth_path)
+        missing = sorted(set(cells) - set(truth))
+        if missing:
+            raise MalformedTruth(f"{truth_path}: no archetype for cell {missing[0]}")
     profiles = clustering.build_profiles(cells, utc_offset_hours)
     curve = None
     if k == "auto":
@@ -245,7 +245,6 @@ def _cluster_stage(cells: dict, k, kmax: int, seed: int, restarts: int,
     _log(f"cluster: k={model.k} sse={model.sse:.6g} "
          f"({model.iterations_run} lloyd iterations)")
     if truth_path:
-        truth = synth.load_truth(truth_path)
         cell_ids = sorted(model.assignment)
         ari = clustering.adjusted_rand_index(
             [model.assignment[c] for c in cell_ids],

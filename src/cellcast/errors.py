@@ -131,5 +131,10 @@ class UnknownCluster(ValidationError):
     pass
 
 
+class MalformedTruth(ValidationError):
+    """A truth.csv is empty, or a row is not two integers or repeats a
+    cell, or it lacks a cell being scored."""
+
+
 class ConfigError(ValidationError):
     """Pipeline configuration failed validation."""

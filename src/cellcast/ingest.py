@@ -383,20 +383,6 @@ def bin_series(records: Iterable[Union[CdrRecord, np.ndarray]], span_start: int,
     return BinningResult(cells=cells, dropped=dropped, span_start=span_start, span_end=span_end)
 
 
-def merge_binned(a: dict[int, BinnedCellSeries], b: dict[int, BinnedCellSeries]) -> dict[int, BinnedCellSeries]:
-    """Merge two partial bin maps by element-wise addition (associative)."""
-    merged = {cid: BinnedCellSeries(cid, s.span_start, s.values.copy(), s.bin_width_ms) for cid, s in a.items()}
-    for cid, series in b.items():
-        if cid in merged:
-            base = merged[cid]
-            if base.span_start != series.span_start or base.n_bins != series.n_bins:
-                raise UnalignedSpan("cannot merge bin maps over different spans")
-            base.values = base.values + series.values
-        else:
-            merged[cid] = BinnedCellSeries(cid, series.span_start, series.values.copy(), series.bin_width_ms)
-    return merged
-
-
 # --- persistence ----------------------------------------------------------
 
 def save_bins_json(cells: dict[int, BinnedCellSeries], path: str) -> None:

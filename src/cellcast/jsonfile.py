@@ -5,6 +5,7 @@ the file and the key, e.g.
 from __future__ import annotations
 
 import json
+import math
 from typing import Callable, TypeVar
 
 import numpy as np
@@ -74,11 +75,20 @@ def positive_int(obj, name: str, where: str = "") -> int:
     return value
 
 
+def as_number(value) -> float:
+    """A finite JSON number as a float; true, NaN and Infinity are none
+    (TypeError), and an int beyond the float range raises OverflowError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise TypeError("not a finite number")
+    return float(value)
+
+
 def number(obj, name: str, where: str = "") -> float:
     value = key(obj, name, where)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise MalformedFile(f"{where}{name}: {value!r}, expected a number")
-    return float(value)
+    try:
+        return as_number(value)
+    except (TypeError, OverflowError):
+        raise MalformedFile(f"{where}{name}: {value!r}, expected a finite number") from None
 
 
 def finite_array(value, name: str, ndim: int) -> np.ndarray:

@@ -20,11 +20,11 @@ like the parameters; only the recurrent GEMM stays in
 its per-step loop, and each weight block's gradient is one GEMM over
 the time-stacked activations. ADAM updates the flat vector in place.
 
-The LSTM carries peephole connections (gates read the cell state
-directly); they can be switched off for comparison. The cell-input and
-cell-output activations default to the logistic sigmoid and can be set
-to tanh. The GRU candidate activation is tanh, not configurable, and
-its biases can be dropped.
+The cell equations are fixed. The LSTM squashes its gates, its cell
+input and its cell output with the logistic sigmoid, and its i, f and o
+gates read the cell state through peephole connections. The GRU has
+sigmoid gates, a tanh candidate and a bias per gate. A model file states
+these equations in its header, and a file that states others is refused.
 """
 
 from __future__ import annotations
@@ -88,38 +88,6 @@ def _dtanh_from_y(y, out=None):
     return np.subtract(1.0, out, out=out)
 
 
-# name -> (kernel, derivative expressed via the function's output)
-_ACTIVATIONS = {
-    "sigmoid": (_sigmoid, _dsigmoid_from_y),
-    "tanh": (np.tanh, _dtanh_from_y),
-}
-
-
-def _resolve(name: str):
-    try:
-        return _ACTIVATIONS[name]
-    except KeyError:
-        raise ValueError(f"unknown activation {name!r}; choose from {sorted(_ACTIVATIONS)}")
-
-
-@dataclass(frozen=True)
-class Activations:
-    """Which squashing functions the recurrent cells use.
-
-    gate: the gate nonlinearity (sigma in the gate equations).
-    cell_input / cell_output: the LSTM's candidate and output squashers;
-    both default to sigmoid, with tanh as the alternative. Ignored by
-    the GRU, whose candidate is always tanh.
-    """
-
-    gate: str = "sigmoid"
-    cell_input: str = "sigmoid"
-    cell_output: str = "sigmoid"
-
-
-DEFAULT_ACTIVATIONS = Activations()
-
-
 # ---------------------------------------------------------------------------
 # layer parameters
 
@@ -146,28 +114,24 @@ class _StackedLayer:
 
     wx (G*U, D) and wh (G*U, U) hold the gate blocks in GATES order, b
     (G*U) the biases and, for the LSTM, peep (3U) the i, f and o
-    peephole vectors; the OPTIONAL block is None when switched off. All
-    blocks are views into one flat vector, `flat`, in that order.
+    peephole vectors. All blocks are views into one flat vector, `flat`,
+    in that order.
     """
 
     KIND: str  # the cell kind, which picks the layer's row of GATES
-    OPTION: str  # the name of the switch for the OPTIONAL block
-    OPTIONAL: str
 
-    def __init__(self, units: int, input_dim: int, optional: bool):
+    def __init__(self, units: int, input_dim: int):
         self.units, self.input_dim = int(units), int(input_dim)
         blocks = [block for block, _ in GATES[self.KIND].values()]  # one entry per gate
         cols = {"wx": (self.input_dim,), "wh": (self.units,)}
-        self._shapes = {  # block -> shape, for the blocks present
-            block: (self.units * blocks.count(block), *cols.get(block, ()))
-            for block in dict.fromkeys(blocks) if optional or block != self.OPTIONAL}
+        self._shapes = {block: (self.units * blocks.count(block), *cols.get(block, ()))
+                        for block in dict.fromkeys(blocks)}
         self._bind(np.zeros(sum(math.prod(shape) for shape in self._shapes.values())))
 
     def views(self, flat: np.ndarray) -> dict:
-        """block -> view into `flat` laid out like this layer (None for a
-        block switched off); gives gradient blocks as well as weights."""
-        out = dict.fromkeys(block for block, _ in GATES[self.KIND].values())
-        offset = 0
+        """block -> view into `flat` laid out like this layer; gives
+        gradient blocks as well as weights."""
+        out, offset = {}, 0
         for block, shape in self._shapes.items():
             size = math.prod(shape)
             out[block] = flat[offset:offset + size].reshape(shape)
@@ -180,39 +144,26 @@ class _StackedLayer:
             setattr(self, block, view)
 
     def gates(self) -> list[tuple[str, np.ndarray]]:
-        """(per-gate key, writable view into its block) for every gate
-        present, in flat order."""
+        """(per-gate key, writable view into its block) for every gate, in
+        flat order."""
         u = self.units
         return [(key, getattr(self, block)[k * u:(k + 1) * u])
-                for key, (block, k) in GATES[self.KIND].items() if block in self._shapes]
+                for key, (block, k) in GATES[self.KIND].items()]
 
 
 class LstmLayerParams(_StackedLayer):
-    """One LSTM layer, gates in i, f, c, o order; peep is None without
-    peepholes."""
+    """One LSTM layer, gates in i, f, c, o order."""
 
-    KIND, OPTION, OPTIONAL = "lstm", "peepholes", "peep"
-
-    def __init__(self, units: int, input_dim: int, peepholes: bool = True):
-        super().__init__(units, input_dim, peepholes)
-
-    @property
-    def peepholes(self) -> bool:
-        return self.peep is not None
+    KIND = "lstm"
 
 
 class GruLayerParams(_StackedLayer):
-    """One GRU layer, gates in z, r, candidate order; b is None without
-    biases."""
+    """One GRU layer, gates in z, r, candidate order."""
 
-    KIND, OPTION, OPTIONAL = "gru", "biases", "b"
+    KIND = "gru"
 
-    def __init__(self, units: int, input_dim: int, biases: bool = True):
-        super().__init__(units, input_dim, biases)
 
-    @property
-    def biases(self) -> bool:
-        return self.b is not None
+_LAYER_PARAMS = {"lstm": LstmLayerParams, "gru": GruLayerParams}
 
 
 @dataclass
@@ -236,7 +187,6 @@ class RecurrentNetwork:
 
     cell_kind: str  # "lstm" or "gru"
     window: int
-    activations: Activations
     layers: list  # LstmLayerParams or GruLayerParams
     head_w: np.ndarray  # (last layer units,)
     head_b: np.ndarray  # (1,)
@@ -313,17 +263,14 @@ def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 
 
 def build_network(cell_kind: str, hidden_layers: int, units: int, seed,
-                  window: int = WINDOW,
-                  activations: Activations = DEFAULT_ACTIVATIONS,
-                  peepholes: bool = True,
-                  gru_biases: bool = True) -> RecurrentNetwork:
+                  window: int = WINDOW) -> RecurrentNetwork:
     """Seeded network: fixed first recurrent layer (input dim 1, `window`
     units) plus `hidden_layers` recurrent layers of `units` each, then the
     dense head. Matrices are uniform within the fan-sum limit, biases 0
     except the LSTM forget bias at 1, peepholes 0.
     """
     cell_kind = cell_kind.lower()
-    if cell_kind not in ("lstm", "gru"):
+    if cell_kind not in _LAYER_PARAMS:
         raise ValueError(f"cell_kind must be 'lstm' or 'gru', got {cell_kind!r}")
     if hidden_layers < 0:
         raise ValueError("hidden_layers must be >= 0")
@@ -332,11 +279,9 @@ def build_network(cell_kind: str, hidden_layers: int, units: int, seed,
                             for i in range(hidden_layers)]
     layers = []
     for input_dim, u in dims:
+        layer = _LAYER_PARAMS[cell_kind](u, input_dim)
         if cell_kind == "lstm":
-            layer = LstmLayerParams(u, input_dim, peepholes)
             layer.b[u:2 * u] = 1.0  # forget-gate warm start
-        else:
-            layer = GruLayerParams(u, input_dim, gru_biases)
         for w in (layer.wx, layer.wh):  # every input gate, then every recurrent one
             for k in range(0, len(w), u):
                 w[k:k + u] = _glorot(rng, u, w.shape[1])
@@ -344,8 +289,7 @@ def build_network(cell_kind: str, hidden_layers: int, units: int, seed,
     last_units = dims[-1][1]
     head_w = _glorot(rng, 1, last_units)[0]
     head_b = np.zeros(1)
-    return RecurrentNetwork(cell_kind=cell_kind, window=window,
-                            activations=activations, layers=layers,
+    return RecurrentNetwork(cell_kind=cell_kind, window=window, layers=layers,
                             head_w=head_w, head_b=head_b)
 
 
@@ -360,18 +304,6 @@ def build_network(cell_kind: str, hidden_layers: int, units: int, seed,
 # every pass writes into them. Each temporary of the equations has a
 # scratch array filled by the same operation on the same operands, so a
 # reused tape gives the bits of a fresh one.
-
-def _runs(fns: list, u: int) -> list:
-    """[(fn, rows)] over consecutive U-row gate blocks: one entry per run
-    of blocks that share fn, so each run takes one call."""
-    runs = []
-    for k, fn in enumerate(fns):
-        if runs and runs[-1][0] is fn:
-            runs[-1] = (fn, slice(runs[-1][1].start, (k + 1) * u))
-        else:
-            runs.append((fn, slice(k * u, (k + 1) * u)))
-    return runs
-
 
 def _time_stacked(steps: np.ndarray, buffer=None) -> tuple:
     """(T, K, B) per-step arrays as one (K, T*B) matrix laid out as
@@ -434,10 +366,9 @@ class _LayerTape:
         self.by_step = (_by_step(self.a, n_steps), self.h[:-1], self.h[1:], self.s,
                         _by_step(self.dh_out, n_steps), self.da, self.slopes)
 
-    def _project(self, bias) -> None:
+    def _project(self) -> None:
         np.matmul(self.p.wx, self.x2, out=self.a)
-        if bias is not None:
-            self.a += bias[:, None]
+        self.a += self.p.b[:, None]
 
     def _weight_gradients(self, grad: dict, dah2) -> None:
         """The input and recurrent weight gradients, the bias gradient and,
@@ -446,77 +377,65 @@ class _LayerTape:
         self.stack_hp()
         np.matmul(self.da2, self.x2.T, out=grad["wx"])
         np.matmul(dah2, self.hp.T, out=grad["wh"])
-        if grad["b"] is not None:
-            self.da2.sum(axis=1, out=grad["b"])
+        self.da2.sum(axis=1, out=grad["b"])
         if self.dx is not None:
             np.matmul(self.p.wx.T, self.da2, out=self.dx)
 
 
 class _LstmTape(_LayerTape):
     """An LSTM layer's tape: s holds i, f, the candidate, o and
-    cell_output(c), and c (T+1, U, B) the cell state from c0."""
+    sigmoid(c), and c (T+1, U, B) the cell state from c0."""
 
     ROWS = 5
 
-    def __init__(self, p: LstmLayerParams, acts: Activations, n_steps: int, x2,
+    def __init__(self, p: LstmLayerParams, n_steps: int, x2,
                  dx=None, stacked: bool = False, h0=None, c0=None):
         super().__init__(p, n_steps, x2, dx, stacked, h0)
-        gate, cin, cout = (_resolve(name) for name in
-                           (acts.gate, acts.cell_input, acts.cell_output))
         u, n = p.units, self.h.shape[2]
         self.c = np.zeros_like(self.h)
         if c0 is not None:
             self.c[0] = c0
-        self.pre = pre = np.empty((5 * u, n))  # pre-activations of i, f, candidate, o, then c
-        self.peep = None if p.peep is None else p.peep.reshape(3, u, 1)
+        self.pre = np.empty((5 * u, n))  # pre-activations of i, f, candidate, o, then c
+        self.peep = p.peep.reshape(3, u, 1)
         self.dc, self.peep_tmp = np.empty((u, n)), np.empty((2, u, n))
         self.peep_prod = np.empty((n_steps, u, n))
-        in_runs, out_runs = _runs([gate, gate, cin], u), _runs([gate, cout], u)
         self.steps = [
-            (a_t, h_t, h_next, c_t, c_next,
-             [(fn, pre[rows], s_t[rows]) for (fn, _), rows in in_runs],
-             [(fn, pre[3 * u:][rows], s_t[3 * u:][rows]) for (fn, _), rows in out_runs],
+            (a_t, h_t, h_next, c_t, c_next, s_t[:3 * u], s_t[3 * u:],
              _blocks(s_t, u), dh_t, da_t, _blocks(da_t, u), _blocks(sl_t, u)[3:],
              da_t[:3 * u], sl_t[:3 * u])
             for a_t, h_t, h_next, s_t, dh_t, da_t, sl_t, c_t, c_next
             in zip(*self.by_step, self.c[:-1], self.c[1:])]
-        self.deriv_views = [(deriv, self.s[:, rows], self.slopes[:, rows])
-                            for (_, deriv), rows in _runs([gate, gate, cin, gate, cout], u)]
 
     def forward(self) -> None:
         """Run the layer over x2 from its start state."""
-        self._project(self.p.b)
-        u, wh, peep, tmp, peep_tmp = self.p.units, self.p.wh, self.peep, self.tmp, self.peep_tmp
-        pre4, pre_if, pre_o, pre_c = (self.pre[:4 * u], self.pre[:2 * u].reshape(peep_tmp.shape),
-                                      self.pre[3 * u:4 * u], self.pre[4 * u:])
-        peep_if, peep_o = (None, None) if peep is None else (peep[:2], peep[2])
-        for a_t, h_t, h_next, c_t, c_next, in_runs, out_runs, (i, f, g, o, sc), *_ in self.steps:
+        self._project()
+        u, wh, tmp, peep_tmp = self.p.units, self.p.wh, self.tmp, self.peep_tmp
+        pre4, pre_if, pre_o = (self.pre[:4 * u], self.pre[:2 * u].reshape(peep_tmp.shape),
+                               self.pre[3 * u:4 * u])
+        pre_ifg, pre_oc, pre_c = self.pre[:3 * u], self.pre[3 * u:], self.pre[4 * u:]
+        peep_if, peep_o = self.peep[:2], self.peep[2]
+        for a_t, h_t, h_next, c_t, c_next, s_ifg, s_oc, (i, f, g, o, sc), *_ in self.steps:
             np.matmul(wh, h_t, out=pre4)
             pre4 += a_t
-            if peep is not None:
-                np.multiply(c_t, peep_if, out=peep_tmp)
-                pre_if += peep_tmp
-            for fn, x, out in in_runs:
-                fn(x, out=out)
+            np.multiply(c_t, peep_if, out=peep_tmp)
+            pre_if += peep_tmp
+            _sigmoid(pre_ifg, out=s_ifg)
             np.multiply(f, c_t, out=c_next)
             np.multiply(i, g, out=tmp)
             c_next += tmp
-            if peep is not None:
-                np.multiply(c_next, peep_o, out=tmp)
-                pre_o += tmp  # the output gate peeks at the NEW cell state
+            np.multiply(c_next, peep_o, out=tmp)
+            pre_o += tmp  # the output gate peeks at the NEW cell state
             np.copyto(pre_c, c_next)
-            for fn, x, out in out_runs:
-                fn(x, out=out)
+            _sigmoid(pre_oc, out=s_oc)
             np.multiply(o, sc, out=h_next)
         self.stack_hs()
 
     def backward(self, grad: dict) -> None:
         """BPTT from dh_out: writes the weight gradients into the `grad`
         blocks and, with dx, the input gradient."""
-        for deriv, y, out in self.deriv_views:
-            deriv(y, out=out)
-        peep, tmp, dc, wh_t, last = self.peep, self.tmp, self.dc, self.p.wh.T, self.last
-        peep_i, peep_f, peep_o = (None, None, None) if peep is None else peep
+        _dsigmoid_from_y(self.s, out=self.slopes)
+        tmp, dc, wh_t, last = self.tmp, self.dc, self.p.wh.T, self.last
+        peep_i, peep_f, peep_o = self.peep
         for t in range(last, -1, -1):
             (_, _, _, c_t, _, _, _, (i, f, g, o, sc), dh_t, da_t, (d_i, d_f, d_g, d_o),
              (sl_o, sl_sc), da_3, sl_3) = self.steps[t]
@@ -530,9 +449,8 @@ class _LstmTape(_LayerTape):
                 dc += tmp
             np.multiply(dh, sc, out=d_o)
             d_o *= sl_o
-            if peep is not None:
-                np.multiply(d_o, peep_o, out=tmp)
-                dc += tmp
+            np.multiply(d_o, peep_o, out=tmp)
+            dc += tmp
             np.multiply(dc, g, out=d_i)
             np.multiply(dc, c_t, out=d_f)
             np.multiply(dc, i, out=d_g)
@@ -540,21 +458,19 @@ class _LstmTape(_LayerTape):
             if t == 0:
                 break  # the start state is a constant
             dc *= f
-            if peep is not None:
-                np.multiply(d_i, peep_i, out=tmp)
-                dc += tmp
-                np.multiply(d_f, peep_f, out=tmp)
-                dc += tmp
+            np.multiply(d_i, peep_i, out=tmp)
+            dc += tmp
+            np.multiply(d_f, peep_f, out=tmp)
+            dc += tmp
             np.matmul(wh_t, da_t, out=self.dh_rec)
 
         self.stack_da()
         self._weight_gradients(grad, self.da2)
-        if peep is not None:  # gates i and f peek at c[t], gate o (block 3) at c[t+1]
-            u, c = self.p.units, self.c
-            peep_grads = grad["peep"].reshape(3, u)
-            for k, cells, out in zip((0, 1, 3), (c[:-1], c[:-1], c[1:]), peep_grads):
-                np.multiply(self.da[:, k * u:(k + 1) * u], cells, out=self.peep_prod)
-                np.add.reduce(self.peep_prod, axis=(0, 2), out=out)
+        # gates i and f peek at c[t], gate o (block 3) at c[t+1]
+        u, c = self.p.units, self.c
+        for k, cells, out in zip((0, 1, 3), (c[:-1], c[:-1], c[1:]), grad["peep"].reshape(3, u)):
+            np.multiply(self.da[:, k * u:(k + 1) * u], cells, out=self.peep_prod)
+            np.add.reduce(self.peep_prod, axis=(0, 2), out=out)
 
 
 class _GruTape(_LayerTape):
@@ -565,10 +481,9 @@ class _GruTape(_LayerTape):
 
     ROWS = 3
 
-    def __init__(self, p: GruLayerParams, acts: Activations, n_steps: int, x2,
+    def __init__(self, p: GruLayerParams, n_steps: int, x2,
                  dx=None, stacked: bool = False, h0=None):
         super().__init__(p, n_steps, x2, dx, stacked, h0)
-        self.gate_fn, gate_d = _resolve(acts.gate)
         u, n = p.units, self.h.shape[2]
         self.hw, self.dah = np.empty_like(self.s), np.empty_like(self.s)
         self.dah2, self.stack_dah = _time_stacked(self.dah)
@@ -580,18 +495,16 @@ class _GruTape(_LayerTape):
              sl_t[2 * u:], dah_t, dah_t[:2 * u], dah_t[2 * u:], jump_t)
             for a_t, h_t, h_next, s_t, dh_t, da_t, sl_t, hw_t, dah_t, omz_t, jump_t
             in zip(*self.by_step, self.hw, self.dah, self.omz, self.jump)]
-        self.deriv_views = [(gate_d, self.s[:, :2 * u], self.slopes[:, :2 * u]),
-                            (_dtanh_from_y, self.s[:, 2 * u:], self.slopes[:, 2 * u:])]
 
     def forward(self) -> None:
         """Run the layer over x2 from its start state."""
-        self._project(self.p.b)
-        u, wh, gate_fn, tmp = self.p.units, self.p.wh, self.gate_fn, self.tmp
+        self._project()
+        u, wh, tmp = self.p.units, self.p.wh, self.tmp
         pre_zr, pre_c = self.pre[:2 * u], self.pre[2 * u:]
         for h_t, h_next, hw_t, s_zr, hw_zr, a_zr, hw_c, a_c, (z, r, cand), omz, *_ in self.steps:
             np.matmul(wh, h_t, out=hw_t)
             np.add(a_zr, hw_zr, out=pre_zr)
-            gate_fn(pre_zr, out=s_zr)
+            _sigmoid(pre_zr, out=s_zr)
             np.multiply(r, hw_c, out=pre_c)
             np.add(a_c, pre_c, out=pre_c)
             np.tanh(pre_c, out=cand)
@@ -603,9 +516,10 @@ class _GruTape(_LayerTape):
 
     def backward(self, grad: dict) -> None:
         """BPTT from dh_out; see _LstmTape.backward."""
-        for deriv, y, out in self.deriv_views:
-            deriv(y, out=out)
-        np.subtract(self.s[:, 2 * self.p.units:], self.h[:-1], out=self.jump)
+        u = self.p.units
+        _dsigmoid_from_y(self.s[:, :2 * u], out=self.slopes[:, :2 * u])
+        _dtanh_from_y(self.s[:, 2 * u:], out=self.slopes[:, 2 * u:])
+        np.subtract(self.s[:, 2 * u:], self.h[:-1], out=self.jump)
         tmp, wh_t, last = self.tmp, self.p.wh.T, self.last
         for t in range(last, -1, -1):
             (_, _, _, _, _, _, hw_c, _, (z, r, _), omz, dh_t, da_zr, (d_z, d_r, d_c),
@@ -634,8 +548,8 @@ _LAYER_TAPES = {"lstm": _LstmTape, "gru": _GruTape}
 # ---------------------------------------------------------------------------
 # cell steps
 
-def lstm_step(params: LstmLayerParams, x_t: np.ndarray, state: LstmState,
-              activations: Activations = DEFAULT_ACTIVATIONS) -> tuple[np.ndarray, LstmState]:
+def lstm_step(params: LstmLayerParams, x_t: np.ndarray,
+              state: LstmState) -> tuple[np.ndarray, LstmState]:
     """One LSTM timestep for a single d-dimensional input vector."""
     x_t = np.asarray(x_t, dtype=np.float64)
     if x_t.shape != (params.input_dim,):
@@ -643,16 +557,14 @@ def lstm_step(params: LstmLayerParams, x_t: np.ndarray, state: LstmState,
     if state.h.shape != (params.units,) or state.c.shape != (params.units,):
         raise ShapeMismatch(f"state shapes {state.h.shape}/{state.c.shape}, "
                             f"expected ({params.units},)")
-    layer = _LstmTape(params, activations, 1, x_t[:, None],
-                      h0=state.h[:, None], c0=state.c[:, None])
+    layer = _LstmTape(params, 1, x_t[:, None], h0=state.h[:, None], c0=state.c[:, None])
     with np.errstate(over="ignore"):
         layer.forward()
     h, c = layer.h[1, :, 0], layer.c[1, :, 0]
     return h, LstmState(c=c, h=h)
 
 
-def gru_step(params: GruLayerParams, x_t: np.ndarray, h_prev: np.ndarray,
-             activations: Activations = DEFAULT_ACTIVATIONS) -> np.ndarray:
+def gru_step(params: GruLayerParams, x_t: np.ndarray, h_prev: np.ndarray) -> np.ndarray:
     """One GRU timestep for a single d-dimensional input vector."""
     x_t = np.asarray(x_t, dtype=np.float64)
     h_prev = np.asarray(h_prev, dtype=np.float64)
@@ -660,7 +572,7 @@ def gru_step(params: GruLayerParams, x_t: np.ndarray, h_prev: np.ndarray,
         raise ShapeMismatch(f"x_t shape {x_t.shape}, expected ({params.input_dim},)")
     if h_prev.shape != (params.units,):
         raise ShapeMismatch(f"h_prev shape {h_prev.shape}, expected ({params.units},)")
-    layer = _GruTape(params, activations, 1, x_t[:, None], h0=h_prev[:, None])
+    layer = _GruTape(params, 1, x_t[:, None], h0=h_prev[:, None])
     with np.errstate(over="ignore"):
         layer.forward()
     return layer.h[1, :, 0]
@@ -688,7 +600,7 @@ class Tape:
         self.layers, self.grad_blocks = [], []
         x2, dx = self.x0, None
         for k, layer in enumerate(net.layers):
-            tape = _LAYER_TAPES[net.cell_kind](layer, net.activations, n_steps, x2, dx,
+            tape = _LAYER_TAPES[net.cell_kind](layer, n_steps, x2, dx,
                                                stacked=k + 1 < len(net.layers))
             self.layers.append(tape)
             self.grad_blocks.append(layer.views(self.grads.flat[net._layer_slices[k]]))
@@ -862,6 +774,18 @@ class AdamOptimizer:
 # ---------------------------------------------------------------------------
 # persistence
 
+# The fixed cell equations as a model file states them: the header's
+# activations and, in each layer entry of format 3, the LSTM's peephole
+# or the GRU's bias flag. Files are written with these values; a file
+# with any other is refused, naming the key. The GRU candidate is tanh
+# whatever the header says.
+CELL_EQUATIONS = {
+    "activations": {"gate": "sigmoid", "cell_input": "sigmoid", "cell_output": "sigmoid"},
+    "lstm": {"peepholes": True},
+    "gru": {"biases": True},
+}
+
+
 def save_model_json(net: RecurrentNetwork, scaler: MinMaxScaler | None, path: str) -> None:
     """Write the network as one line of JSON: a header that describes the
     layers, then `net.flat` as base64 of its little-endian float64 bytes."""
@@ -869,14 +793,10 @@ def save_model_json(net: RecurrentNetwork, scaler: MinMaxScaler | None, path: st
         "format": MODEL_FORMAT,
         "cell_kind": net.cell_kind,
         "window": net.window,
-        "activations": {
-            "gate": net.activations.gate,
-            "cell_input": net.activations.cell_input,
-            "cell_output": net.activations.cell_output,
-        },
+        "activations": CELL_EQUATIONS["activations"],
         "scaler": ({"lo": scaler.lo, "hi": scaler.hi} if scaler is not None else None),
         "layers": [{"input_dim": layer.input_dim, "units": layer.units,
-                    layer.OPTION: layer.OPTIONAL in layer._shapes} for layer in net.layers],
+                    **CELL_EQUATIONS[net.cell_kind]} for layer in net.layers],
         "parameters": base64.b64encode(net.flat.astype("<f8", copy=False).tobytes()).decode("ascii"),
     }
     jsonfile.save(path, payload)
@@ -886,27 +806,31 @@ def save_model_json(net: RecurrentNetwork, scaler: MinMaxScaler | None, path: st
 _HEADER = {"format", "cell_kind", "window", "activations", "scaler", "layers", "parameters"}
 
 
+def _expect(obj, fixed: dict, where: str = "") -> None:
+    """obj holds every key of `fixed` with exactly its value."""
+    for name, want in fixed.items():
+        value = jsonfile.key(obj, name, where)
+        if type(value) is not type(want) or value != want:
+            shown = "true" if want is True else repr(want)
+            raise MalformedModel(f"{where}{name}: {value!r}, expected {shown}")
+
+
 def _layer_from_entry(layer_cls, entry, where: str, version: int):
     """One entry of a file's `layers` list as a zero layer (format 3,
     whose weights are in the blob) or a layer holding the entry's
-    per-gate arrays (formats 1 and 2, where the optional gate arrays are
-    all given or all left out)."""
+    per-gate arrays (formats 1 and 2)."""
     input_dim = jsonfile.positive_int(entry, "input_dim", where)
     units = jsonfile.positive_int(entry, "units", where)
-    table = GATES[layer_cls.KIND]
-    fields = {layer_cls.OPTION} if version == MODEL_FORMAT else set(table)
-    unknown = sorted(set(entry) - fields - {"input_dim", "units"})
+    flags = CELL_EQUATIONS[layer_cls.KIND]
+    fields = flags if version == MODEL_FORMAT else GATES[layer_cls.KIND]
+    unknown = sorted(set(entry) - set(fields) - {"input_dim", "units"})
     if unknown:
         raise MalformedModel(f"{where}{unknown[0]}: unknown key for a {layer_cls.KIND} layer")
+    layer = layer_cls(units, input_dim)
     if version == MODEL_FORMAT:
-        option = jsonfile.key(entry, layer_cls.OPTION, where)
-        if not isinstance(option, bool):
-            raise MalformedModel(f"{where}{layer_cls.OPTION}: {option!r}, expected true or false")
-        return layer_cls(units, input_dim, option)
+        _expect(entry, flags, where)
+        return layer
 
-    layer = layer_cls(units, input_dim, any(
-        entry.get(key) is not None
-        for key, (block, _) in table.items() if block == layer_cls.OPTIONAL))
     for key, view in layer.gates():
         if entry.get(key) is None:
             raise MalformedModel(f"{where}{key}: missing")
@@ -942,16 +866,10 @@ def _model_from_payload(payload) -> tuple[RecurrentNetwork, MinMaxScaler | None]
             name = mismatch[0]
             raise MalformedModel(f"{name}: {'missing' if name in _HEADER else 'unknown key'}")
     kind = jsonfile.key(payload, "cell_kind")
-    layer_cls = {"lstm": LstmLayerParams, "gru": GruLayerParams}.get(kind)
+    layer_cls = _LAYER_PARAMS.get(kind)
     if layer_cls is None:
         raise MalformedModel(f"cell_kind: {kind!r}, expected 'lstm' or 'gru'")
-    raw_acts = jsonfile.key(payload, "activations")
-    acts = {}
-    for name in ("gate", "cell_input", "cell_output"):
-        acts[name] = jsonfile.key(raw_acts, name, "activations.")
-        if acts[name] not in _ACTIVATIONS:
-            raise MalformedModel(f"activations.{name}: {acts[name]!r}, "
-                                 f"expected one of {sorted(_ACTIVATIONS)}")
+    _expect(jsonfile.key(payload, "activations"), CELL_EQUATIONS["activations"], "activations.")
     window = jsonfile.positive_int(payload, "window")
 
     entries = jsonfile.key(payload, "layers")
@@ -969,17 +887,22 @@ def _model_from_payload(payload) -> tuple[RecurrentNetwork, MinMaxScaler | None]
             raise MalformedModel("head.w: not a numeric array") from None
         head_b = np.array([jsonfile.number(head, "b", "head.")])
     try:
-        net = RecurrentNetwork(cell_kind=kind, window=window, activations=Activations(**acts),
-                               layers=layers, head_w=head_w, head_b=head_b)
+        net = RecurrentNetwork(cell_kind=kind, window=window, layers=layers,
+                               head_w=head_w, head_b=head_b)
     except ShapeMismatch as exc:
         raise MalformedModel(str(exc)) from None
     if version == MODEL_FORMAT:
         net.flat[...] = _blob(payload["parameters"], net.flat.size)
+    if not np.isfinite(net.flat).all():
+        path = next(path for path, arr in net.parameters() if not np.isfinite(arr).all())
+        raise MalformedModel(f"parameters: {path} holds a non-finite value")
     raw = payload.get("scaler")
-    scaler = (MinMaxScaler(lo=jsonfile.number(raw, "lo", "scaler."),
-                           hi=jsonfile.number(raw, "hi", "scaler."))
-              if raw is not None else None)
-    return net, scaler
+    if raw is None:
+        return net, None
+    lo, hi = (jsonfile.number(raw, name, "scaler.") for name in ("lo", "hi"))
+    if not 0.0 < hi - lo < math.inf:
+        raise MalformedModel(f"scaler.hi: {hi!r}, expected a finite amount above scaler.lo = {lo!r}")
+    return net, MinMaxScaler(lo=lo, hi=hi)
 
 
 def load_model_json(path: str) -> tuple[RecurrentNetwork, MinMaxScaler | None]:

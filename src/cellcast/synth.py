@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import InvalidSpec, MalformedTruth
 from .ingest import BIN_WIDTH_MS
 
 BINS_PER_DAY = 48
@@ -287,10 +287,25 @@ def _block_text(spec: SynthSpec, day: int, cell_ids: list[int], values: np.ndarr
 
 
 def load_truth(path: str) -> dict[int, int]:
+    """truth.csv as cell id -> archetype id. A file without a header line,
+    or with a row that is not two integers or repeats a cell, raises
+    MalformedTruth naming the file and the 1-based line."""
+    truth = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
-        return {int(row[0]): int(row[1]) for row in reader}
+        if next(reader, None) is None:
+            raise MalformedTruth(f"{path}: empty file, expected a header line")
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            try:
+                cell, archetype = map(int, row)
+            except ValueError:  # not two fields, or one is not an integer
+                raise MalformedTruth(f"{where}: expected a cell id and an archetype id, "
+                                     f"got {','.join(row)!r}") from None
+            if cell in truth:
+                raise MalformedTruth(f"{where}: cell {cell} listed twice")
+            truth[cell] = archetype
+    return truth
 
 
 def well_separated_city(n_archetypes: int = 12, cells_per_archetype: int = 50,

@@ -383,7 +383,10 @@ def load_results_csv(path: str) -> GridResult:
     ------
     MalformedResults
         The file is empty, or a row is short or has a non-numeric
-        field; the message names the file and the 1-based line.
+        field; the message names the file and the 1-based line. Or the
+        grid is not whole: every config must hold runs 0..R-1 once each,
+        with one R and one seed - run for the file; the message names the
+        file and the config.
     """
     runs = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -405,7 +408,25 @@ def load_results_csv(path: str) -> GridResult:
                 ))
             except ValueError as exc:
                 raise MalformedResults(f"{where}: {exc}") from None
+    _check_whole(path, runs)
     return _aggregate(runs)
+
+
+def _check_whole(path: str, runs: list[TrainRunResult]) -> None:
+    """See load_results_csv: a file cut short or with a repeated row is
+    not a grid."""
+    configs = _by_label(runs)
+    n_runs = max((len(rs) for rs in configs.values()), default=0)
+    for label, rs in configs.items():
+        ids = sorted(r.run for r in rs)
+        if ids != list(range(n_runs)):
+            raise MalformedResults(f"{path}: {label} has runs {', '.join(map(str, ids))}, "
+                                   f"expected 0..{n_runs - 1}")
+    base_seed = runs[0].seed - runs[0].run if runs else 0
+    for r in runs:
+        if r.seed != base_seed + r.run:
+            raise MalformedResults(f"{path}: {r.label} run {r.run} has seed {r.seed}, "
+                                   f"expected {base_seed + r.run}")
 
 
 def save_summary_json(result: GridResult, path: str) -> None:

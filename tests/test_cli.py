@@ -105,6 +105,29 @@ class TestExitCodes:
         assert f"{results}{where}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("runs,named", [
+        ("lstm 0 1 2, gru 0 2", "GRU-0-1L-4U has runs 0, 2, expected 0..2"),
+        ("lstm 0 1, gru 0 0", "GRU-0-1L-4U has runs 0, 0, expected 0..1"),
+        ("lstm 0 1, gru 0", "GRU-0-1L-4U has runs 0, expected 0..1"),
+        ("gru 0, lstm 0 1 2", "GRU-0-1L-4U has runs 0, expected 0..2"),
+        ("lstm 0 1 2/9, gru 0 1 2", "LSTM-0-1L-4U run 2 has seed 9, expected 2"),
+    ], ids=["missing_run", "duplicate_row", "cut_at_row_boundary", "short_first_config",
+            "seed_shift"])
+    def test_results_must_hold_a_whole_grid(self, tmp_path, capsys, runs, named):
+        """Every config holds runs 0..R-1 once each, seeded base + run."""
+        rows = ["cluster,cell,layers,units,run,seed,rmse,mae,seconds"]
+        for config in runs.split(", "):
+            kind, *ids = config.split()
+            for entry in ids:
+                run, _, seed = entry.partition("/")
+                rows.append(f"0,{kind},1,4,{run},{seed or run},0.{run}5,0.5,0")
+        results = tmp_path / "results.csv"
+        results.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "comparison.json"
+        assert main(["compare", "--results", str(results), "--out", str(out)]) == 2
+        assert f"{results}: {named}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("levels,code", [([0, 0, 0, 0, 1, 5], 0), ([0, 0, 0, 0, 1, 1], 2)],
                              ids=["three_distinct", "two_distinct"])
     def test_k_auto_with_dead_cells(self, tmp_path, capsys, levels, code):
@@ -362,7 +385,27 @@ class TestMalformedModel:
         del doc["layers"][0]["peepholes"]
         return "layers[0].peepholes: missing"
 
-    @pytest.mark.parametrize("corrupt", ["truncate_matrix", "unknown_kind", "missing_key"])
+    @staticmethod
+    def nan_scaler(doc):
+        doc["scaler"]["lo"] = float("nan")
+        return "scaler.lo: nan, expected a finite number"
+
+    @staticmethod
+    def empty_scaler_range(doc):
+        doc["scaler"]["hi"] = doc["scaler"]["lo"]
+        return f"scaler.hi: {doc['scaler']['lo']!r}, expected a finite amount above scaler.lo"
+
+    @staticmethod
+    def infinite_parameter(doc):
+        """The head's bias, the last value, becomes infinite."""
+        blob = base64.b64decode(doc["parameters"])
+        blob = blob[:-8] + np.array([np.inf], dtype="<f8").tobytes()
+        doc["parameters"] = base64.b64encode(blob).decode("ascii")
+        return "parameters: head.b holds a non-finite value"
+
+    @pytest.mark.parametrize("corrupt", ["truncate_matrix", "unknown_kind", "missing_key",
+                                         "nan_scaler", "empty_scaler_range",
+                                         "infinite_parameter"])
     def test_predict_rejects_model(self, pipeline_run, tmp_path, capsys, corrupt):
         doc = json.loads((pipeline_run / "lstm_c0.json").read_text())
         message = getattr(self, corrupt)(doc)
@@ -386,6 +429,43 @@ def _clusters_doc():
             "assignment": {"1": 0, "2": 0, "3": 1, "4": 1}, "sse": 0.0}
 
 
+class TestTruthFile:
+    """A truth file that cannot score the clustering exits 2 naming the
+    file and the line or the cell, before any file is written."""
+
+    CASES = {
+        "not_an_integer": ("cell_id,archetype\n1,0\n2,x\n",
+                           ":3: expected a cell id and an archetype id, got '2,x'"),
+        "short_row": ("cell_id,archetype\n1,0\n2\n",
+                      ":3: expected a cell id and an archetype id, got '2'"),
+        "empty_file": ("", ": empty file, expected a header line"),
+        "repeated_cell": ("cell_id,archetype\n1,0\n1,1\n", ":3: cell 1 listed twice"),
+        "missing_cell": ("cell_id,archetype\n1,0\n2,0\n3,1\n", ": no archetype for cell 4"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_cluster_rejects_truth(self, tmp_path, capsys, case):
+        text, message = self.CASES[case]
+        bins, truth = tmp_path / "bins.json", tmp_path / "truth.csv"
+        bins.write_text(json.dumps(_bins_doc()))
+        truth.write_text(text)
+        out = tmp_path / "clusters.json"
+        code = main(["cluster", "--bins", str(bins), "--k", "2", "--truth", str(truth),
+                     "--out", str(out), "--series", str(tmp_path / "series.json")])
+        assert code == 2
+        assert f"{truth}{message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cluster_scores_a_whole_truth_file(self, tmp_path, capsys):
+        bins, truth = tmp_path / "bins.json", tmp_path / "truth.csv"
+        bins.write_text(json.dumps(_bins_doc()))
+        truth.write_text("cell_id,archetype\n1,0\n2,0\n3,1\n4,1\n")
+        assert main(["cluster", "--bins", str(bins), "--k", "2", "--truth", str(truth),
+                     "--out", str(tmp_path / "clusters.json"),
+                     "--series", str(tmp_path / "series.json")]) == 0
+        assert "adjusted Rand vs truth = 1.0000" in capsys.readouterr().err
+
+
 class TestMalformedArtefacts:
     """A bins or cluster file that cannot be read exits 2 naming the
     file and the key, in every subcommand that reads it."""
@@ -404,6 +484,7 @@ class TestMalformedArtefacts:
                                  "assignment.4: 2, expected a cluster in 0..1"),
         "ragged_centroids": (lambda d: d["centroids"][1].pop(),
                              "centroids: not a 2-d list of numbers"),
+        "nan_sse": (lambda d: d.update(sse=float("nan")), "sse: nan, expected a finite number"),
     }
 
     @staticmethod

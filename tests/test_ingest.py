@@ -14,7 +14,6 @@ from cellcast import (
     iter_cdr_file,
     iter_cdr_paths,
     load_bins_json,
-    merge_binned,
     parse_cdr_line,
     read_cdr_paths,
     save_bins_csv,
@@ -262,49 +261,6 @@ class TestBinning:
     def test_bin_start_helper(self):
         result = bin_series([CdrRecord(1, SPAN_START, 1.0)], SPAN_START, SPAN_START + 2 * BIN)
         assert result.cells[1].bin_start(1) == SPAN_START + BIN
-
-
-class TestMerge:
-    def test_merge_adds_elementwise(self):
-        a = bin_series([CdrRecord(1, SPAN_START, 1.0)], SPAN_START, SPAN_START + BIN).cells
-        b = bin_series(
-            [CdrRecord(1, SPAN_START, 2.0), CdrRecord(2, SPAN_START, 5.0)],
-            SPAN_START,
-            SPAN_START + BIN,
-        ).cells
-        merged = merge_binned(a, b)
-        np.testing.assert_allclose(merged[1].values, [3.0])
-        np.testing.assert_allclose(merged[2].values, [5.0])
-
-    def test_merge_leaves_inputs_untouched(self):
-        a = bin_series([CdrRecord(1, SPAN_START, 1.0)], SPAN_START, SPAN_START + BIN).cells
-        b = bin_series([CdrRecord(1, SPAN_START, 2.0)], SPAN_START, SPAN_START + BIN).cells
-        merge_binned(a, b)
-        np.testing.assert_allclose(a[1].values, [1.0])
-        np.testing.assert_allclose(b[1].values, [2.0])
-
-    def test_merge_rejects_mismatched_spans(self):
-        a = bin_series([CdrRecord(1, SPAN_START, 1.0)], SPAN_START, SPAN_START + BIN).cells
-        b = bin_series([CdrRecord(1, SPAN_START + BIN, 1.0)], SPAN_START + BIN, SPAN_START + 2 * BIN).cells
-        with pytest.raises(UnalignedSpan):
-            merge_binned(a, b)
-
-    def test_split_files_merge_to_single_pass(self):
-        """Binning record halves separately then merging equals one pass."""
-        rng = np.random.default_rng(3)
-        records = [
-            CdrRecord(int(rng.integers(1, 4)), SPAN_START + int(rng.integers(0, 8 * BIN)), float(rng.random()))
-            for _ in range(200)
-        ]
-        end = SPAN_START + 8 * BIN
-        whole = bin_series(records, SPAN_START, end).cells
-        merged = merge_binned(
-            bin_series(records[:100], SPAN_START, end).cells,
-            bin_series(records[100:], SPAN_START, end).cells,
-        )
-        assert set(merged) == set(whole)
-        for cid in whole:
-            np.testing.assert_allclose(merged[cid].values, whole[cid].values, rtol=0, atol=1e-12)
 
 
 class TestPersistence:

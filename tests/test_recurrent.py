@@ -38,9 +38,6 @@ from cellcast.training import ClusterDataset, TrainConfig, _fit
 
 DATA = pathlib.Path(__file__).parent / "data"
 
-# Network options that change which parameters exist.
-VARIANTS = [("lstm", {}), ("lstm", {"peepholes": False}), ("gru", {}), ("gru", {"gru_biases": False})]
-
 # Seeds whose random nets give finite-difference checks comfortably away
 # from the central-difference noise floor (entries ~1e-7 against an
 # absolute floor ~1e-12 are ill-conditioned at eps=1e-5).
@@ -69,16 +66,27 @@ def drop_last_parameter(doc):
     doc["parameters"] = base64.b64encode(blob[:-8]).decode("ascii")
 
 
+def poison_first_parameter(doc):
+    blob = bytearray(base64.b64decode(doc["parameters"]))
+    blob[:8] = np.array([np.inf], dtype="<f8").tobytes()
+    doc["parameters"] = base64.b64encode(bytes(blob)).decode("ascii")
+
+
+def on_file(name, edit=lambda doc: None):
+    """A model: the fixture file `name` after edit."""
+    return lambda tmp_path: edited(json.loads((DATA / name).read_text()), edit)
+
+
 def on_format_1(edit):
     """A corrupt model: the format-1 LSTM fixture (layers 1->4->3) after edit."""
-    return lambda tmp_path: edited(json.loads((DATA / "model_format1_lstm.json").read_text()), edit)
+    return on_file("model_format1_lstm.json", edit)
 
 
-def on_format_3(edit):
-    """A corrupt model: a freshly saved format-3 LSTM (layers 1->4->3, 217
-    parameters) after edit."""
+def on_format_3(edit, kind="lstm"):
+    """A corrupt model: a freshly saved format-3 network (layers 1->4->3;
+    217 parameters for the LSTM) after edit."""
     def saved(tmp_path):
-        save_model_json(build_network("lstm", 1, 3, seed=11), None, str(tmp_path / "saved.json"))
+        save_model_json(build_network(kind, 1, 3, seed=11), None, str(tmp_path / "saved.json"))
         return json.loads((tmp_path / "saved.json").read_text())
     return lambda tmp_path: edited(saved(tmp_path), edit)
 
@@ -161,17 +169,6 @@ class TestGruStep:
         v = np.array([0.9, -0.3])
         h = gru_step(params, np.array([2.0]), v)
         np.testing.assert_allclose(h, v, atol=1e-6)
-
-    def test_biasless_layer_matches_zero_bias_layer(self):
-        rng = np.random.default_rng(1)
-        with_b = GruLayerParams(3, 2)
-        without_b = GruLayerParams(3, 2, biases=False)
-        for name in ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h"):
-            w = rng.normal(size=gate(with_b, name).shape)
-            gate(with_b, name)[...] = w
-            gate(without_b, name)[...] = w
-        x, h_prev = rng.normal(size=2), rng.normal(size=3)
-        np.testing.assert_array_equal(gru_step(with_b, x, h_prev), gru_step(without_b, x, h_prev))
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)
@@ -299,18 +296,6 @@ class TestGradients:
         targets = rng.random(4)
         assert relative_gradient_errors(net, inputs, targets) < 1e-5
 
-    def test_peephole_free_lstm_gradients(self):
-        rng = np.random.default_rng(2)
-        net = build_network("lstm", 1, 6, seed=2, peepholes=False)
-        assert all("w_ci" not in p for p, _ in net.parameters())
-        assert relative_gradient_errors(net, rng.random((6, 4)), rng.random(6)) < 1e-5
-
-    def test_biasless_gru_gradients(self):
-        rng = np.random.default_rng(0)
-        net = build_network("gru", 1, 6, seed=0, gru_biases=False)
-        assert all("b_z" not in p for p, _ in net.parameters())
-        assert relative_gradient_errors(net, rng.random((6, 4)), rng.random(6)) < 1e-5
-
     @pytest.mark.parametrize("kind", ["lstm", "gru"])
     def test_gradients_vanish_at_exact_fit(self, kind):
         """Predictions equal to targets put MSE at a stationary point."""
@@ -366,13 +351,13 @@ def tape_arrays(tape):
 
 
 class TestTape:
-    @pytest.mark.parametrize("kind,extras", VARIANTS)
-    def test_reused_tapes_train_bit_for_bit_like_fresh_ones(self, kind, extras):
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    def test_reused_tapes_train_bit_for_bit_like_fresh_ones(self, kind):
         """20 windows in batches of 8 end on a ragged batch of 4, which
         gets a tape of its own."""
         rng = np.random.default_rng(7)
         inputs, targets = rng.random((20, 4)), rng.random(20)
-        runs = [fit_loop(build_network(kind, 2, 5, seed=3, **extras), inputs, targets,
+        runs = [fit_loop(build_network(kind, 2, 5, seed=3), inputs, targets,
                          epochs=3, batch_size=8, seed=1, tapes=tapes) for tapes in (None, {})]
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
@@ -417,14 +402,13 @@ class TestTape:
         with pytest.raises(TapeMismatch):
             backward(net, np.zeros(2), tape)
 
-    @pytest.mark.parametrize("kind,extras", VARIANTS)
-    def test_saturated_gates_warn_nothing_and_stay_finite(self, kind, extras):
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    def test_saturated_gates_warn_nothing_and_stay_finite(self, kind):
         """Gate pre-activations near -1000 overflow exp(-x); the gates
         saturate to 0 with neither a RuntimeWarning nor a NaN."""
-        net = build_network(kind, 2, 5, seed=0, **extras)
+        net = build_network(kind, 2, 5, seed=0)
         for layer in net.layers:
-            if layer.b is not None:
-                layer.b[...] = -1000.0
+            layer.b[...] = -1000.0
             layer.wx[...] *= 300.0
         inputs = np.random.default_rng(0).normal(size=(6, 4)) * 10.0
         with warnings.catch_warnings():
@@ -499,11 +483,11 @@ class TestAdam:
             np.testing.assert_array_equal(new_v, ref_v)
             np.testing.assert_array_equal(new_p, p - cfg.alpha * m_hat / (np.sqrt(v_hat) + cfg.eps))
 
-    @pytest.mark.parametrize("kind,extras", VARIANTS)
-    def test_flat_step_matches_per_array_updates(self, kind, extras):
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    def test_flat_step_matches_per_array_updates(self, kind):
         """One in-place step over the flat vector equals adam_update on
         every parameter array, bit for bit, over several steps."""
-        net = build_network(kind, 2, 5, seed=4, **extras)
+        net = build_network(kind, 2, 5, seed=4)
         opt = AdamOptimizer(net)
         ref = {path: (arr.copy(), np.zeros_like(arr), np.zeros_like(arr))
                for path, arr in net.parameters()}
@@ -519,9 +503,9 @@ class TestAdam:
 
 
 class TestFlatLayout:
-    @pytest.mark.parametrize("kind,extras", VARIANTS)
-    def test_parameters_and_gradients_are_views_of_one_vector(self, kind, extras):
-        net = build_network(kind, 2, 3, seed=1, **extras)
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    def test_parameters_and_gradients_are_views_of_one_vector(self, kind):
+        net = build_network(kind, 2, 3, seed=1)
         params = net.parameters()
         np.testing.assert_array_equal(net.flat, np.concatenate([a.ravel() for _, a in params]))
         assert all(np.shares_memory(arr, net.flat) for _, arr in params)
@@ -544,12 +528,14 @@ class TestFlatLayout:
         assert not np.array_equal(forward(net, x)[0], before)
 
     def test_constructors_allocate_zero_blocks(self):
-        lstm, gru = LstmLayerParams(2, 3), GruLayerParams(2, 1, biases=False)
+        lstm, gru = LstmLayerParams(2, 3), GruLayerParams(2, 1)
         assert (lstm.wx.shape, lstm.wh.shape, lstm.peep.shape, lstm.b.shape) == (
             (8, 3), (8, 2), (6,), (8,))
         assert lstm.flat.size == 24 + 16 + 6 + 8 and not lstm.flat.any()
-        assert gru.b is None and not gru.biases and gru.flat.size == 6 + 12
-        assert [key for key, _ in gru.gates()] == ["w_z", "w_r", "w_h", "u_z", "u_r", "u_h"]
+        assert (gru.wx.shape, gru.wh.shape, gru.b.shape) == ((6, 1), (6, 2), (6,))
+        assert gru.flat.size == 6 + 12 + 6 and not gru.flat.any()
+        assert [key for key, _ in gru.gates()] == [
+            "w_z", "w_r", "w_h", "u_z", "u_r", "u_h", "b_z", "b_r", "b_h"]
         assert all(np.shares_memory(view, gru.flat) for _, view in gru.gates())
 
 
@@ -579,9 +565,9 @@ class TestBuildAndPersist:
         with pytest.raises(ValueError):
             build_network("rnn", 1, 4, seed=0)
 
-    @pytest.mark.parametrize("kind,extras", [("lstm", {"peepholes": False}), ("gru", {"gru_biases": False}), ("lstm", {}), ("gru", {})])
-    def test_model_json_round_trip(self, tmp_path, kind, extras):
-        net = build_network(kind, 2, 5, seed=7, **extras)
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    def test_model_json_round_trip(self, tmp_path, kind):
+        net = build_network(kind, 2, 5, seed=7)
         scaler = MinMaxScaler(lo=1.0, hi=9.0)
         path = tmp_path / "model.json"
         save_model_json(net, scaler, str(path))
@@ -605,7 +591,7 @@ class TestBuildAndPersist:
         """A header without arrays, then the flat vector as one base64
         blob of little-endian float64 values."""
         path = tmp_path / "model.json"
-        net = build_network("gru", 1, 3, seed=0, gru_biases=False)
+        net = build_network("gru", 1, 3, seed=0)
         save_model_json(net, None, str(path))
         text = path.read_text()
         assert text.count("\n") == 1 and text.endswith("\n")
@@ -613,18 +599,18 @@ class TestBuildAndPersist:
         assert list(doc) == ["format", "cell_kind", "window", "activations", "scaler",
                              "layers", "parameters"]
         assert doc["format"] == 3
-        assert doc["layers"] == [{"input_dim": 1, "units": 4, "biases": False},
-                                 {"input_dim": 4, "units": 3, "biases": False}]
+        assert doc["activations"] == {"gate": "sigmoid", "cell_input": "sigmoid",
+                                      "cell_output": "sigmoid"}
+        assert doc["layers"] == [{"input_dim": 1, "units": 4, "biases": True},
+                                 {"input_dim": 4, "units": 3, "biases": True}]
         blob = base64.b64decode(doc["parameters"], validate=True)
         assert blob == net.flat.astype("<f8").tobytes()
 
-    @pytest.mark.parametrize("name,kind,seed,extras,scaler", [
-        ("model_format1_lstm.json", "lstm", 11, {}, MinMaxScaler(lo=2.5, hi=40.0)),
-        ("model_format1_gru_nobias.json", "gru", 12, {"gru_biases": False},
-         MinMaxScaler(lo=0.0, hi=7.0)),
-        ("model_format2_lstm.json", "lstm", 13, {}, MinMaxScaler(lo=1.0, hi=9.0)),
+    @pytest.mark.parametrize("name,kind,seed,scaler", [
+        ("model_format1_lstm.json", "lstm", 11, MinMaxScaler(lo=2.5, hi=40.0)),
+        ("model_format2_lstm.json", "lstm", 13, MinMaxScaler(lo=1.0, hi=9.0)),
     ])
-    def test_reads_format_1_files(self, name, kind, seed, extras, scaler):
+    def test_reads_format_1_files(self, name, kind, seed, scaler):
         """Files with one key per gate array still load to the network that
         wrote them: format 1 (indented, no "format" key) and format 2 (one
         line), each written by the code of its time."""
@@ -632,9 +618,26 @@ class TestBuildAndPersist:
         version = json.loads((DATA / name).read_text()).get("format", 1)
         assert name.startswith(f"model_format{version}_")
         assert loaded_scaler == scaler
-        want = build_network(kind, len(loaded.layers) - 1, 3, seed=seed, **extras)
+        want = build_network(kind, len(loaded.layers) - 1, 3, seed=seed)
         assert [p for p, _ in loaded.parameters()] == [p for p, _ in want.parameters()]
         np.testing.assert_array_equal(loaded.flat, want.flat)
+
+    def test_reads_a_format_1_gru(self, tmp_path):
+        """A per-gate GRU file, built here from a network's gates, loads to
+        that network."""
+        net = build_network("gru", 1, 3, seed=12)
+        doc = {"cell_kind": "gru", "window": net.window,
+               "activations": {"gate": "sigmoid", "cell_input": "sigmoid",
+                               "cell_output": "sigmoid"},
+               "layers": [{"input_dim": layer.input_dim, "units": layer.units,
+                           **{key: view.tolist() for key, view in layer.gates()}}
+                          for layer in net.layers],
+               "head": {"w": net.head_w.tolist(), "b": float(net.head_b[0])}, "scaler": None}
+        path = tmp_path / "gru.json"
+        path.write_text(json.dumps(doc, indent=1))
+        loaded, scaler = load_model_json(str(path))
+        assert scaler is None
+        assert loaded.flat.tobytes() == net.flat.tobytes()
 
     @pytest.mark.parametrize("corrupt,message", [
         (on_format_1(lambda d: d["layers"][0].update(w_xz=[[0.0]] * 4)),
@@ -648,7 +651,14 @@ class TestBuildAndPersist:
          "layers[0].units: 0, expected a positive integer"),
         (on_format_1(lambda d: d["head"].update(w=[0.0, 1.0])), "head.w: shape (2,), expected (3,)"),
         (on_format_1(lambda d: d["activations"].update(gate="relu")),
-         "activations.gate: 'relu', expected one of ['sigmoid', 'tanh']"),
+         "activations.gate: 'relu', expected 'sigmoid'"),
+        (on_file("model_format1_gru_nobias.json"), "layers[0].b_z: missing"),
+        (on_format_1(lambda d: d["layers"][0]["w_xi"][2].__setitem__(0, float("nan"))),
+         "parameters: layers.0.w_xi holds a non-finite value"),
+        (on_format_1(lambda d: d["head"].update(w=[0.0, float("-inf"), 0.0])),
+         "parameters: head.w holds a non-finite value"),
+        (on_format_1(lambda d: d["head"].update(b=float("nan"))),
+         "head.b: nan, expected a finite number"),
         (on_format_1(lambda d: d.pop("window")), "window: missing"),
         (on_format_3(lambda d: d.update(format=4)), "format: 4, expected 1, 2 or 3"),
         (on_format_3(lambda d: d.update(parameters=d["parameters"][:-2] + "!=")),
@@ -659,7 +669,25 @@ class TestBuildAndPersist:
         (on_format_3(lambda d: d["layers"][1].update(units=0)),
          "layers[1].units: 0, expected a positive integer"),
         (on_format_3(lambda d: d["layers"][1].update(peepholes="yes")),
-         "layers[1].peepholes: 'yes', expected true or false"),
+         "layers[1].peepholes: 'yes', expected true"),
+        (on_format_3(lambda d: d["layers"][0].update(peepholes=False)),
+         "layers[0].peepholes: False, expected true"),
+        (on_format_3(lambda d: d["layers"][0].update(biases=False), kind="gru"),
+         "layers[0].biases: False, expected true"),
+        (on_format_3(lambda d: d["layers"][0].update(peepholes=1)),
+         "layers[0].peepholes: 1, expected true"),
+        (on_format_3(lambda d: d["activations"].update(cell_input="tanh")),
+         "activations.cell_input: 'tanh', expected 'sigmoid'"),
+        (on_format_3(poison_first_parameter),
+         "parameters: layers.0.w_xi holds a non-finite value"),
+        (on_format_3(lambda d: d.update(scaler={"lo": float("nan"), "hi": 1.0})),
+         "scaler.lo: nan, expected a finite number"),
+        (on_format_3(lambda d: d.update(scaler={"lo": 0.0, "hi": float("inf")})),
+         "scaler.hi: inf, expected a finite number"),
+        (on_format_3(lambda d: d.update(scaler={"lo": 1.0, "hi": 1.0})),
+         "scaler.hi: 1.0, expected a finite amount above scaler.lo = 1.0"),
+        (on_format_3(lambda d: d.update(scaler={"lo": -1e308, "hi": 1e308})),
+         "scaler.hi: 1e+308, expected a finite amount above scaler.lo = -1e+308"),
         (on_format_3(lambda d: d["layers"][0].update(w_xi=[[0.0]] * 4)),
          "layers[0].w_xi: unknown key for a lstm layer"),
         (on_format_3(lambda d: d.update(head={"w": [0.0] * 3, "b": 0.0})), "head: unknown key"),
