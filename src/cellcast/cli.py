@@ -536,6 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    training.single_blas_thread()
     try:
         return args.func(args)
     except (ValidationError, FileNotFoundError) as exc:

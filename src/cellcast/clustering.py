@@ -36,6 +36,8 @@ PERIOD_NAMES = ("LateNight", "EarlyMorning", "Morning", "Afternoon", "Evening", 
 DEFAULT_UTC_OFFSET_HOURS = 1.0  # Milan's local clock in the source data
 DEFAULT_RESTARTS = 10
 PROFILE_BLOCK_BINS = 1 << 17  # bins summed per bincount; bounds its temporaries
+LOCKSTEP_ELEMENTS = 1 << 19  # restarts x k x n distances per lockstep group; bounds its buffers
+DISTANCE_BLOCK = 1 << 16  # distances per scratch array of a distance pass
 
 
 @dataclass
@@ -65,9 +67,16 @@ class ProfileMatrix:
     cell_ids: list[int]
     points: np.ndarray
     n_distinct: int = field(init=False)
+    # kmeans results by (k, seed, restarts, max_iter), so that the elbow
+    # scan's fit of the knee's k is not fitted again. The points are a
+    # read-only copy, which keeps every stored fit valid.
+    fits: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "n_distinct", np.unique(self.points, axis=0).shape[0])
+        points = np.array(self.points, dtype=np.float64)
+        points.flags.writeable = False
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "n_distinct", np.unique(points, axis=0).shape[0])
 
 
 def build_profiles(cells: dict[int, BinnedCellSeries],
@@ -125,79 +134,154 @@ def _init_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centroids
 
 
-class _Scratch:
-    """What every assignment pass of one fit reuses: the points as
-    contiguous (dims, 1, n) columns and two (k, n) distance buffers."""
+def _distances(columns: np.ndarray, centroids: np.ndarray, out: np.ndarray,
+               diff: np.ndarray) -> None:
+    """Squared distances from centroids (m, dims) to the points, given as
+    (dims, 1, n) columns, into the (m, n) array out, as many rows at a
+    time as the scratch array diff holds.
 
-    def __init__(self, points: np.ndarray, k: int):
+    Summed one dimension at a time: the same additions in the same order
+    as summing an (n, m, dims) difference tensor over its last axis,
+    without allocating it. The sum starts from the first square rather
+    than from 0.0, which is the same number since a square is never -0.0.
+    """
+    for lo in range(0, len(centroids), len(diff)):
+        rows = out[lo:lo + len(diff)]
+        scratch = diff[:len(rows)]
+        centroid_columns = np.ascontiguousarray(centroids[lo:lo + len(rows)].T)[:, :, None]
+        for d, column in enumerate(columns):
+            target = rows if d == 0 else scratch
+            np.subtract(column, centroid_columns[d], out=target)
+            np.square(target, out=target)
+            if d:
+                rows += scratch
+
+
+class _Group:
+    """Lloyd's algorithm for a group of restarts in lockstep, on one
+    (restarts, k, n) array of squared distances.
+
+    The restarts still running fill the first `active` slots of every
+    array; a restart that stops swaps places with the last running one.
+    """
+
+    def __init__(self, points: np.ndarray, initial: np.ndarray):
+        g, k, dims = initial.shape
         n = points.shape[0]
+        self.points, self.k = points, k
         self.columns = np.ascontiguousarray(points.T)[:, None, :]
-        self.d2 = np.empty((k, n))
-        self.diff = np.empty((k, n))
-        self.rows = np.arange(n)
+        self.weights = np.tile(points.T, (1, g))  # each dim's values, once per slot
+        self.slot_bins = np.arange(g)[:, None] * k
+        self.rank = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]
+        self.centroids = initial.copy()
+        self.dist = np.empty((g, k, n))
+        # Distance rows are computed a block at a time, so that the
+        # scratch arrays stay within DISTANCE_BLOCK distances.
+        step = max(1, min(k, DISTANCE_BLOCK // n))
+        self.rows = np.empty((step, n))
+        self.diff = np.empty((step, n))
+        self.hits = np.empty((g, k, n), dtype=bool)
+        self.scores = np.empty((g, k, n), dtype=self.rank.dtype)
+        _distances(self.columns, self.centroids.reshape(g * k, dims),
+                   self.dist.reshape(g * k, n), self.diff)
+        self.restart = list(range(g))  # the restart in each slot
+        self.active = g
 
+    def nearest(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each running restart's labels (lowest index among equal minima,
+        argmin's rule) and distance from each point to its centroid."""
+        a, k = self.active, self.k
+        dist = self.dist[:a]
+        nearest = dist.min(axis=1)
+        hits, scores = self.hits[:a], self.scores[:a]
+        np.equal(dist, nearest[:, None, :], out=hits)
+        np.multiply(hits.view(np.uint8), self.rank, out=scores)
+        labels = k - scores.max(axis=1)  # in the rank's small dtype
+        return labels, nearest
 
-def _assign(points: np.ndarray, centroids: np.ndarray,
-            scratch: _Scratch | None = None) -> tuple[np.ndarray, float]:
-    # Squared distances summed one dimension at a time: the same additions
-    # in the same order as summing an (n, k, dims) difference tensor over
-    # its last axis, without allocating it. The sum starts from the first
-    # square rather than from 0.0, which is the same number since a square
-    # is never -0.0.
-    if scratch is None:
-        scratch = _Scratch(points, centroids.shape[0])
-    d2, diff = scratch.d2, scratch.diff
-    centroid_columns = np.ascontiguousarray(centroids.T)[:, :, None]
-    for d, column in enumerate(scratch.columns):
-        out = d2 if d == 0 else diff
-        np.subtract(column, centroid_columns[d], out=out)
-        np.square(out, out=out)
-        if d:
-            d2 += diff
-    labels = np.argmin(d2, axis=0)  # ties resolve to the lowest index
-    sse = float(d2[labels, scratch.rows].sum())
-    return labels, sse
+    def update(self, labels: np.ndarray) -> None:
+        """Move each running restart's centroids to the means of their
+        members, and refresh the distance rows of the centroids that moved."""
+        a, k = self.active, self.k
+        n, dims = self.points.shape
+        old = self.centroids[:a]
+        keys = (labels + self.slot_bins[:a]).ravel()
+        counts = np.bincount(keys, minlength=a * k).reshape(a, k, 1)
+        # One bincount per dim over the (slot, label) bins: each bin adds
+        # its points in index order, as a per-cluster mean over axis 0
+        # does, so the centroids keep their bits.
+        sums = np.empty((a * k, dims))
+        for d, weights in enumerate(self.weights):
+            sums[:, d] = np.bincount(keys, weights=weights[:a * n], minlength=a * k)
+        new = old.copy()
+        np.divide(sums.reshape(a, k, dims), counts, out=new, where=counts > 0)
+        for s in np.flatnonzero((counts == 0).any(axis=(1, 2))):
+            self._repair(new[s], labels[s], np.flatnonzero(counts[s, :, 0] == 0))
+        # A centroid with the same bits has the same distance row.
+        moved = np.flatnonzero((new != old).any(axis=2))
+        old[...] = new
+        flat = new.reshape(a * k, dims)
+        if moved.size == a * k:
+            _distances(self.columns, flat, self.dist[:a].reshape(a * k, n), self.diff)
+            return
+        for lo in range(0, moved.size, len(self.rows)):
+            which = moved[lo:lo + len(self.rows)]
+            rows = self.rows[:which.size]
+            _distances(self.columns, flat[which], rows, self.diff)
+            self.dist.reshape(-1, n)[which] = rows
 
-
-def _update(points: np.ndarray, labels: np.ndarray, k: int,
-            centroids: np.ndarray) -> np.ndarray:
-    dims = points.shape[1]
-    new = centroids.copy()
-    counts = np.bincount(labels, minlength=k)
-    # One bincount over the (label, dim) bins of the row-major points: each
-    # bin adds its points in index order, as a per-cluster mean over axis 0
-    # does, so the centroids keep their bits.
-    bins = (labels[:, None] * dims + np.arange(dims)).ravel()
-    sums = np.bincount(bins, weights=np.ravel(points), minlength=k * dims).reshape(k, dims)
-    filled = counts > 0
-    new[filled] = sums[filled] / counts[filled, None]
-    empty = np.flatnonzero(~filled)
-    if empty.size:
+    def _repair(self, centroids: np.ndarray, labels: np.ndarray, empty: np.ndarray) -> None:
         # Re-seed each emptied centroid to a point far from its own
         # centroid; taking successive farthest points keeps repairs distinct.
-        d_own = ((points - new[labels]) ** 2).sum(axis=1)
+        points = self.points
+        d_own = ((points - centroids[labels]) ** 2).sum(axis=1)
         order = np.argsort(-d_own, kind="stable")
         for slot, j in enumerate(empty):
-            new[j] = points[order[slot % len(order)]]
-    return new
+            centroids[j] = points[order[slot % len(order)]]
+
+    def retire(self, slot: int) -> None:
+        """Swap the restart in slot with the last running one and stop it."""
+        last = self.active - 1
+        if slot != last:
+            for arr in (self.centroids, self.dist):
+                arr[[slot, last]] = arr[[last, slot]]
+            self.restart[slot], self.restart[last] = self.restart[last], self.restart[slot]
+        self.active = last
 
 
-def _lloyd(points: np.ndarray, centroids: np.ndarray,
-           max_iter: int) -> tuple[np.ndarray, np.ndarray, float, list[float], int]:
-    k = centroids.shape[0]
-    scratch = _Scratch(points, k)
-    labels, sse = _assign(points, centroids, scratch)
-    history = [sse]
+def _lloyd_group(points: np.ndarray, initial: np.ndarray, max_iter: int) -> list[tuple]:
+    """(centroids, labels, sse, sse_history, iterations) of Lloyd's
+    algorithm from each of the initial centroid sets (restarts, k, dims),
+    in that order. A restart stops when its labels stop changing or after
+    max_iter updates, as it would on its own."""
+    group = _Group(points, initial)
+    labels, nearest = group.nearest()
+    sse = nearest.sum(axis=1).tolist()
+    histories = [[s] for s in sse]
+    results = [None] * len(initial)
     iterations = 0
-    for _ in range(max_iter):
-        iterations += 1
-        centroids = _update(points, labels, k, centroids)
-        new_labels, sse = _assign(points, centroids, scratch)
-        history.append(sse)
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-    return centroids, labels, sse, history, iterations
+    while group.active:
+        if iterations == max_iter:
+            done = np.ones(group.active, dtype=bool)
+        else:
+            iterations += 1
+            group.update(labels)
+            new_labels, nearest = group.nearest()
+            # Row sums add each restart's distances as a 1-d sum does.
+            sse = nearest.sum(axis=1).tolist()
+            for slot, value in enumerate(sse):
+                histories[group.restart[slot]].append(value)
+            done = (new_labels == labels).all(axis=1) | (iterations == max_iter)
+            labels = new_labels
+        for slot in np.flatnonzero(done)[::-1].tolist():
+            r = group.restart[slot]
+            results[r] = (group.centroids[slot].copy(), labels[slot].copy(), sse[slot],
+                          histories[r], iterations)
+            group.retire(slot)
+            labels[slot] = labels[group.active]
+            sse[slot] = sse[group.active]
+        labels = labels[:group.active]
+    return results
 
 
 def validate_settings(k, k_max: int, restarts: int, prefix: str) -> None:
@@ -214,45 +298,54 @@ def validate_settings(k, k_max: int, restarts: int, prefix: str) -> None:
 
 def kmeans(profiles: ProfileMatrix, k: int, seed: int = 0,
            max_iter: int = 300, restarts: int = DEFAULT_RESTARTS,
-           _seedings: list[np.ndarray] | None = None) -> ClusterModel:
+           _seedings: np.ndarray | None = None) -> ClusterModel:
     """Best-of-restarts Lloyd clustering of the period profiles.
 
     Restart r draws from its own stream derived as [seed, r], so adding
     restarts never perturbs earlier ones, and the same restart explores
     the same initial points at every k (which keeps the SSE-vs-k curve
-    well behaved). Ties on SSE go to the earliest restart.
+    well behaved). Ties on SSE go to the earliest restart. Restarts run
+    in lockstep, in groups of at most LOCKSTEP_ELEMENTS distances, and
+    each ends as it would on its own. A fit made before on the same
+    matrix with the same arguments is returned again, not refitted.
 
-    ``_seedings`` (private to elbow_scan) holds each restart's seeding
-    drawn at a larger k; the fit takes its first k rows, which are the
-    rows the restart's own stream would draw.
+    ``_seedings`` (private to elbow_scan) holds every restart's seeding
+    drawn at a larger k, as (restarts, k_top, dims); the fit takes the
+    first k centroids of each, which are the ones the restart's own
+    stream would draw.
     """
     if k < 1:
         raise InvalidK(f"k must be >= 1, got {k}")
     validate_settings(k, k, restarts, "")
     if profiles.n_distinct < k:
         raise TooFewPoints(f"{profiles.n_distinct} distinct profiles < k={k}")
-    points = profiles.points
-
-    best = None
-    for r in range(restarts):
+    key = (k, seed, restarts, max_iter)
+    if key not in profiles.fits:
+        points = profiles.points
         if _seedings is None:
-            initial = _init_centroids(points, k, np.random.default_rng([seed, r]))
+            initial = np.stack([_init_centroids(points, k, np.random.default_rng([seed, r]))
+                                for r in range(restarts)])
         else:
-            initial = _seedings[r][:k]
-        result = _lloyd(points, initial, max_iter)
-        if best is None or result[2] < best[2]:
-            best = result
-    centroids, labels, sse, history, iterations = best
+            initial = _seedings[:, :k]
+        group = max(1, min(restarts, LOCKSTEP_ELEMENTS // (k * points.shape[0])))
+        best = None
+        for lo in range(0, restarts, group):
+            for result in _lloyd_group(points, initial[lo:lo + group], max_iter):
+                if best is None or result[2] < best[2]:
+                    best = result
+        profiles.fits[key] = best
+    centroids, labels, sse, history, iterations = profiles.fits[key]
     assignment = dict(zip(profiles.cell_ids, labels.tolist()))
-    return ClusterModel(k=k, centroids=centroids, assignment=assignment,
-                        iterations_run=iterations, sse=sse, sse_history=history)
+    return ClusterModel(k=k, centroids=centroids.copy(), assignment=assignment,
+                        iterations_run=iterations, sse=sse, sse_history=list(history))
 
 
 def elbow_scan(profiles: ProfileMatrix, k_max: int, seed: int = 0,
                restarts: int = DEFAULT_RESTARTS) -> SseCurve:
     """Best-of-restarts SSE for every k in 1..k_max, with k_max capped at
     the number of distinct profiles (cells with equal profiles, such as
-    dead all-zero cells, cannot be split).
+    dead all-zero cells, cannot be split). Each fit is kept with the
+    matrix, so kmeans returns it again without refitting.
 
     Raises
     ------
@@ -263,11 +356,12 @@ def elbow_scan(profiles: ProfileMatrix, k_max: int, seed: int = 0,
         raise TooFewPoints(f"an elbow scan needs at least 3 distinct profiles, "
                            f"got {profiles.n_distinct}")
     k_top = min(k_max, profiles.n_distinct)
+    validate_settings(k_top, k_top, restarts, "")
     # Centroid j is drawn from the first j centroids and the restart's
     # stream alone, never from k, so the seeding for any k is the first k
     # rows of the seeding for k_top: draw each restart's seeding once.
-    seedings = [_init_centroids(profiles.points, k_top, np.random.default_rng([seed, r]))
-                for r in range(restarts)]
+    seedings = np.stack([_init_centroids(profiles.points, k_top, np.random.default_rng([seed, r]))
+                         for r in range(restarts)])
     entries = []
     for k in range(1, k_top + 1):
         model = kmeans(profiles, k, seed=seed, restarts=restarts, _seedings=seedings)

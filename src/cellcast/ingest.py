@@ -385,32 +385,46 @@ def bin_series(records: Iterable[Union[CdrRecord, np.ndarray]], span_start: int,
 
 # --- persistence ----------------------------------------------------------
 
+BINS_FORMAT = 2
+
+
 def save_bins_json(cells: dict[int, BinnedCellSeries], path: str) -> None:
-    """Write `{span_start, bin_width_minutes, cells: {id: [values]}}`."""
-    if not cells:
-        doc = {"span_start": 0, "bin_width_minutes": BIN_WIDTH_MINUTES, "cells": {}}
-    else:
+    """Write `{format, span_start, bin_width_minutes, cells: {id: blob}}`,
+    each blob the base64 of the series' little-endian float64 bytes."""
+    span_start, minutes = 0, BIN_WIDTH_MINUTES
+    if cells:
         any_series = next(iter(cells.values()))
-        doc = {
-            "span_start": any_series.span_start,
-            "bin_width_minutes": any_series.bin_width_ms // 60000,
-            "cells": {str(cid): cells[cid].values.tolist() for cid in sorted(cells)},
-        }
+        span_start, minutes = any_series.span_start, any_series.bin_width_ms // 60000
+    doc = {
+        "format": BINS_FORMAT,
+        "span_start": span_start,
+        "bin_width_minutes": minutes,
+        "cells": {str(cid): jsonfile.to_blob(cells[cid].values) for cid in sorted(cells)},
+    }
     jsonfile.save(path, doc)
 
 
 def _bins_from_doc(doc: dict) -> dict[int, BinnedCellSeries]:
+    version = doc.get("format", 1)
+    if version not in (1, BINS_FORMAT):
+        raise MalformedFile(f"format: {version!r}, expected 1 or {BINS_FORMAT}")
     span_start = jsonfile.integer(doc, "span_start")
     width = jsonfile.positive_int(doc, "bin_width_minutes") * 60000
     raw_cells = jsonfile.mapping(doc, "cells")
     cells = {}
     n_bins = None
-    for text, vals in raw_cells.items():
-        values = jsonfile.finite_array(vals, f"cells.{text}", ndim=1)
+    for text, raw in raw_cells.items():
+        name = f"cells.{text}"
+        if version == 1:
+            values = jsonfile.finite_array(raw, name, ndim=1)
+        else:
+            values = jsonfile.from_blob(raw, name)
+            if not np.isfinite(values).all():
+                raise MalformedFile(f"{name}: holds a non-finite value")
         if n_bins is None:
             n_bins = values.size
         elif values.size != n_bins:
-            raise MalformedFile(f"cells.{text}: {values.size} values, expected {n_bins} "
+            raise MalformedFile(f"{name}: {values.size} values, expected {n_bins} "
                                 f"like the first cell")
         cid = jsonfile.int_key(text, "cells.")
         cells[cid] = BinnedCellSeries(cid, span_start, values, width)
@@ -418,8 +432,10 @@ def _bins_from_doc(doc: dict) -> dict[int, BinnedCellSeries]:
 
 
 def load_bins_json(path: str) -> dict[int, BinnedCellSeries]:
-    """Read a bins file. One that does not hold equal-length series of
-    finite numbers raises MalformedBins naming the file and the key."""
+    """Read a bins file of format 1 (each series a list of numbers) or 2
+    (each series a base64 blob). One that does not hold equal-length
+    series of finite numbers raises MalformedBins naming the file and
+    the key."""
     return jsonfile.load(path, _bins_from_doc, MalformedBins)
 
 

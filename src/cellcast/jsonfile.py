@@ -4,6 +4,7 @@ the file and the key, e.g.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from typing import Callable, TypeVar
@@ -103,6 +104,23 @@ def finite_array(value, name: str, ndim: int) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise MalformedFile(f"{name}: holds a non-finite value")
     return arr
+
+
+def to_blob(values: np.ndarray) -> str:
+    """The float64 values as base64 of their little-endian bytes."""
+    return base64.b64encode(values.astype("<f8", copy=False).tobytes()).decode("ascii")
+
+
+def from_blob(value, name: str) -> np.ndarray:
+    """The float64 values of a to_blob text, as a writable array; the
+    caller checks their count and finiteness."""
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except (TypeError, ValueError):
+        raise MalformedFile(f"{name}: not base64") from None
+    if len(raw) % 8:
+        raise MalformedFile(f"{name}: {len(raw)} bytes, not a whole number of float64 values")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
 
 def int_key(text: str, where: str) -> int:

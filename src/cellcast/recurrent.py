@@ -29,7 +29,6 @@ these equations in its header, and a file that states others is refused.
 
 from __future__ import annotations
 
-import base64
 import functools
 import math
 from collections.abc import Mapping
@@ -797,7 +796,7 @@ def save_model_json(net: RecurrentNetwork, scaler: MinMaxScaler | None, path: st
         "scaler": ({"lo": scaler.lo, "hi": scaler.hi} if scaler is not None else None),
         "layers": [{"input_dim": layer.input_dim, "units": layer.units,
                     **CELL_EQUATIONS[net.cell_kind]} for layer in net.layers],
-        "parameters": base64.b64encode(net.flat.astype("<f8", copy=False).tobytes()).decode("ascii"),
+        "parameters": jsonfile.to_blob(net.flat),
     }
     jsonfile.save(path, payload)
 
@@ -846,14 +845,10 @@ def _layer_from_entry(layer_cls, entry, where: str, version: int):
 
 def _blob(text, size: int) -> np.ndarray:
     """The base64 `parameters` of a format-3 file as `size` float64 values."""
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except (TypeError, ValueError):
-        raise MalformedModel("parameters: not base64") from None
-    if len(raw) != 8 * size:
-        count = f"{len(raw) // 8} values" if len(raw) % 8 == 0 else f"{len(raw)} bytes"
-        raise MalformedModel(f"parameters: {count}, expected {size}")
-    return np.frombuffer(raw, dtype="<f8")
+    values = jsonfile.from_blob(text, "parameters")
+    if values.size != size:
+        raise MalformedModel(f"parameters: {values.size} values, expected {size}")
+    return values
 
 
 def _model_from_payload(payload) -> tuple[RecurrentNetwork, MinMaxScaler | None]:

@@ -11,6 +11,10 @@ mean RMSE, and breaks near-ties by median, dispersion, then model size.
 from __future__ import annotations
 
 import csv
+import ctypes
+import glob
+import os
+import sys
 import time
 from dataclasses import dataclass
 
@@ -205,6 +209,40 @@ def train_best_network(cell_kind: str, hidden_layers: int, units: int,
     return _fit(cell_kind, hidden_layers, units, dataset, cfg, seed)[0]
 
 
+# What numpy's bundled OpenBLAS calls its thread setter, newest build first.
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                        "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def single_blas_thread() -> None:
+    """Run numpy's BLAS on one thread in this process.
+
+    With more threads, OpenBLAS splits a large matrix product differently
+    and the trained bits depend on the machine's core count; a pool of
+    workers would also oversubscribe the cores. The library is the one
+    bundled in numpy.libs; when it is not found, one stderr line names
+    the BLAS and nothing else changes.
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                return
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        blas = "unknown"
+    print(f"cellcast: cannot set numpy's BLAS ({blas}) to one thread; "
+          f"set OPENBLAS_NUM_THREADS=1 for byte-identical results", file=sys.stderr)
+
+
 def _run_task(args) -> TrainRunResult:
     cell_kind, hidden_layers, units, dataset, cfg, seed, run = args
     return train_once(cell_kind, hidden_layers, units, dataset, cfg, seed, run=run)
@@ -240,7 +278,7 @@ def grid_search(grid: GridSpec, datasets: list[ClusterDataset], cfg: TrainConfig
         # not pay for loading multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=single_blas_thread) as pool:
             results = list(pool.map(_run_task, tasks))
 
     results.sort(key=lambda r: (r.cluster, r.cell_kind, r.hidden_layers, r.units, r.run))

@@ -3,12 +3,17 @@
 import base64
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cellcast.cli import main, parse_grid, parse_pipeline_config, parse_span, parse_synth_spec
 from cellcast.errors import ConfigError
+from cellcast.ingest import load_bins_json
 
 MS_PER_DAY = 86_400_000
 
@@ -424,6 +429,18 @@ def _bins_doc():
             "cells": {"1": varying, "2": varying[::-1], "3": [0.0] * 48, "4": [0.0] * 48}}
 
 
+def _blob_bins_doc():
+    """_bins_doc in bins format 2: each series a base64 blob."""
+    doc = _bins_doc()
+    doc["format"] = 2
+    doc["cells"] = {cid: _blob(values) for cid, values in doc["cells"].items()}
+    return doc
+
+
+def _blob(values):
+    return base64.b64encode(np.array(values, dtype="<f8").tobytes()).decode("ascii")
+
+
 def _clusters_doc():
     return {"k": 2, "centroids": [[1.0] * 6, [0.0] * 6],
             "assignment": {"1": 0, "2": 0, "3": 1, "4": 1}, "sse": 0.0}
@@ -477,6 +494,18 @@ class TestMalformedArtefacts:
         "non_numeric": (lambda d: d["cells"]["3"].__setitem__(5, "x"),
                         "cells.3: not a 1-d list of numbers"),
     }
+    # The same kind of damage to a format-2 file (_blob_bins_doc).
+    BLOB_CASES = {
+        "blob_unknown_format": (lambda d: d.update(format=3), "format: 3, expected 1 or 2"),
+        "blob_not_base64": (lambda d: d["cells"].update({"2": "AAAA*AAA"}), "cells.2: not base64"),
+        "blob_partial_value": (lambda d: d["cells"].update({"2": _blob([1.0])[:-4] + "AA=="}),
+                               "cells.2: 7 bytes, not a whole number of float64 values"),
+        "blob_short_series": (lambda d: d["cells"].update({"2": _blob([1.0] * 47)}),
+                              "cells.2: 47 values, expected 48"),
+        "blob_non_finite": (lambda d: d["cells"].update({"3": _blob([0.0] * 47 + [np.inf])}),
+                            "cells.3: holds a non-finite value"),
+        "blob_list": (lambda d: d["cells"].update({"4": [0.0] * 48}), "cells.4: not base64"),
+    }
     CLUSTER_CASES = {
         "invalid_json": (None, "not valid JSON"),
         "missing_key": (lambda d: d.pop("assignment"), "assignment: missing"),
@@ -499,11 +528,20 @@ class TestMalformedArtefacts:
         assert main(argv) == 2
         assert f"{path}: {message}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("case", sorted(BINS_CASES))
+    def _write_bins(self, path, case):
+        """The bins file of a BINS_CASES or BLOB_CASES case; its message."""
+        if case in self.BLOB_CASES:
+            corrupt, message = self.BLOB_CASES[case]
+            self._write(path, _blob_bins_doc(), corrupt)
+        else:
+            corrupt, message = self.BINS_CASES[case]
+            self._write(path, _bins_doc(), corrupt)
+        return message
+
+    @pytest.mark.parametrize("case", sorted(BINS_CASES) + sorted(BLOB_CASES))
     def test_cluster_rejects_bins(self, tmp_path, capsys, case):
-        corrupt, message = self.BINS_CASES[case]
         bins = tmp_path / "bins.json"
-        self._write(bins, _bins_doc(), corrupt)
+        message = self._write_bins(bins, case)
         out = tmp_path / "clusters.json"
         self._expect(capsys, ["cluster", "--bins", str(bins), "--k", "2", "--out", str(out)],
                      bins, message)
@@ -518,20 +556,18 @@ class TestMalformedArtefacts:
         self._expect(capsys, ["train", "--clusters", str(clusters), "--bins", str(bins),
                               "--out-dir", str(tmp_path / "train")], clusters, message)
 
-    @pytest.mark.parametrize("case", ["missing_key", "ragged"])
+    @pytest.mark.parametrize("case", ["missing_key", "ragged"] + sorted(BLOB_CASES))
     def test_train_rejects_bins(self, tmp_path, capsys, case):
-        corrupt, message = self.BINS_CASES[case]
         bins, clusters = tmp_path / "bins.json", tmp_path / "clusters.json"
-        self._write(bins, _bins_doc(), corrupt)
+        message = self._write_bins(bins, case)
         clusters.write_text(json.dumps(_clusters_doc()))
         self._expect(capsys, ["train", "--clusters", str(clusters), "--bins", str(bins),
                               "--out-dir", str(tmp_path / "train")], bins, message)
 
-    @pytest.mark.parametrize("case", sorted(BINS_CASES))
+    @pytest.mark.parametrize("case", sorted(BINS_CASES) + sorted(BLOB_CASES))
     def test_predict_rejects_bins(self, pipeline_run, tmp_path, capsys, case):
-        corrupt, message = self.BINS_CASES[case]
         bins = tmp_path / "series.json"
-        self._write(bins, _bins_doc(), corrupt)
+        message = self._write_bins(bins, case)
         self._expect(capsys, ["predict", "--model", str(pipeline_run / "lstm_c0.json"),
                               "--bins", str(bins), "--cluster", "1"], bins, message)
 
@@ -615,9 +651,9 @@ class TestSubcommandsStandalone:
         bins = tmp_path / "bins.json"
         assert main(["ingest", "--input", str(raw),
                      "--span", "2013-11-01..2013-11-08", "--out", str(bins)]) == 0
-        doc = json.loads(bins.read_text())
-        assert len(doc["cells"]) == 6
-        assert all(len(v) == 7 * 48 for v in doc["cells"].values())
+        cells = load_bins_json(str(bins))
+        assert len(cells) == 6
+        assert all(series.n_bins == 7 * 48 for series in cells.values())
 
         out = tmp_path / "clusters.json"
         curve = tmp_path / "curve.csv"
@@ -780,3 +816,35 @@ def test_non_finite_flag_exits_two(tmp_path, capsys, flag, value):
     assert exc.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_pipeline_trains_the_same_bits_without_thread_pins(tmp_path):
+    """The package runs BLAS on one thread: with no thread count in the
+    environment, a 150-unit net trains to the bytes of a run pinned by
+    OPENBLAS_NUM_THREADS=1, at 1 and at 2 workers."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+
+    def run(tag, workers, pinned):
+        out_dir = tmp_path / tag
+        config = tmp_path / f"{tag}.json"
+        config.write_text(json.dumps({
+            "out_dir": str(out_dir), "seed": 3,
+            "synth": {"archetypes": [{"id": 0, "base_level": 10.0,
+                                      "period_weights": [6, 1, 1, 1, 1, 1], "noise_sd": 0.3}],
+                      "cells_per_archetype": 4, "days": 6},
+            "k": 1,
+            "grid": {"hidden_layers": [2], "units": [150], "cell_kinds": ["lstm"]},
+            "train": {"epochs": 1, "runs": 2},
+        }))
+        subprocess.run([sys.executable, "-c", "import sys; from cellcast.cli import main; "
+                        "sys.exit(main())", "pipeline", "--config", str(config),
+                        "--workers", str(workers)],
+                       env=dict(env, OPENBLAS_NUM_THREADS="1") if pinned else env,
+                       check=True, capture_output=True)
+        return {name: (out_dir / name).read_bytes() for name in ("lstm_c0.json", "results.csv")}
+
+    pinned = run("pinned", 1, pinned=True)
+    assert run("serial", 1, pinned=False) == pinned
+    assert run("pool", 2, pinned=False) == pinned

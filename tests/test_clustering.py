@@ -7,6 +7,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellcast import (
     BinnedCellSeries,
@@ -20,7 +22,7 @@ from cellcast import (
     kmeans,
     knee_point,
 )
-from cellcast.clustering import _assign, _update, load_cluster_json, save_cluster_json, save_sse_csv
+from cellcast.clustering import load_cluster_json, save_cluster_json, save_sse_csv
 from cellcast.errors import (
     CurveTooShort,
     Empty,
@@ -164,6 +166,81 @@ def test_kmeans_argument_validation():
         kmeans(profiles_from(np.empty((0, 6))), 1)
 
 
+# --- per-restart reference ---------------------------------------------------
+#
+# Lloyd's algorithm one restart at a time, as kmeans ran it before its
+# restarts ran in lockstep. kmeans must return these results bit for bit.
+
+def _assign(points, centroids):
+    """Squared distances summed one dimension at a time, argmin labels and
+    the 1-d sum of each point's distance to its centroid."""
+    d2 = np.empty((centroids.shape[0], points.shape[0]))
+    for d in range(points.shape[1]):
+        diff = points[:, d] - centroids[:, d, None]
+        if d == 0:
+            d2[...] = diff * diff
+        else:
+            d2 += diff * diff
+    labels = np.argmin(d2, axis=0)  # ties resolve to the lowest index
+    return labels, float(d2[labels, np.arange(points.shape[0])].sum())
+
+
+def _update(points, labels, k, centroids, repairs=None):
+    dims = points.shape[1]
+    new = centroids.copy()
+    counts = np.bincount(labels, minlength=k)
+    bins = (labels[:, None] * dims + np.arange(dims)).ravel()
+    sums = np.bincount(bins, weights=np.ravel(points), minlength=k * dims).reshape(k, dims)
+    filled = counts > 0
+    new[filled] = sums[filled] / counts[filled, None]
+    empty = np.flatnonzero(~filled)
+    if repairs is not None:
+        repairs.append(bool(empty.size))
+    if empty.size:
+        d_own = ((points - new[labels]) ** 2).sum(axis=1)
+        order = np.argsort(-d_own, kind="stable")
+        for slot, j in enumerate(empty):
+            new[j] = points[order[slot % len(order)]]
+    return new
+
+
+def _lloyd(points, centroids, max_iter, repairs=None):
+    k = centroids.shape[0]
+    labels, sse = _assign(points, centroids)
+    history = [sse]
+    iterations = 0
+    for _ in range(max_iter):
+        iterations += 1
+        centroids = _update(points, labels, k, centroids, repairs)
+        new_labels, sse = _assign(points, centroids)
+        history.append(sse)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    return centroids, labels, sse, history, iterations
+
+
+def reference_kmeans(points, k, seed=0, max_iter=300, restarts=10, repairs=None):
+    """(centroids, labels, sse, sse_history, iterations) of the first best
+    restart, each restart fitted on its own."""
+    best = None
+    for r in range(restarts):
+        initial = clustering._init_centroids(points, k, np.random.default_rng([seed, r]))
+        result = _lloyd(points, initial, max_iter, repairs)
+        if best is None or result[2] < best[2]:
+            best = result
+    return best
+
+
+def assert_reference_fit(model, points, k, **kwargs):
+    centroids, labels, sse, history, iterations = reference_kmeans(points, k, **kwargs)
+    assert model.centroids.tobytes() == centroids.tobytes()
+    assert [model.assignment[c] for c in sorted(model.assignment)] == labels.tolist()
+    assert model.sse == sse
+    assert model.sse_history == history
+    assert model.iterations_run == iterations
+
+
 def _broadcast_assign(points, centroids):
     """Reference: the (n, k, dims) difference tensor summed over dims."""
     d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
@@ -204,6 +281,89 @@ def test_assign_and_update_match_reference_bits(trial):
     for lab in (labels, sparse):
         assert _update(points, lab, k, centroids).tobytes() == \
             _loop_update(points, lab, k, centroids).tobytes()
+
+
+@st.composite
+def fit_cases(draw):
+    """Points on a coarse grid (duplicates and exact distance ties) or
+    spread over many scales, with k up to their distinct count."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        points = rng.integers(0, draw(st.integers(1, 3)) + 1, size=(n, 6)).astype(float)
+    else:
+        points = rng.lognormal(size=(n, 6)) * 10.0 ** int(rng.integers(-3, 4))
+    k = draw(st.integers(1, np.unique(points, axis=0).shape[0]))
+    return points, k, draw(st.integers(0, 50)), draw(st.integers(1, 12)), \
+        draw(st.sampled_from([0, 1, 2, 3, 300]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(fit_cases())
+def test_lockstep_kmeans_matches_per_restart_reference(case):
+    points, k, seed, restarts, max_iter = case
+    model = kmeans(profiles_from(points), k, seed=seed, restarts=restarts, max_iter=max_iter)
+    assert_reference_fit(model, points, k, seed=seed, restarts=restarts, max_iter=max_iter)
+
+
+def test_lockstep_kmeans_repairs_empty_clusters_as_reference():
+    points = np.array(_tiny_gap_points())
+    repairs = []
+    for seed in range(4):
+        model = kmeans(profiles_from(points), 3, seed=seed, restarts=3)
+        assert_reference_fit(model, points, 3, seed=seed, restarts=3, repairs=repairs)
+    assert any(repairs)
+
+
+@pytest.mark.parametrize("bound", [("LOCKSTEP_ELEMENTS", 3 * 4 * 50), ("DISTANCE_BLOCK", 50)],
+                         ids=["restarts_in_groups", "one_row_per_pass"])
+def test_lockstep_kmeans_keeps_its_bits_in_bounded_memory(monkeypatch, bound):
+    """Restarts split over several lockstep groups, or distance rows
+    computed one at a time, give the same fit."""
+    rng = np.random.default_rng(14)
+    points = rng.normal(size=(50, 6))
+    monkeypatch.setattr(clustering, *bound)
+    model = kmeans(profiles_from(points), 4, seed=3, restarts=7)
+    assert_reference_fit(model, points, 4, seed=3, restarts=7)
+
+
+def test_lockstep_kmeans_sse_sums_many_points_as_one_dim_sums():
+    """Past numpy's 8,192-element reduction buffer, each restart's SSE is
+    still the 1-d pairwise sum of its distances."""
+    rng = np.random.default_rng(15)
+    points = rng.lognormal(size=(9000, 6))
+    model = kmeans(profiles_from(points), 5, seed=1, restarts=3, max_iter=4)
+    assert_reference_fit(model, points, 5, seed=1, restarts=3, max_iter=4)
+
+
+def test_a_stored_fit_answers_only_its_own_arguments():
+    rng = np.random.default_rng(17)
+    points = rng.normal(size=(40, 6))
+    profiles = profiles_from(points)
+    kmeans(profiles, 4, seed=1)
+    for kwargs in ({"seed": 2}, {"seed": 1, "restarts": 3}, {"seed": 1, "max_iter": 1}):
+        assert_reference_fit(kmeans(profiles, 4, **kwargs), points, 4, **kwargs)
+    assert_reference_fit(kmeans(profiles, 5, seed=1), points, 5, seed=1)
+
+
+def test_kmeans_returns_a_stored_fit_without_sharing_it(monkeypatch):
+    """A second call with the same arguments on the same matrix is not
+    refitted, and what it returns does not share state with the store."""
+    rng = np.random.default_rng(16)
+    profiles = profiles_from(rng.normal(size=(30, 6)))
+    first = kmeans(profiles, 3, seed=2)
+    first_bits = first.centroids.tobytes()
+    first.centroids[:] = 0.0
+    first.sse_history.append(-1.0)
+    first.assignment[1] = 99
+    monkeypatch.setattr(clustering, "_lloyd_group", None)  # any refit fails
+    again = kmeans(profiles, 3, seed=2)
+    assert again.centroids.tobytes() == first_bits
+    assert -1.0 not in again.sse_history and again.assignment[1] != 99
+    with pytest.raises(TypeError):
+        kmeans(profiles, 3, seed=3)
+    with pytest.raises(ValueError):
+        profiles.points[0, 0] = 1.0
 
 
 def test_duplicate_points_count_once_for_k_limit():
@@ -260,7 +420,8 @@ def _tiny_gap_points():
 @pytest.mark.parametrize("case", ["blobs", "dead_cells", "empty_repair"])
 def test_elbow_scan_fits_equal_independent_kmeans(monkeypatch, case):
     """Every fit of the scan, which takes its seedings as prefixes of one
-    k_max seeding per restart, equals a kmeans call of its own bit for bit."""
+    k_max seeding per restart, equals a kmeans call of its own on a fresh
+    matrix, and the per-restart reference, bit for bit."""
     rng = np.random.default_rng(12)
     if case == "blobs":
         points = np.vstack([rng.normal(size=(10, 6)) + c for c in (0.0, 4.0, 9.0)])
@@ -273,34 +434,44 @@ def test_elbow_scan_fits_equal_independent_kmeans(monkeypatch, case):
         k_max, seed, restarts = 5, 2, 3
     profiles = profiles_from(points)
 
-    fits, repairs = [], []
-    real_kmeans, real_update = clustering.kmeans, clustering._update
+    fits = []
+    real_kmeans = clustering.kmeans
 
     def recording_kmeans(*args, **kwargs):
         fits.append(real_kmeans(*args, **kwargs))
         return fits[-1]
 
-    def recording_update(points, labels, k, centroids):
-        repairs.append(bool((np.bincount(labels, minlength=k) == 0).any()))
-        return real_update(points, labels, k, centroids)
-
     monkeypatch.setattr(clustering, "kmeans", recording_kmeans)
-    monkeypatch.setattr(clustering, "_update", recording_update)
     curve = elbow_scan(profiles, k_max, seed=seed, restarts=restarts)
-    monkeypatch.setattr(clustering, "_update", real_update)
-    if case == "empty_repair":
-        assert any(repairs)
 
     n_distinct = np.unique(points, axis=0).shape[0]
     assert [m.k for m in fits] == list(range(1, min(k_max, n_distinct) + 1))
     assert curve.entries == [(m.k, m.sse) for m in fits]
+    repairs = []
     for fit in fits:
-        alone = real_kmeans(profiles, fit.k, seed=seed, restarts=restarts)
+        alone = real_kmeans(profiles_from(points), fit.k, seed=seed, restarts=restarts)
         assert fit.centroids.tobytes() == alone.centroids.tobytes()
         assert fit.assignment == alone.assignment
         assert fit.sse == alone.sse
         assert fit.sse_history == alone.sse_history
         assert fit.iterations_run == alone.iterations_run
+        assert_reference_fit(fit, points, fit.k, seed=seed, restarts=restarts, repairs=repairs)
+    if case == "empty_repair":
+        assert any(repairs)
+
+
+def test_elbow_scan_in_small_groups_matches_the_reference(monkeypatch):
+    """With groups of two restarts every fit of the scan runs its
+    restarts over several groups; the fits keep their bits."""
+    rng = np.random.default_rng(18)
+    points = np.vstack([rng.normal(size=(12, 6)) + c for c in (0.0, 5.0)])
+    monkeypatch.setattr(clustering, "LOCKSTEP_ELEMENTS", 2 * 6 * len(points))
+    profiles = profiles_from(points)
+    curve = elbow_scan(profiles, 6, seed=4, restarts=5)
+    for k, sse in curve.entries:
+        model = kmeans(profiles, k, seed=4, restarts=5)
+        assert model.sse == sse
+        assert_reference_fit(model, points, k, seed=4, restarts=5)
 
 
 def test_knee_on_reference_curve():

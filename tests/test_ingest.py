@@ -1,6 +1,8 @@
 """Parsing and 30-minute binning of raw activity logs."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from cellcast.errors import MalformedLine, NegativeActivity, UnalignedSpan
 
 SPAN_START = 1_383_260_400_000
 BIN = 30 * 60 * 1000
+DATA = Path(__file__).parent / "data"
 
 CANONICAL = "42\t1383260400000\t39\t\t\t\t\t5.25"
 
@@ -278,6 +281,38 @@ class TestPersistence:
             assert loaded[cid].span_start == SPAN_START
             assert loaded[cid].bin_width_ms == BIN
             np.testing.assert_array_equal(loaded[cid].values, cells[cid].values)
+
+    @staticmethod
+    def format1_values():
+        """The series of tests/data/bins_format1.json, a file written as
+        lists of numbers before bins files held base64 blobs."""
+        rng = np.random.default_rng(2024)
+        values = rng.lognormal(size=(3, 12)) * 10.0 ** rng.integers(-5, 6, size=(3, 1))
+        values[0, :4] = [0.0, 1 / 3, 5e-324, 1.7976931348623157e308]
+        return dict(zip((11, 3, 40), values))
+
+    def test_format1_file_loads_to_the_same_bytes(self):
+        loaded = load_bins_json(str(DATA / "bins_format1.json"))
+        expected = self.format1_values()
+        assert sorted(loaded) == sorted(expected)
+        for cid, values in expected.items():
+            assert loaded[cid].values.tobytes() == values.tobytes()
+            assert loaded[cid].span_start == 1_383_260_400_000
+            assert loaded[cid].bin_width_ms == BIN
+
+    def test_format2_round_trip_keeps_every_bit(self, tmp_path):
+        cells = load_bins_json(str(DATA / "bins_format1.json"))
+        cells[3].values[5] = -0.0
+        path = tmp_path / "bins.json"
+        save_bins_json(cells, str(path))
+        doc = json.loads(path.read_text())
+        assert doc["format"] == 2 and list(doc["cells"]) == ["3", "11", "40"]
+        loaded = load_bins_json(str(path))
+        for cid in cells:
+            assert loaded[cid].values.tobytes() == cells[cid].values.tobytes()
+            assert loaded[cid].values.flags.writeable
+            assert (loaded[cid].span_start, loaded[cid].bin_width_ms) == \
+                (cells[cid].span_start, cells[cid].bin_width_ms)
 
     def test_json_file_ends_with_newline(self, tmp_path):
         path = tmp_path / "bins.json"

@@ -352,3 +352,15 @@ def test_import_loads_no_process_pool():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_single_blas_thread_names_a_blas_it_cannot_set(monkeypatch, capsys):
+    """Without a thread setter, one stderr line names the BLAS and the
+    run carries on."""
+    from cellcast import training
+
+    monkeypatch.setattr(training, "_BLAS_THREAD_SETTERS", ())
+    training.single_blas_thread()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("cellcast: cannot set numpy's BLAS (")
+    assert "OPENBLAS_NUM_THREADS=1" in err[0]
