@@ -18,7 +18,6 @@ from .ingest import (
     BinnedCellSeries,
     BinningResult,
     CdrRecord,
-    ColumnMap,
     bin_series,
     iter_cdr_file,
     iter_cdr_paths,
@@ -37,7 +36,6 @@ from .prep import (
     split_train_test,
 )
 from .recurrent import (
-    AdamConfig,
     AdamOptimizer,
     GruLayerParams,
     LstmLayerParams,

@@ -36,7 +36,10 @@ def parse_span(text: str, utc_offset_hours: float) -> tuple[int, int]:
     offset_ms = round(utc_offset_hours * ingest.MS_PER_HOUR)
 
     def to_ms(datestr: str) -> int:
-        d = datetime.date.fromisoformat(datestr)
+        try:
+            d = datetime.date.fromisoformat(datestr)
+        except ValueError as exc:
+            raise ConfigError(f"span {text!r}: {datestr} is not a date ({exc})") from None
         return (d - datetime.date(1970, 1, 1)).days * MS_PER_DAY - offset_ms
 
     start, end = to_ms(m.group(1)), to_ms(m.group(2))
@@ -68,7 +71,7 @@ def _instance_of(kind: type):
     return convert
 
 
-_text, _boolean, _object = _instance_of(str), _instance_of(bool), _instance_of(dict)
+_text, _object = _instance_of(str), _instance_of(dict)
 
 
 def _k(value):
@@ -101,7 +104,7 @@ def _archetypes(value) -> list[synth.Archetype]:
 
 
 _KINDS = {_integer: "an integer", _number: "a finite number", _text: "a string",
-          _boolean: "true or false", _object: "a JSON object", _k: "an integer or 'auto'",
+          _object: "a JSON object", _k: "an integer or 'auto'",
           _path_list: "a non-empty list of paths", _number_list: "a list of finite numbers",
           _int_list: "a list of integers", _name_list: "a list of names",
           _archetypes: "a list of archetypes"}
@@ -114,8 +117,7 @@ _SYNTH = {"archetypes": _archetypes, "cells_per_archetype": _integer, "days": _i
           "seed": _integer, "span_start": _integer, "start_weekday": _integer,
           "country_code": _integer}
 _GRID = {"hidden_layers": _int_list, "units": _int_list, "cell_kinds": _name_list}
-_TRAIN = {"epochs": _integer, "batch_size": _integer, "runs": _integer,
-          "shuffle_each_epoch": _boolean, "base_seed": _integer}
+_TRAIN = {"epochs": _integer, "batch_size": _integer, "runs": _integer, "base_seed": _integer}
 _CONFIG = {"out_dir": _text, "synth": _object, "input": _path_list, "span": _text,
            "utc_offset_hours": _number, "k": _k, "kmax": _integer, "restarts": _integer,
            "grid": _object, "train": _object, "seed": _integer, "workers": _integer}

@@ -91,16 +91,16 @@ def build_profiles(cells: dict[int, BinnedCellSeries],
     if not cells:
         raise TooFewPoints("no profiles to cluster")
     ids = sorted(cells)
-    spans: dict[tuple[int, int, int], list[int]] = {}
+    spans: dict[tuple[int, int], list[int]] = {}
     for row, cid in enumerate(ids):
         series = cells[cid]
         if series.n_bins == 0:
             raise EmptySeries(f"cell {series.cell_id} has no bins")
-        spans.setdefault((series.span_start, series.bin_width_ms, series.n_bins), []).append(row)
+        spans.setdefault((series.span_start, series.n_bins), []).append(row)
     offset_ms = round(utc_offset_hours * MS_PER_HOUR)
     points = np.empty((len(ids), N_PERIODS))
-    for (span_start, width, n_bins), rows in spans.items():
-        starts = span_start + offset_ms + np.arange(n_bins, dtype=np.int64) * width
+    for (span_start, n_bins), rows in spans.items():
+        starts = span_start + offset_ms + np.arange(n_bins, dtype=np.int64) * BIN_WIDTH_MS
         periods = (starts // MS_PER_HOUR % 24 // HOURS_PER_PERIOD).astype(np.intp)
         counts = np.bincount(periods, minlength=N_PERIODS)
         # One bincount over the (row, period) keys of a block of rows adds
@@ -410,7 +410,7 @@ def cluster_mean_series(model: ClusterModel,
         if cid not in binned:
             raise MissingSeries(f"no binned series for cell {cid}")
         s = binned[cid]
-        key = (s.span_start, s.bin_width_ms, s.n_bins)
+        key = (s.span_start, s.n_bins)
         if reference is None:
             reference = key
         elif key != reference:
@@ -419,14 +419,13 @@ def cluster_mean_series(model: ClusterModel,
     out = {}
     for cluster in sorted(members):
         cells = members[cluster]
-        total = np.zeros(reference[2])
+        total = np.zeros(reference[1])
         for cid in cells:
             total += binned[cid].values
         out[cluster] = BinnedCellSeries(
             cell_id=cluster,
             span_start=reference[0],
             values=total / len(cells),
-            bin_width_ms=reference[1],
         )
     return out
 

@@ -1,10 +1,10 @@
 """CDR log parsing and 30-minute binning.
 
-Raw activity logs are tab-separated text, one record per line, with the
-grid-cell id, an epoch-millisecond timestamp and an internet-activity
-magnitude in configurable columns (defaults match the common 8-column
-telecom layout: square_id, time, country, sms-in, sms-out, call-in,
-call-out, internet). Records are aggregated per cell into fixed
+Raw activity logs are tab-separated text, one record per line, in the
+fixed 8-column layout of the Telecom Italia Milan files: square_id,
+time, country, sms-in, sms-out, call-in, call-out, internet. The grid-cell
+id, the epoch-millisecond timestamp and the internet activity are read
+from columns 0, 1 and 7. Records are aggregated per cell into fixed
 30-minute bins covering a declared span; empty bins are explicit zeros.
 
 Each file is parsed in bulk by numpy's C text reader into a record
@@ -26,24 +26,16 @@ import numpy as np
 from . import jsonfile
 from .errors import MalformedBins, MalformedFile, MalformedLine, NegativeActivity, UnalignedSpan
 
-BIN_WIDTH_MS = 30 * 60 * 1000
-BIN_WIDTH_MINUTES = 30
+BIN_WIDTH_MS = 30 * 60 * 1000  # the one bin width of every series
+BIN_WIDTH_MINUTES = BIN_WIDTH_MS // 60_000  # as bins files state it
 MS_PER_HOUR = 3_600_000
+
+# Zero-based columns of the cell id, the timestamp and the internet
+# activity in a CDR line.
+CELL_COLUMN, TIME_COLUMN, ACTIVITY_COLUMN = 0, 1, 7
 
 # One row per record, as read_cdr_file returns them.
 CDR_DTYPE = np.dtype([("cell_id", np.int64), ("timestamp", np.int64), ("activity", np.float64)])
-
-
-@dataclass(frozen=True)
-class ColumnMap:
-    """Zero-based indices of the mandatory columns in a CDR line."""
-
-    cell_id: int = 0
-    timestamp: int = 1
-    internet: int = 7
-
-
-DEFAULT_COLUMNS = ColumnMap()
 
 
 @dataclass(frozen=True)
@@ -60,7 +52,6 @@ class BinnedCellSeries:
     cell_id: int
     span_start: int
     values: np.ndarray
-    bin_width_ms: int = BIN_WIDTH_MS
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -68,9 +59,6 @@ class BinnedCellSeries:
     @property
     def n_bins(self) -> int:
         return len(self.values)
-
-    def bin_start(self, index: int) -> int:
-        return self.span_start + index * self.bin_width_ms
 
 
 @dataclass
@@ -101,7 +89,7 @@ def _activity(field: str) -> float:
     return value
 
 
-def _load_table(source, columns: ColumnMap, skip: int) -> Optional[np.ndarray]:
+def _load_table(source, skip: int) -> Optional[np.ndarray]:
     """The records of `source` (a path or a list of lines) as loadtxt reads
     them, as a CDR_DTYPE array without the rows whose activity is empty;
     None when loadtxt refuses the text or a record breaks a value rule.
@@ -116,8 +104,8 @@ def _load_table(source, columns: ColumnMap, skip: int) -> Optional[np.ndarray]:
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             table = np.loadtxt(
                 source, dtype=CDR_DTYPE, delimiter="\t", comments=None,
-                usecols=(columns.cell_id, columns.timestamp, columns.internet),
-                converters={columns.internet: _activity},
+                usecols=(CELL_COLUMN, TIME_COLUMN, ACTIVITY_COLUMN),
+                converters={ACTIVITY_COLUMN: _activity},
                 skiprows=skip, ndmin=1, encoding="ascii")
     except ValueError:
         return None
@@ -141,7 +129,7 @@ def _int64(field: str, name: str) -> int:
     raise MalformedLine(f"non-numeric or non-integer {name}: {field!r:.100}")
 
 
-def _line_record(line: str, columns: ColumnMap) -> tuple[int, int, float]:
+def _line_record(line: str) -> tuple[int, int, float]:
     """The record of one non-blank CDR line, read by the rules that
     _load_table reads it with and then held to the value rules; raises
     the first rule the line breaks, without its location.
@@ -158,12 +146,12 @@ def _line_record(line: str, columns: ColumnMap) -> tuple[int, int, float]:
         raise MalformedLine("line holds a line break")
     fields = body.split("\t")
     try:
-        cell_id = _int64(fields[columns.cell_id], "cell id")
-        timestamp = _int64(fields[columns.timestamp], "timestamp")
-        activity = _activity(fields[columns.internet])
+        cell_id = _int64(fields[CELL_COLUMN], "cell id")
+        timestamp = _int64(fields[TIME_COLUMN], "timestamp")
+        activity = _activity(fields[ACTIVITY_COLUMN])
     except IndexError:
-        needed = max(columns.cell_id, columns.timestamp, columns.internet) + 1
-        raise MalformedLine(f"expected at least {needed} columns, got {len(fields)}") from None
+        raise MalformedLine(f"expected at least {ACTIVITY_COLUMN + 1} columns, "
+                            f"got {len(fields)}") from None
     if activity == activity:
         if cell_id < 1:
             raise MalformedLine(f"cell id must be >= 1, got {cell_id}")
@@ -187,30 +175,30 @@ def _lines(path: str) -> list[str]:
     return io.StringIO(text, newline=None).readlines()
 
 
-def _parse(path: str, skip: int, columns: ColumnMap) -> np.ndarray:
+def _parse(path: str, skip: int) -> np.ndarray:
     """The records of one CDR file as a CDR_DTYPE array, in line order.
     An error names the file and the 1-based line that breaks a rule."""
-    table = _load_table(path, columns, skip)
+    table = _load_table(path, skip)
     if table is not None:
         return table
     lines = _lines(path)
     for number in range(skip, len(lines)):
         if lines[number].strip():
             try:
-                _line_record(lines[number], columns)
+                _line_record(lines[number])
             except (MalformedLine, NegativeActivity) as exc:
                 raise type(exc)(f"{path}:{number + 1}: {exc}") from None
     # Every line keeps the rules, so loadtxt refused text that is not
     # ASCII, or whitespace-only lines, which are blank here but rows to
     # loadtxt. Read the checked lines, those emptied, which keeps every
     # line number.
-    table = _load_table(["\n" if line.isspace() else line for line in lines], columns, skip)
+    table = _load_table(["\n" if line.isspace() else line for line in lines], skip)
     if table is None:
         raise MalformedLine(f"{path}: loadtxt refuses lines that keep every line rule")
     return table
 
 
-def read_cdr_file(path: str, columns: ColumnMap = DEFAULT_COLUMNS) -> np.ndarray:
+def read_cdr_file(path: str) -> np.ndarray:
     """The records of one log file as a CDR_DTYPE array, in line order.
 
     A first line whose first field is not a number is a header and is
@@ -234,10 +222,10 @@ def read_cdr_file(path: str, columns: ColumnMap = DEFAULT_COLUMNS) -> np.ndarray
         skip = 0
     except ValueError:
         skip = 1
-    return _parse(path, skip, columns)
+    return _parse(path, skip)
 
 
-def parse_cdr_line(line: str, columns: ColumnMap = DEFAULT_COLUMNS) -> Optional[CdrRecord]:
+def parse_cdr_line(line: str) -> Optional[CdrRecord]:
     """Parse one tab-separated CDR line by the rules files are read by.
 
     Returns None (skip) when the line is blank or its internet-activity
@@ -254,7 +242,7 @@ def parse_cdr_line(line: str, columns: ColumnMap = DEFAULT_COLUMNS) -> Optional[
     if not line.strip():
         return None
     try:
-        record = CdrRecord(*_line_record(line, columns))
+        record = CdrRecord(*_line_record(line))
     except (MalformedLine, NegativeActivity) as exc:
         raise type(exc)(f"<line>: {exc}") from None
     return None if math.isnan(record.internet_activity) else record
@@ -263,7 +251,7 @@ def parse_cdr_line(line: str, columns: ColumnMap = DEFAULT_COLUMNS) -> Optional[
 CDR_EXTENSIONS = (".tsv", ".txt", ".dat")
 
 
-def read_cdr_paths(paths: Iterable[str], columns: ColumnMap = DEFAULT_COLUMNS) -> Iterator[np.ndarray]:
+def read_cdr_paths(paths: Iterable[str]) -> Iterator[np.ndarray]:
     """One record array per file, each read when the next is requested.
 
     Files are taken in the order given and directories in sorted name
@@ -276,9 +264,9 @@ def read_cdr_paths(paths: Iterable[str], columns: ColumnMap = DEFAULT_COLUMNS) -
             for name in sorted(os.listdir(path)):
                 sub = os.path.join(path, name)
                 if os.path.isfile(sub) and name.lower().endswith(CDR_EXTENSIONS):
-                    yield read_cdr_file(sub, columns)
+                    yield read_cdr_file(sub)
         else:
-            yield read_cdr_file(path, columns)
+            yield read_cdr_file(path)
 
 
 def _records(table: np.ndarray) -> Iterator[CdrRecord]:
@@ -286,15 +274,15 @@ def _records(table: np.ndarray) -> Iterator[CdrRecord]:
         yield CdrRecord(cell_id, timestamp, activity)
 
 
-def iter_cdr_file(path: str, columns: ColumnMap = DEFAULT_COLUMNS) -> Iterator[CdrRecord]:
+def iter_cdr_file(path: str) -> Iterator[CdrRecord]:
     """Yield the records of one log file (see read_cdr_file)."""
-    yield from _records(read_cdr_file(path, columns))
+    yield from _records(read_cdr_file(path))
 
 
-def iter_cdr_paths(paths: Iterable[str], columns: ColumnMap = DEFAULT_COLUMNS) -> Iterator[CdrRecord]:
+def iter_cdr_paths(paths: Iterable[str]) -> Iterator[CdrRecord]:
     """Yield records from files or directories, taken as read_cdr_paths
     takes them."""
-    for table in read_cdr_paths(paths, columns):
+    for table in read_cdr_paths(paths):
         yield from _records(table)
 
 
@@ -391,14 +379,11 @@ BINS_FORMAT = 2
 def save_bins_json(cells: dict[int, BinnedCellSeries], path: str) -> None:
     """Write `{format, span_start, bin_width_minutes, cells: {id: blob}}`,
     each blob the base64 of the series' little-endian float64 bytes."""
-    span_start, minutes = 0, BIN_WIDTH_MINUTES
-    if cells:
-        any_series = next(iter(cells.values()))
-        span_start, minutes = any_series.span_start, any_series.bin_width_ms // 60000
+    span_start = next(iter(cells.values())).span_start if cells else 0
     doc = {
         "format": BINS_FORMAT,
         "span_start": span_start,
-        "bin_width_minutes": minutes,
+        "bin_width_minutes": BIN_WIDTH_MINUTES,
         "cells": {str(cid): jsonfile.to_blob(cells[cid].values) for cid in sorted(cells)},
     }
     jsonfile.save(path, doc)
@@ -409,7 +394,9 @@ def _bins_from_doc(doc: dict) -> dict[int, BinnedCellSeries]:
     if version not in (1, BINS_FORMAT):
         raise MalformedFile(f"format: {version!r}, expected 1 or {BINS_FORMAT}")
     span_start = jsonfile.integer(doc, "span_start")
-    width = jsonfile.positive_int(doc, "bin_width_minutes") * 60000
+    minutes = jsonfile.integer(doc, "bin_width_minutes")
+    if minutes != BIN_WIDTH_MINUTES:
+        raise MalformedFile(f"bin_width_minutes: {minutes}, expected {BIN_WIDTH_MINUTES}")
     raw_cells = jsonfile.mapping(doc, "cells")
     cells = {}
     n_bins = None
@@ -427,15 +414,15 @@ def _bins_from_doc(doc: dict) -> dict[int, BinnedCellSeries]:
             raise MalformedFile(f"{name}: {values.size} values, expected {n_bins} "
                                 f"like the first cell")
         cid = jsonfile.int_key(text, "cells.")
-        cells[cid] = BinnedCellSeries(cid, span_start, values, width)
+        cells[cid] = BinnedCellSeries(cid, span_start, values)
     return cells
 
 
 def load_bins_json(path: str) -> dict[int, BinnedCellSeries]:
     """Read a bins file of format 1 (each series a list of numbers) or 2
     (each series a base64 blob). One that does not hold equal-length
-    series of finite numbers raises MalformedBins naming the file and
-    the key."""
+    series of finite numbers in 30-minute bins raises MalformedBins
+    naming the file and the key."""
     return jsonfile.load(path, _bins_from_doc, MalformedBins)
 
 

@@ -18,7 +18,8 @@ step. backward() replays the tape to produce exact reverse-mode
 gradients of the batch-mean squared error, in a flat vector laid out
 like the parameters; only the recurrent GEMM stays in
 its per-step loop, and each weight block's gradient is one GEMM over
-the time-stacked activations. ADAM updates the flat vector in place.
+the time-stacked activations. ADAM updates the flat vector in place, at
+fixed constants (ADAM_ALPHA, ADAM_BETA1, ADAM_BETA2, ADAM_EPS).
 
 The cell equations are fixed. The LSTM squashes its gates, its cell
 input and its cell output with the logistic sigmoid, and its i, f and o
@@ -691,13 +692,8 @@ def backward(net: RecurrentNetwork, targets: np.ndarray, tape: Tape) -> Gradient
 # ---------------------------------------------------------------------------
 # ADAM
 
-@dataclass(frozen=True)
-class AdamConfig:
-    alpha: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
+# The usual settings of Kingma and Ba, the only ones training uses.
+ADAM_ALPHA, ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.001, 0.9, 0.999, 1e-8
 
 # Elements per ADAM block: the six arrays of a block (param, grad, m, v
 # and two scratch arrays, 1.5 MB) stay in a core's L2 cache through the
@@ -711,7 +707,7 @@ def _adam_scratch(size: int) -> tuple:
     return np.empty(min(size, ADAM_BLOCK)), np.empty(min(size, ADAM_BLOCK))
 
 
-def _adam_in_place(param, grad, m, v, t: int, cfg: AdamConfig, scratch: tuple) -> None:
+def _adam_in_place(param, grad, m, v, t: int, scratch: tuple) -> None:
     """One bias-corrected ADAM step written into param, m and v, flat
     arrays of one size, block by block, with _adam_scratch() blocks."""
     a, b = scratch
@@ -719,23 +715,22 @@ def _adam_in_place(param, grad, m, v, t: int, cfg: AdamConfig, scratch: tuple) -
         seg = slice(start, start + ADAM_BLOCK)
         p, g, mb, vb = param[seg], grad[seg], m[seg], v[seg]
         ab, bb = a[:p.size], b[:p.size]
-        mb *= cfg.beta1
-        mb += np.multiply(1.0 - cfg.beta1, g, out=ab)
-        np.multiply(1.0 - cfg.beta2, g, out=ab)
+        mb *= ADAM_BETA1
+        mb += np.multiply(1.0 - ADAM_BETA1, g, out=ab)
+        np.multiply(1.0 - ADAM_BETA2, g, out=ab)
         ab *= g
-        vb *= cfg.beta2
+        vb *= ADAM_BETA2
         vb += ab
-        np.divide(mb, 1.0 - cfg.beta1 ** t, out=ab)  # m_hat
-        np.divide(vb, 1.0 - cfg.beta2 ** t, out=bb)  # v_hat
+        np.divide(mb, 1.0 - ADAM_BETA1 ** t, out=ab)  # m_hat
+        np.divide(vb, 1.0 - ADAM_BETA2 ** t, out=bb)  # v_hat
         np.sqrt(bb, out=bb)
-        bb += cfg.eps
-        ab *= cfg.alpha
+        bb += ADAM_EPS
+        ab *= ADAM_ALPHA
         ab /= bb
         p -= ab
 
 
-def adam_update(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
-                t: int, cfg: AdamConfig = AdamConfig()):
+def adam_update(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, t: int):
     """One bias-corrected ADAM step on a single array; returns
     (new_param, new_m, new_v) without mutating the inputs."""
     param = np.array(param, dtype=np.float64, order="C")
@@ -746,7 +741,7 @@ def adam_update(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarra
         raise ValueError("step count t starts at 1")
     m = np.array(m, dtype=np.float64, order="C")
     v = np.array(v, dtype=np.float64, order="C")
-    _adam_in_place(param.reshape(-1), grad.reshape(-1), m.reshape(-1), v.reshape(-1), t, cfg,
+    _adam_in_place(param.reshape(-1), grad.reshape(-1), m.reshape(-1), v.reshape(-1), t,
                    _adam_scratch(param.size))
     return param, m, v
 
@@ -755,8 +750,7 @@ class AdamOptimizer:
     """First and second moments of a whole network, flat like its
     parameters, so a step is one in-place update of `net.flat`."""
 
-    def __init__(self, net: RecurrentNetwork, cfg: AdamConfig = AdamConfig()):
-        self.cfg = cfg
+    def __init__(self, net: RecurrentNetwork):
         self.t = 0
         self.m = np.zeros_like(net.flat)
         self.v = np.zeros_like(net.flat)
@@ -767,7 +761,7 @@ class AdamOptimizer:
         if grads.flat.shape != net.flat.shape:
             raise ShapeMismatch(f"gradient size {grads.flat.size}, network size {net.flat.size}")
         self.t += 1
-        _adam_in_place(net.flat, grads.flat, self.m, self.v, self.t, self.cfg, self.scratch)
+        _adam_in_place(net.flat, grads.flat, self.m, self.v, self.t, self.scratch)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Training protocol and the seeded hyperparameter grid search.
 
-One run = build a seeded network, train mini-batch ADAM for a fixed
-epoch count on shuffled batches, score RMSE and MAE on the test windows.
+One run = build a seeded network, train it with mini-batch ADAM (at the
+constants of recurrent.py) for a fixed epoch count, on batches that every
+epoch shuffles anew, and score RMSE and MAE on the test windows.
 The grid crosses cell kind, depth, and width per cluster, repeats each
 configuration over `runs` seeds (base_seed + run index, so extending the
 run count never reshuffles earlier results), ranks configurations by
@@ -13,6 +14,7 @@ from __future__ import annotations
 import csv
 import ctypes
 import glob
+import math
 import os
 import sys
 import time
@@ -32,7 +34,6 @@ from .prep import (
     split_train_test,
 )
 from .recurrent import (
-    AdamConfig,
     AdamOptimizer,
     RecurrentNetwork,
     Tape,
@@ -54,8 +55,6 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 32
     runs: int = 30
-    adam: AdamConfig = AdamConfig()
-    shuffle_each_epoch: bool = True
     base_seed: int = 0
 
 
@@ -68,16 +67,13 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ClusterDataset:
-    """One cluster's prepared data plus enough span info to timestamp
-    test predictions later."""
+    """One cluster's training and test windows and the scaler fit on its
+    training portion."""
 
     cluster: int
     train: SupervisedWindows
     test: SupervisedWindows
     scaler: MinMaxScaler
-    split_index: int
-    span_start: int = 0
-    bin_width_ms: int = BIN_WIDTH_MS
 
 
 @dataclass
@@ -132,21 +128,17 @@ def config_label(cell_kind: str, cluster: int, hidden_layers: int, units: int) -
     return f"{cell_kind.upper()}-{cluster}-{hidden_layers}L-{units}U"
 
 
-def prepare_dataset(series: BinnedCellSeries, ratio: float = 0.8,
-                    window: int = WINDOW) -> ClusterDataset:
-    """Split chronologically, fit the scaler on the training portion
-    only, and window each split independently."""
-    train_raw, test_raw = split_train_test(series.values, ratio)
+def prepare_dataset(series: BinnedCellSeries, window: int = WINDOW) -> ClusterDataset:
+    """Split chronologically (split_train_test), fit the scaler on the
+    training portion only, and window each split independently."""
+    train_raw, test_raw = split_train_test(series.values)
     try:
         scaler = fit_scaler(train_raw)
     except ConstantSeries as exc:
         raise ConstantSeries(f"cluster {series.cell_id}: {exc}") from None
     train = make_windows(scaler.transform(train_raw), window)
     test = make_windows(scaler.transform(test_raw), window)
-    return ClusterDataset(cluster=series.cell_id, train=train, test=test,
-                          scaler=scaler, split_index=train_raw.size,
-                          span_start=series.span_start,
-                          bin_width_ms=series.bin_width_ms)
+    return ClusterDataset(cluster=series.cell_id, train=train, test=test, scaler=scaler)
 
 
 def _fit(cell_kind: str, hidden_layers: int, units: int,
@@ -159,7 +151,7 @@ def _fit(cell_kind: str, hidden_layers: int, units: int,
     validate_train_config(cfg)
     net = build_network(cell_kind, hidden_layers, units, seed=[seed, 0])
     shuffle_rng = np.random.default_rng([seed, 1])
-    opt = AdamOptimizer(net, cfg.adam)
+    opt = AdamOptimizer(net)
     inputs = dataset.train.inputs
     targets = dataset.train.targets
     n = targets.size
@@ -167,7 +159,7 @@ def _fit(cell_kind: str, hidden_layers: int, units: int,
     tapes = {}  # batch size -> Tape
     trace = []
     for _ in range(cfg.epochs):
-        order = shuffle_rng.permutation(n) if cfg.shuffle_each_epoch else np.arange(n)
+        order = shuffle_rng.permutation(n)
         sq_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
@@ -381,15 +373,16 @@ class PredictionTable:
 
 
 def predict_test_split(net: RecurrentNetwork, scaler: MinMaxScaler,
-                     series: BinnedCellSeries, ratio: float = 0.8) -> PredictionTable:
-    """Re-derive the test split of a cluster series and predict each
-    test window's target, de-normalized with the model's scaler."""
-    train_raw, test_raw = split_train_test(series.values, ratio)
+                       series: BinnedCellSeries) -> PredictionTable:
+    """Re-derive the test split of a cluster series as prepare_dataset
+    splits it and predict each test window's target, de-normalized with
+    the model's scaler."""
+    train_raw, test_raw = split_train_test(series.values)
     windows = make_windows(scaler.transform(test_raw), net.window)
     preds_scaled, _ = forward(net, windows.inputs)
     abs_bins = train_raw.size + windows.origin_indices
     return PredictionTable(
-        timestamps=series.span_start + abs_bins.astype(np.int64) * series.bin_width_ms,
+        timestamps=series.span_start + abs_bins.astype(np.int64) * BIN_WIDTH_MS,
         truth=test_raw[windows.origin_indices],
         prediction=scaler.inverse(preds_scaled),
         scaled_targets=windows.targets,
@@ -420,11 +413,12 @@ def load_results_csv(path: str) -> GridResult:
     Raises
     ------
     MalformedResults
-        The file is empty, or a row is short or has a non-numeric
-        field; the message names the file and the 1-based line. Or the
-        grid is not whole: every config must hold runs 0..R-1 once each,
-        with one R and one seed - run for the file; the message names the
-        file and the config.
+        The file is empty or holds no row, or a row is short, has a
+        non-numeric field or a non-finite rmse, mae or seconds; the
+        message names the file, the 1-based line and, for a non-finite
+        score, the column. Or the grid is not whole: every config must
+        hold runs 0..R-1 once each, with one R and one seed - run for the
+        file; the message names the file and the config.
     """
     runs = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -446,6 +440,11 @@ def load_results_csv(path: str) -> GridResult:
                 ))
             except ValueError as exc:
                 raise MalformedResults(f"{where}: {exc}") from None
+            for column, text in zip(RESULTS_HEADER[6:], row[6:]):
+                if not math.isfinite(float(text)):
+                    raise MalformedResults(f"{where}: {column} {text!r}, expected a finite number")
+    if not runs:
+        raise MalformedResults(f"{path}: no rows after the header")
     _check_whole(path, runs)
     return _aggregate(runs)
 
@@ -454,13 +453,13 @@ def _check_whole(path: str, runs: list[TrainRunResult]) -> None:
     """See load_results_csv: a file cut short or with a repeated row is
     not a grid."""
     configs = _by_label(runs)
-    n_runs = max((len(rs) for rs in configs.values()), default=0)
+    n_runs = max(len(rs) for rs in configs.values())
     for label, rs in configs.items():
         ids = sorted(r.run for r in rs)
         if ids != list(range(n_runs)):
             raise MalformedResults(f"{path}: {label} has runs {', '.join(map(str, ids))}, "
                                    f"expected 0..{n_runs - 1}")
-    base_seed = runs[0].seed - runs[0].run if runs else 0
+    base_seed = runs[0].seed - runs[0].run
     for r in runs:
         if r.seed != base_seed + r.run:
             raise MalformedResults(f"{path}: {r.label} run {r.run} has seed {r.seed}, "

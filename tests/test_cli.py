@@ -79,6 +79,14 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "bins.json").exists()
 
+    @pytest.mark.parametrize("span", ["2013-13-01..2013-14-01", "2013-02-30..2013-03-01"])
+    def test_impossible_span_date(self, tmp_path, capsys, span):
+        out = tmp_path / "bins.json"
+        code = main(["ingest", "--input", str(tmp_path), "--span", span, "--out", str(out)])
+        assert code == 2
+        assert f"error: span {span!r}: {span[:10]} is not a date" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_k_zero_rejected(self, tmp_path, capsys):
         bins = tmp_path / "bins.json"
         bins.write_text('{"span_start": 0, "bin_width_minutes": 30, "cells": {"1": [1, 2]}}\n')
@@ -97,13 +105,22 @@ class TestExitCodes:
         assert "'three'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad_row,where", [
-        ("0,lstm,1,4,0,0,abc,0.5,0\n", ":3: "), ("0,lstm,1,4\n", ":3: "), (None, ": empty file")],
-        ids=["bad_float", "short_row", "empty_file"])
+        ("0,lstm,1,4,0,0,abc,0.5,0\n", ":3: "), ("0,lstm,1,4\n", ":3: "), (None, ": empty file"),
+        ("", ": no rows after the header"),
+        ("0,lstm,1,4,0,0,nan,0.5,0\n", ":3: rmse 'nan', expected a finite number"),
+        ("0,lstm,1,4,0,0,inf,0.5,0\n", ":3: rmse 'inf', expected a finite number"),
+        ("0,lstm,1,4,0,0,0.5,-Infinity,0\n", ":3: mae '-Infinity', expected a finite number"),
+        ("0,lstm,1,4,0,0,0.5,0.5,NaN\n", ":3: seconds 'NaN', expected a finite number")],
+        ids=["bad_float", "short_row", "empty_file", "header_only", "nan_rmse", "inf_rmse",
+             "infinite_mae", "nan_seconds"])
     def test_malformed_results_names_line(self, tmp_path, capsys, bad_row, where):
+        """bad_row follows a header and one good row; "" leaves the
+        header alone, None the file empty."""
         results = tmp_path / "results.csv"
+        header = "cluster,cell,layers,units,run,seed,rmse,mae,seconds\n"
         results.write_text("" if bad_row is None else
-                           "cluster,cell,layers,units,run,seed,rmse,mae,seconds\n"
-                           "0,gru,1,4,0,0,0.25,0.5,0\n" + bad_row)
+                           header if bad_row == "" else
+                           header + "0,gru,1,4,0,0,0.25,0.5,0\n" + bad_row)
         out = tmp_path / "comparison.json"
         code = main(["compare", "--results", str(results), "--out", str(out)])
         assert code == 2
@@ -231,10 +248,10 @@ class TestPipelineConfigErrors:
         "text_epochs": (lambda c: c["train"].update(epochs="many"), "train.epochs"),
         "text_units": (lambda c: c["grid"].update(units=["x"]), "grid.units"),
         "scalar_hidden_layers": (lambda c: c["grid"].update(hidden_layers=3), "grid.hidden_layers"),
-        "text_shuffle": (lambda c: c["train"].update(shuffle_each_epoch="false"),
-                         "train.shuffle_each_epoch"),
-        "number_shuffle": (lambda c: c["train"].update(shuffle_each_epoch=0),
-                           "train.shuffle_each_epoch"),
+        "retired_shuffle": (lambda c: c["train"].update(shuffle_each_epoch=True),
+                            "unknown key(s) in train: shuffle_each_epoch"),
+        "impossible_span_date": (lambda c: c.update(span="2013-02-30..2013-03-01"),
+                                 "span '2013-02-30..2013-03-01': 2013-02-30 is not a date"),
         "text_input": (_input_mode("data/"), "config.input"),
         "empty_input": (_input_mode([]), "config.input"),
         "number_in_input": (_input_mode(["data/", 3]), "config.input"),
@@ -493,6 +510,8 @@ class TestMalformedArtefacts:
         "ragged": (lambda d: d["cells"]["2"].pop(), "cells.2: 47 values, expected 48"),
         "non_numeric": (lambda d: d["cells"]["3"].__setitem__(5, "x"),
                         "cells.3: not a 1-d list of numbers"),
+        "hourly_bins": (lambda d: d.update(bin_width_minutes=60),
+                        "bin_width_minutes: 60, expected 30"),
     }
     # The same kind of damage to a format-2 file (_blob_bins_doc).
     BLOB_CASES = {
@@ -556,7 +575,7 @@ class TestMalformedArtefacts:
         self._expect(capsys, ["train", "--clusters", str(clusters), "--bins", str(bins),
                               "--out-dir", str(tmp_path / "train")], clusters, message)
 
-    @pytest.mark.parametrize("case", ["missing_key", "ragged"] + sorted(BLOB_CASES))
+    @pytest.mark.parametrize("case", ["hourly_bins", "missing_key", "ragged"] + sorted(BLOB_CASES))
     def test_train_rejects_bins(self, tmp_path, capsys, case):
         bins, clusters = tmp_path / "bins.json", tmp_path / "clusters.json"
         message = self._write_bins(bins, case)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from cellcast import (
     CdrRecord,
-    ColumnMap,
     bin_series,
     iter_cdr_file,
     iter_cdr_paths,
@@ -79,10 +78,6 @@ class TestParseLine:
         with pytest.raises(MalformedLine) as exc:
             parse_cdr_line(line)
         assert str(exc.value) == "<line>: line holds a line break"
-
-    def test_custom_column_map(self):
-        rec = parse_cdr_line("7.5\t3\t1383260400000", ColumnMap(cell_id=1, timestamp=2, internet=0))
-        assert rec == CdrRecord(3, 1383260400000, 7.5)
 
 
 class TestFileIteration:
@@ -261,10 +256,6 @@ class TestBinning:
         for cid in one_pass:
             assert reordered[cid].values.tobytes() == one_pass[cid].values.tobytes()
 
-    def test_bin_start_helper(self):
-        result = bin_series([CdrRecord(1, SPAN_START, 1.0)], SPAN_START, SPAN_START + 2 * BIN)
-        assert result.cells[1].bin_start(1) == SPAN_START + BIN
-
 
 class TestPersistence:
     def test_json_round_trip_exact(self, tmp_path):
@@ -279,7 +270,6 @@ class TestPersistence:
         assert set(loaded) == {1, 2}
         for cid in cells:
             assert loaded[cid].span_start == SPAN_START
-            assert loaded[cid].bin_width_ms == BIN
             np.testing.assert_array_equal(loaded[cid].values, cells[cid].values)
 
     @staticmethod
@@ -298,7 +288,6 @@ class TestPersistence:
         for cid, values in expected.items():
             assert loaded[cid].values.tobytes() == values.tobytes()
             assert loaded[cid].span_start == 1_383_260_400_000
-            assert loaded[cid].bin_width_ms == BIN
 
     def test_format2_round_trip_keeps_every_bit(self, tmp_path):
         cells = load_bins_json(str(DATA / "bins_format1.json"))
@@ -307,12 +296,12 @@ class TestPersistence:
         save_bins_json(cells, str(path))
         doc = json.loads(path.read_text())
         assert doc["format"] == 2 and list(doc["cells"]) == ["3", "11", "40"]
+        assert doc["bin_width_minutes"] == 30
         loaded = load_bins_json(str(path))
         for cid in cells:
             assert loaded[cid].values.tobytes() == cells[cid].values.tobytes()
             assert loaded[cid].values.flags.writeable
-            assert (loaded[cid].span_start, loaded[cid].bin_width_ms) == \
-                (cells[cid].span_start, cells[cid].bin_width_ms)
+            assert loaded[cid].span_start == cells[cid].span_start
 
     def test_json_file_ends_with_newline(self, tmp_path):
         path = tmp_path / "bins.json"
@@ -380,7 +369,7 @@ class TestLineRules:
             if not line.strip():
                 continue
             try:
-                record = ingest._line_record(line, ColumnMap())
+                record = ingest._line_record(line)
             except (MalformedLine, NegativeActivity) as exc:
                 failure = type(exc), f"{path}:{number}: {exc}"
                 break

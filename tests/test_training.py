@@ -44,6 +44,11 @@ BIN = 1_800_000
 FAST = TrainConfig(epochs=2, batch_size=16, runs=2, base_seed=0)
 
 
+# prepare_dataset's chronological split of bumpy_series(): the first
+# floor(0.8 * 144) = 115 bins train.
+N_TRAIN = int(np.floor(0.8 * 3 * 48))
+
+
 def bumpy_series(n_days=3, cell_id=0):
     t = np.arange(n_days * 48)
     values = 20.0 + 10.0 * np.sin(2.0 * np.pi * t / 48.0)
@@ -58,15 +63,15 @@ def dataset():
 class TestPrepareDataset:
     def test_split_and_window_counts(self, dataset):
         # 144 bins -> 115 train / 29 test, each windowed independently
-        assert dataset.split_index == 115
-        assert dataset.train.inputs.shape == (111, 4)
-        assert dataset.test.inputs.shape == (25, 4)
+        assert dataset.train.inputs.shape == (N_TRAIN - 4, 4)
+        assert dataset.test.inputs.shape == (144 - N_TRAIN - 4, 4)
+        values = bumpy_series().values
+        np.testing.assert_allclose(dataset.scaler.inverse(dataset.train.targets), values[4:N_TRAIN])
+        np.testing.assert_allclose(dataset.scaler.inverse(dataset.test.targets),
+                                   values[N_TRAIN + 4:])
 
     def test_scaler_fit_on_train_only(self, dataset):
         assert dataset.train.targets.min() >= 0.0 and dataset.train.targets.max() <= 1.0
-
-    def test_span_metadata_carried(self, dataset):
-        assert dataset.span_start == SPAN_START and dataset.bin_width_ms == BIN
 
 
 class TestConfigValidation:
@@ -286,7 +291,7 @@ class TestPredictionTable:
         table = predict_test_split(net, dataset.scaler, bumpy_series())
         n_test = 29 - 4
         assert len(table.timestamps) == len(table.truth) == len(table.prediction) == n_test
-        first_target_bin = dataset.split_index + 4
+        first_target_bin = N_TRAIN + 4
         assert table.timestamps[0] == SPAN_START + first_target_bin * BIN
         assert table.timestamps[-1] == SPAN_START + (144 - 1) * BIN
         # truth is the raw series, prediction mapped back to raw units
