@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 
 from . import clustering, ingest, jsonfile, recurrent, stats, synth, training
-from .errors import ConfigError, MalformedTruth, ValidationError
+from .errors import ConfigError, DomainError, MalformedTruth, ValidationError
 
 MS_PER_DAY = 86_400_000
 
@@ -224,17 +224,21 @@ def _ingest_stage(paths: list[str], span: tuple[int, int], out: str,
     return result
 
 
-def _cluster_stage(cells: dict, k, kmax: int, seed: int, restarts: int,
+def _cluster_stage(cells: dict, bins_path: str, k, kmax: int, seed: int, restarts: int,
                    utc_offset_hours: float, truth_path: str | None,
                    out: str, curve_path: str, series_path: str, print_curve: bool = False):
-    """Clusters, SSE curve (k "auto" only) and per-cluster mean series,
-    each written to its path; returns the series."""
+    """Clusters, SSE curve (k "auto" only) and per-cluster mean series of
+    the cells read from bins_path, each written to its path; returns the
+    series."""
     if truth_path:
         truth = synth.load_truth(truth_path)
         missing = sorted(set(cells) - set(truth))
         if missing:
             raise MalformedTruth(f"{truth_path}: no archetype for cell {missing[0]}")
-    profiles = clustering.build_profiles(cells, utc_offset_hours)
+    try:
+        profiles = clustering.build_profiles(cells, utc_offset_hours)
+    except DomainError as exc:
+        raise DomainError(f"{bins_path}: {exc}") from None
     curve = None
     if k == "auto":
         curve = clustering.elbow_scan(profiles, kmax, seed=seed, restarts=restarts)
@@ -261,10 +265,6 @@ def _cluster_stage(cells: dict, k, kmax: int, seed: int, restarts: int,
     return series
 
 
-def _best_run_seed(runs: list[training.TrainRunResult]) -> int:
-    return min(runs, key=lambda r: (r.rmse, r.run)).seed
-
-
 def _winner_samples(result: training.GridResult, cluster: int) -> list[stats.MetricSample]:
     """RMSE samples of the cluster's LSTM and GRU winners, in that order."""
     winners = training.kind_winners(result, cluster)
@@ -287,8 +287,7 @@ def _train_stage(series: dict, grid: training.GridSpec, cfg: training.TrainConfi
         for kind in grid.cell_kinds:
             runs = winners[kind]
             label = runs[0].label
-            net = training.train_best_network(kind, runs[0].hidden_layers, runs[0].units,
-                                              by_cluster[cluster], cfg, _best_run_seed(runs))
+            net = training.winner_network(result, runs)
             path = os.path.join(out_dir, f"{kind}_c{cluster}.json")
             recurrent.save_model_json(net, by_cluster[cluster].scaler, path)
             model_paths[label] = path
@@ -353,9 +352,9 @@ def cmd_cluster(args) -> int:
     except ValueError:
         raise ConfigError(f"--k must be an integer or 'auto', got {args.k!r}") from None
     clustering.validate_settings(k, args.kmax, args.restarts, "--")
-    _cluster_stage(ingest.load_bins_json(args.bins), k, args.kmax, args.seed, args.restarts,
-                   args.utc_offset, args.truth, args.out, args.curve, args.series,
-                   print_curve=True)
+    _cluster_stage(ingest.load_bins_json(args.bins), args.bins, k, args.kmax, args.seed,
+                   args.restarts, args.utc_offset, args.truth, args.out, args.curve,
+                   args.series, print_curve=True)
     return 0
 
 
@@ -436,8 +435,9 @@ def cmd_pipeline(args) -> int:
     else:
         input_paths, truth_path = cfg.input_paths, None
 
-    binned = _ingest_stage(input_paths, cfg.span, os.path.join(out, "bins.json"))
-    series = _cluster_stage(binned.cells, cfg.k, cfg.kmax, cfg.seed, cfg.restarts,
+    bins_path = os.path.join(out, "bins.json")
+    binned = _ingest_stage(input_paths, cfg.span, bins_path)
+    series = _cluster_stage(binned.cells, bins_path, cfg.k, cfg.kmax, cfg.seed, cfg.restarts,
                             cfg.utc_offset_hours, truth_path, os.path.join(out, "clusters.json"),
                             os.path.join(out, "sse_curve.csv"),
                             os.path.join(out, "cluster_series.json"))

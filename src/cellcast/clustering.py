@@ -10,6 +10,7 @@ the elbow).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,7 @@ from . import jsonfile
 from .errors import (
     ConfigError,
     CurveTooShort,
+    DomainError,
     Empty,
     EmptySeries,
     InvalidK,
@@ -76,7 +78,37 @@ class ProfileMatrix:
         points = np.array(self.points, dtype=np.float64)
         points.flags.writeable = False
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "n_distinct", np.unique(points, axis=0).shape[0])
+        _check_sums_fit(points)
+        object.__setattr__(self, "n_distinct", _distinct_rows(points))
+
+
+def _check_sums_fit(points: np.ndarray) -> None:
+    """Raise DomainError unless every sum k-means takes stays finite. A
+    centroid sums at most n values of a column, and an SSE or a seeding
+    total at most n squared distances, each no more than the sum of the
+    squared column ranges; with finite but huge profiles these overflow,
+    and the seeding's draw probabilities become NaN."""
+    n = len(points)
+    if not n:
+        return
+    with np.errstate(over="ignore", invalid="ignore"):
+        ranges = points.max(axis=0) - points.min(axis=0)
+        spread = n * float(np.sum(ranges * ranges))
+        scale = n * float(np.abs(points).max())
+    if not (math.isfinite(spread) and math.isfinite(scale)):
+        raise DomainError(f"profiles up to {float(np.abs(points).max()):.6g} overflow the "
+                          f"float64 sums of k-means over {n} cells")
+
+
+def _distinct_rows(points: np.ndarray) -> int:
+    """How many distinct rows `points` holds, counted as
+    np.unique(points, axis=0) counts them, which would load numpy.ma:
+    rows equal in every column are one row, and a row holding NaN is
+    equal to none."""
+    if not len(points):
+        return 0
+    rows = points[np.lexsort(points.T[::-1])]
+    return 1 + int(np.count_nonzero((rows[1:] != rows[:-1]).any(axis=1)))
 
 
 def build_profiles(cells: dict[int, BinnedCellSeries],

@@ -71,9 +71,22 @@ def mae(f, y) -> float:
     return float(np.mean(np.abs(f - y)))
 
 
+def _tie_groups(pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of `pooled` and how often each occurs,
+    as np.unique(pooled, return_counts=True) gives them (every NaN is
+    one value), without loading numpy.ma as np.unique does."""
+    ordered = np.sort(pooled)
+    starts = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    nan = np.isnan(ordered)
+    starts[1:] &= ~(nan[1:] & nan[:-1])
+    where = np.flatnonzero(starts)
+    return ordered[where], np.diff(where, append=ordered.size)
+
+
 def average_ranks(pooled: np.ndarray) -> np.ndarray:
     """Ranks 1..N with ties sharing the average of the ranks they span."""
-    values, counts = np.unique(pooled, return_counts=True)
+    values, counts = _tie_groups(pooled)
     # A group of t equal values ending at rank c spans ranks c-t+1..c.
     return (np.cumsum(counts) - (counts - 1) / 2.0)[np.searchsorted(values, pooled)]
 
@@ -102,7 +115,7 @@ def kruskal_wallis(samples: list[MetricSample]) -> KruskalWallisResult:
     df = len(groups) - 1
 
     ranks = average_ranks(pooled)
-    _, tie_counts = np.unique(pooled, return_counts=True)
+    _, tie_counts = _tie_groups(pooled)
     has_ties = bool(np.any(tie_counts > 1))
 
     if np.all(pooled == pooled[0]):
@@ -151,19 +164,44 @@ def chi_square_upper_tail(x: float, df: int) -> float:
                         for j in range(1, (df + 1) // 2)])
 
 
+def quartiles(values) -> tuple[float, float, float]:
+    """First quartile, median and third quartile of a non-empty sample,
+    the bits np.percentile(values, [25, 50, 75]) gives: linear
+    interpolation between order statistics, NaN when the sample holds
+    one. np.percentile would load numpy.ma through np.unique; this takes
+    its steps without that call, down to the partition that orders
+    0.0 and -0.0."""
+    ordered = np.array(values, dtype=np.float64)
+    n = ordered.size
+    bounds = []  # (lower, upper, gamma) per quartile, as numpy finds them
+    for q in (0.25, 0.5, 0.75):
+        index = (n - 1) * q  # exact: q is a power-of-two fraction
+        lower = -1 if index >= n - 1 else math.floor(index)
+        bounds.append((lower, -1 if lower == -1 else lower + 1, index - lower))
+    ordered.partition(sorted({0, -1}.union(*((lo, hi) for lo, hi, _ in bounds))))
+    if np.isnan(ordered[-1]):
+        return (float(ordered[-1]),) * 3
+    out = []
+    for lower, upper, gamma in bounds:
+        a, b = ordered[lower], ordered[upper]
+        diff = b - a
+        out.append(float(b - diff * (1.0 - gamma) if gamma >= 0.5 else a + diff * gamma))
+    return out[0], out[1], out[2]
+
+
 def box_stats(values) -> BoxStats:
     """Quartiles by linear interpolation, whiskers at the most extreme
     points within 1.5 IQR of the quartiles, the rest flagged outliers."""
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise Empty("no values")
-    q1, median, q3 = np.percentile(values, [25.0, 50.0, 75.0])
+    q1, median, q3 = quartiles(values)
     iqr = q3 - q1
     lo_fence = q1 - 1.5 * iqr
     hi_fence = q3 + 1.5 * iqr
     inside = values[(values >= lo_fence) & (values <= hi_fence)]
     outliers = np.sort(values[(values < lo_fence) | (values > hi_fence)])
-    return BoxStats(median=float(median), q1=float(q1), q3=float(q3), iqr=float(iqr),
+    return BoxStats(median=median, q1=q1, q3=q3, iqr=iqr,
                     whisker_low=float(inside.min()), whisker_high=float(inside.max()),
                     outliers=tuple(float(v) for v in outliers))
 

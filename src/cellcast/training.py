@@ -17,13 +17,15 @@ import glob
 import math
 import os
 import sys
+import threading
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import jsonfile
-from .errors import ConfigError, ConstantSeries, MalformedResults, UnknownCluster
+from .errors import ConfigError, ConstantSeries, MalformedResults, SeriesTooShort, UnknownCluster
 from .ingest import BIN_WIDTH_MS, BinnedCellSeries
 from .prep import (
     WINDOW,
@@ -38,10 +40,11 @@ from .recurrent import (
     RecurrentNetwork,
     Tape,
     backward,
-    build_network,
+    blank_network,
     forward,
+    reseed,
 )
-from .stats import mae, rmse
+from .stats import mae, quartiles, rmse
 
 # Configurations whose mean RMSE is within this much of the cluster's
 # minimum count as tied for best (means are reported to 3 decimals).
@@ -96,6 +99,9 @@ class GridResult:
     runs: list[TrainRunResult]  # ordered by (cluster, cell, layers, units, run)
     mean_rmse: dict[str, float]  # config label -> mean over runs
     best_config: dict[int, str]  # cluster -> winning label
+    # config label -> flat parameters of its best run, for the configs in
+    # their kind's tie set; filled by grid_search, empty when loaded.
+    kept_params: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
 
 def validate_train_config(cfg: TrainConfig) -> None:
@@ -130,33 +136,80 @@ def config_label(cell_kind: str, cluster: int, hidden_layers: int, units: int) -
 
 def prepare_dataset(series: BinnedCellSeries, window: int = WINDOW) -> ClusterDataset:
     """Split chronologically (split_train_test), fit the scaler on the
-    training portion only, and window each split independently."""
-    train_raw, test_raw = split_train_test(series.values)
+    training portion only, and window each split independently. A
+    constant training split, or a split too short to window, raises an
+    error naming the cluster (and the split)."""
+    cluster = series.cell_id
     try:
+        train_raw, test_raw = split_train_test(series.values)
         scaler = fit_scaler(train_raw)
-    except ConstantSeries as exc:
-        raise ConstantSeries(f"cluster {series.cell_id}: {exc}") from None
-    train = make_windows(scaler.transform(train_raw), window)
-    test = make_windows(scaler.transform(test_raw), window)
-    return ClusterDataset(cluster=series.cell_id, train=train, test=test, scaler=scaler)
+    except (SeriesTooShort, ConstantSeries) as exc:
+        raise type(exc)(f"cluster {cluster}: {exc}") from None
+    splits = []
+    for name, raw in (("training", train_raw), ("test", test_raw)):
+        try:
+            splits.append(make_windows(scaler.transform(raw), window))
+        except SeriesTooShort as exc:
+            raise SeriesTooShort(f"cluster {cluster}: {name} split of {raw.size} bins: "
+                                 f"{exc}") from None
+    train, test = splits
+    return ClusterDataset(cluster=cluster, train=train, test=test, scaler=scaler)
+
+
+class _TrainingState:
+    """The network, tapes and ADAM moments of one (kind, layers, units).
+
+    Every run of that shape re-seeds them in place: a reused tape gives
+    the bits of a fresh one, and a reset optimizer is a new one. Tapes
+    are kept per batch size, the training batches' and the test set's.
+    """
+
+    def __init__(self, shape: tuple):
+        self.shape = shape
+        self.net = blank_network(*shape)
+        self.opt = AdamOptimizer(self.net)
+        self.tapes: dict[int, Tape] = {}
+
+    def tape(self, batch_size: int) -> Tape:
+        tape = self.tapes.get(batch_size)
+        if tape is None:
+            tape = self.tapes[batch_size] = Tape(self.net, batch_size)
+        return tape
+
+
+# The state of the shape trained last, one per thread, so that threads
+# never share a network. A new shape drops the old state first, so a
+# large config's tapes are not held while the next config trains.
+_local = threading.local()
+
+
+def _training_state(cell_kind: str, hidden_layers: int, units: int) -> _TrainingState:
+    shape = (cell_kind.lower(), hidden_layers, units)
+    state = getattr(_local, "state", None)
+    if state is None or state.shape != shape:
+        _local.state = None
+        state = _local.state = _TrainingState(shape)
+    return state
 
 
 def _fit(cell_kind: str, hidden_layers: int, units: int,
          dataset: ClusterDataset, cfg: TrainConfig,
          seed: int) -> tuple[RecurrentNetwork, list[float]]:
-    """Seeded network + training loop shared by scoring and replay. The
-    loss trace records each epoch's MSE over its batches as they were
-    seen (before each update). Every batch of one size reuses one tape:
-    the full batches share one, a ragged last batch gets its own."""
+    """Seeded training loop shared by scoring and replay, on this
+    thread's training state for the shape; the network it returns is
+    that state's and changes with the next run. The loss trace records
+    each epoch's MSE over its batches as they were seen (before each
+    update)."""
     validate_train_config(cfg)
-    net = build_network(cell_kind, hidden_layers, units, seed=[seed, 0])
+    state = _training_state(cell_kind, hidden_layers, units)
+    net, opt = state.net, state.opt
+    reseed(net, [seed, 0])
+    opt.reset()
     shuffle_rng = np.random.default_rng([seed, 1])
-    opt = AdamOptimizer(net)
     inputs = dataset.train.inputs
     targets = dataset.train.targets
     n = targets.size
 
-    tapes = {}  # batch size -> Tape
     trace = []
     for _ in range(cfg.epochs):
         order = shuffle_rng.permutation(n)
@@ -164,9 +217,7 @@ def _fit(cell_kind: str, hidden_layers: int, units: int,
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             y = targets[idx]
-            tape = tapes.get(idx.size)
-            if tape is None:
-                tape = tapes[idx.size] = Tape(net, idx.size)
+            tape = state.tape(idx.size)
             preds, _ = forward(net, inputs[idx], tape)
             sq_sum += float(np.sum((preds - y) ** 2))
             opt.step(net, backward(net, y, tape))
@@ -180,25 +231,37 @@ def train_once(cell_kind: str, hidden_layers: int, units: int,
     """One seeded training run, scored on the test windows."""
     t0 = time.perf_counter()
     net, trace = _fit(cell_kind, hidden_layers, units, dataset, cfg, seed)
-    test_preds, _ = forward(net, dataset.test.inputs)
+    test = dataset.test
+    tape = _training_state(cell_kind, hidden_layers, units).tape(test.targets.size)
+    test_preds, _ = forward(net, test.inputs, tape)
     return TrainRunResult(
         label=config_label(cell_kind, dataset.cluster, hidden_layers, units),
         cluster=dataset.cluster, cell_kind=cell_kind,
         hidden_layers=hidden_layers, units=units, run=run, seed=seed,
         loss_trace=trace,
-        rmse=rmse(test_preds, dataset.test.targets),
-        mae=mae(test_preds, dataset.test.targets),
+        rmse=rmse(test_preds, test.targets),
+        mae=mae(test_preds, test.targets),
         seconds=time.perf_counter() - t0,
     )
+
+
+def _network(cell_kind: str, hidden_layers: int, units: int, flat: np.ndarray) -> RecurrentNetwork:
+    """A network of the shape holding its own copy of `flat`."""
+    net = blank_network(cell_kind, hidden_layers, units)
+    net.flat[...] = flat
+    return net
 
 
 def train_best_network(cell_kind: str, hidden_layers: int, units: int,
                        dataset: ClusterDataset, cfg: TrainConfig,
                        seed: int) -> RecurrentNetwork:
-    """Re-train one configuration and hand back the fitted network (the
-    grid search keeps only scores, so persisting a model means replaying
-    its run: same seed derivation, bit-identical parameters)."""
-    return _fit(cell_kind, hidden_layers, units, dataset, cfg, seed)[0]
+    """Re-train one run of a configuration and hand back the fitted
+    network: same seed derivation, bit-identical parameters. grid_search
+    keeps the parameters its callers need (GridResult.kept_params, read
+    by winner_network), so the pipeline never replays a run; this is for
+    a caller that holds only scores, such as a loaded results.csv."""
+    net, _ = _fit(cell_kind, hidden_layers, units, dataset, cfg, seed)
+    return _network(cell_kind, hidden_layers, units, net.flat)
 
 
 # What numpy's bundled OpenBLAS calls its thread setter, newest build first.
@@ -235,9 +298,11 @@ def single_blas_thread() -> None:
           f"set OPENBLAS_NUM_THREADS=1 for byte-identical results", file=sys.stderr)
 
 
-def _run_task(args) -> TrainRunResult:
+def _run_task(args) -> tuple[TrainRunResult, np.ndarray]:
+    """One grid task: its result and a copy of the trained parameters."""
     cell_kind, hidden_layers, units, dataset, cfg, seed, run = args
-    return train_once(cell_kind, hidden_layers, units, dataset, cfg, seed, run=run)
+    result = train_once(cell_kind, hidden_layers, units, dataset, cfg, seed, run=run)
+    return result, _training_state(cell_kind, hidden_layers, units).net.flat.copy()
 
 
 def grid_search(grid: GridSpec, datasets: list[ClusterDataset], cfg: TrainConfig,
@@ -245,8 +310,10 @@ def grid_search(grid: GridSpec, datasets: list[ClusterDataset], cfg: TrainConfig
     """Every (cluster, cell kind, depth, width) trained cfg.runs times.
 
     Tasks are independent, so any worker count gives the same results;
-    collection re-imposes (cluster, cell, layers, units, run) order
-    before aggregation.
+    they stream back in task order, and collection re-imposes (cluster,
+    cell, layers, units, run) order before aggregation. The result keeps
+    the parameters of every config that kind_winners can pick (see
+    _keep_winners), so no winner is trained again.
     """
     validate_grid(grid)
     validate_train_config(cfg)
@@ -262,19 +329,73 @@ def grid_search(grid: GridSpec, datasets: list[ClusterDataset], cfg: TrainConfig
                     for run in range(cfg.runs):
                         tasks.append((kind, hidden_layers, units, ds, cfg,
                                       cfg.base_seed + run, run))
+    runs_per_label = Counter(config_label(kind, ds.cluster, hidden_layers, units)
+                             for kind, hidden_layers, units, ds, *_ in tasks)
 
     if workers <= 1:
-        results = [_run_task(t) for t in tasks]
+        results, kept = _keep_winners(map(_run_task, tasks), runs_per_label)
     else:
         # Imported here, so that a caller that never starts a pool does
         # not pay for loading multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers, initializer=single_blas_thread) as pool:
-            results = list(pool.map(_run_task, tasks))
+            results, kept = _keep_winners(pool.map(_run_task, tasks), runs_per_label)
 
     results.sort(key=lambda r: (r.cluster, r.cell_kind, r.hidden_layers, r.units, r.run))
-    return _aggregate(results)
+    grid_result = _aggregate(results)
+    grid_result.kept_params = kept
+    return grid_result
+
+
+def _keep_winners(stream, runs_per_label: dict[str, int]) -> tuple[list, dict]:
+    """The results of a stream of (result, parameters) in task order, and
+    label -> parameters of that config's best run (lowest RMSE, then
+    lowest run index) for each config in its kind's tie set.
+
+    A config is scored once its last run is in. Its best run's
+    parameters are kept while its mean RMSE is within TIE_THRESHOLD of
+    the lowest mean of its cell kind in its cluster so far; the minimum
+    only falls, so what is left at the end is exactly each kind's tie
+    set, which holds every config kind_winners can pick.
+    """
+    results = []
+    runs_so_far: dict[str, list] = {}  # label -> its runs in so far
+    best: dict[str, tuple] = {}  # label -> (its best run so far, that run's parameters)
+    lowest: dict[tuple, float] = {}  # (cluster, kind) -> lowest mean so far
+    kept: dict[str, tuple] = {}  # label -> ((cluster, kind), mean, parameters)
+    for result, params in stream:
+        results.append(result)
+        label = result.label
+        runs = runs_so_far.setdefault(label, [])
+        runs.append(result)
+        top = best.get(label)
+        if top is None or (result.rmse, result.run) < (top[0].rmse, top[0].run):
+            best[label] = top = (result, params)
+        if len(runs) < runs_per_label[label]:
+            continue
+        del runs_so_far[label], best[label]
+        # Runs in the order _aggregate averages them, for the same bits.
+        mean = _mean_rmse(sorted(runs, key=lambda r: r.run))
+        group = (result.cluster, result.cell_kind)
+        low = lowest[group] = min(lowest.get(group, mean), mean)
+        if mean <= low + TIE_THRESHOLD:
+            kept[label] = (group, mean, top[1])
+        for other in [other for other, (g, m, _) in kept.items()
+                      if g == group and m > low + TIE_THRESHOLD]:
+            del kept[other]
+    return results, {label: params for label, (_, _, params) in kept.items()}
+
+
+def winner_network(result: GridResult, runs: list[TrainRunResult]) -> RecurrentNetwork:
+    """A copy of the network of the best of one config's runs (lowest
+    RMSE, then lowest run index), as grid_search kept it for every
+    config that kind_winners picks."""
+    first = runs[0]
+    params = result.kept_params.get(first.label)
+    if params is None:
+        raise KeyError(f"{first.label}: grid_search kept no parameters for it")
+    return _network(first.cell_kind, first.hidden_layers, first.units, params)
 
 
 # ---------------------------------------------------------------------------
@@ -290,14 +411,16 @@ def _by_label(runs) -> dict[str, list[TrainRunResult]]:
 
 def _quartiles(runs: list[TrainRunResult]) -> tuple[float, float, float]:
     """First quartile, median and third quartile of one config's RMSEs."""
-    q1, median, q3 = np.percentile(np.array([r.rmse for r in runs]), [25.0, 50.0, 75.0])
-    return float(q1), float(median), float(q3)
+    return quartiles([r.rmse for r in runs])
+
+
+def _mean_rmse(runs: list[TrainRunResult]) -> float:
+    return float(np.mean([r.rmse for r in runs]))
 
 
 def _aggregate(runs: list[TrainRunResult]) -> GridResult:
     """GridResult of runs: per-config mean RMSE and each cluster's winner."""
-    mean_rmse = {label: float(np.mean([r.rmse for r in rs]))
-                 for label, rs in _by_label(runs).items()}
+    mean_rmse = {label: _mean_rmse(rs) for label, rs in _by_label(runs).items()}
     result = GridResult(runs=runs, mean_rmse=mean_rmse, best_config={})
     for cluster in sorted({r.cluster for r in runs}):
         result.best_config[cluster] = select_best(result, cluster)[0]

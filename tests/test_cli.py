@@ -867,3 +867,50 @@ def test_pipeline_trains_the_same_bits_without_thread_pins(tmp_path):
     pinned = run("pinned", 1, pinned=True)
     assert run("serial", 1, pinned=False) == pinned
     assert run("pool", 2, pinned=False) == pinned
+
+
+def test_pipeline_loads_no_numpy_ma(tmp_path):
+    """np.unique, np.setdiff1d, np.union1d and np.percentile load
+    numpy.ma; no stage of the pipeline calls them."""
+    config = _small_pipeline(str(tmp_path / "out"), _two_archetype_synth())
+    config.update(k="auto", kmax=3)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    code = ("import sys; from cellcast.cli import main; code = main(['pipeline', '--config', "
+            f"{str(path)!r}]); print(code, 'numpy.ma' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    assert done.stdout.split() == ["0", "False"]
+
+
+@pytest.mark.parametrize("k", ["1", "2", "auto"])
+def test_cluster_refuses_profiles_whose_sums_overflow(tmp_path, capsys, k):
+    """tests/data/bins_format1.json holds 1.7976931348623157e308: its
+    profiles' squared distances overflow, so k-means would write an
+    infinite SSE or draw its seeding from NaN probabilities."""
+    bins = Path(__file__).parent / "data" / "bins_format1.json"
+    out = tmp_path / "clusters.json"
+    _expect_rejected(["cluster", "--bins", str(bins), "--k", k, "--kmax", "3",
+                      "--out", str(out), "--curve", str(tmp_path / "curve.csv"),
+                      "--series", str(tmp_path / "series.json")], capsys,
+                     f"{bins}: profiles up to 2.24712e+307 overflow the float64 sums "
+                     f"of k-means over 3 cells", out)
+    assert not list(tmp_path.iterdir())
+
+
+def test_train_names_the_cluster_and_split_too_short_to_window(tmp_path, capsys):
+    """12 bins split into 9 training and 3 test bins, too few for one
+    test window."""
+    bins, clusters = tmp_path / "bins.json", tmp_path / "clusters.json"
+    doc = _bins_doc()
+    doc["cells"] = {cid: values[:12] for cid, values in doc["cells"].items()}
+    doc["cells"]["3"] = doc["cells"]["4"] = doc["cells"]["1"]
+    bins.write_text(json.dumps(doc))
+    clusters.write_text(json.dumps(_clusters_doc()))
+    out_dir = tmp_path / "train"
+    assert main(["train", "--clusters", str(clusters), "--bins", str(bins), "--runs", "1",
+                 "--epochs", "1", "--out-dir", str(out_dir)]) == 2
+    assert "error: cluster 0: test split of 3 bins: need > 4 values, got 3" in \
+        capsys.readouterr().err
+    assert not (out_dir / "results.csv").exists()

@@ -25,6 +25,7 @@ from cellcast import (
 from cellcast.clustering import load_cluster_json, save_cluster_json, save_sse_csv
 from cellcast.errors import (
     CurveTooShort,
+    DomainError,
     Empty,
     EmptySeries,
     InvalidK,
@@ -377,6 +378,27 @@ def test_duplicate_points_count_once_for_k_limit():
 
 
 # --- elbow scan and knee ----------------------------------------------------
+
+@given(st.lists(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0, np.nan, np.inf]),
+                         min_size=3, max_size=3), min_size=1, max_size=12))
+@settings(max_examples=200)
+def test_distinct_rows_count_as_np_unique_counts_them(rows):
+    """Rows equal in every column are one row (0.0 and -0.0 are equal),
+    and a row that holds NaN equals none, as np.unique(axis=0) counts."""
+    points = np.array(rows)
+    assert clustering._distinct_rows(points) == np.unique(points, axis=0).shape[0]
+
+
+@pytest.mark.parametrize("points", [
+    [[1.7976931348623157e308] * 6, [0.0] * 6],  # a squared range overflows
+    [[1e154] * 6, [0.0] * 6],  # six squared ranges overflow their sum
+    [[1e308] * 6] * 2,  # a centroid's column sum overflows
+    [[np.inf] * 6, [0.0] * 6],
+])
+def test_profiles_whose_kmeans_sums_overflow_are_refused(points):
+    with pytest.raises(DomainError, match="overflow the float64 sums of k-means over 2 cells"):
+        profiles_from(points)
+
 
 def test_elbow_scan_covers_one_through_k_max():
     rng = np.random.default_rng(7)

@@ -383,3 +383,150 @@ class TestLineRules:
                 ingest.read_cdr_file(str(path))
             assert type(exc.value) is failure[0]
             assert str(exc.value) == failure[1]
+
+
+# --- the fast parse ------------------------------------------------------------
+
+# Activity fields on both sides of every difference between loadtxt's float
+# parser and the _activity converter: empty and whitespace-only fields, a
+# literal NaN, infinities, an underscore, and the bytes 0x1c-0x1f that only
+# the parser skips as whitespace.
+FAST_ACTIVITY = ["5.25", "0", "-0.0", "1e-3", " 7 ", "", "   ", "nan", "inf", "-inf", "1_0",
+                 "\x1c2.5", "2.5\x1f", "\x1d", "-1", "x"]
+
+
+def _read_outcome(read, path):
+    """What a reader makes of a file: its table's bytes, or the error."""
+    try:
+        return read(path).tobytes()
+    except (MalformedLine, NegativeActivity) as exc:
+        return type(exc), str(exc)
+
+
+class TestFastParse:
+    """read_cdr_file reads a file with loadtxt's own float parser when it
+    can; whatever the file holds, the result is the converter path's."""
+
+    @staticmethod
+    def _write(path, header, rows):
+        lines = [HEADER] * header + [f"{cell}\t{1383260400000 + cell}\t39\t\t\t\t\t{activity}"
+                                     for cell, activity in rows]
+        path.write_text("".join(line + "\n" for line in lines))
+        return str(path)
+
+    @given(st.booleans(), st.lists(st.tuples(st.integers(0, 3), st.sampled_from(FAST_ACTIVITY)),
+                                   max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_fast_parse_reads_as_the_converter(self, tmp_path_factory, header, rows):
+        path = self._write(tmp_path_factory.getbasetemp() / "fast.tsv", header, rows)
+        assert _read_outcome(ingest.read_cdr_file, path) == \
+            _read_outcome(lambda p: ingest._parse(p, int(header), fast=False), path)
+
+    @pytest.mark.parametrize("activity,fast,converter", [
+        ("0.1", "table", "table"), ("", "refused", "table"), ("   ", "refused", "table"),
+        ("1_0", "refused", "table"), ("nan", "rule", "refused"), ("inf", "rule", "rule"),
+        ("\x1c2.5", "table", "refused"),
+    ])
+    def test_where_the_parsers_part(self, tmp_path, activity, fast, converter):
+        """Each parser's outcome on a file: a table, a refusal (ValueError)
+        or a broken value rule (None). Where both read a table it is the
+        same; the last case is what the byte scan keeps from the parser."""
+        path = self._write(tmp_path / "f.tsv", False, [(1, "5.25"), (2, "0.1"), (3, activity)])
+
+        def load(use_fast):
+            try:
+                table = ingest._load_table(path, 0, fast=use_fast)
+            except ValueError:
+                return "refused", None
+            return ("rule", None) if table is None else ("table", table.tobytes())
+
+        (fast_got, fast_bytes), (converter_got, converter_bytes) = load(True), load(False)
+        assert (fast_got, converter_got) == (fast, converter)
+        if fast == converter == "table":
+            assert fast_bytes == converter_bytes
+
+    @pytest.mark.parametrize("rows,calls", [
+        ([(1, "5.25"), (2, "")], 2),  # an empty field late: one failed fast parse
+        ([(1, ""), (2, "5.25")], 1),  # an empty field first: the converter only
+        ([(1, "5.25"), (2, "0.5")], 1),  # the fast parse only
+        ([(1, "5.25"), (2, "2.5\x1f")], 1),  # a byte float() refuses: the converter only
+    ])
+    def test_no_file_pays_more_than_one_failed_parse(self, tmp_path, monkeypatch, rows, calls):
+        loadtxt, seen = np.loadtxt, []
+
+        def counted(*args, **kwargs):
+            seen.append(kwargs["converters"] is None)
+            return loadtxt(*args, **kwargs)
+
+        path = self._write(tmp_path / "f.tsv", True, rows)
+        monkeypatch.setattr(np, "loadtxt", counted)
+        outcome = _read_outcome(ingest.read_cdr_file, path)
+        monkeypatch.undo()
+        assert outcome == _read_outcome(lambda p: ingest._parse(p, 1, fast=False), path)
+        assert len(seen) == calls
+        assert seen[0] is (rows[0][1] != "" and "\x1f" not in rows[1][1])
+
+
+# --- the packed-key bin sums ---------------------------------------------------
+
+def lexsort_bin_sums(table, span_start, span_end):
+    """_bin_sums with one lexsort on three keys, the way it was first
+    written: the reference for the packed key."""
+    timestamp = table["timestamp"]
+    inside = (timestamp >= span_start) & (timestamp < span_end)
+    dropped = int(inside.size - np.count_nonzero(inside))
+    table = table[inside]
+    bins = (table["timestamp"] - span_start) // BIN
+    order = np.lexsort((table["activity"], bins, table["cell_id"]))
+    cell, bins, value = table["cell_id"][order], bins[order], table["activity"][order]
+    first = np.ones(cell.size, dtype=bool)
+    first[1:] = (cell[1:] != cell[:-1]) | (bins[1:] != bins[:-1])
+    starts = np.flatnonzero(first)
+    sums = np.add.reduceat(value, starts) if starts.size else value
+    return cell[starts], bins[starts], sums, dropped
+
+
+_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.1, 3.0, 5e-324, 1e300]),
+                    st.floats(min_value=0.0, max_value=1e9))
+
+
+@st.composite
+def _binnable(draw):
+    """A record table over a few bins, its records in drawn order. A few
+    cells and bins make groups of 8 and more records, where reduceat adds
+    pairwise; cell ids up to 2**62 make keys that do not fit 63 bits."""
+    top = draw(st.sampled_from([40, 2**62]))
+    cells = draw(st.lists(st.integers(1, top), min_size=1, max_size=3))
+    n_bins = draw(st.integers(1, 4))
+    records = draw(st.lists(st.tuples(st.sampled_from(cells),
+                                      st.integers(-BIN, (n_bins + 1) * BIN - 1), _VALUES),
+                            max_size=80))
+    table = np.array([(c, SPAN_START + t, v) for c, t, v in records], dtype=ingest.CDR_DTYPE)
+    order = draw(st.permutations(range(len(records))))
+    return table, table[list(order)], n_bins
+
+
+class TestPackedBinSums:
+    @given(_binnable())
+    @settings(max_examples=400, deadline=None)
+    def test_packed_key_sums_as_the_lexsort(self, drawn):
+        table, shuffled, n_bins = drawn
+        end = SPAN_START + n_bins * BIN
+        got = ingest._bin_sums(shuffled, SPAN_START, end)
+        want = lexsort_bin_sums(table, SPAN_START, end)
+        assert [a.tobytes() for a in got[:3]] == [a.tobytes() for a in want[:3]]
+        assert got[3] == want[3]
+
+    @pytest.mark.parametrize("cells,lexsorts", [((7, 9), 0), ((1, 2**62), 1)])
+    def test_lexsort_only_where_the_key_does_not_fit(self, monkeypatch, cells, lexsorts):
+        rng = np.random.default_rng(3)
+        table = np.array([(cells[i % 2], SPAN_START + int(t), float(v)) for i, (t, v) in
+                          enumerate(zip(rng.integers(0, 2 * BIN, 40), rng.random(40)))],
+                         dtype=ingest.CDR_DTYPE)
+        lexsort, seen = np.lexsort, []
+        monkeypatch.setattr(np, "lexsort", lambda keys: seen.append(1) or lexsort(keys))
+        got = ingest._bin_sums(table, SPAN_START, SPAN_START + 2 * BIN)
+        monkeypatch.undo()
+        want = lexsort_bin_sums(table, SPAN_START, SPAN_START + 2 * BIN)
+        assert [a.tobytes() for a in got[:3]] == [a.tobytes() for a in want[:3]]
+        assert len(seen) == lexsorts

@@ -277,3 +277,32 @@ def test_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert done.stdout.strip() == "[]"
+
+
+# The sort-based stand-ins for np.unique and np.percentile, which load
+# numpy.ma, against the numpy calls themselves.
+_samples = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5, math.nan, math.inf, -math.inf]),
+                              st.floats(min_value=-1e3, max_value=1e3)), min_size=1, max_size=40)
+
+
+@given(_samples)
+@settings(max_examples=300)
+def test_tie_groups_are_np_unique_with_counts(values):
+    from cellcast.stats import _tie_groups
+
+    pooled = np.array(values)
+    want_values, want_counts = np.unique(pooled, return_counts=True)
+    got_values, got_counts = _tie_groups(pooled)
+    assert got_values.tobytes() == want_values.tobytes()
+    assert got_counts.tolist() == want_counts.tolist()
+
+
+@given(_samples)
+@settings(max_examples=300)
+def test_quartiles_are_np_percentile_bit_for_bit(values):
+    from cellcast.stats import quartiles
+
+    with np.errstate(invalid="ignore"):
+        want = np.percentile(np.array(values), [25.0, 50.0, 75.0])
+        got = np.array(quartiles(values))
+    assert got.tobytes() == want.tobytes()

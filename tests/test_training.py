@@ -369,3 +369,147 @@ def test_single_blas_thread_names_a_blas_it_cannot_set(monkeypatch, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("cellcast: cannot set numpy's BLAS (")
     assert "OPENBLAS_NUM_THREADS=1" in err[0]
+
+
+# --- winners kept from the grid, and the training state -------------------------
+
+def other_series(cell_id=1):
+    """A second cluster's series: bumpy_series at another phase and level."""
+    t = np.arange(3 * 48)
+    values = 50.0 + 20.0 * np.cos(2.0 * np.pi * t / 48.0) + (t % 5)
+    return BinnedCellSeries(cell_id=cell_id, span_start=SPAN_START, values=values)
+
+
+class TestKeptWinners:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_winner_models_are_the_replayed_bytes(self, dataset, tmp_path, workers):
+        """Every model file the train stage writes holds the bytes that
+        replaying the winner's best run with train_best_network gives."""
+        from cellcast import save_model_json
+        from cellcast.training import winner_network
+
+        datasets = [dataset, prepare_dataset(other_series())]
+        grid = GridSpec(hidden_layers=(1, 2), units=(3,), cell_kinds=("lstm", "gru"))
+        result = grid_search(grid, datasets, FAST, workers=workers)
+        for ds in datasets:
+            for kind, runs in kind_winners(result, ds.cluster).items():
+                best = min(runs, key=lambda r: (r.rmse, r.run))
+                kept, replayed = tmp_path / "kept.json", tmp_path / "replayed.json"
+                save_model_json(winner_network(result, runs), ds.scaler, str(kept))
+                save_model_json(train_best_network(kind, best.hidden_layers, best.units, ds,
+                                                   FAST, best.seed), ds.scaler, str(replayed))
+                assert kept.read_bytes() == replayed.read_bytes()
+
+    def test_pruning_keeps_exactly_each_kinds_tie_set(self):
+        """Near-tied means by hand, streamed in task order: every config
+        within TIE_THRESHOLD of its kind's lowest mean in its cluster
+        keeps its best run's parameters, and no other config does."""
+        from cellcast.training import TIE_THRESHOLD, _keep_winners
+
+        t = TIE_THRESHOLD
+        # (cluster, kind, units) -> the level of its runs' RMSEs. Runs 1
+        # and 3 share the lowest RMSE, so the best run is run 1.
+        configs = {
+            (0, "lstm", 1): 0.2, (0, "lstm", 2): 0.2 + 0.9 * t, (0, "lstm", 3): 0.2 + 1.1 * t,
+            (0, "lstm", 4): 0.2 - 0.5 * t,  # a later minimum drops 0.2 + 0.9t
+            (0, "gru", 1): 0.3, (0, "gru", 2): 0.3 + t, (0, "gru", 3): 0.1 + 2 * t,
+            (1, "lstm", 1): 0.5, (1, "lstm", 2): 0.5,
+        }
+        stream = []
+        for (cluster, kind, units), mean in configs.items():
+            rmses = [mean + 0.01, mean - 0.01, mean, mean - 0.01]
+            for run, value in enumerate(rmses):
+                result = TrainRunResult(
+                    label=config_label(kind, cluster, 1, units), cluster=cluster, cell_kind=kind,
+                    hidden_layers=1, units=units, run=run, seed=run, loss_trace=[],
+                    rmse=value, mae=value, seconds=0.0)
+                stream.append((result, np.array([cluster, units, run], dtype=float)))
+        runs, kept = _keep_winners(iter(stream), {r.label: 4 for r, _ in stream})
+        assert runs == [r for r, _ in stream]
+
+        aggregated = GridResult(runs=runs, mean_rmse={}, best_config={})
+        means = {}
+        for r in runs:
+            means.setdefault(r.label, []).append(r.rmse)
+        aggregated.mean_rmse = {label: float(np.mean(v)) for label, v in means.items()}
+        tie_set = set()
+        for cluster in (0, 1):
+            for kind in ("lstm", "gru"):
+                kind_means = {label: m for label, m in aggregated.mean_rmse.items()
+                              if label.startswith(f"{kind.upper()}-{cluster}-")}
+                if kind_means:
+                    low = min(kind_means.values())
+                    tie_set |= {label for label, m in kind_means.items() if m <= low + t}
+        assert tie_set == {"LSTM-0-1L-1U", "LSTM-0-1L-4U", "GRU-0-1L-3U",
+                           "LSTM-1-1L-1U", "LSTM-1-1L-2U"}
+        assert set(kept) == tie_set
+        for label, params in kept.items():
+            cluster, units = int(label.split("-")[1]), int(label.split("-")[3][:-1])
+            assert params.tolist() == [cluster, units, 1]
+
+    def test_interleaved_shapes_match_a_fresh_state(self, dataset):
+        """Runs of shapes A, B, A and A on another dataset, in one
+        thread, give the results and parameters of each run alone in a
+        fresh thread, whose training state starts empty."""
+        import threading
+
+        from cellcast.training import _run_task
+
+        other = prepare_dataset(other_series())
+        tasks = [("lstm", 1, 4, dataset, FAST, 3, 0), ("gru", 2, 3, dataset, FAST, 3, 0),
+                 ("lstm", 1, 4, dataset, FAST, 5, 1), ("lstm", 1, 4, other, FAST, 5, 1)]
+
+        def outcome(task):
+            result, params = _run_task(task)
+            return result.rmse, result.mae, result.loss_trace, params.tobytes()
+
+        def fresh(task):
+            box = []
+            thread = threading.Thread(target=lambda: box.append(outcome(task)))
+            thread.start()
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+            return box[0]
+
+        assert [outcome(task) for task in tasks] == [fresh(task) for task in tasks]
+
+    def test_threads_do_not_share_a_training_state(self, dataset):
+        """Four threads train one shape at once, switching every
+        microsecond; each run gives the results of the same run alone."""
+        import threading
+
+        tasks = [("gru", 1, 4, dataset, FAST, seed, 0) for seed in range(8)]
+        alone = [train_once(*task[:6]).loss_trace for task in tasks]
+        together = [None] * len(tasks)
+
+        def work(first):
+            for i in range(first, len(tasks), 4):
+                together[i] = train_once(*tasks[i][:6]).loss_trace
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert together == alone
+
+    def test_a_handed_out_network_is_a_copy(self, dataset):
+        net = train_best_network("gru", 1, 4, dataset, FAST, seed=1)
+        before = net.flat.tobytes()
+        train_once("gru", 1, 4, dataset, FAST, seed=2)
+        assert net.flat.tobytes() == before
+
+
+def test_a_split_too_short_to_window_names_the_cluster_and_split():
+    from cellcast.errors import SeriesTooShort
+
+    series = BinnedCellSeries(cell_id=3, span_start=SPAN_START, values=np.arange(12.0))
+    with pytest.raises(SeriesTooShort,
+                       match=r"^cluster 3: test split of 3 bins: need > 4 values, got 3$"):
+        prepare_dataset(series)
