@@ -10,7 +10,8 @@ from columns 0, 1 and 7. Records are aggregated per cell into fixed
 Each file is parsed in bulk by numpy's C text reader into a record
 array, with its own float parser on the activity field. A file with an
 empty activity field, which that parser refuses, is read with a small
-converter on the field instead, so that one runs per line. Each file's
+converter on the field instead, so that one runs per line; a scan of
+the file's bytes picks the reader before either runs. Each file's
 records are then ordered by one argsort of a packed key and summed per
 bin by one reduceat.
 """
@@ -21,6 +22,7 @@ import csv
 import io
 import math
 import os
+import re
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
@@ -189,18 +191,12 @@ def _parse(path: str, skip: int, fast: bool) -> np.ndarray:
     """The records of one CDR file as a CDR_DTYPE array, in line order.
     An error names the file and the 1-based line that breaks a rule.
 
-    With `fast`, loadtxt's float parser reads the file first; when it
-    refuses the text, as it refuses an empty activity field, the file is
-    read again with the converter."""
-    table = None
+    With `fast`, loadtxt's float parser reads the file in place of the
+    converter (see _fast_parse_fits for when it can)."""
     try:
         table = _load_table(path, skip, fast)
     except ValueError:
-        if fast:
-            try:
-                table = _load_table(path, skip)
-            except ValueError:
-                pass
+        table = None
     if table is not None:
         return table
     lines = _lines(path)
@@ -227,21 +223,38 @@ def _parse(path: str, skip: int, fast: bool) -> np.ndarray:
 # and float() refuses.
 _C_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
+# A last field that is empty or whitespace-only, up to its line break.
+_BLANK_LAST_FIELD = re.compile(rb"\t[ \v\f]*(?:[\r\n]|\Z)")
+
+
+def _blank_last_field(chunk: bytes) -> bool:
+    """Whether `chunk`, whole lines of a file, holds a line whose last
+    field is empty or whitespace-only. The regex stops at every tab, so
+    numpy first looks for a tab or a space before a line break, and the
+    regex reads only a chunk that holds one."""
+    if chunk[-1:] not in (b"\t", b" "):
+        text = np.frombuffer(chunk, dtype=np.uint8)
+        blank = (text[:-1] == 9) | (text[:-1] == 32)
+        blank &= (text[1:] >= 10) & (text[1:] <= 13)
+        if not blank.any():
+            return False
+    return _BLANK_LAST_FIELD.search(chunk) is not None
+
 
 def _fast_parse_fits(fh, first_record: bytes) -> bool:
-    """Whether loadtxt's float parser should read the rest of the open
-    binary file `fh`, whose first record line is `first_record`: not when
-    that line's activity field is empty, which the parser refuses, so a
-    file that starts with one pays for no failed parse; nor when the
-    file holds a byte of _C_ONLY_SPACE."""
-    fields = first_record.split(b"\t")
-    if len(fields) > ACTIVITY_COLUMN and not fields[ACTIVITY_COLUMN].strip():
-        return False
+    """Whether loadtxt's float parser can read the rest of the open binary
+    file `fh`, whose first record line is `first_record`: not when a
+    line's last field, the activity of an 8-column line, is empty or
+    whitespace-only, which the parser refuses, nor when the file holds a
+    byte of _C_ONLY_SPACE. Such a file goes to the converter at once, so
+    that no file pays for a failed parse. The file is read in chunks of
+    whole lines."""
     chunk = first_record
     while chunk:
-        if any(byte in chunk for byte in _C_ONLY_SPACE):
+        if any(byte in chunk for byte in _C_ONLY_SPACE) or _blank_last_field(chunk):
             return False
         chunk = fh.read(1 << 16)
+        chunk += fh.readline()
     return True
 
 

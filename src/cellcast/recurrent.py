@@ -262,45 +262,35 @@ def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
-def blank_network(cell_kind: str, hidden_layers: int, units: int,
+def build_network(cell_kind: str, hidden_layers: int, units: int, seed,
                   window: int = WINDOW) -> RecurrentNetwork:
-    """A network of build_network's shape with every parameter 0: a
-    fixed first recurrent layer (input dim 1, `window` units) plus
-    `hidden_layers` recurrent layers of `units` each, then the dense head."""
+    """Seeded network: fixed first recurrent layer (input dim 1, `window`
+    units) plus `hidden_layers` recurrent layers of `units` each, then the
+    dense head. Matrices are uniform within the fan-sum limit, biases 0
+    except the LSTM forget bias at 1, peepholes 0.
+    """
     cell_kind = cell_kind.lower()
     if cell_kind not in _LAYER_PARAMS:
         raise ValueError(f"cell_kind must be 'lstm' or 'gru', got {cell_kind!r}")
     if hidden_layers < 0:
         raise ValueError("hidden_layers must be >= 0")
+    rng = np.random.default_rng(seed)
     dims = [(1, window)] + [(window if i == 0 else units, units)
                             for i in range(hidden_layers)]
-    layers = [_LAYER_PARAMS[cell_kind](u, input_dim) for input_dim, u in dims]
-    return RecurrentNetwork(cell_kind=cell_kind, window=window, layers=layers,
-                            head_w=np.zeros(dims[-1][1]), head_b=np.zeros(1))
-
-
-def reseed(net: RecurrentNetwork, seed) -> None:
-    """Overwrite every parameter of `net` with the seeded initial values
-    that build_network draws: matrices uniform within the fan-sum limit,
-    biases 0 except the LSTM forget bias at 1, peepholes 0."""
-    rng = np.random.default_rng(seed)
-    net.flat[...] = 0.0
-    for layer in net.layers:
-        u = layer.units
-        if net.cell_kind == "lstm":
+    layers = []
+    for input_dim, u in dims:
+        layer = _LAYER_PARAMS[cell_kind](u, input_dim)
+        if cell_kind == "lstm":
             layer.b[u:2 * u] = 1.0  # forget-gate warm start
         for w in (layer.wx, layer.wh):  # every input gate, then every recurrent one
             for k in range(0, len(w), u):
                 w[k:k + u] = _glorot(rng, u, w.shape[1])
-    net.head_w[...] = _glorot(rng, 1, net.head_w.size)[0]
-
-
-def build_network(cell_kind: str, hidden_layers: int, units: int, seed,
-                  window: int = WINDOW) -> RecurrentNetwork:
-    """Seeded network of blank_network's shape, initialised by reseed."""
-    net = blank_network(cell_kind, hidden_layers, units, window)
-    reseed(net, seed)
-    return net
+        layers.append(layer)
+    last_units = dims[-1][1]
+    head_w = _glorot(rng, 1, last_units)[0]
+    head_b = np.zeros(1)
+    return RecurrentNetwork(cell_kind=cell_kind, window=window, layers=layers,
+                            head_w=head_w, head_b=head_b)
 
 
 # ---------------------------------------------------------------------------
@@ -765,12 +755,6 @@ class AdamOptimizer:
         self.m = np.zeros_like(net.flat)
         self.v = np.zeros_like(net.flat)
         self.scratch = _adam_scratch(net.flat.size)
-
-    def reset(self) -> None:
-        """Back to the state of a new optimizer: step 0, zero moments."""
-        self.t = 0
-        self.m.fill(0.0)
-        self.v.fill(0.0)
 
     def step(self, net: RecurrentNetwork, grads: Gradients) -> None:
         """Apply the gradients that backward() returned for `net`."""

@@ -17,7 +17,6 @@ import glob
 import math
 import os
 import sys
-import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -40,9 +39,8 @@ from .recurrent import (
     RecurrentNetwork,
     Tape,
     backward,
-    blank_network,
+    build_network,
     forward,
-    reseed,
 )
 from .stats import mae, quartiles, rmse
 
@@ -156,60 +154,22 @@ def prepare_dataset(series: BinnedCellSeries, window: int = WINDOW) -> ClusterDa
     return ClusterDataset(cluster=cluster, train=train, test=test, scaler=scaler)
 
 
-class _TrainingState:
-    """The network, tapes and ADAM moments of one (kind, layers, units).
-
-    Every run of that shape re-seeds them in place: a reused tape gives
-    the bits of a fresh one, and a reset optimizer is a new one. Tapes
-    are kept per batch size, the training batches' and the test set's.
-    """
-
-    def __init__(self, shape: tuple):
-        self.shape = shape
-        self.net = blank_network(*shape)
-        self.opt = AdamOptimizer(self.net)
-        self.tapes: dict[int, Tape] = {}
-
-    def tape(self, batch_size: int) -> Tape:
-        tape = self.tapes.get(batch_size)
-        if tape is None:
-            tape = self.tapes[batch_size] = Tape(self.net, batch_size)
-        return tape
-
-
-# The state of the shape trained last, one per thread, so that threads
-# never share a network. A new shape drops the old state first, so a
-# large config's tapes are not held while the next config trains.
-_local = threading.local()
-
-
-def _training_state(cell_kind: str, hidden_layers: int, units: int) -> _TrainingState:
-    shape = (cell_kind.lower(), hidden_layers, units)
-    state = getattr(_local, "state", None)
-    if state is None or state.shape != shape:
-        _local.state = None
-        state = _local.state = _TrainingState(shape)
-    return state
-
-
 def _fit(cell_kind: str, hidden_layers: int, units: int,
          dataset: ClusterDataset, cfg: TrainConfig,
          seed: int) -> tuple[RecurrentNetwork, list[float]]:
-    """Seeded training loop shared by scoring and replay, on this
-    thread's training state for the shape; the network it returns is
-    that state's and changes with the next run. The loss trace records
-    each epoch's MSE over its batches as they were seen (before each
-    update)."""
+    """Seeded network + training loop shared by scoring and replay. The
+    loss trace records each epoch's MSE over its batches as they were
+    seen (before each update). Every batch of one size reuses one tape:
+    the full batches share one, a ragged last batch gets its own."""
     validate_train_config(cfg)
-    state = _training_state(cell_kind, hidden_layers, units)
-    net, opt = state.net, state.opt
-    reseed(net, [seed, 0])
-    opt.reset()
+    net = build_network(cell_kind, hidden_layers, units, seed=[seed, 0])
     shuffle_rng = np.random.default_rng([seed, 1])
+    opt = AdamOptimizer(net)
     inputs = dataset.train.inputs
     targets = dataset.train.targets
     n = targets.size
 
+    tapes = {}  # batch size -> Tape
     trace = []
     for _ in range(cfg.epochs):
         order = shuffle_rng.permutation(n)
@@ -217,7 +177,9 @@ def _fit(cell_kind: str, hidden_layers: int, units: int,
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             y = targets[idx]
-            tape = state.tape(idx.size)
+            tape = tapes.get(idx.size)
+            if tape is None:
+                tape = tapes[idx.size] = Tape(net, idx.size)
             preds, _ = forward(net, inputs[idx], tape)
             sq_sum += float(np.sum((preds - y) ** 2))
             opt.step(net, backward(net, y, tape))
@@ -225,31 +187,30 @@ def _fit(cell_kind: str, hidden_layers: int, units: int,
     return net, trace
 
 
-def train_once(cell_kind: str, hidden_layers: int, units: int,
-               dataset: ClusterDataset, cfg: TrainConfig, seed: int,
-               run: int = 0) -> TrainRunResult:
-    """One seeded training run, scored on the test windows."""
+def _score(cell_kind: str, hidden_layers: int, units: int,
+           dataset: ClusterDataset, cfg: TrainConfig, seed: int,
+           run: int) -> tuple[TrainRunResult, RecurrentNetwork]:
+    """One seeded training run scored on the test windows, and its network."""
     t0 = time.perf_counter()
     net, trace = _fit(cell_kind, hidden_layers, units, dataset, cfg, seed)
-    test = dataset.test
-    tape = _training_state(cell_kind, hidden_layers, units).tape(test.targets.size)
-    test_preds, _ = forward(net, test.inputs, tape)
-    return TrainRunResult(
+    test_preds, _ = forward(net, dataset.test.inputs)
+    result = TrainRunResult(
         label=config_label(cell_kind, dataset.cluster, hidden_layers, units),
         cluster=dataset.cluster, cell_kind=cell_kind,
         hidden_layers=hidden_layers, units=units, run=run, seed=seed,
         loss_trace=trace,
-        rmse=rmse(test_preds, test.targets),
-        mae=mae(test_preds, test.targets),
+        rmse=rmse(test_preds, dataset.test.targets),
+        mae=mae(test_preds, dataset.test.targets),
         seconds=time.perf_counter() - t0,
     )
+    return result, net
 
 
-def _network(cell_kind: str, hidden_layers: int, units: int, flat: np.ndarray) -> RecurrentNetwork:
-    """A network of the shape holding its own copy of `flat`."""
-    net = blank_network(cell_kind, hidden_layers, units)
-    net.flat[...] = flat
-    return net
+def train_once(cell_kind: str, hidden_layers: int, units: int,
+               dataset: ClusterDataset, cfg: TrainConfig, seed: int,
+               run: int = 0) -> TrainRunResult:
+    """One seeded training run, scored on the test windows."""
+    return _score(cell_kind, hidden_layers, units, dataset, cfg, seed, run)[0]
 
 
 def train_best_network(cell_kind: str, hidden_layers: int, units: int,
@@ -260,8 +221,7 @@ def train_best_network(cell_kind: str, hidden_layers: int, units: int,
     keeps the parameters its callers need (GridResult.kept_params, read
     by winner_network), so the pipeline never replays a run; this is for
     a caller that holds only scores, such as a loaded results.csv."""
-    net, _ = _fit(cell_kind, hidden_layers, units, dataset, cfg, seed)
-    return _network(cell_kind, hidden_layers, units, net.flat)
+    return _fit(cell_kind, hidden_layers, units, dataset, cfg, seed)[0]
 
 
 # What numpy's bundled OpenBLAS calls its thread setter, newest build first.
@@ -299,10 +259,9 @@ def single_blas_thread() -> None:
 
 
 def _run_task(args) -> tuple[TrainRunResult, np.ndarray]:
-    """One grid task: its result and a copy of the trained parameters."""
-    cell_kind, hidden_layers, units, dataset, cfg, seed, run = args
-    result = train_once(cell_kind, hidden_layers, units, dataset, cfg, seed, run=run)
-    return result, _training_state(cell_kind, hidden_layers, units).net.flat.copy()
+    """One grid task: its result and its trained parameters."""
+    result, net = _score(*args)
+    return result, net.flat
 
 
 def grid_search(grid: GridSpec, datasets: list[ClusterDataset], cfg: TrainConfig,
@@ -395,7 +354,9 @@ def winner_network(result: GridResult, runs: list[TrainRunResult]) -> RecurrentN
     params = result.kept_params.get(first.label)
     if params is None:
         raise KeyError(f"{first.label}: grid_search kept no parameters for it")
-    return _network(first.cell_kind, first.hidden_layers, first.units, params)
+    net = build_network(first.cell_kind, first.hidden_layers, first.units, seed=0)
+    net.flat[...] = params
+    return net
 
 
 # ---------------------------------------------------------------------------

@@ -445,26 +445,59 @@ class TestFastParse:
         if fast == converter == "table":
             assert fast_bytes == converter_bytes
 
-    @pytest.mark.parametrize("rows,calls", [
-        ([(1, "5.25"), (2, "")], 2),  # an empty field late: one failed fast parse
-        ([(1, ""), (2, "5.25")], 1),  # an empty field first: the converter only
-        ([(1, "5.25"), (2, "0.5")], 1),  # the fast parse only
-        ([(1, "5.25"), (2, "2.5\x1f")], 1),  # a byte float() refuses: the converter only
+    # A record line of the given activity field, and its line break.
+    LINE = "1\t1383260400000\t39\t\t\t\t\t{}{}"
+    # Enough lines to put the last one in the scan's second chunk.
+    MANY = 70_000 // len(LINE.format("5.25", "\n")) + 1
+
+    @pytest.mark.parametrize("fields,end,fast", [
+        (["5.25", "0.5"], "\n", True),
+        (["5.25", ""], "\n", False),  # an empty field late
+        (["", "5.25"], "\n", False),  # an empty field first
+        (["5.25", "  "], "\n", False),  # a whitespace-only field
+        (["5.25", "\x0b\x0c"], "\n", False),
+        (["5.25", ""], "\r\n", False),
+        (["5.25", " "], "\r\n", False),
+        (["5.25", ""], "", False),  # at the end of the file, no line break
+        (["5.25", "0.5 "], "\n", True),  # a space after a number is no empty field
+        (["5.25", "0.5 "], "\r\n", True),
+        (["5.25", "2.5\x1f"], "\n", False),  # a byte float() refuses
+        (["5.25"] * MANY + [""], "\n", False),  # an empty field past the first chunk
+        (["5.25"] * MANY + [" "], "\n", False),
     ])
-    def test_no_file_pays_more_than_one_failed_parse(self, tmp_path, monkeypatch, rows, calls):
+    def test_no_file_pays_for_a_failed_parse(self, tmp_path, monkeypatch, fields, end, fast):
+        """A file goes to the parser that reads it at the first attempt."""
         loadtxt, seen = np.loadtxt, []
 
         def counted(*args, **kwargs):
             seen.append(kwargs["converters"] is None)
             return loadtxt(*args, **kwargs)
 
-        path = self._write(tmp_path / "f.tsv", True, rows)
+        path = tmp_path / "f.tsv"
+        text = HEADER + "\n" + "".join(self.LINE.format(f, end) for f in fields[:-1])
+        path.write_bytes((text + self.LINE.format(fields[-1], end)).encode())
         monkeypatch.setattr(np, "loadtxt", counted)
-        outcome = _read_outcome(ingest.read_cdr_file, path)
+        outcome = _read_outcome(ingest.read_cdr_file, str(path))
         monkeypatch.undo()
-        assert outcome == _read_outcome(lambda p: ingest._parse(p, 1, fast=False), path)
-        assert len(seen) == calls
-        assert seen[0] is (rows[0][1] != "" and "\x1f" not in rows[1][1])
+        assert outcome == _read_outcome(lambda p: ingest._parse(p, 1, fast=False), str(path))
+        assert seen == [fast]
+
+    def test_an_underscore_takes_the_line_walk(self, tmp_path, monkeypatch):
+        """float() takes "1_0" and loadtxt's parser does not, and the scan
+        does not look for it: the fast parse fails, the line walk finds
+        every line good, and the converter reads the file."""
+        loadtxt, seen = np.loadtxt, []
+
+        def counted(*args, **kwargs):
+            seen.append(kwargs["converters"] is None)
+            return loadtxt(*args, **kwargs)
+
+        path = self._write(tmp_path / "f.tsv", True, [(1, "5.25"), (2, "1_0")])
+        monkeypatch.setattr(np, "loadtxt", counted)
+        table = ingest.read_cdr_file(path)
+        monkeypatch.undo()
+        assert table["activity"].tolist() == [5.25, 10.0]
+        assert seen == [True, False]
 
 
 # --- the packed-key bin sums ---------------------------------------------------
