@@ -247,7 +247,7 @@ def _fast_parse_fits(fh, first_record: bytes) -> bool:
     line's last field, the activity of an 8-column line, is empty or
     whitespace-only, which the parser refuses, nor when the file holds a
     byte of _C_ONLY_SPACE. Such a file goes to the converter at once, so
-    that no file pays for a failed parse. The file is read in chunks of
+    that it pays for no failed parse. The file is read in chunks of
     whole lines."""
     chunk = first_record
     while chunk:
