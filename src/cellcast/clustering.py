@@ -27,10 +27,9 @@ from .errors import (
     MalformedClusters,
     MalformedFile,
     MissingSeries,
-    SpanMismatch,
     TooFewPoints,
 )
-from .ingest import BIN_WIDTH_MS, MS_PER_HOUR, BinnedCellSeries
+from .ingest import BIN_WIDTH_MS, MS_PER_HOUR, BinnedCellSeries, common_span
 
 N_PERIODS = 6
 HOURS_PER_PERIOD = 4
@@ -115,6 +114,7 @@ def build_profiles(cells: dict[int, BinnedCellSeries],
                    utc_offset_hours: float = DEFAULT_UTC_OFFSET_HOURS) -> ProfileMatrix:
     """The mean 30-minute activity of every cell in each of the six
     four-hour day periods of its local clock, rows ordered by cell id.
+    The series share one span (see ingest.common_span).
 
     Periods are start-inclusive, end-exclusive: a bin starting 04:00
     local time counts toward EarlyMorning. Periods with no bins (series
@@ -123,28 +123,25 @@ def build_profiles(cells: dict[int, BinnedCellSeries],
     if not cells:
         raise TooFewPoints("no profiles to cluster")
     ids = sorted(cells)
-    spans: dict[tuple[int, int], list[int]] = {}
-    for row, cid in enumerate(ids):
-        series = cells[cid]
-        if series.n_bins == 0:
-            raise EmptySeries(f"cell {series.cell_id} has no bins")
-        spans.setdefault((series.span_start, series.n_bins), []).append(row)
+    span_start, n_bins = common_span(cells)
+    if n_bins == 0:
+        raise EmptySeries(f"cell {cells[ids[0]].cell_id} has no bins")
     offset_ms = round(utc_offset_hours * MS_PER_HOUR)
+    starts = span_start + offset_ms + np.arange(n_bins, dtype=np.int64) * BIN_WIDTH_MS
+    periods = (starts // MS_PER_HOUR % 24 // HOURS_PER_PERIOD).astype(np.intp)
+    counts = np.bincount(periods, minlength=N_PERIODS)
+    # One bincount over the (row, period) keys of a block of rows adds
+    # each row's bins in index order, as a bincount of that row alone does.
+    step = min(len(ids), max(1, PROFILE_BLOCK_BINS // n_bins))
+    keys = (np.arange(step)[:, None] * N_PERIODS + periods).ravel()
     points = np.empty((len(ids), N_PERIODS))
-    for (span_start, n_bins), rows in spans.items():
-        starts = span_start + offset_ms + np.arange(n_bins, dtype=np.int64) * BIN_WIDTH_MS
-        periods = (starts // MS_PER_HOUR % 24 // HOURS_PER_PERIOD).astype(np.intp)
-        counts = np.bincount(periods, minlength=N_PERIODS)
-        # One bincount over the (row, period) keys of a block of rows adds
-        # each row's bins in index order, as a bincount of that row alone does.
-        step = min(len(rows), max(1, PROFILE_BLOCK_BINS // n_bins))
-        keys = (np.arange(step)[:, None] * N_PERIODS + periods).ravel()
-        for lo in range(0, len(rows), step):
-            block = rows[lo:lo + step]
-            values = np.concatenate([cells[ids[row]].values for row in block])
-            sums = np.bincount(keys[:len(values)], values, len(block) * N_PERIODS)
-            sums = sums.reshape(len(block), N_PERIODS)
-            points[block] = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+    for lo in range(0, len(ids), step):
+        block = ids[lo:lo + step]
+        values = np.concatenate([cells[cid].values for cid in block])
+        sums = np.bincount(keys[:len(values)], values, len(block) * N_PERIODS)
+        sums = sums.reshape(len(block), N_PERIODS)
+        points[lo:lo + len(block)] = np.divide(sums, counts, out=np.zeros_like(sums),
+                                               where=counts > 0)
     return ProfileMatrix(cell_ids=ids, points=points)
 
 
@@ -429,7 +426,8 @@ def knee_point(curve: SseCurve) -> int:
 
 def cluster_mean_series(model: ClusterModel,
                         binned: dict[int, BinnedCellSeries]) -> dict[int, BinnedCellSeries]:
-    """Per-cluster mean of its member cells' binned series.
+    """Per-cluster mean of its member cells' binned series, which share
+    one span (see ingest.common_span).
 
     The returned series carry the cluster index in the cell_id slot.
     """
@@ -437,26 +435,20 @@ def cluster_mean_series(model: ClusterModel,
     for cid, cluster in model.assignment.items():
         members.setdefault(cluster, []).append(cid)
 
-    reference = None
     for cid in model.assignment:
         if cid not in binned:
             raise MissingSeries(f"no binned series for cell {cid}")
-        s = binned[cid]
-        key = (s.span_start, s.n_bins)
-        if reference is None:
-            reference = key
-        elif key != reference:
-            raise SpanMismatch(f"cell {cid} span {key} != {reference}")
+    span_start, n_bins = common_span(binned)
 
     out = {}
     for cluster in sorted(members):
         cells = members[cluster]
-        total = np.zeros(reference[1])
+        total = np.zeros(n_bins)
         for cid in cells:
             total += binned[cid].values
         out[cluster] = BinnedCellSeries(
             cell_id=cluster,
-            span_start=reference[0],
+            span_start=span_start,
             values=total / len(cells),
         )
     return out

@@ -33,6 +33,10 @@ class UnalignedSpan(ValidationError):
     """Span boundaries are not whole multiples of the bin width."""
 
 
+class SpanMismatch(ValidationError):
+    """The series of one bins set do not share one span and length."""
+
+
 class MalformedBins(MalformedFile):
     """A bins file is not JSON, or a key is missing or misshaped, or its
     series differ in length."""
@@ -58,10 +62,6 @@ class CurveTooShort(ValidationError):
 
 class MissingSeries(ValidationError):
     """A cell in the cluster assignment has no binned series."""
-
-
-class SpanMismatch(ValidationError):
-    """Series being combined do not share span and bin width."""
 
 
 class MalformedClusters(MalformedFile):

@@ -11,15 +11,17 @@ Each file is parsed in bulk by numpy's C text reader into a record
 array, with its own float parser on the activity field. A file with an
 empty activity field, which that parser refuses, is read with a small
 converter on the field instead, so that one runs per line; a scan of
-the file's bytes picks the reader before either runs. Each file's
-records are then ordered by one argsort of a packed key and summed per
-bin by one reduceat.
+the file's bytes picks the reader before either runs. A file that the
+reader refuses, or whose values break a rule, is walked line by line:
+the walk names the first bad line, or its records are the table. Each
+file's records are then ordered by one argsort of a packed key and
+summed per bin by one reduceat. All series of a bins set share one
+span (common_span).
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
 import re
@@ -30,7 +32,8 @@ from typing import Iterable, Iterator, Optional, Union
 import numpy as np
 
 from . import jsonfile
-from .errors import MalformedBins, MalformedFile, MalformedLine, NegativeActivity, UnalignedSpan
+from .errors import (MalformedBins, MalformedFile, MalformedLine, NegativeActivity, SpanMismatch,
+                     UnalignedSpan)
 
 BIN_WIDTH_MS = 30 * 60 * 1000  # the one bin width of every series
 BIN_WIDTH_MINUTES = BIN_WIDTH_MS // 60_000  # as bins files state it
@@ -95,11 +98,11 @@ def _activity(field: str) -> float:
     return value
 
 
-def _load_table(source, skip: int, fast: bool = False) -> Optional[np.ndarray]:
-    """The records of `source` (a path or a list of lines) as loadtxt reads
-    them, as a CDR_DTYPE array without the rows whose activity is empty;
-    None when a record breaks a value rule. Raises ValueError when
-    loadtxt refuses the text.
+def _load_table(path: str, skip: int, fast: bool = False) -> Optional[np.ndarray]:
+    """The records of the CDR file at `path` as loadtxt reads them, as a
+    CDR_DTYPE array without the rows whose activity is empty; None when a
+    record breaks a value rule. Raises ValueError when loadtxt refuses
+    the text.
 
     With `fast`, loadtxt's own float parser reads the activity column in
     place of the _activity converter. It gives float()'s bits, but it
@@ -107,7 +110,7 @@ def _load_table(source, skip: int, fast: bool = False) -> Optional[np.ndarray]:
     (which then breaks a value rule) and skips the whitespace bytes
     0x1c-0x1f around a number, which float() refuses: see _fast_parse_fits.
 
-    A path is read as ASCII, as the whole dataset is: loadtxt's integer
+    The file is read as ASCII, as the whole dataset is: loadtxt's integer
     parser takes some other letters for digits, and reads U+01FE followed
     by "1" as 4621. loadtxt skips empty lines.
     """
@@ -115,7 +118,7 @@ def _load_table(source, skip: int, fast: bool = False) -> Optional[np.ndarray]:
         # An empty file is normal here.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         table = np.loadtxt(
-            source, dtype=CDR_DTYPE, delimiter="\t", comments=None,
+            path, dtype=CDR_DTYPE, delimiter="\t", comments=None,
             usecols=(CELL_COLUMN, TIME_COLUMN, ACTIVITY_COLUMN),
             converters=None if fast else {ACTIVITY_COLUMN: _activity},
             skiprows=skip, ndmin=1, encoding="ascii")
@@ -143,8 +146,8 @@ def _int64(field: str, name: str) -> int:
 
 def _line_record(line: str) -> tuple[int, int, float]:
     """The record of one non-blank CDR line, read by the rules that
-    _load_table reads it with and then held to the value rules; raises
-    the first rule the line breaks, without its location.
+    _load_table reads a file with and then held to the value rules;
+    raises the first rule the line breaks, without its location.
 
     A line may end in one line break (\\n, \\r\\n or \\r) and hold no other.
     Fields are read in turn (cell id, timestamp, activity), and one that
@@ -175,8 +178,8 @@ def _line_record(line: str) -> tuple[int, int, float]:
 
 
 def _lines(path: str) -> list[str]:
-    """The lines of a file as UTF-8 text, split at universal newlines as
-    loadtxt splits them."""
+    """The lines of a file as UTF-8 text, without their line breaks, split
+    at universal newlines (\\n, \\r\\n and \\r) as loadtxt splits them."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -184,7 +187,29 @@ def _lines(path: str) -> list[str]:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise MalformedLine(f"{path}:{line}: not UTF-8 text") from None
-    return io.StringIO(text, newline=None).readlines()
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def _walk(path: str, skip: int) -> np.ndarray:
+    """The records of one CDR file as _line_record reads its lines, past
+    the first `skip`, as a CDR_DTYPE array in line order. Blank lines and
+    records with an empty activity hold none. An error names the file and
+    the 1-based line that breaks a rule."""
+    lines = _lines(path)
+
+    def records():
+        for number in range(skip, len(lines)):
+            if lines[number].strip():
+                try:
+                    record = _line_record(lines[number])
+                except (MalformedLine, NegativeActivity) as exc:
+                    raise type(exc)(f"{path}:{number + 1}: {exc}") from None
+                if record[2] == record[2]:
+                    yield record
+
+    # fromiter fills the array as the records come, so that no list holds
+    # a Python tuple for each.
+    return np.fromiter(records(), dtype=CDR_DTYPE)
 
 
 def _parse(path: str, skip: int, fast: bool) -> np.ndarray:
@@ -192,31 +217,13 @@ def _parse(path: str, skip: int, fast: bool) -> np.ndarray:
     An error names the file and the 1-based line that breaks a rule.
 
     With `fast`, loadtxt's float parser reads the file in place of the
-    converter (see _fast_parse_fits for when it can)."""
+    converter (see _fast_parse_fits for when it can). A file that loadtxt
+    refuses, or reads a broken value rule in, is walked line by line."""
     try:
         table = _load_table(path, skip, fast)
     except ValueError:
         table = None
-    if table is not None:
-        return table
-    lines = _lines(path)
-    for number in range(skip, len(lines)):
-        if lines[number].strip():
-            try:
-                _line_record(lines[number])
-            except (MalformedLine, NegativeActivity) as exc:
-                raise type(exc)(f"{path}:{number + 1}: {exc}") from None
-    # Every line keeps the rules, so loadtxt refused text that is not
-    # ASCII, or whitespace-only lines, which are blank here but rows to
-    # loadtxt. Read the checked lines, those emptied, which keeps every
-    # line number.
-    try:
-        table = _load_table(["\n" if line.isspace() else line for line in lines], skip)
-    except ValueError:
-        table = None
-    if table is None:
-        raise MalformedLine(f"{path}: loadtxt refuses lines that keep every line rule")
-    return table
+    return _walk(path, skip) if table is None else table
 
 
 # Bytes that loadtxt's float parser skips around a number as whitespace
@@ -474,10 +481,26 @@ def bin_series(records: Iterable[Union[CdrRecord, np.ndarray]], span_start: int,
 BINS_FORMAT = 2
 
 
+def common_span(cells: dict[int, BinnedCellSeries]) -> tuple[int, int]:
+    """The span start and the bin count that every series of `cells`
+    shares, (0, 0) when there is none. A bins set has one span: a series
+    that differs from the first raises SpanMismatch naming its cell."""
+    span = None
+    for cid, series in cells.items():
+        if span is None:
+            span, first = (series.span_start, series.n_bins), cid
+        elif (series.span_start, series.n_bins) != span:
+            raise SpanMismatch(f"cell {cid}: {series.n_bins} bins from {series.span_start}, "
+                               f"expected {span[1]} bins from {span[0]} like cell {first}")
+    return span or (0, 0)
+
+
 def save_bins_json(cells: dict[int, BinnedCellSeries], path: str) -> None:
     """Write `{format, span_start, bin_width_minutes, cells: {id: blob}}`,
-    each blob the base64 of the series' little-endian float64 bytes."""
-    span_start = next(iter(cells.values())).span_start if cells else 0
+    each blob the base64 of the series' little-endian float64 bytes.
+    Series that do not share one span raise SpanMismatch (see
+    common_span), and nothing is written."""
+    span_start, _ = common_span(cells)
     doc = {
         "format": BINS_FORMAT,
         "span_start": span_start,

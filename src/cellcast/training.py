@@ -123,6 +123,13 @@ def validate_grid(grid: GridSpec) -> None:
         raise ConfigError("hidden_layers must be >= 1")
     if any(u < 1 for u in grid.units):
         raise ConfigError("units must be >= 1")
+    # A repeated value would train its configs twice over.
+    axes = {"hidden_layers": grid.hidden_layers, "units": grid.units,
+            "cell_kinds": [kind.lower() for kind in grid.cell_kinds]}
+    for axis, values in axes.items():
+        repeated = [value for value, count in Counter(values).items() if count > 1]
+        if repeated:
+            raise ConfigError(f"grid axis {axis} repeats {repeated[0]!r}")
     for kind in grid.cell_kinds:
         if kind not in ("lstm", "gru"):
             raise ConfigError(f"unknown cell kind {kind!r}")
@@ -569,11 +576,3 @@ def save_summary_json(result: GridResult, path: str) -> None:
         summary[str(cluster)] = entries
     jsonfile.save(path, summary, indent=2)
 
-
-def save_loss_traces_csv(result: GridResult, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "run", "epoch", "loss"])
-        for r in result.runs:
-            for epoch, loss in enumerate(r.loss_trace):
-                writer.writerow([r.label, r.run, epoch, f"{loss:.17g}"])

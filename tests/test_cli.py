@@ -261,6 +261,9 @@ class TestPipelineConfigErrors:
         "fractional_k": (lambda c: c.update(k=2.5), "k must be an integer"),
         "fractional_units": (lambda c: c["grid"].update(units=[2.7]), "grid.units"),
         "bool_hidden_layers": (lambda c: c["grid"].update(hidden_layers=[True]), "grid.hidden_layers"),
+        "repeated_units": (lambda c: c["grid"].update(units=[3, 3]), "grid axis units repeats 3"),
+        "repeated_cell_kind": (lambda c: c["grid"].update(cell_kinds=["lstm", "gru", "LSTM"]),
+                               "grid axis cell_kinds repeats 'lstm'"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -639,6 +642,25 @@ class TestSubcommandsOnPipelineOutputs:
                      "--out-dir", str(tmp_path / "train")])
         assert code == 2
         assert f"grid file.{named} must be a list of integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("axes,message", [
+        ({"hidden_layers": [1, 2, 1]}, "grid axis hidden_layers repeats 1"),
+        ({"units": [3, 3]}, "grid axis units repeats 3"),
+        ({"cell_kinds": ["gru", "GRU"]}, "grid axis cell_kinds repeats 'gru'"),
+    ])
+    def test_train_rejects_a_repeated_grid_axis_value(self, pipeline_run, tmp_path, capsys,
+                                                       axes, message):
+        """A repeated value would train its configs twice and write a
+        results.csv that compare refuses."""
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(axes))
+        out_dir = tmp_path / "train"
+        code = main(["train", "--clusters", str(pipeline_run / "clusters.json"),
+                     "--bins", str(pipeline_run / "bins.json"), "--grid", str(grid),
+                     "--runs", "1", "--epochs", "1", "--out-dir", str(out_dir)])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_compare_with_box(self, pipeline_run, tmp_path):
         out, box = tmp_path / "comparison.json", tmp_path / "box.csv"

@@ -572,17 +572,16 @@ def test_empty_series_rejected():
         period_profile(series)
 
 
-def test_build_profiles_mixed_spans_match_each_cell_alone():
-    """Cells over different spans share one matrix; each row has the bits
-    of the cell's profile built on its own."""
-    rng = np.random.default_rng(4)
-    cells = {cid: BinnedCellSeries(cid, SPAN_START + shift * BIN, rng.random(n_bins))
-             for cid, shift, n_bins in [(1, 0, 48), (2, 3, 48), (3, 0, 48), (4, 0, 5), (5, 3, 48)]}
-    matrix = build_profiles(cells, utc_offset_hours=1.0)
-    assert matrix.cell_ids == [1, 2, 3, 4, 5]
-    for row, cid in enumerate(matrix.cell_ids):
-        alone = build_profiles({cid: cells[cid]}, utc_offset_hours=1.0)
-        assert matrix.points[row].tobytes() == alone.points[0].tobytes()
+@pytest.mark.parametrize("cell_2", [BinnedCellSeries(2, SPAN_START + 3 * BIN, np.ones(48)),
+                                    BinnedCellSeries(2, SPAN_START, np.ones(5))],
+                         ids=["later_start", "fewer_bins"])
+def test_build_profiles_rejects_mixed_spans(cell_2):
+    """A bins set has one span; a cell whose start or length differs is
+    named."""
+    cells = {1: BinnedCellSeries(1, SPAN_START, np.ones(48)), 2: cell_2,
+             3: BinnedCellSeries(3, SPAN_START, np.ones(48))}
+    with pytest.raises(SpanMismatch, match="^cell 2: .* like cell 1$"):
+        build_profiles(cells, utc_offset_hours=1.0)
 
 
 def test_build_profiles_bounds_its_temporaries():

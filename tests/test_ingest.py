@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from cellcast import (
     save_bins_json,
 )
 from cellcast import ingest
-from cellcast.errors import MalformedLine, NegativeActivity, UnalignedSpan
+from cellcast.errors import MalformedLine, NegativeActivity, SpanMismatch, UnalignedSpan
 
 SPAN_START = 1_383_260_400_000
 BIN = 30 * 60 * 1000
@@ -303,6 +304,20 @@ class TestPersistence:
             assert loaded[cid].values.flags.writeable
             assert loaded[cid].span_start == cells[cid].span_start
 
+    @pytest.mark.parametrize("cell_3", [ingest.BinnedCellSeries(3, SPAN_START + BIN, np.ones(4)),
+                                        ingest.BinnedCellSeries(3, SPAN_START, np.ones(5))],
+                             ids=["later_start", "more_bins"])
+    def test_bins_writer_refuses_mixed_spans(self, tmp_path, cell_3):
+        """One span_start is written for every cell and the loader wants
+        equal lengths, so a set without one span is refused, naming the
+        cell, before anything is written."""
+        cells = {1: ingest.BinnedCellSeries(1, SPAN_START, np.ones(4)), 3: cell_3,
+                 2: ingest.BinnedCellSeries(2, SPAN_START, np.ones(4))}
+        path = tmp_path / "bins.json"
+        with pytest.raises(SpanMismatch, match="^cell 3: .* like cell 1$"):
+            save_bins_json(cells, str(path))
+        assert not path.exists()
+
     def test_json_file_ends_with_newline(self, tmp_path):
         path = tmp_path / "bins.json"
         save_bins_json({}, str(path))
@@ -484,8 +499,8 @@ class TestFastParse:
 
     def test_an_underscore_takes_the_line_walk(self, tmp_path, monkeypatch):
         """float() takes "1_0" and loadtxt's parser does not, and the scan
-        does not look for it: the fast parse fails, the line walk finds
-        every line good, and the converter reads the file."""
+        does not look for it: the fast parse fails, and the line walk
+        finds every line good and gives the table."""
         loadtxt, seen = np.loadtxt, []
 
         def counted(*args, **kwargs):
@@ -497,7 +512,55 @@ class TestFastParse:
         table = ingest.read_cdr_file(path)
         monkeypatch.undo()
         assert table["activity"].tolist() == [5.25, 10.0]
-        assert seen == [True, False]
+        assert seen == [True]
+
+
+# --- the line walk ---------------------------------------------------------------
+
+# Lines that keep every line rule but that loadtxt's reading of the file
+# refuses: whitespace-only lines (rows to loadtxt), text that is not ASCII,
+# an underscore in a number, and an empty activity that is not a line's
+# last field. Each activity field reads the same through float().
+_odd_activity = st.sampled_from(["5.25", "0", "-0.0", "1e-3", " 7 ", "1_0", "", "   "])
+_odd_record = st.builds(
+    lambda cell, activity, country, extra: (f"{cell}\t{1383260400000 + cell}\t{country}"
+                                            f"\t\t\t\t\t{activity}" + "\t9" * extra),
+    st.integers(1, 99), _odd_activity, st.sampled_from(["39", "\u01fe", "é"]),
+    st.integers(0, 2))
+_odd_file = st.tuples(st.booleans(),
+                      st.lists(st.one_of(_odd_record, _blank), min_size=1, max_size=12),
+                      st.sampled_from(["\n", "\r\n"]))
+
+
+def converter_reading(path, skip):
+    """The table that loadtxt's converter path reads from the lines of a
+    file, each whitespace-only line emptied: the table that the line walk
+    must give for a file whose lines all keep the rules."""
+    with open(path, encoding="utf-8") as fh:
+        lines = ["\n" if line.isspace() else line for line in fh]
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        table = np.loadtxt(lines, dtype=ingest.CDR_DTYPE, delimiter="\t", comments=None,
+                           usecols=(ingest.CELL_COLUMN, ingest.TIME_COLUMN,
+                                    ingest.ACTIVITY_COLUMN),
+                           converters={ingest.ACTIVITY_COLUMN: ingest._activity},
+                           skiprows=skip, ndmin=1)
+    return table[~np.isnan(table["activity"])]
+
+
+class TestLineWalk:
+    @given(_odd_file)
+    @settings(max_examples=300, deadline=None)
+    def test_walk_reads_as_the_converter(self, tmp_path_factory, drawn):
+        """A file whose lines keep every rule reads to the converter's
+        table bytes, whether or not loadtxt reads the file itself."""
+        header, rows, newline = drawn
+        path = tmp_path_factory.getbasetemp() / "odd.tsv"
+        path.write_bytes("".join(line + newline
+                                 for line in [HEADER] * header + rows).encode("utf-8"))
+        expected = converter_reading(path, int(header)).tobytes()
+        assert ingest.read_cdr_file(str(path)).tobytes() == expected
+        assert ingest._walk(str(path), int(header)).tobytes() == expected
 
 
 # --- the packed-key bin sums ---------------------------------------------------

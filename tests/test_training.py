@@ -28,7 +28,6 @@ from cellcast.training import (
     kind_winners,
     load_results_csv,
     naive_last_value,
-    save_loss_traces_csv,
     save_results_csv,
     save_summary_json,
     select_best,
@@ -98,6 +97,15 @@ class TestConfigValidation:
     def test_bad_grid(self, field, value):
         with pytest.raises(ConfigError):
             validate_grid(dataclasses.replace(GridSpec(), **{field: value}))
+
+    @pytest.mark.parametrize("grid,message", [
+        (GridSpec((1, 1), (2,), ("gru",)), "grid axis hidden_layers repeats 1"),
+        (GridSpec((1,), (2, 3, 2), ("gru",)), "grid axis units repeats 2"),
+        (GridSpec((1,), (2,), ("lstm", "LSTM")), "grid axis cell_kinds repeats 'lstm'"),
+    ])
+    def test_grid_search_rejects_a_repeated_axis_value(self, dataset, grid, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            grid_search(grid, [dataset], TrainConfig(epochs=1, runs=1))
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_grid_search_rejects_workers_below_one(self, dataset, workers):
@@ -336,14 +344,6 @@ class TestPersistence:
         assert sum(entry["best"] for entry in doc["0"].values()) >= 1
         best_label = result.best_config[0]
         assert doc["0"][best_label]["best"] is True
-
-    def test_loss_traces_csv(self, dataset, tmp_path):
-        result = grid_search(GridSpec((1,), (3,), ("gru",)), [dataset], FAST)
-        path = tmp_path / "traces.csv"
-        save_loss_traces_csv(result, str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "label,run,epoch,loss"
-        assert len(lines) == 1 + FAST.runs * FAST.epochs
 
 
 def test_import_loads_no_process_pool():
