@@ -93,6 +93,8 @@ def _list_of(convert):
 
 
 _number_list, _int_list = _list_of(_number), _list_of(_integer)
+# A config may spell cell kinds in any case; the library takes them in
+# lower case only.
 _name_list = _list_of(lambda name: _text(name).lower())
 
 

@@ -185,7 +185,9 @@ def _lines(path: str) -> list[str]:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        # The universal newlines before the bad byte, a \r\n counting once.
+        head = data[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise MalformedLine(f"{path}:{line}: not UTF-8 text") from None
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
@@ -511,9 +513,7 @@ def save_bins_json(cells: dict[int, BinnedCellSeries], path: str) -> None:
 
 
 def _bins_from_doc(doc: dict) -> dict[int, BinnedCellSeries]:
-    version = doc.get("format", 1)
-    if version not in (1, BINS_FORMAT):
-        raise MalformedFile(f"format: {version!r}, expected 1 or {BINS_FORMAT}")
+    jsonfile.expect(doc, {"format": BINS_FORMAT})
     span_start = jsonfile.integer(doc, "span_start")
     minutes = jsonfile.integer(doc, "bin_width_minutes")
     if minutes != BIN_WIDTH_MINUTES:
@@ -523,12 +523,9 @@ def _bins_from_doc(doc: dict) -> dict[int, BinnedCellSeries]:
     n_bins = None
     for text, raw in raw_cells.items():
         name = f"cells.{text}"
-        if version == 1:
-            values = jsonfile.finite_array(raw, name, ndim=1)
-        else:
-            values = jsonfile.from_blob(raw, name)
-            if not np.isfinite(values).all():
-                raise MalformedFile(f"{name}: holds a non-finite value")
+        values = jsonfile.from_blob(raw, name)
+        if not np.isfinite(values).all():
+            raise MalformedFile(f"{name}: holds a non-finite value")
         if n_bins is None:
             n_bins = values.size
         elif values.size != n_bins:
@@ -540,10 +537,10 @@ def _bins_from_doc(doc: dict) -> dict[int, BinnedCellSeries]:
 
 
 def load_bins_json(path: str) -> dict[int, BinnedCellSeries]:
-    """Read a bins file of format 1 (each series a list of numbers) or 2
-    (each series a base64 blob). One that does not hold equal-length
-    series of finite numbers in 30-minute bins raises MalformedBins
-    naming the file and the key."""
+    """Read a bins file of format BINS_FORMAT, as save_bins_json writes it
+    (each series a base64 blob). One of any other format, or one that
+    does not hold equal-length series of finite numbers in 30-minute
+    bins, raises MalformedBins naming the file and the key."""
     return jsonfile.load(path, _bins_from_doc, MalformedBins)
 
 

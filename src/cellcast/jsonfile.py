@@ -50,6 +50,15 @@ def key(obj, name: str, where: str = ""):
     return obj[name]
 
 
+def expect(obj, fixed: dict, where: str = "") -> None:
+    """obj holds every key of `fixed` with exactly its value and type."""
+    for name, want in fixed.items():
+        value = key(obj, name, where)
+        if type(value) is not type(want) or value != want:
+            shown = "true" if want is True else repr(want)
+            raise MalformedFile(f"{where}{name}: {value!r}, expected {shown}")
+
+
 def mapping(obj, name: str, where: str = "") -> dict:
     """obj[name], which must itself be a JSON object."""
     value = key(obj, name, where)

@@ -41,8 +41,7 @@ from . import jsonfile
 from .errors import Empty, LengthMismatch, MalformedModel, ShapeMismatch, TapeMismatch
 from .prep import WINDOW, MinMaxScaler
 
-# Version written into model files. Formats 1 (no such field, indented)
-# and 2 hold one key per gate array of each layer and still load.
+# The version written into model files, and the only one read.
 MODEL_FORMAT = 3
 
 
@@ -92,8 +91,8 @@ def _dtanh_from_y(y, out=None):
 # layer parameters
 
 # Per-gate key -> (block, gate index), in the order of each layer's flat
-# vector. The keys name a layer's arrays in parameters() paths and in
-# model formats 1 and 2; gate k of a block is its rows k*U:(k+1)*U.
+# vector. The keys name a layer's arrays in parameters() and Gradients
+# paths; gate k of a block is its rows k*U:(k+1)*U.
 GATES = {
     "lstm": {
         "w_xi": ("wx", 0), "w_xf": ("wx", 1), "w_xc": ("wx", 2), "w_xo": ("wx", 3),
@@ -164,6 +163,9 @@ class GruLayerParams(_StackedLayer):
 
 
 _LAYER_PARAMS = {"lstm": LstmLayerParams, "gru": GruLayerParams}
+# The cell kinds as the library, its grids and its model files spell them.
+CELL_KINDS = tuple(_LAYER_PARAMS)
+KIND_CHOICES = " or ".join(map(repr, CELL_KINDS))  # "'lstm' or 'gru'", for messages
 
 
 @dataclass
@@ -269,9 +271,8 @@ def build_network(cell_kind: str, hidden_layers: int, units: int, seed,
     dense head. Matrices are uniform within the fan-sum limit, biases 0
     except the LSTM forget bias at 1, peepholes 0.
     """
-    cell_kind = cell_kind.lower()
-    if cell_kind not in _LAYER_PARAMS:
-        raise ValueError(f"cell_kind must be 'lstm' or 'gru', got {cell_kind!r}")
+    if cell_kind not in CELL_KINDS:
+        raise ValueError(f"cell_kind must be {KIND_CHOICES}, got {cell_kind!r}")
     if hidden_layers < 0:
         raise ValueError("hidden_layers must be >= 0")
     rng = np.random.default_rng(seed)
@@ -768,8 +769,8 @@ class AdamOptimizer:
 # persistence
 
 # The fixed cell equations as a model file states them: the header's
-# activations and, in each layer entry of format 3, the LSTM's peephole
-# or the GRU's bias flag. Files are written with these values; a file
+# activations and, in each layer entry, the LSTM's peephole or the GRU's
+# bias flag. Files are written with these values; a file
 # with any other is refused, naming the key. The GRU candidate is tanh
 # whatever the header says.
 CELL_EQUATIONS = {
@@ -795,50 +796,25 @@ def save_model_json(net: RecurrentNetwork, scaler: MinMaxScaler | None, path: st
     jsonfile.save(path, payload)
 
 
-# The top-level keys of a format-3 file, all required.
+# The top-level keys of a model file, all required.
 _HEADER = {"format", "cell_kind", "window", "activations", "scaler", "layers", "parameters"}
 
 
-def _expect(obj, fixed: dict, where: str = "") -> None:
-    """obj holds every key of `fixed` with exactly its value."""
-    for name, want in fixed.items():
-        value = jsonfile.key(obj, name, where)
-        if type(value) is not type(want) or value != want:
-            shown = "true" if want is True else repr(want)
-            raise MalformedModel(f"{where}{name}: {value!r}, expected {shown}")
-
-
-def _layer_from_entry(layer_cls, entry, where: str, version: int):
-    """One entry of a file's `layers` list as a zero layer (format 3,
-    whose weights are in the blob) or a layer holding the entry's
-    per-gate arrays (formats 1 and 2)."""
+def _layer_from_entry(layer_cls, entry, where: str):
+    """One entry of a file's `layers` list as a zero layer; its weights
+    are in the file's `parameters`."""
     input_dim = jsonfile.positive_int(entry, "input_dim", where)
     units = jsonfile.positive_int(entry, "units", where)
     flags = CELL_EQUATIONS[layer_cls.KIND]
-    fields = flags if version == MODEL_FORMAT else GATES[layer_cls.KIND]
-    unknown = sorted(set(entry) - set(fields) - {"input_dim", "units"})
+    unknown = sorted(set(entry) - set(flags) - {"input_dim", "units"})
     if unknown:
         raise MalformedModel(f"{where}{unknown[0]}: unknown key for a {layer_cls.KIND} layer")
-    layer = layer_cls(units, input_dim)
-    if version == MODEL_FORMAT:
-        _expect(entry, flags, where)
-        return layer
-
-    for key, view in layer.gates():
-        if entry.get(key) is None:
-            raise MalformedModel(f"{where}{key}: missing")
-        try:
-            value = np.asarray(entry[key], dtype=np.float64)
-        except (TypeError, ValueError):
-            raise MalformedModel(f"{where}{key}: not a numeric array of shape {view.shape}") from None
-        if value.shape != view.shape:
-            raise MalformedModel(f"{where}{key}: shape {value.shape}, expected {view.shape}")
-        view[...] = value
-    return layer
+    jsonfile.expect(entry, flags, where)
+    return layer_cls(units, input_dim)
 
 
 def _blob(text, size: int) -> np.ndarray:
-    """The base64 `parameters` of a format-3 file as `size` float64 values."""
+    """The base64 `parameters` of a model file as `size` float64 values."""
     values = jsonfile.from_blob(text, "parameters")
     if values.size != size:
         raise MalformedModel(f"parameters: {values.size} values, expected {size}")
@@ -846,46 +822,35 @@ def _blob(text, size: int) -> np.ndarray:
 
 
 def _model_from_payload(payload) -> tuple[RecurrentNetwork, MinMaxScaler | None]:
-    version = payload.get("format", 1)
-    if version not in (1, 2, MODEL_FORMAT):
-        raise MalformedModel(f"format: {version!r}, expected 1, 2 or {MODEL_FORMAT}")
-    if version == MODEL_FORMAT:
-        mismatch = sorted(_HEADER ^ set(payload))
-        if mismatch:
-            name = mismatch[0]
-            raise MalformedModel(f"{name}: {'missing' if name in _HEADER else 'unknown key'}")
-    kind = jsonfile.key(payload, "cell_kind")
-    layer_cls = _LAYER_PARAMS.get(kind)
-    if layer_cls is None:
-        raise MalformedModel(f"cell_kind: {kind!r}, expected 'lstm' or 'gru'")
-    _expect(jsonfile.key(payload, "activations"), CELL_EQUATIONS["activations"], "activations.")
+    # The version first, so that an older file is named by it rather than
+    # by the first key that it holds or lacks.
+    jsonfile.expect(payload, {"format": MODEL_FORMAT})
+    mismatch = sorted(_HEADER ^ set(payload))
+    if mismatch:
+        name = mismatch[0]
+        raise MalformedModel(f"{name}: {'missing' if name in _HEADER else 'unknown key'}")
+    kind = payload["cell_kind"]
+    if kind not in CELL_KINDS:
+        raise MalformedModel(f"cell_kind: {kind!r}, expected {KIND_CHOICES}")
+    layer_cls = _LAYER_PARAMS[kind]
+    jsonfile.expect(payload["activations"], CELL_EQUATIONS["activations"], "activations.")
     window = jsonfile.positive_int(payload, "window")
 
-    entries = jsonfile.key(payload, "layers")
+    entries = payload["layers"]
     if not isinstance(entries, list) or not entries:
         raise MalformedModel("layers: expected a non-empty list")
-    layers = [_layer_from_entry(layer_cls, entry, f"layers[{i}].", version)
+    layers = [_layer_from_entry(layer_cls, entry, f"layers[{i}].")
               for i, entry in enumerate(entries)]
-    if version == MODEL_FORMAT:
-        head_w, head_b = np.zeros(layers[-1].units), np.zeros(1)  # filled from the blob
-    else:
-        head = jsonfile.key(payload, "head")
-        try:
-            head_w = np.asarray(jsonfile.key(head, "w", "head."), dtype=np.float64)
-        except (TypeError, ValueError):
-            raise MalformedModel("head.w: not a numeric array") from None
-        head_b = np.array([jsonfile.number(head, "b", "head.")])
-    try:
+    try:  # a zero head, then every weight from the blob
         net = RecurrentNetwork(cell_kind=kind, window=window, layers=layers,
-                               head_w=head_w, head_b=head_b)
+                               head_w=np.zeros(layers[-1].units), head_b=np.zeros(1))
     except ShapeMismatch as exc:
         raise MalformedModel(str(exc)) from None
-    if version == MODEL_FORMAT:
-        net.flat[...] = _blob(payload["parameters"], net.flat.size)
+    net.flat[...] = _blob(payload["parameters"], net.flat.size)
     if not np.isfinite(net.flat).all():
         path = next(path for path, arr in net.parameters() if not np.isfinite(arr).all())
         raise MalformedModel(f"parameters: {path} holds a non-finite value")
-    raw = payload.get("scaler")
+    raw = payload["scaler"]
     if raw is None:
         return net, None
     lo, hi = (jsonfile.number(raw, name, "scaler.") for name in ("lo", "hi"))
@@ -895,7 +860,9 @@ def _model_from_payload(payload) -> tuple[RecurrentNetwork, MinMaxScaler | None]
 
 
 def load_model_json(path: str) -> tuple[RecurrentNetwork, MinMaxScaler | None]:
-    """Read a model file of any format up to MODEL_FORMAT. A file that
-    does not describe a network raises MalformedModel naming the file
-    and the key, e.g. `m.json: parameters: 11308 values, expected 11309`."""
+    """Read a model file of format MODEL_FORMAT, as save_model_json writes
+    it. A file of any other format, or one that does not describe a
+    network, raises MalformedModel naming the file and the key, e.g.
+    `m.json: format: 2, expected 3` or
+    `m.json: parameters: 11308 values, expected 11309`."""
     return jsonfile.load(path, _model_from_payload, MalformedModel)

@@ -35,6 +35,8 @@ from .prep import (
     split_train_test,
 )
 from .recurrent import (
+    CELL_KINDS,
+    KIND_CHOICES,
     AdamOptimizer,
     RecurrentNetwork,
     Tape,
@@ -63,7 +65,7 @@ class TrainConfig:
 class GridSpec:
     hidden_layers: tuple = (1, 2, 3, 4)
     units: tuple = (50, 100, 150, 200, 250)
-    cell_kinds: tuple = ("lstm", "gru")
+    cell_kinds: tuple = CELL_KINDS
 
 
 @dataclass(frozen=True)
@@ -124,15 +126,13 @@ def validate_grid(grid: GridSpec) -> None:
     if any(u < 1 for u in grid.units):
         raise ConfigError("units must be >= 1")
     # A repeated value would train its configs twice over.
-    axes = {"hidden_layers": grid.hidden_layers, "units": grid.units,
-            "cell_kinds": [kind.lower() for kind in grid.cell_kinds]}
-    for axis, values in axes.items():
-        repeated = [value for value, count in Counter(values).items() if count > 1]
+    for axis in ("hidden_layers", "units", "cell_kinds"):
+        repeated = [value for value, count in Counter(getattr(grid, axis)).items() if count > 1]
         if repeated:
             raise ConfigError(f"grid axis {axis} repeats {repeated[0]!r}")
     for kind in grid.cell_kinds:
-        if kind not in ("lstm", "gru"):
-            raise ConfigError(f"unknown cell kind {kind!r}")
+        if kind not in CELL_KINDS:
+            raise ConfigError(f"unknown cell kind {kind!r}, expected {KIND_CHOICES}")
 
 
 def config_label(cell_kind: str, cluster: int, hidden_layers: int, units: int) -> str:

@@ -18,6 +18,17 @@ def periodic_series(days=62, cell_id=0, span_start=SPAN_START):
 
 
 @pytest.fixture
+def extreme_cells():
+    """Cells 11, 3 and 40, 12 bins each, whose values span twenty decades;
+    cell 11 starts with 0.0, 1/3, the smallest subnormal and the largest
+    float64."""
+    rng = np.random.default_rng(2024)
+    values = rng.lognormal(size=(3, 12)) * 10.0 ** rng.integers(-5, 6, size=(3, 1))
+    values[0, :4] = [0.0, 1 / 3, 5e-324, 1.7976931348623157e308]
+    return {cid: BinnedCellSeries(cid, SPAN_START, row) for cid, row in zip((11, 3, 40), values)}
+
+
+@pytest.fixture
 def flat_spec():
     """One constant archetype, one cell, two days, no noise."""
     arch = Archetype(id=0, base_level=2.0, period_weights=(1.0,) * 6)

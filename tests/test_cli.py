@@ -13,7 +13,7 @@ import pytest
 
 from cellcast.cli import main, parse_grid, parse_pipeline_config, parse_span, parse_synth_spec
 from cellcast.errors import ConfigError
-from cellcast.ingest import load_bins_json
+from cellcast.ingest import load_bins_json, save_bins_json
 
 MS_PER_DAY = 86_400_000
 
@@ -89,7 +89,7 @@ class TestExitCodes:
 
     def test_k_zero_rejected(self, tmp_path, capsys):
         bins = tmp_path / "bins.json"
-        bins.write_text('{"span_start": 0, "bin_width_minutes": 30, "cells": {"1": [1, 2]}}\n')
+        bins.write_text(json.dumps(_bins_of({1: [1.0, 2.0]})))
         out = tmp_path / "clusters.json"
         code = main(["cluster", "--bins", str(bins), "--k", "0", "--out", str(out)])
         assert code == 2
@@ -98,7 +98,7 @@ class TestExitCodes:
 
     def test_k_not_integer_rejected(self, tmp_path, capsys):
         bins = tmp_path / "bins.json"
-        bins.write_text('{"span_start": 0, "bin_width_minutes": 30, "cells": {"1": [1, 2]}}\n')
+        bins.write_text(json.dumps(_bins_of({1: [1.0, 2.0]})))
         code = main(["cluster", "--bins", str(bins), "--k", "three",
                      "--out", str(tmp_path / "clusters.json")])
         assert code == 2
@@ -156,8 +156,8 @@ class TestExitCodes:
         """All-zero cells share one profile; the elbow scan stops at the
         distinct count and needs three of them."""
         bins = tmp_path / "bins.json"
-        bins.write_text(json.dumps({"span_start": 0, "bin_width_minutes": 30, "cells": {
-            str(cid): [float(level)] * 48 for cid, level in enumerate(levels, start=1)}}))
+        bins.write_text(json.dumps(_bins_of(
+            {cid: [float(level)] * 48 for cid, level in enumerate(levels, start=1)})))
         out = tmp_path / "clusters.json"
         assert main(["cluster", "--bins", str(bins), "--k", "auto", "--kmax", "5",
                      "--out", str(out), "--curve", str(tmp_path / "curve.csv"),
@@ -428,33 +428,42 @@ class TestMalformedModel:
         doc["parameters"] = base64.b64encode(blob).decode("ascii")
         return "parameters: head.b holds a non-finite value"
 
+    @staticmethod
+    def format_missing(doc):
+        """Model format 1 had no "format" key; it is no longer read."""
+        del doc["format"]
+        return "format: missing"
+
+    @staticmethod
+    def format_2(doc):
+        doc["format"] = 2
+        return "format: 2, expected 3"
+
     @pytest.mark.parametrize("corrupt", ["truncate_matrix", "unknown_kind", "missing_key",
                                          "nan_scaler", "empty_scaler_range",
-                                         "infinite_parameter"])
+                                         "infinite_parameter", "format_missing", "format_2"])
     def test_predict_rejects_model(self, pipeline_run, tmp_path, capsys, corrupt):
         doc = json.loads((pipeline_run / "lstm_c0.json").read_text())
         message = getattr(self, corrupt)(doc)
-        model = tmp_path / "m.json"
+        model, out = tmp_path / "m.json", tmp_path / "predictions.csv"
         model.write_text(json.dumps(doc))
-        code = main(["predict", "--model", str(model),
+        code = main(["predict", "--model", str(model), "--out", str(out),
                      "--bins", str(pipeline_run / "cluster_series.json"), "--cluster", "0"])
         assert code == 2
         assert f"{model}: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
-def _bins_doc():
-    """Four cells over one day; cells 3 and 4 are dead (all zero)."""
-    varying = [float(1 + (b % 7)) for b in range(48)]
-    return {"span_start": 0, "bin_width_minutes": 30,
-            "cells": {"1": varying, "2": varying[::-1], "3": [0.0] * 48, "4": [0.0] * 48}}
+def _bins_of(series):
+    """The bins file of `series` (cell id -> values) from span start 0."""
+    return {"format": 2, "span_start": 0, "bin_width_minutes": 30,
+            "cells": {str(cid): _blob(values) for cid, values in series.items()}}
 
 
-def _blob_bins_doc():
-    """_bins_doc in bins format 2: each series a base64 blob."""
-    doc = _bins_doc()
-    doc["format"] = 2
-    doc["cells"] = {cid: _blob(values) for cid, values in doc["cells"].items()}
-    return doc
+def _bins_doc(n_bins=48):
+    """Four cells over one day (48 bins); cells 3 and 4 are dead (all zero)."""
+    varying = [float(1 + (b % 7)) for b in range(n_bins)]
+    return _bins_of({1: varying, 2: varying[::-1], 3: [0.0] * n_bins, 4: [0.0] * n_bins})
 
 
 def _blob(values):
@@ -510,15 +519,15 @@ class TestMalformedArtefacts:
     BINS_CASES = {
         "invalid_json": (None, "not valid JSON"),
         "missing_key": (lambda d: d.pop("cells"), "cells: missing"),
-        "ragged": (lambda d: d["cells"]["2"].pop(), "cells.2: 47 values, expected 48"),
-        "non_numeric": (lambda d: d["cells"]["3"].__setitem__(5, "x"),
-                        "cells.3: not a 1-d list of numbers"),
+        "ragged": (lambda d: d["cells"].update({"2": _blob([1.0] * 49)}),
+                   "cells.2: 49 values, expected 48"),
+        "non_numeric": (lambda d: d["cells"].update({"3": 5.0}), "cells.3: not base64"),
         "hourly_bins": (lambda d: d.update(bin_width_minutes=60),
                         "bin_width_minutes: 60, expected 30"),
-    }
-    # The same kind of damage to a format-2 file (_blob_bins_doc).
-    BLOB_CASES = {
-        "blob_unknown_format": (lambda d: d.update(format=3), "format: 3, expected 1 or 2"),
+        "blob_unknown_format": (lambda d: d.update(format=3), "format: 3, expected 2"),
+        # Bins format 1, lists of numbers without a "format" key, is no longer read.
+        "format_missing": (lambda d: d.pop("format"), "format: missing"),
+        "format_1": (lambda d: d.update(format=1), "format: 1, expected 2"),
         "blob_not_base64": (lambda d: d["cells"].update({"2": "AAAA*AAA"}), "cells.2: not base64"),
         "blob_partial_value": (lambda d: d["cells"].update({"2": _blob([1.0])[:-4] + "AA=="}),
                                "cells.2: 7 bytes, not a whole number of float64 values"),
@@ -551,16 +560,12 @@ class TestMalformedArtefacts:
         assert f"{path}: {message}" in capsys.readouterr().err
 
     def _write_bins(self, path, case):
-        """The bins file of a BINS_CASES or BLOB_CASES case; its message."""
-        if case in self.BLOB_CASES:
-            corrupt, message = self.BLOB_CASES[case]
-            self._write(path, _blob_bins_doc(), corrupt)
-        else:
-            corrupt, message = self.BINS_CASES[case]
-            self._write(path, _bins_doc(), corrupt)
+        """The bins file of a BINS_CASES case; its message."""
+        corrupt, message = self.BINS_CASES[case]
+        self._write(path, _bins_doc(), corrupt)
         return message
 
-    @pytest.mark.parametrize("case", sorted(BINS_CASES) + sorted(BLOB_CASES))
+    @pytest.mark.parametrize("case", sorted(BINS_CASES))
     def test_cluster_rejects_bins(self, tmp_path, capsys, case):
         bins = tmp_path / "bins.json"
         message = self._write_bins(bins, case)
@@ -578,15 +583,16 @@ class TestMalformedArtefacts:
         self._expect(capsys, ["train", "--clusters", str(clusters), "--bins", str(bins),
                               "--out-dir", str(tmp_path / "train")], clusters, message)
 
-    @pytest.mark.parametrize("case", ["hourly_bins", "missing_key", "ragged"] + sorted(BLOB_CASES))
+    @pytest.mark.parametrize("case", sorted(BINS_CASES))
     def test_train_rejects_bins(self, tmp_path, capsys, case):
         bins, clusters = tmp_path / "bins.json", tmp_path / "clusters.json"
         message = self._write_bins(bins, case)
         clusters.write_text(json.dumps(_clusters_doc()))
         self._expect(capsys, ["train", "--clusters", str(clusters), "--bins", str(bins),
                               "--out-dir", str(tmp_path / "train")], bins, message)
+        assert not (tmp_path / "train").exists()
 
-    @pytest.mark.parametrize("case", sorted(BINS_CASES) + sorted(BLOB_CASES))
+    @pytest.mark.parametrize("case", sorted(BINS_CASES))
     def test_predict_rejects_bins(self, pipeline_run, tmp_path, capsys, case):
         bins = tmp_path / "series.json"
         message = self._write_bins(bins, case)
@@ -907,26 +913,26 @@ def test_pipeline_loads_no_numpy_ma(tmp_path):
 
 
 @pytest.mark.parametrize("k", ["1", "2", "auto"])
-def test_cluster_refuses_profiles_whose_sums_overflow(tmp_path, capsys, k):
-    """tests/data/bins_format1.json holds 1.7976931348623157e308: its
-    profiles' squared distances overflow, so k-means would write an
-    infinite SSE or draw its seeding from NaN probabilities."""
-    bins = Path(__file__).parent / "data" / "bins_format1.json"
+def test_cluster_refuses_profiles_whose_sums_overflow(tmp_path, capsys, extreme_cells, k):
+    """extreme_cells holds 1.7976931348623157e308: its profiles' squared
+    distances overflow, so k-means would write an infinite SSE or draw
+    its seeding from NaN probabilities."""
+    bins = tmp_path / "bins.json"
+    save_bins_json(extreme_cells, str(bins))
     out = tmp_path / "clusters.json"
     _expect_rejected(["cluster", "--bins", str(bins), "--k", k, "--kmax", "3",
                       "--out", str(out), "--curve", str(tmp_path / "curve.csv"),
                       "--series", str(tmp_path / "series.json")], capsys,
                      f"{bins}: profiles up to 2.24712e+307 overflow the float64 sums "
                      f"of k-means over 3 cells", out)
-    assert not list(tmp_path.iterdir())
+    assert list(tmp_path.iterdir()) == [bins]
 
 
 def test_train_names_the_cluster_and_split_too_short_to_window(tmp_path, capsys):
     """12 bins split into 9 training and 3 test bins, too few for one
     test window."""
     bins, clusters = tmp_path / "bins.json", tmp_path / "clusters.json"
-    doc = _bins_doc()
-    doc["cells"] = {cid: values[:12] for cid, values in doc["cells"].items()}
+    doc = _bins_doc(n_bins=12)
     doc["cells"]["3"] = doc["cells"]["4"] = doc["cells"]["1"]
     bins.write_text(json.dumps(doc))
     clusters.write_text(json.dumps(_clusters_doc()))

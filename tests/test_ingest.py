@@ -3,7 +3,6 @@
 import json
 import math
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +25,6 @@ from cellcast.errors import MalformedLine, NegativeActivity, SpanMismatch, Unali
 
 SPAN_START = 1_383_260_400_000
 BIN = 30 * 60 * 1000
-DATA = Path(__file__).parent / "data"
 
 CANONICAL = "42\t1383260400000\t39\t\t\t\t\t5.25"
 
@@ -155,6 +153,17 @@ class TestErrorLocations:
         assert str(exc.value).startswith(f"{path}:803: ")
         assert detail in str(exc.value)
 
+    @pytest.mark.parametrize("end", ["\r", "\r\n"], ids=["cr", "crlf"])
+    def test_not_utf8_names_its_line_at_every_line_break(self, tmp_path, end):
+        """\r and \r\n each end one line, as _lines splits them (\n:
+        test_bad_line_deep_in_file)."""
+        lines = [CANONICAL, CANONICAL, CANONICAL.replace("5.25", "5\udcff")]
+        path = tmp_path / "cr_only.tsv"
+        path.write_bytes((end.join(lines) + end).encode("utf-8", "surrogateescape"))
+        with pytest.raises(MalformedLine) as exc:
+            ingest.read_cdr_file(str(path))
+        assert str(exc.value) == f"{path}:3: not UTF-8 text"
+
     @pytest.mark.parametrize("cell", ["\u01fe1", "\u0761"])
     def test_non_ascii_cell_id_named(self, tmp_path, cell):
         """loadtxt alone reads these cell ids as 4621 and 1841."""
@@ -273,25 +282,8 @@ class TestPersistence:
             assert loaded[cid].span_start == SPAN_START
             np.testing.assert_array_equal(loaded[cid].values, cells[cid].values)
 
-    @staticmethod
-    def format1_values():
-        """The series of tests/data/bins_format1.json, a file written as
-        lists of numbers before bins files held base64 blobs."""
-        rng = np.random.default_rng(2024)
-        values = rng.lognormal(size=(3, 12)) * 10.0 ** rng.integers(-5, 6, size=(3, 1))
-        values[0, :4] = [0.0, 1 / 3, 5e-324, 1.7976931348623157e308]
-        return dict(zip((11, 3, 40), values))
-
-    def test_format1_file_loads_to_the_same_bytes(self):
-        loaded = load_bins_json(str(DATA / "bins_format1.json"))
-        expected = self.format1_values()
-        assert sorted(loaded) == sorted(expected)
-        for cid, values in expected.items():
-            assert loaded[cid].values.tobytes() == values.tobytes()
-            assert loaded[cid].span_start == 1_383_260_400_000
-
-    def test_format2_round_trip_keeps_every_bit(self, tmp_path):
-        cells = load_bins_json(str(DATA / "bins_format1.json"))
+    def test_format2_round_trip_keeps_every_bit(self, tmp_path, extreme_cells):
+        cells = extreme_cells
         cells[3].values[5] = -0.0
         path = tmp_path / "bins.json"
         save_bins_json(cells, str(path))

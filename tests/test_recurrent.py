@@ -3,7 +3,6 @@ reusable tapes, ADAM, the flat parameter layout and model files."""
 
 import base64
 import json
-import pathlib
 import warnings
 
 import numpy as np
@@ -35,8 +34,6 @@ from cellcast.errors import Empty, LengthMismatch, MalformedModel, ShapeMismatch
 from cellcast.prep import make_windows
 from cellcast.training import ClusterDataset, TrainConfig, _fit
 
-DATA = pathlib.Path(__file__).parent / "data"
-
 # Seeds whose random nets give finite-difference checks comfortably away
 # from the central-difference noise floor (entries ~1e-7 against an
 # absolute floor ~1e-12 are ill-conditioned at eps=1e-5).
@@ -65,20 +62,13 @@ def drop_last_parameter(doc):
     doc["parameters"] = base64.b64encode(blob[:-8]).decode("ascii")
 
 
-def poison_first_parameter(doc):
-    blob = bytearray(base64.b64decode(doc["parameters"]))
-    blob[:8] = np.array([np.inf], dtype="<f8").tobytes()
-    doc["parameters"] = base64.b64encode(bytes(blob)).decode("ascii")
-
-
-def on_file(name, edit=lambda doc: None):
-    """A model: the fixture file `name` after edit."""
-    return lambda tmp_path: edited(json.loads((DATA / name).read_text()), edit)
-
-
-def on_format_1(edit):
-    """A corrupt model: the format-1 LSTM fixture (layers 1->4->3) after edit."""
-    return on_file("model_format1_lstm.json", edit)
+def poison_parameter(index):
+    """An edit that makes parameter `index` of the blob infinite."""
+    def poison(doc):
+        values = np.frombuffer(base64.b64decode(doc["parameters"]), dtype="<f8").copy()
+        values[index] = np.inf
+        doc["parameters"] = base64.b64encode(values.tobytes()).decode("ascii")
+    return poison
 
 
 def on_format_3(edit, kind="lstm"):
@@ -607,25 +597,12 @@ class TestBuildAndPersist:
         blob = base64.b64decode(doc["parameters"], validate=True)
         assert blob == net.flat.astype("<f8").tobytes()
 
-    @pytest.mark.parametrize("name,kind,seed,scaler", [
-        ("model_format1_lstm.json", "lstm", 11, MinMaxScaler(lo=2.5, hi=40.0)),
-        ("model_format2_lstm.json", "lstm", 13, MinMaxScaler(lo=1.0, hi=9.0)),
-    ])
-    def test_reads_format_1_files(self, name, kind, seed, scaler):
-        """Files with one key per gate array still load to the network that
-        wrote them: format 1 (indented, no "format" key) and format 2 (one
-        line), each written by the code of its time."""
-        loaded, loaded_scaler = load_model_json(str(DATA / name))
-        version = json.loads((DATA / name).read_text()).get("format", 1)
-        assert name.startswith(f"model_format{version}_")
-        assert loaded_scaler == scaler
-        want = build_network(kind, len(loaded.layers) - 1, 3, seed=seed)
-        assert [p for p, _ in loaded.parameters()] == [p for p, _ in want.parameters()]
-        np.testing.assert_array_equal(loaded.flat, want.flat)
-
-    def test_reads_a_format_1_gru(self, tmp_path):
-        """A per-gate GRU file, built here from a network's gates, loads to
-        that network."""
+    @pytest.mark.parametrize("version,message", [(None, "format: missing"),
+                                                 (2, "format: 2, expected 3")])
+    def test_refuses_per_gate_files(self, tmp_path, version, message):
+        """Model formats 1 (no "format" key) and 2 held one key per gate
+        array and a `head` object. Neither is read; the error names the
+        format, not the first key that format 3 lacks."""
         net = build_network("gru", 1, 3, seed=12)
         doc = {"cell_kind": "gru", "window": net.window,
                "activations": {"gate": "sigmoid", "cell_input": "sigmoid",
@@ -634,34 +611,25 @@ class TestBuildAndPersist:
                            **{key: view.tolist() for key, view in layer.gates()}}
                           for layer in net.layers],
                "head": {"w": net.head_w.tolist(), "b": float(net.head_b[0])}, "scaler": None}
-        path = tmp_path / "gru.json"
-        path.write_text(json.dumps(doc, indent=1))
-        loaded, scaler = load_model_json(str(path))
-        assert scaler is None
-        assert loaded.flat.tobytes() == net.flat.tobytes()
+        if version is not None:
+            doc = {"format": version, **doc}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedModel) as exc:
+            load_model_json(str(path))
+        assert str(exc.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("corrupt,message", [
-        (on_format_1(lambda d: d["layers"][0].update(w_xz=[[0.0]] * 4)),
+        (on_format_3(lambda d: d["layers"][0].update(w_xz=[[0.0]] * 4)),
          "layers[0].w_xz: unknown key for a lstm layer"),
-        (on_format_1(lambda d: d["layers"][0].pop("w_cf")), "layers[0].w_cf: missing"),
-        (on_format_1(lambda d: d["layers"][0].update(w_xi=[[1.0], [], [1.0], [1.0]])),
-         "layers[0].w_xi: not a numeric array of shape (4, 1)"),
-        (on_format_1(lambda d: d["layers"][1].update(units=2)),
-         "layers[1].w_xi: shape (3, 4), expected (2, 4)"),
-        (on_format_1(lambda d: d["layers"][0].update(units=0)),
+        (on_format_3(lambda d: d["layers"][0].update(units=0)),
          "layers[0].units: 0, expected a positive integer"),
-        (on_format_1(lambda d: d["head"].update(w=[0.0, 1.0])), "head.w: shape (2,), expected (3,)"),
-        (on_format_1(lambda d: d["activations"].update(gate="relu")),
+        (on_format_3(lambda d: d["activations"].update(gate="relu")),
          "activations.gate: 'relu', expected 'sigmoid'"),
-        (on_file("model_format1_gru_nobias.json"), "layers[0].b_z: missing"),
-        (on_format_1(lambda d: d["layers"][0]["w_xi"][2].__setitem__(0, float("nan"))),
-         "parameters: layers.0.w_xi holds a non-finite value"),
-        (on_format_1(lambda d: d["head"].update(w=[0.0, float("-inf"), 0.0])),
-         "parameters: head.w holds a non-finite value"),
-        (on_format_1(lambda d: d["head"].update(b=float("nan"))),
-         "head.b: nan, expected a finite number"),
-        (on_format_1(lambda d: d.pop("window")), "window: missing"),
-        (on_format_3(lambda d: d.update(format=4)), "format: 4, expected 1, 2 or 3"),
+        (on_format_3(poison_parameter(-2)), "parameters: head.w holds a non-finite value"),
+        (on_format_3(lambda d: d.pop("window")), "window: missing"),
+        (on_format_3(lambda d: d.update(format=4)), "format: 4, expected 3"),
+        (on_format_3(lambda d: d.update(format=3.0)), "format: 3.0, expected 3"),
         (on_format_3(lambda d: d.update(parameters=d["parameters"][:-2] + "!=")),
          "parameters: not base64"),
         (on_format_3(drop_last_parameter), "parameters: 216 values, expected 217"),
@@ -679,7 +647,7 @@ class TestBuildAndPersist:
          "layers[0].peepholes: 1, expected true"),
         (on_format_3(lambda d: d["activations"].update(cell_input="tanh")),
          "activations.cell_input: 'tanh', expected 'sigmoid'"),
-        (on_format_3(poison_first_parameter),
+        (on_format_3(poison_parameter(0)),
          "parameters: layers.0.w_xi holds a non-finite value"),
         (on_format_3(lambda d: d.update(scaler={"lo": float("nan"), "hi": 1.0})),
          "scaler.lo: nan, expected a finite number"),

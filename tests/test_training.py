@@ -101,11 +101,19 @@ class TestConfigValidation:
     @pytest.mark.parametrize("grid,message", [
         (GridSpec((1, 1), (2,), ("gru",)), "grid axis hidden_layers repeats 1"),
         (GridSpec((1,), (2, 3, 2), ("gru",)), "grid axis units repeats 2"),
-        (GridSpec((1,), (2,), ("lstm", "LSTM")), "grid axis cell_kinds repeats 'lstm'"),
+        (GridSpec((1,), (2,), ("lstm", "lstm")), "grid axis cell_kinds repeats 'lstm'"),
     ])
     def test_grid_search_rejects_a_repeated_axis_value(self, dataset, grid, message):
         with pytest.raises(ConfigError, match=f"^{message}$"):
             grid_search(grid, [dataset], TrainConfig(epochs=1, runs=1))
+
+    def test_cell_kinds_have_one_spelling(self):
+        """The grid and the network take the same lower-case names; only
+        the CLI lower-cases what a config file says."""
+        with pytest.raises(ConfigError, match="^unknown cell kind 'LSTM', expected 'lstm' or 'gru'$"):
+            validate_grid(GridSpec(cell_kinds=("LSTM",)))
+        with pytest.raises(ValueError, match="^cell_kind must be 'lstm' or 'gru', got 'LSTM'$"):
+            cellcast.build_network("LSTM", 1, 4, seed=0)
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_grid_search_rejects_workers_below_one(self, dataset, workers):
