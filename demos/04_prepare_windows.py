@@ -13,7 +13,7 @@ from cellcast import fit_scaler, make_windows, split_train_test
 t = np.arange(10 * 48)
 series = 50.0 + 30.0 * np.sin(2.0 * np.pi * t / 48) + 2.0 * np.sin(2.0 * np.pi * t / 7)
 
-train, test = split_train_test(series, ratio=0.8)
+train, test = split_train_test(series)
 print(f"{series.size} values split chronologically into {train.size} train "
       f"+ {test.size} test")
 

@@ -277,26 +277,28 @@ def _winner_samples(result: training.GridResult, cluster: int) -> list[stats.Met
 
 def _train_stage(series: dict, grid: training.GridSpec, cfg: training.TrainConfig,
                  workers: int, out_dir: str, record_timing: bool = False):
+    """Writes the grid's results, summary and best models to out_dir;
+    returns the grid result and label -> (network, scaler) of each model."""
     datasets = [training.prepare_dataset(series[c]) for c in sorted(series)]
     result = training.grid_search(grid, datasets, cfg, workers=workers)
     training.save_results_csv(result, os.path.join(out_dir, "results.csv"),
                               record_timing=record_timing)
     training.save_summary_json(result, os.path.join(out_dir, "summary.json"))
     by_cluster = {d.cluster: d for d in datasets}
-    model_paths = {}
+    models = {}
     for cluster in sorted(by_cluster):
         winners = training.kind_winners(result, cluster)
         for kind in grid.cell_kinds:
             runs = winners[kind]
             label = runs[0].label
-            net = training.winner_network(result, runs)
+            net, scaler = training.winner_network(result, runs), by_cluster[cluster].scaler
             path = os.path.join(out_dir, f"{kind}_c{cluster}.json")
-            recurrent.save_model_json(net, by_cluster[cluster].scaler, path)
-            model_paths[label] = path
+            recurrent.save_model_json(net, scaler, path)
+            models[label] = net, scaler
             _log(f"train: cluster {cluster} best {kind} = {label} "
                  f"(mean rmse {result.mean_rmse[label]:.6g}), model -> {path}")
     _log(f"train: wrote results to {out_dir}")
-    return result, model_paths
+    return result, models
 
 
 def _compare_stage(result: training.GridResult, clusters: list[int], out: str,
@@ -443,10 +445,10 @@ def cmd_pipeline(args) -> int:
                             cfg.utc_offset_hours, truth_path, os.path.join(out, "clusters.json"),
                             os.path.join(out, "sse_curve.csv"),
                             os.path.join(out, "cluster_series.json"))
-    result, model_paths = _train_stage(series, cfg.grid, cfg.train, cfg.workers, out)
+    result, models = _train_stage(series, cfg.grid, cfg.train, cfg.workers, out)
     _compare_stage(result, sorted(series), os.path.join(out, "comparison.json"))
     for cluster in sorted(series):
-        net, scaler = recurrent.load_model_json(model_paths[result.best_config[cluster]])
+        net, scaler = models[result.best_config[cluster]]
         _predict_stage(net, scaler, series[cluster],
                        os.path.join(out, f"predictions_c{cluster}.csv"))
     _log(f"pipeline: done, outputs in {out}")

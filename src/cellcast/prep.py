@@ -1,8 +1,9 @@
 """Supervised-learning prep for one cluster series.
 
-Chronological 80/20 split, min-max scaling fit on the training portion
-only, and sliding windows of the previous four bins predicting the next.
-Kept as pure functions over plain arrays.
+The protocol is fixed: a chronological split of the first TRAIN_FRACTION
+of the values for training, min-max scaling fit on the training portion
+only, and sliding windows of the previous WINDOW bins predicting the
+next. Kept as pure functions over plain arrays.
 """
 
 from __future__ import annotations
@@ -10,10 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConstantSeries, SeriesTooShort
 
+# Bins a forecaster reads to predict the next one.
 WINDOW = 4
+# Share of a series, from its start, that training sees; the rest is the test split.
+TRAIN_FRACTION = 0.8
 
 
 @dataclass(frozen=True)
@@ -36,23 +41,20 @@ class SupervisedWindows:
     """Sliding-window samples in chronological order.
 
     origin_indices[i] is the index of targets[i] in the source series,
-    so inputs[i] = series[origin-4 .. origin) and targets[i] = series[origin].
+    so inputs[i] = series[origin-WINDOW .. origin) and targets[i] = series[origin].
     """
 
-    inputs: np.ndarray  # shape (n_samples, 4)
+    inputs: np.ndarray  # shape (n_samples, WINDOW)
     targets: np.ndarray  # shape (n_samples,)
     origin_indices: np.ndarray  # shape (n_samples,), dtype int
-    window: int = WINDOW
 
 
-def split_train_test(series: np.ndarray, ratio: float = 0.8) -> tuple[np.ndarray, np.ndarray]:
-    """First floor(ratio*n) values for training, the rest for testing."""
+def split_train_test(series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First floor(TRAIN_FRACTION*n) values for training, the rest for testing."""
     series = np.asarray(series, dtype=np.float64)
     if series.size < 2:
         raise SeriesTooShort(f"need >= 2 values to split, got {series.size}")
-    if not 0 < ratio < 1:
-        raise ValueError(f"ratio must be in (0, 1), got {ratio}")
-    cut = int(np.floor(ratio * series.size))
+    cut = int(np.floor(TRAIN_FRACTION * series.size))
     return series[:cut].copy(), series[cut:].copy()
 
 
@@ -65,14 +67,15 @@ def fit_scaler(train_series: np.ndarray) -> MinMaxScaler:
     return MinMaxScaler(lo=lo, hi=hi)
 
 
-def make_windows(series: np.ndarray, window: int = WINDOW) -> SupervisedWindows:
-    """One sample per target index t in [window, n): the preceding
-    `window` values predict series[t]."""
+def make_windows(series: np.ndarray) -> SupervisedWindows:
+    """One sample per target index t in [WINDOW, n): the preceding
+    WINDOW values predict series[t]."""
     series = np.asarray(series, dtype=np.float64)
     n = series.size
-    if n <= window:
-        raise SeriesTooShort(f"need > {window} values, got {n}")
-    origins = np.arange(window, n)
-    inputs = np.stack([series[t - window:t] for t in origins])
+    if n <= WINDOW:
+        raise SeriesTooShort(f"need > {WINDOW} values, got {n}")
+    origins = np.arange(WINDOW, n)
+    # The last view ends at the last value, which no sample reads as input.
+    inputs = sliding_window_view(series, WINDOW)[:-1].copy()
     return SupervisedWindows(inputs=inputs, targets=series[origins].copy(),
-                             origin_indices=origins, window=window)
+                             origin_indices=origins)

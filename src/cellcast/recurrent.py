@@ -2,10 +2,10 @@
 
 A network is a fixed first recurrent layer (input dim 1, one unit per
 window position), a stack of wider recurrent layers, and a one-neuron
-dense head with a hard-sigmoid activation. The length-4 input window is
-consumed as a 4-step univariate sequence; every recurrent layer hands
-its full hidden sequence upward and only the last timestep reaches the
-head.
+dense head with a hard-sigmoid activation. Every network reads the
+protocol's window of prep.WINDOW (4) bins, consumed as a 4-step
+univariate sequence; every recurrent layer hands its full hidden
+sequence upward and only the last timestep reaches the head.
 
 Each layer stores its gates stacked: W_x (G*U, D), W_h (G*U, U) and
 b (G*U) with G = 4 gates for the LSTM and 3 for the GRU, plus a (3U)
@@ -25,7 +25,8 @@ The cell equations are fixed. The LSTM squashes its gates, its cell
 input and its cell output with the logistic sigmoid, and its i, f and o
 gates read the cell state through peephole connections. The GRU has
 sigmoid gates, a tanh candidate and a bias per gate. A model file states
-these equations in its header, and a file that states others is refused.
+these equations and the window in its header, and a file that states
+others is refused.
 """
 
 from __future__ import annotations
@@ -188,7 +189,6 @@ class RecurrentNetwork:
     """
 
     cell_kind: str  # "lstm" or "gru"
-    window: int
     layers: list  # LstmLayerParams or GruLayerParams
     head_w: np.ndarray  # (last layer units,)
     head_b: np.ndarray  # (1,)
@@ -264,9 +264,8 @@ def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
-def build_network(cell_kind: str, hidden_layers: int, units: int, seed,
-                  window: int = WINDOW) -> RecurrentNetwork:
-    """Seeded network: fixed first recurrent layer (input dim 1, `window`
+def build_network(cell_kind: str, hidden_layers: int, units: int, seed) -> RecurrentNetwork:
+    """Seeded network: fixed first recurrent layer (input dim 1, WINDOW
     units) plus `hidden_layers` recurrent layers of `units` each, then the
     dense head. Matrices are uniform within the fan-sum limit, biases 0
     except the LSTM forget bias at 1, peepholes 0.
@@ -276,7 +275,7 @@ def build_network(cell_kind: str, hidden_layers: int, units: int, seed,
     if hidden_layers < 0:
         raise ValueError("hidden_layers must be >= 0")
     rng = np.random.default_rng(seed)
-    dims = [(1, window)] + [(window if i == 0 else units, units)
+    dims = [(1, WINDOW)] + [(WINDOW if i == 0 else units, units)
                             for i in range(hidden_layers)]
     layers = []
     for input_dim, u in dims:
@@ -290,8 +289,7 @@ def build_network(cell_kind: str, hidden_layers: int, units: int, seed,
     last_units = dims[-1][1]
     head_w = _glorot(rng, 1, last_units)[0]
     head_b = np.zeros(1)
-    return RecurrentNetwork(cell_kind=cell_kind, window=window, layers=layers,
-                            head_w=head_w, head_b=head_b)
+    return RecurrentNetwork(cell_kind=cell_kind, layers=layers, head_w=head_w, head_b=head_b)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +366,7 @@ class _LayerTape:
                         _by_step(self.dh_out, n_steps), self.da, self.slopes)
 
     def _project(self) -> None:
-        np.matmul(self.p.wx, self.x2, out=self.a)
+        np.dot(self.p.wx, self.x2, out=self.a)
         self.a += self.p.b[:, None]
 
     def _weight_gradients(self, grad: dict, dah2) -> None:
@@ -376,16 +374,18 @@ class _LayerTape:
         with dx, the input gradient, from da and dah2 (the time-stacked
         gradients reaching W_h)."""
         self.stack_hp()
-        np.matmul(self.da2, self.x2.T, out=grad["wx"])
-        np.matmul(dah2, self.hp.T, out=grad["wh"])
+        np.dot(self.da2, self.x2.T, out=grad["wx"])
+        np.dot(dah2, self.hp.T, out=grad["wh"])
         self.da2.sum(axis=1, out=grad["b"])
         if self.dx is not None:
-            np.matmul(self.p.wx.T, self.da2, out=self.dx)
+            np.dot(self.p.wx.T, self.da2, out=self.dx)
 
 
 class _LstmTape(_LayerTape):
     """An LSTM layer's tape: s holds i, f, the candidate, o and
-    sigmoid(c), and c (T+1, U, B) the cell state from c0."""
+    sigmoid(c), c (T+1, U, B) the cell state from c0, and peep (3, U, B)
+    the i, f and o peepholes copied across the batch by forward(), which
+    backward() reads too."""
 
     ROWS = 5
 
@@ -397,7 +397,7 @@ class _LstmTape(_LayerTape):
         if c0 is not None:
             self.c[0] = c0
         self.pre = np.empty((5 * u, n))  # pre-activations of i, f, candidate, o, then c
-        self.peep = p.peep.reshape(3, u, 1)
+        self.peep = np.empty((3, u, n))  # numpy runs a (U, 1) broadcast row by row
         self.dc, self.peep_tmp = np.empty((u, n)), np.empty((2, u, n))
         self.peep_prod = np.empty((n_steps, u, n))
         self.steps = [
@@ -410,13 +410,14 @@ class _LstmTape(_LayerTape):
     def forward(self) -> None:
         """Run the layer over x2 from its start state."""
         self._project()
+        np.copyto(self.peep, self.p.peep.reshape(3, -1, 1))
         u, wh, tmp, peep_tmp = self.p.units, self.p.wh, self.tmp, self.peep_tmp
         pre4, pre_if, pre_o = (self.pre[:4 * u], self.pre[:2 * u].reshape(peep_tmp.shape),
                                self.pre[3 * u:4 * u])
         pre_ifg, pre_oc, pre_c = self.pre[:3 * u], self.pre[3 * u:], self.pre[4 * u:]
         peep_if, peep_o = self.peep[:2], self.peep[2]
         for a_t, h_t, h_next, c_t, c_next, s_ifg, s_oc, (i, f, g, o, sc), *_ in self.steps:
-            np.matmul(wh, h_t, out=pre4)
+            np.dot(wh, h_t, out=pre4)
             pre4 += a_t
             np.multiply(c_t, peep_if, out=peep_tmp)
             pre_if += peep_tmp
@@ -463,7 +464,7 @@ class _LstmTape(_LayerTape):
             dc += tmp
             np.multiply(d_f, peep_f, out=tmp)
             dc += tmp
-            np.matmul(wh_t, da_t, out=self.dh_rec)
+            np.dot(wh_t, da_t, out=self.dh_rec)
 
         self.stack_da()
         self._weight_gradients(grad, self.da2)
@@ -503,7 +504,7 @@ class _GruTape(_LayerTape):
         u, wh, tmp = self.p.units, self.p.wh, self.tmp
         pre_zr, pre_c = self.pre[:2 * u], self.pre[2 * u:]
         for h_t, h_next, hw_t, s_zr, hw_zr, a_zr, hw_c, a_c, (z, r, cand), omz, *_ in self.steps:
-            np.matmul(wh, h_t, out=hw_t)
+            np.dot(wh, h_t, out=hw_t)
             np.add(a_zr, hw_zr, out=pre_zr)
             _sigmoid(pre_zr, out=s_zr)
             np.multiply(r, hw_c, out=pre_c)
@@ -535,7 +536,7 @@ class _GruTape(_LayerTape):
             np.multiply(d_c, r, out=dah_c)
             if t > 0:
                 np.multiply(dh, omz, out=tmp)
-                np.matmul(wh_t, dah_t, out=self.dh_rec)
+                np.dot(wh_t, dah_t, out=self.dh_rec)
                 np.add(tmp, self.dh_rec, out=self.dh_rec)
 
         self.stack_da()
@@ -594,7 +595,7 @@ class Tape:
 
     def __init__(self, net: RecurrentNetwork, batch_size: int):
         self.net, self.batch_size = net, int(batch_size)
-        n_steps, n = net.window, self.batch_size
+        n_steps, n = WINDOW, self.batch_size
         self.x0 = np.empty((1, n_steps * n))  # one univariate step per B columns
         self.x0_steps = self.x0.reshape(n_steps, n)
         self.grads = Gradients(np.empty_like(net.flat), net._layout)
@@ -621,7 +622,7 @@ class Tape:
 
 def forward(net: RecurrentNetwork, inputs: np.ndarray,
             tape: Tape | None = None) -> tuple[np.ndarray, Tape]:
-    """Run a window (shape (4,)) or a batch of windows (shape (B, 4))
+    """Run a window (shape (WINDOW,)) or a batch of windows (shape (B, WINDOW))
     through the network. Returns (predictions, tape); predictions match
     the input's batch shape (scalar ndarray for a single window).
 
@@ -631,8 +632,8 @@ def forward(net: RecurrentNetwork, inputs: np.ndarray,
     inputs = np.asarray(inputs, dtype=np.float64)
     single = inputs.ndim == 1
     batch = inputs[None, :] if single else inputs
-    if batch.ndim != 2 or batch.shape[1] != net.window:
-        raise ShapeMismatch(f"input shape {inputs.shape}, expected (*, {net.window})")
+    if batch.ndim != 2 or batch.shape[1] != WINDOW:
+        raise ShapeMismatch(f"input shape {inputs.shape}, expected (*, {WINDOW})")
     if tape is None:
         tape = Tape(net, batch.shape[0])
     tape.check(net)
@@ -786,7 +787,7 @@ def save_model_json(net: RecurrentNetwork, scaler: MinMaxScaler | None, path: st
     payload = {
         "format": MODEL_FORMAT,
         "cell_kind": net.cell_kind,
-        "window": net.window,
+        "window": WINDOW,
         "activations": CELL_EQUATIONS["activations"],
         "scaler": ({"lo": scaler.lo, "hi": scaler.hi} if scaler is not None else None),
         "layers": [{"input_dim": layer.input_dim, "units": layer.units,
@@ -834,7 +835,7 @@ def _model_from_payload(payload) -> tuple[RecurrentNetwork, MinMaxScaler | None]
         raise MalformedModel(f"cell_kind: {kind!r}, expected {KIND_CHOICES}")
     layer_cls = _LAYER_PARAMS[kind]
     jsonfile.expect(payload["activations"], CELL_EQUATIONS["activations"], "activations.")
-    window = jsonfile.positive_int(payload, "window")
+    jsonfile.expect(payload, {"window": WINDOW})
 
     entries = payload["layers"]
     if not isinstance(entries, list) or not entries:
@@ -842,7 +843,7 @@ def _model_from_payload(payload) -> tuple[RecurrentNetwork, MinMaxScaler | None]
     layers = [_layer_from_entry(layer_cls, entry, f"layers[{i}].")
               for i, entry in enumerate(entries)]
     try:  # a zero head, then every weight from the blob
-        net = RecurrentNetwork(cell_kind=kind, window=window, layers=layers,
+        net = RecurrentNetwork(cell_kind=kind, layers=layers,
                                head_w=np.zeros(layers[-1].units), head_b=np.zeros(1))
     except ShapeMismatch as exc:
         raise MalformedModel(str(exc)) from None
@@ -861,8 +862,8 @@ def _model_from_payload(payload) -> tuple[RecurrentNetwork, MinMaxScaler | None]
 
 def load_model_json(path: str) -> tuple[RecurrentNetwork, MinMaxScaler | None]:
     """Read a model file of format MODEL_FORMAT, as save_model_json writes
-    it. A file of any other format, or one that does not describe a
-    network, raises MalformedModel naming the file and the key, e.g.
-    `m.json: format: 2, expected 3` or
-    `m.json: parameters: 11308 values, expected 11309`."""
+    it. A file of any other format or window, or one that does not
+    describe a network, raises MalformedModel naming the file and the
+    key, e.g. `m.json: format: 2, expected 3`, `m.json: window: 3,
+    expected 4` or `m.json: parameters: 11308 values, expected 11309`."""
     return jsonfile.load(path, _model_from_payload, MalformedModel)

@@ -27,7 +27,6 @@ from . import jsonfile
 from .errors import ConfigError, ConstantSeries, MalformedResults, SeriesTooShort, UnknownCluster
 from .ingest import BIN_WIDTH_MS, BinnedCellSeries
 from .prep import (
-    WINDOW,
     MinMaxScaler,
     SupervisedWindows,
     fit_scaler,
@@ -139,7 +138,7 @@ def config_label(cell_kind: str, cluster: int, hidden_layers: int, units: int) -
     return f"{cell_kind.upper()}-{cluster}-{hidden_layers}L-{units}U"
 
 
-def prepare_dataset(series: BinnedCellSeries, window: int = WINDOW) -> ClusterDataset:
+def prepare_dataset(series: BinnedCellSeries) -> ClusterDataset:
     """Split chronologically (split_train_test), fit the scaler on the
     training portion only, and window each split independently. A
     constant training split, or a split too short to window, raises an
@@ -153,7 +152,7 @@ def prepare_dataset(series: BinnedCellSeries, window: int = WINDOW) -> ClusterDa
     splits = []
     for name, raw in (("training", train_raw), ("test", test_raw)):
         try:
-            splits.append(make_windows(scaler.transform(raw), window))
+            splits.append(make_windows(scaler.transform(raw)))
         except SeriesTooShort as exc:
             raise SeriesTooShort(f"cluster {cluster}: {name} split of {raw.size} bins: "
                                  f"{exc}") from None
@@ -469,7 +468,7 @@ def predict_test_split(net: RecurrentNetwork, scaler: MinMaxScaler,
     splits it and predict each test window's target, de-normalized with
     the model's scaler."""
     train_raw, test_raw = split_train_test(series.values)
-    windows = make_windows(scaler.transform(test_raw), net.window)
+    windows = make_windows(scaler.transform(test_raw))
     preds_scaled, _ = forward(net, windows.inputs)
     abs_bins = train_raw.size + windows.origin_indices
     return PredictionTable(

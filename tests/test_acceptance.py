@@ -315,7 +315,7 @@ def test_08_scale_counts(tmp_path):
     values = result.cells[1].values
     assert values.size == 2976, f"expected 2976 bins, got {values.size}"
 
-    train, test = split_train_test(values, 0.8)
+    train, test = split_train_test(values)
     assert (train.size, test.size) == (2380, 596)
     train_w = make_windows(train)
     test_w = make_windows(test)

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cellcast import recurrent, training
 from cellcast.cli import main, parse_grid, parse_pipeline_config, parse_span, parse_synth_spec
 from cellcast.errors import ConfigError
 from cellcast.ingest import load_bins_json, save_bins_json
@@ -895,6 +896,33 @@ def test_pipeline_trains_the_same_bits_without_thread_pins(tmp_path):
     pinned = run("pinned", 1, pinned=True)
     assert run("serial", 1, pinned=False) == pinned
     assert run("pool", 2, pinned=False) == pinned
+
+
+def test_pipeline_predicts_with_the_winners_it_trained(tmp_path, monkeypatch):
+    """The pipeline predicts each cluster with the network its train stage
+    saved, without reading a model file back, and writes the bytes that
+    `cellcast predict` writes from that saved winner."""
+    out_dir = tmp_path / "out"
+    config = _small_pipeline(out_dir, _two_archetype_synth())
+    config["train"]["runs"] = 2
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    loads = []
+    load = recurrent.load_model_json
+    monkeypatch.setattr(recurrent, "load_model_json", lambda p: loads.append(p) or load(p))
+    assert main(["pipeline", "--config", str(path)]) == 0
+    assert loads == []
+
+    best = training.load_results_csv(str(out_dir / "results.csv")).best_config
+    assert sorted(best) == [0, 1]
+    for cluster, label in best.items():
+        model = out_dir / f"{label.split('-')[0].lower()}_c{cluster}.json"
+        out = tmp_path / f"predict_c{cluster}.csv"
+        assert main(["predict", "--model", str(model), "--bins",
+                     str(out_dir / "cluster_series.json"), "--cluster", str(cluster),
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == (out_dir / f"predictions_c{cluster}.csv").read_bytes()
+    assert len(loads) == 2
 
 
 def test_pipeline_loads_no_numpy_ma(tmp_path):

@@ -7,15 +7,17 @@ from hypothesis import strategies as st
 
 from cellcast import fit_scaler, make_windows, split_train_test
 from cellcast.errors import ConstantSeries, SeriesTooShort
+from cellcast.prep import TRAIN_FRACTION
 
 
 class TestSplit:
     @pytest.mark.parametrize(
-        "n,ratio,train,test",
-        [(10, 0.8, 8, 2), (2976, 0.8, 2380, 596), (5, 0.5, 2, 3), (2, 0.8, 1, 1)],
+        "n,fraction,train,test",
+        [(10, 0.8, 8, 2), (2976, 0.8, 2380, 596), (2, 0.8, 1, 1)],
     )
-    def test_floor_split_sizes(self, n, ratio, train, test):
-        a, b = split_train_test(np.arange(n, dtype=float), ratio)
+    def test_floor_split_sizes(self, n, fraction, train, test):
+        assert TRAIN_FRACTION == fraction
+        a, b = split_train_test(np.arange(n, dtype=float))
         assert (len(a), len(b)) == (train, test)
 
     def test_split_is_chronological(self):
@@ -32,9 +34,6 @@ class TestSplit:
     def test_split_validation(self):
         with pytest.raises(SeriesTooShort):
             split_train_test(np.array([1.0]))
-        for ratio in (0.0, 1.0, -0.1, 1.5):
-            with pytest.raises(ValueError):
-                split_train_test(np.arange(10.0), ratio)
 
     @given(st.integers(min_value=2, max_value=5000))
     def test_split_partitions_without_loss(self, n):
@@ -97,9 +96,15 @@ class TestWindows:
         with pytest.raises(SeriesTooShort):
             make_windows(np.arange(4.0))
 
-    def test_custom_window(self):
-        w = make_windows(np.arange(6.0), window=2)
-        assert w.inputs.shape == (4, 2) and w.window == 2
+    @given(st.integers(min_value=5, max_value=3000), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_matches_a_slice_per_target(self, n, seed):
+        series = np.random.default_rng(seed).random(n)
+        w = make_windows(series)
+        expected = np.array([series[t - 4:t] for t in range(4, n)])
+        assert w.inputs.flags.c_contiguous
+        np.testing.assert_array_equal(w.inputs, expected)
+        np.testing.assert_array_equal(w.targets, series[4:])
+        np.testing.assert_array_equal(w.origin_indices, np.arange(4, n))
 
     def test_windows_after_split_do_not_cross_the_cut(self):
         """Each split is windowed independently; no sample mixes them."""

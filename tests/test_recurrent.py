@@ -564,7 +564,7 @@ class TestBuildAndPersist:
         save_model_json(net, scaler, str(path))
         loaded, loaded_scaler = load_model_json(str(path))
         assert loaded_scaler == scaler
-        assert loaded.cell_kind == kind and loaded.window == net.window
+        assert loaded.cell_kind == kind
         for (pa, va), (pb, vb) in zip(net.parameters(), loaded.parameters()):
             assert pa == pb
             np.testing.assert_array_equal(va, vb)
@@ -604,7 +604,7 @@ class TestBuildAndPersist:
         array and a `head` object. Neither is read; the error names the
         format, not the first key that format 3 lacks."""
         net = build_network("gru", 1, 3, seed=12)
-        doc = {"cell_kind": "gru", "window": net.window,
+        doc = {"cell_kind": "gru", "window": 4,
                "activations": {"gate": "sigmoid", "cell_input": "sigmoid",
                                "cell_output": "sigmoid"},
                "layers": [{"input_dim": layer.input_dim, "units": layer.units,
@@ -628,6 +628,9 @@ class TestBuildAndPersist:
          "activations.gate: 'relu', expected 'sigmoid'"),
         (on_format_3(poison_parameter(-2)), "parameters: head.w holds a non-finite value"),
         (on_format_3(lambda d: d.pop("window")), "window: missing"),
+        (on_format_3(lambda d: d.update(window=3)), "window: 3, expected 4"),
+        (on_format_3(lambda d: d.update(window="4")), "window: '4', expected 4"),
+        (on_format_3(lambda d: d.update(window=4.0)), "window: 4.0, expected 4"),
         (on_format_3(lambda d: d.update(format=4)), "format: 4, expected 3"),
         (on_format_3(lambda d: d.update(format=3.0)), "format: 3.0, expected 3"),
         (on_format_3(lambda d: d.update(parameters=d["parameters"][:-2] + "!=")),
