@@ -27,7 +27,7 @@ print(f"cluster 0: {dataset.train.targets.size} train windows, "
       f"{dataset.test.targets.size} test windows")
 
 grid = GridSpec(hidden_layers=(1,), units=(4, 8), cell_kinds=("lstm", "gru"))
-cfg = TrainConfig(epochs=100, batch_size=32, runs=3, base_seed=0)
+cfg = TrainConfig(epochs=100, runs=3, base_seed=0)
 result = grid_search(grid, [dataset], cfg)
 
 print(f"\n{len(result.runs)} runs finished; mean test RMSE per configuration:")

@@ -28,7 +28,7 @@ with tempfile.TemporaryDirectory() as tmp:
         "k": "auto",
         "kmax": 5,
         "grid": {"hidden_layers": [1], "units": [6], "cell_kinds": ["lstm", "gru"]},
-        "train": {"epochs": 4, "runs": 2, "batch_size": 32},
+        "train": {"epochs": 4, "runs": 2},
     }
     config_path = Path(tmp) / "pipeline.json"
     config_path.write_text(json.dumps(config, indent=2))

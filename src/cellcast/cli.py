@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from . import clustering, ingest, jsonfile, recurrent, stats, synth, training
 from .errors import ConfigError, DomainError, MalformedTruth, ValidationError
 
-MS_PER_DAY = 86_400_000
-
 
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
@@ -40,7 +38,7 @@ def parse_span(text: str, utc_offset_hours: float) -> tuple[int, int]:
             d = datetime.date.fromisoformat(datestr)
         except ValueError as exc:
             raise ConfigError(f"span {text!r}: {datestr} is not a date ({exc})") from None
-        return (d - datetime.date(1970, 1, 1)).days * MS_PER_DAY - offset_ms
+        return (d - datetime.date(1970, 1, 1)).days * ingest.MS_PER_DAY - offset_ms
 
     start, end = to_ms(m.group(1)), to_ms(m.group(2))
     if end <= start:
@@ -116,10 +114,9 @@ _KINDS = {_integer: "an integer", _number: "a finite number", _text: "a string",
 _ARCHETYPE = {"id": _integer, "base_level": _number, "period_weights": _number_list,
               "weekend_factor": _number, "noise_sd": _number}
 _SYNTH = {"archetypes": _archetypes, "cells_per_archetype": _integer, "days": _integer,
-          "seed": _integer, "span_start": _integer, "start_weekday": _integer,
-          "country_code": _integer}
+          "span_start": _integer, "start_weekday": _integer, "country_code": _integer}
 _GRID = {"hidden_layers": _int_list, "units": _int_list, "cell_kinds": _name_list}
-_TRAIN = {"epochs": _integer, "batch_size": _integer, "runs": _integer, "base_seed": _integer}
+_TRAIN = {"epochs": _integer, "runs": _integer}
 _CONFIG = {"out_dir": _text, "synth": _object, "input": _path_list, "span": _text,
            "utc_offset_hours": _number, "k": _k, "kmax": _integer, "restarts": _integer,
            "grid": _object, "train": _object, "seed": _integer, "workers": _integer}
@@ -150,8 +147,9 @@ def _section(payload, where: str, fields: dict, target, **defaults):
     return target(**values)
 
 
-def parse_synth_spec(payload: dict, default_seed: int) -> synth.SynthSpec:
-    spec = _section(payload, "synth", _SYNTH, synth.SynthSpec, seed=default_seed)
+def parse_synth_spec(payload: dict, seed: int) -> synth.SynthSpec:
+    """A synth spec from JSON; the seed is the caller's, never the spec's."""
+    spec = _section(payload, "synth", _SYNTH, synth.SynthSpec, seed=seed)
     synth.validate_spec(spec)
     return spec
 
@@ -183,7 +181,7 @@ def _pipeline_config(out_dir, synth=None, input=None, span=None, grid=None, trai
                      seed=PipelineConfig.seed, utc_offset_hours=PipelineConfig.utc_offset_hours,
                      **settings) -> PipelineConfig:
     """The config from its converted top-level keys. The sections are
-    parsed here, since their defaults depend on the seed and the offset."""
+    parsed here, since they take the one seed and the offset."""
     if (synth is None) == (input is None):
         raise ConfigError("config needs exactly one of synth or input")
     spec = None if synth is None else parse_synth_spec(synth, seed)
@@ -371,8 +369,7 @@ def cmd_train(args) -> int:
         grid = training.GridSpec()
     else:
         grid = jsonfile.load(args.grid, lambda doc: parse_grid(doc, "grid file"), ConfigError)
-    cfg = training.TrainConfig(epochs=args.epochs, batch_size=args.batch,
-                               runs=args.runs, base_seed=args.seed)
+    cfg = training.TrainConfig(epochs=args.epochs, runs=args.runs, base_seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     _train_stage(series, grid, cfg, args.workers, args.out_dir,
                  record_timing=args.record_timing)
@@ -508,7 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="default", help="'default' or a grid JSON file")
     p.add_argument("--runs", type=int, default=training.TrainConfig.runs)
     p.add_argument("--epochs", type=int, default=training.TrainConfig.epochs)
-    p.add_argument("--batch", type=int, default=training.TrainConfig.batch_size)
     p.add_argument("--seed", type=int, default=PipelineConfig.seed)
     p.add_argument("--workers", type=int, default=PipelineConfig.workers)
     p.add_argument("--record-timing", action="store_true", dest="record_timing",

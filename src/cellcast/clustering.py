@@ -36,6 +36,7 @@ HOURS_PER_PERIOD = 4
 PERIOD_NAMES = ("LateNight", "EarlyMorning", "Morning", "Afternoon", "Evening", "Night")
 DEFAULT_UTC_OFFSET_HOURS = 1.0  # Milan's local clock in the source data
 DEFAULT_RESTARTS = 10
+MAX_ITER = 300  # Lloyd updates per restart at most
 PROFILE_BLOCK_BINS = 1 << 17  # bins summed per bincount; bounds its temporaries
 LOCKSTEP_ELEMENTS = 1 << 19  # restarts x k x n distances per lockstep group; bounds its buffers
 DISTANCE_BLOCK = 1 << 16  # distances per scratch array of a distance pass
@@ -68,7 +69,7 @@ class ProfileMatrix:
     cell_ids: list[int]
     points: np.ndarray
     n_distinct: int = field(init=False)
-    # kmeans results by (k, seed, restarts, max_iter), so that the elbow
+    # kmeans results by (k, seed, restarts), so that the elbow
     # scan's fit of the knee's k is not fitted again. The points are a
     # read-only copy, which keeps every stored fit valid.
     fits: dict = field(init=False, repr=False, compare=False, default_factory=dict)
@@ -278,11 +279,11 @@ class _Group:
         self.active = last
 
 
-def _lloyd_group(points: np.ndarray, initial: np.ndarray, max_iter: int) -> list[tuple]:
+def _lloyd_group(points: np.ndarray, initial: np.ndarray) -> list[tuple]:
     """(centroids, labels, sse, sse_history, iterations) of Lloyd's
     algorithm from each of the initial centroid sets (restarts, k, dims),
     in that order. A restart stops when its labels stop changing or after
-    max_iter updates, as it would on its own."""
+    MAX_ITER updates, as it would on its own."""
     group = _Group(points, initial)
     labels, nearest = group.nearest()
     sse = nearest.sum(axis=1).tolist()
@@ -290,18 +291,15 @@ def _lloyd_group(points: np.ndarray, initial: np.ndarray, max_iter: int) -> list
     results = [None] * len(initial)
     iterations = 0
     while group.active:
-        if iterations == max_iter:
-            done = np.ones(group.active, dtype=bool)
-        else:
-            iterations += 1
-            group.update(labels)
-            new_labels, nearest = group.nearest()
-            # Row sums add each restart's distances as a 1-d sum does.
-            sse = nearest.sum(axis=1).tolist()
-            for slot, value in enumerate(sse):
-                histories[group.restart[slot]].append(value)
-            done = (new_labels == labels).all(axis=1) | (iterations == max_iter)
-            labels = new_labels
+        iterations += 1
+        group.update(labels)
+        new_labels, nearest = group.nearest()
+        # Row sums add each restart's distances as a 1-d sum does.
+        sse = nearest.sum(axis=1).tolist()
+        for slot, value in enumerate(sse):
+            histories[group.restart[slot]].append(value)
+        done = (new_labels == labels).all(axis=1) | (iterations == MAX_ITER)
+        labels = new_labels
         for slot in np.flatnonzero(done)[::-1].tolist():
             r = group.restart[slot]
             results[r] = (group.centroids[slot].copy(), labels[slot].copy(), sse[slot],
@@ -326,8 +324,7 @@ def validate_settings(k, k_max: int, restarts: int, prefix: str) -> None:
 
 
 def kmeans(profiles: ProfileMatrix, k: int, seed: int = 0,
-           max_iter: int = 300, restarts: int = DEFAULT_RESTARTS,
-           _seedings: np.ndarray | None = None) -> ClusterModel:
+           restarts: int = DEFAULT_RESTARTS, _seedings: np.ndarray | None = None) -> ClusterModel:
     """Best-of-restarts Lloyd clustering of the period profiles.
 
     Restart r draws from its own stream derived as [seed, r], so adding
@@ -348,7 +345,7 @@ def kmeans(profiles: ProfileMatrix, k: int, seed: int = 0,
     validate_settings(k, k, restarts, "")
     if profiles.n_distinct < k:
         raise TooFewPoints(f"{profiles.n_distinct} distinct profiles < k={k}")
-    key = (k, seed, restarts, max_iter)
+    key = (k, seed, restarts)
     if key not in profiles.fits:
         points = profiles.points
         if _seedings is None:
@@ -359,7 +356,7 @@ def kmeans(profiles: ProfileMatrix, k: int, seed: int = 0,
         group = max(1, min(restarts, LOCKSTEP_ELEMENTS // (k * points.shape[0])))
         best = None
         for lo in range(0, restarts, group):
-            for result in _lloyd_group(points, initial[lo:lo + group], max_iter):
+            for result in _lloyd_group(points, initial[lo:lo + group]):
                 if best is None or result[2] < best[2]:
                     best = result
         profiles.fits[key] = best

@@ -38,6 +38,7 @@ from .errors import (MalformedBins, MalformedFile, MalformedLine, NegativeActivi
 BIN_WIDTH_MS = 30 * 60 * 1000  # the one bin width of every series
 BIN_WIDTH_MINUTES = BIN_WIDTH_MS // 60_000  # as bins files state it
 MS_PER_HOUR = 3_600_000
+MS_PER_DAY = 24 * MS_PER_HOUR
 
 # Zero-based columns of the cell id, the timestamp and the internet
 # activity in a CDR line.

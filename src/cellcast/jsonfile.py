@@ -133,8 +133,13 @@ def from_blob(value, name: str) -> np.ndarray:
 
 
 def int_key(text: str, where: str) -> int:
-    """An object key that must spell an integer id."""
+    """An object key that must spell an integer id as str(int) writes it,
+    so that no two keys of one object name the same id: `01`, ` 7`, `+1`
+    and `1_0` are refused."""
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
-        raise MalformedFile(f"{where}{text}: key is not an integer id") from None
+        value = None
+    if value is None or str(value) != text:
+        raise MalformedFile(f"{where}{text}: key is not an integer id in canonical form")
+    return value

@@ -842,6 +842,9 @@ def _model_from_payload(payload) -> tuple[RecurrentNetwork, MinMaxScaler | None]
         raise MalformedModel("layers: expected a non-empty list")
     layers = [_layer_from_entry(layer_cls, entry, f"layers[{i}].")
               for i, entry in enumerate(entries)]
+    # build_network's first layer has one unit per window position.
+    if layers[0].units != WINDOW:
+        raise MalformedModel(f"layers[0].units: {layers[0].units}, expected {WINDOW}")
     try:  # a zero head, then every weight from the blob
         net = RecurrentNetwork(cell_kind=kind, layers=layers,
                                head_w=np.zeros(layers[-1].units), head_b=np.zeros(1))
@@ -862,8 +865,9 @@ def _model_from_payload(payload) -> tuple[RecurrentNetwork, MinMaxScaler | None]
 
 def load_model_json(path: str) -> tuple[RecurrentNetwork, MinMaxScaler | None]:
     """Read a model file of format MODEL_FORMAT, as save_model_json writes
-    it. A file of any other format or window, or one that does not
-    describe a network, raises MalformedModel naming the file and the
-    key, e.g. `m.json: format: 2, expected 3`, `m.json: window: 3,
-    expected 4` or `m.json: parameters: 11308 values, expected 11309`."""
+    it. A file of any other format or window, one whose first layer is
+    not WINDOW units wide, or one that does not describe a network,
+    raises MalformedModel naming the file and the key, e.g. `m.json:
+    format: 2, expected 3`, `m.json: layers[0].units: 3, expected 4` or
+    `m.json: parameters: 11308 values, expected 11309`."""
     return jsonfile.load(path, _model_from_payload, MalformedModel)

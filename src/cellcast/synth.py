@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clustering import HOURS_PER_PERIOD, N_PERIODS
 from .errors import InvalidSpec, MalformedTruth
-from .ingest import BIN_WIDTH_MS
+from .ingest import BIN_WIDTH_MS, MS_PER_DAY, MS_PER_HOUR
 
-BINS_PER_DAY = 48
-BINS_PER_PERIOD = 8
+BINS_PER_DAY = MS_PER_DAY // BIN_WIDTH_MS  # 48
+BINS_PER_PERIOD = HOURS_PER_PERIOD * MS_PER_HOUR // BIN_WIDTH_MS  # 8, one clustering period
 MAX_PARTS = 4  # records per cell bin
 CELLS_PER_BLOCK = 32  # cells formatted per write; bounds the text held in memory
 STREAMS_PER_GROUP = 4 * CELLS_PER_BLOCK  # streams drawn in lockstep, whole blocks; bounds memory
@@ -74,8 +75,8 @@ def validate_spec(spec: SynthSpec) -> None:
         if arch.id in seen:
             raise InvalidSpec(f"archetype id {arch.id} appears more than once")
         seen.add(arch.id)
-        if len(arch.period_weights) != 6:
-            raise InvalidSpec(f"archetype {arch.id}: need 6 period weights")
+        if len(arch.period_weights) != N_PERIODS:
+            raise InvalidSpec(f"archetype {arch.id}: need {N_PERIODS} period weights")
         if arch.base_level < 0 or arch.noise_sd < 0:
             raise InvalidSpec(f"archetype {arch.id}: negative base level or noise")
         if any(w < 0 for w in arch.period_weights):

@@ -1,8 +1,9 @@
 """Training protocol and the seeded hyperparameter grid search.
 
 One run = build a seeded network, train it with mini-batch ADAM (at the
-constants of recurrent.py) for a fixed epoch count, on batches that every
-epoch shuffles anew, and score RMSE and MAE on the test windows.
+constants of recurrent.py) for a fixed epoch count, on batches of
+BATCH_SIZE windows that every epoch shuffles anew, and score RMSE and MAE
+on the test windows.
 The grid crosses cell kind, depth, and width per cluster, repeats each
 configuration over `runs` seeds (base_seed + run index, so extending the
 run count never reshuffles earlier results), ranks configurations by
@@ -48,6 +49,8 @@ from .stats import mae, quartiles, rmse
 # Configurations whose mean RMSE is within this much of the cluster's
 # minimum count as tied for best (means are reported to 3 decimals).
 TIE_THRESHOLD = 5e-4
+# Windows per training step; the last batch of an epoch holds the rest.
+BATCH_SIZE = 32
 
 RESULTS_HEADER = ["cluster", "cell", "layers", "units", "run", "seed", "rmse", "mae", "seconds"]
 
@@ -55,7 +58,6 @@ RESULTS_HEADER = ["cluster", "cell", "layers", "units", "run", "seed", "rmse", "
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 50
-    batch_size: int = 32
     runs: int = 30
     base_seed: int = 0
 
@@ -106,8 +108,6 @@ class GridResult:
 def validate_train_config(cfg: TrainConfig) -> None:
     if cfg.epochs < 1:
         raise ConfigError(f"epochs must be >= 1, got {cfg.epochs}")
-    if cfg.batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {cfg.batch_size}")
     if cfg.runs < 1:
         raise ConfigError(f"runs must be >= 1, got {cfg.runs}")
 
@@ -180,8 +180,8 @@ def _fit(cell_kind: str, hidden_layers: int, units: int,
     for _ in range(cfg.epochs):
         order = shuffle_rng.permutation(n)
         sq_sum = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
+        for start in range(0, n, BATCH_SIZE):
+            idx = order[start:start + BATCH_SIZE]
             y = targets[idx]
             tape = tapes.get(idx.size)
             if tape is None:

@@ -208,7 +208,7 @@ def test_05_learnability_beats_naive():
         values=20.0 + 10.0 * np.sin(2.0 * np.pi * t / BINS_PER_DAY))
     dataset = prepare_dataset(series)
     naive_rmse, _ = naive_baseline(dataset.test)
-    cfg = TrainConfig(epochs=50, batch_size=32, runs=1, base_seed=0)
+    cfg = TrainConfig(epochs=50, runs=1, base_seed=0)
     detail = []
     for kind in ("lstm", "gru"):
         t0 = time.perf_counter()
@@ -262,7 +262,7 @@ def _pipeline_config(out_dir):
         "k": "auto",
         "kmax": 6,
         "grid": {"hidden_layers": [1], "units": [8, 16], "cell_kinds": ["lstm", "gru"]},
-        "train": {"epochs": 5, "runs": 3, "batch_size": 32},
+        "train": {"epochs": 5, "runs": 3},
     }
 
 

@@ -50,7 +50,7 @@ class TestConfigParsing:
 
     def test_unknown_synth_key_rejected(self):
         with pytest.raises(ConfigError):
-            parse_synth_spec({"archetypes": 2, "cells_per_archetype": 1, "dayz": 3}, default_seed=0)
+            parse_synth_spec({"archetypes": 2, "cells_per_archetype": 1, "dayz": 3}, seed=0)
 
     def test_synth_or_input_required(self):
         with pytest.raises(ConfigError):
@@ -206,6 +206,8 @@ class TestSynthSpecErrors:
         "scalar_period_weights": (lambda s: s["archetypes"][0].update(period_weights=5),
                                   "synth.archetypes[0].period_weights"),
         "duplicate_id": (lambda s: s["archetypes"][1].update(id=0), "archetype id 0"),
+        # The seed is the pipeline's seed or synth's --seed, never the spec's.
+        "retired_seed": (lambda s: s.update(seed=5), "unknown key(s) in synth: seed"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -251,6 +253,10 @@ class TestPipelineConfigErrors:
         "scalar_hidden_layers": (lambda c: c["grid"].update(hidden_layers=3), "grid.hidden_layers"),
         "retired_shuffle": (lambda c: c["train"].update(shuffle_each_epoch=True),
                             "unknown key(s) in train: shuffle_each_epoch"),
+        "retired_batch_size": (lambda c: c["train"].update(batch_size=32),
+                               "unknown key(s) in train: batch_size"),
+        "retired_base_seed": (lambda c: c["train"].update(base_seed=3),
+                              "unknown key(s) in train: base_seed"),
         "impossible_span_date": (lambda c: c.update(span="2013-02-30..2013-03-01"),
                                  "span '2013-02-30..2013-03-01': 2013-02-30 is not a date"),
         "text_input": (_input_mode("data/"), "config.input"),
@@ -319,7 +325,9 @@ def pipeline_run(tmp_path_factory):
         "k": "auto",
         "kmax": 6,
         "grid": {"hidden_layers": [1], "units": [4], "cell_kinds": ["lstm", "gru"]},
-        "train": {"epochs": 2, "runs": 2, "batch_size": 16},
+        # 14 days give each cluster 533 training windows: 16 batches of
+        # 32 and a ragged last batch of 21.
+        "train": {"epochs": 2, "runs": 2},
     }
     cfg_path = root / "config.json"
     cfg_path.write_text(json.dumps(config))
@@ -624,7 +632,7 @@ class TestSubcommandsOnPipelineOutputs:
         out_dir = tmp_path / "train"
         code = main(["train", "--clusters", str(pipeline_run / "clusters.json"),
                      "--bins", str(pipeline_run / "bins.json"), "--grid", str(grid),
-                     "--runs", "2", "--epochs", "1", "--batch", "16", "--seed", "3",
+                     "--runs", "2", "--epochs", "1", "--seed", "3",
                      "--out-dir", str(out_dir)])
         assert code == 0
         assert sorted(p.name for p in out_dir.iterdir()) == [
@@ -863,6 +871,22 @@ def test_non_finite_flag_exits_two(tmp_path, capsys, flag, value):
         main([*argv, flag, value])
     assert exc.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_has_no_batch_flag(tmp_path, capsys):
+    """Training steps take training.BATCH_SIZE windows; --batch is an
+    unknown argument, so argparse exits 2 naming it before any file is
+    written."""
+    bins, clusters = tmp_path / "bins.json", tmp_path / "clusters.json"
+    bins.write_text(json.dumps(_bins_doc()))
+    clusters.write_text(json.dumps(_clusters_doc()))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--clusters", str(clusters), "--bins", str(bins), "--batch", "16",
+              "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --batch 16" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import itertools
+import json
 import tracemalloc
 from types import SimpleNamespace
 
@@ -30,6 +31,7 @@ from cellcast.errors import (
     EmptySeries,
     InvalidK,
     LengthMismatch,
+    MalformedClusters,
     MissingSeries,
     SpanMismatch,
     TooFewPoints,
@@ -221,7 +223,8 @@ def _lloyd(points, centroids, max_iter, repairs=None):
     return centroids, labels, sse, history, iterations
 
 
-def reference_kmeans(points, k, seed=0, max_iter=300, restarts=10, repairs=None):
+def reference_kmeans(points, k, seed=0, max_iter=clustering.MAX_ITER, restarts=10,
+                     repairs=None):
     """(centroids, labels, sse, sse_history, iterations) of the first best
     restart, each restart fitted on its own."""
     best = None
@@ -296,14 +299,18 @@ def fit_cases(draw):
         points = rng.lognormal(size=(n, 6)) * 10.0 ** int(rng.integers(-3, 4))
     k = draw(st.integers(1, np.unique(points, axis=0).shape[0]))
     return points, k, draw(st.integers(0, 50)), draw(st.integers(1, 12)), \
-        draw(st.sampled_from([0, 1, 2, 3, 300]))
+        draw(st.sampled_from([1, 2, 3, 300]))
 
 
 @settings(max_examples=80, deadline=None)
 @given(fit_cases())
 def test_lockstep_kmeans_matches_per_restart_reference(case):
+    """Lloyd's cap is clustering.MAX_ITER; lower caps stop restarts
+    early, as the reference does."""
     points, k, seed, restarts, max_iter = case
-    model = kmeans(profiles_from(points), k, seed=seed, restarts=restarts, max_iter=max_iter)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(clustering, "MAX_ITER", max_iter)
+        model = kmeans(profiles_from(points), k, seed=seed, restarts=restarts)
     assert_reference_fit(model, points, k, seed=seed, restarts=restarts, max_iter=max_iter)
 
 
@@ -328,12 +335,13 @@ def test_lockstep_kmeans_keeps_its_bits_in_bounded_memory(monkeypatch, bound):
     assert_reference_fit(model, points, 4, seed=3, restarts=7)
 
 
-def test_lockstep_kmeans_sse_sums_many_points_as_one_dim_sums():
+def test_lockstep_kmeans_sse_sums_many_points_as_one_dim_sums(monkeypatch):
     """Past numpy's 8,192-element reduction buffer, each restart's SSE is
     still the 1-d pairwise sum of its distances."""
     rng = np.random.default_rng(15)
     points = rng.lognormal(size=(9000, 6))
-    model = kmeans(profiles_from(points), 5, seed=1, restarts=3, max_iter=4)
+    monkeypatch.setattr(clustering, "MAX_ITER", 4)
+    model = kmeans(profiles_from(points), 5, seed=1, restarts=3)
     assert_reference_fit(model, points, 5, seed=1, restarts=3, max_iter=4)
 
 
@@ -342,7 +350,7 @@ def test_a_stored_fit_answers_only_its_own_arguments():
     points = rng.normal(size=(40, 6))
     profiles = profiles_from(points)
     kmeans(profiles, 4, seed=1)
-    for kwargs in ({"seed": 2}, {"seed": 1, "restarts": 3}, {"seed": 1, "max_iter": 1}):
+    for kwargs in ({"seed": 2}, {"seed": 1, "restarts": 3}):
         assert_reference_fit(kmeans(profiles, 4, **kwargs), points, 4, **kwargs)
     assert_reference_fit(kmeans(profiles, 5, seed=1), points, 5, seed=1)
 
@@ -741,6 +749,18 @@ def test_cluster_json_round_trip(tmp_path):
     assert loaded.sse == model.sse
     text = path.read_text()
     assert text.endswith("\n") and '\n  "k"' in text  # indented document
+
+
+@pytest.mark.parametrize("key", ["01", " 1", "+1", "1_0"])
+def test_cluster_loader_refuses_a_key_that_is_not_a_canonical_id(tmp_path, key):
+    """int() reads each of these keys as cell 1 or 10, so {"1": 0, "01": 1}
+    would assign cell 1 once, silently; only str(int)'s spelling is read."""
+    path = tmp_path / "clusters.json"
+    path.write_text(json.dumps({"k": 2, "centroids": [[1.0] * 6, [0.0] * 6],
+                                "assignment": {"1": 0, key: 1}, "sse": 0.0}))
+    with pytest.raises(MalformedClusters) as exc:
+        load_cluster_json(str(path))
+    assert str(exc.value) == f"{path}: assignment.{key}: key is not an integer id in canonical form"
 
 
 def test_sse_csv_round_trip(tmp_path):

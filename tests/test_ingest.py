@@ -21,7 +21,8 @@ from cellcast import (
     save_bins_json,
 )
 from cellcast import ingest
-from cellcast.errors import MalformedLine, NegativeActivity, SpanMismatch, UnalignedSpan
+from cellcast.errors import (MalformedBins, MalformedLine, NegativeActivity, SpanMismatch,
+                             UnalignedSpan)
 
 SPAN_START = 1_383_260_400_000
 BIN = 30 * 60 * 1000
@@ -309,6 +310,20 @@ class TestPersistence:
         with pytest.raises(SpanMismatch, match="^cell 3: .* like cell 1$"):
             save_bins_json(cells, str(path))
         assert not path.exists()
+
+    @pytest.mark.parametrize("key", ["01", " 1", "+1", "1_0"])
+    def test_bins_loader_refuses_a_key_that_is_not_a_canonical_id(self, tmp_path, key):
+        """int() reads each of these keys as cell 1 or 10, so {"1": a, "01": b}
+        would load as one cell 1 holding b; only str(int)'s spelling is read."""
+        cells = {1: ingest.BinnedCellSeries(1, SPAN_START, np.ones(4))}
+        path = tmp_path / "bins.json"
+        save_bins_json(cells, str(path))
+        doc = json.loads(path.read_text())
+        doc["cells"][key] = doc["cells"]["1"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedBins) as exc:
+            load_bins_json(str(path))
+        assert str(exc.value) == f"{path}: cells.{key}: key is not an integer id in canonical form"
 
     def test_json_file_ends_with_newline(self, tmp_path):
         path = tmp_path / "bins.json"

@@ -16,6 +16,7 @@ from cellcast import (
     LstmLayerParams,
     LstmState,
     MinMaxScaler,
+    RecurrentNetwork,
     Tape,
     adam_update,
     backward,
@@ -32,7 +33,7 @@ from cellcast import (
 )
 from cellcast.errors import Empty, LengthMismatch, MalformedModel, ShapeMismatch, TapeMismatch
 from cellcast.prep import make_windows
-from cellcast.training import ClusterDataset, TrainConfig, _fit
+from cellcast.training import BATCH_SIZE, ClusterDataset, TrainConfig, _fit
 
 # Seeds whose random nets give finite-difference checks comfortably away
 # from the central-difference noise floor (entries ~1e-7 against an
@@ -309,7 +310,7 @@ class TestGradients:
             backward(lstm, np.zeros(2), tape)
 
 
-def fit_loop(net, inputs, targets, epochs, batch_size, seed, tapes):
+def fit_loop(net, inputs, targets, epochs, seed, tapes):
     """_fit's training loop, also recording every gradient vector. tapes
     is a dict of tapes reused by batch size, or None for a fresh tape on
     every forward(). Returns (flat bytes, loss trace, gradient bytes)."""
@@ -319,8 +320,8 @@ def fit_loop(net, inputs, targets, epochs, batch_size, seed, tapes):
     for _ in range(epochs):
         order = rng.permutation(targets.size)
         sq_sum = 0.0
-        for start in range(0, targets.size, batch_size):
-            idx = order[start:start + batch_size]
+        for start in range(0, targets.size, BATCH_SIZE):
+            idx = order[start:start + BATCH_SIZE]
             if tapes is not None and idx.size not in tapes:
                 tapes[idx.size] = Tape(net, idx.size)
             preds, tape = forward(net, inputs[idx], None if tapes is None else tapes[idx.size])
@@ -342,26 +343,27 @@ def tape_arrays(tape):
 class TestTape:
     @pytest.mark.parametrize("kind", ["lstm", "gru"])
     def test_reused_tapes_train_bit_for_bit_like_fresh_ones(self, kind):
-        """20 windows in batches of 8 end on a ragged batch of 4, which
+        """70 windows in batches of 32 end on a ragged batch of 6, which
         gets a tape of its own."""
         rng = np.random.default_rng(7)
-        inputs, targets = rng.random((20, 4)), rng.random(20)
+        inputs, targets = rng.random((70, 4)), rng.random(70)
         runs = [fit_loop(build_network(kind, 2, 5, seed=3), inputs, targets,
-                         epochs=3, batch_size=8, seed=1, tapes=tapes) for tapes in (None, {})]
+                         epochs=3, seed=1, tapes=tapes) for tapes in (None, {})]
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
         assert runs[0][2] == runs[1][2] and len(runs[0][2]) == 9
 
     @pytest.mark.parametrize("kind", ["lstm", "gru"])
     def test_fit_matches_a_fresh_tape_loop(self, kind):
-        series = np.random.default_rng(2).random(40)
-        dataset = ClusterDataset(cluster=0, train=make_windows(series[:30]),
-                                 test=make_windows(series[30:]),
+        """74 training windows: two batches of 32 and a ragged 10."""
+        series = np.random.default_rng(2).random(100)
+        dataset = ClusterDataset(cluster=0, train=make_windows(series[:78]),
+                                 test=make_windows(series[78:]),
                                  scaler=MinMaxScaler(lo=0.0, hi=1.0))
-        net, trace = _fit(kind, 1, 6, dataset, TrainConfig(epochs=2, batch_size=8), seed=4)
+        net, trace = _fit(kind, 1, 6, dataset, TrainConfig(epochs=2), seed=4)
         flat, ref_trace, _ = fit_loop(build_network(kind, 1, 6, seed=[4, 0]),
                                       dataset.train.inputs, dataset.train.targets,
-                                      epochs=2, batch_size=8, seed=[4, 1], tapes=None)
+                                      epochs=2, seed=[4, 1], tapes=None)
         assert net.flat.tobytes() == flat
         assert trace == ref_trace
 
@@ -682,6 +684,18 @@ class TestBuildAndPersist:
         path.write_text(json.dumps(doc))
         with pytest.raises(MalformedModel, match=r"m.json: layers\[1\].input_dim: 3, expected 4"):
             load_model_json(str(path))
+
+    def test_load_rejects_a_first_layer_not_window_wide(self, tmp_path):
+        """build_network gives its first layer one unit per window
+        position; a file of a network built by hand with 3 is refused."""
+        net = RecurrentNetwork(cell_kind="lstm", layers=[LstmLayerParams(3, 1),
+                                                         LstmLayerParams(5, 3)],
+                               head_w=np.zeros(5), head_b=np.zeros(1))
+        path = tmp_path / "m.json"
+        save_model_json(net, None, str(path))
+        with pytest.raises(MalformedModel) as exc:
+            load_model_json(str(path))
+        assert str(exc.value) == f"{path}: layers[0].units: 3, expected 4"
 
     def test_load_rejects_text_that_is_not_json(self, tmp_path):
         path = tmp_path / "m.json"

@@ -40,11 +40,12 @@ from cellcast.training import (
 SPAN_START = 1_383_260_400_000
 BIN = 1_800_000
 
-FAST = TrainConfig(epochs=2, batch_size=16, runs=2, base_seed=0)
+FAST = TrainConfig(epochs=2, runs=2, base_seed=0)
 
 
 # prepare_dataset's chronological split of bumpy_series(): the first
-# floor(0.8 * 144) = 115 bins train.
+# floor(0.8 * 144) = 115 bins train, which give 111 windows: three
+# batches of 32 and a ragged last batch of 15.
 N_TRAIN = int(np.floor(0.8 * 3 * 48))
 
 
@@ -78,7 +79,7 @@ class TestConfigValidation:
         validate_train_config(TrainConfig())
         validate_grid(GridSpec())
 
-    @pytest.mark.parametrize("field,value", [("epochs", 0), ("batch_size", 0), ("runs", 0)])
+    @pytest.mark.parametrize("field,value", [("epochs", 0), ("runs", 0)])
     def test_bad_train_config(self, field, value):
         with pytest.raises(ConfigError):
             validate_train_config(dataclasses.replace(TrainConfig(), **{field: value}))
@@ -137,6 +138,23 @@ class TestTrainOnce:
         assert result.mae <= result.rmse + 1e-15
         assert result.seconds >= 0.0
         assert result.seed == 3 and result.run == 1
+
+    def test_steps_take_batches_of_the_fixed_size(self, dataset, monkeypatch):
+        """Each epoch feeds the 111 training windows in as 32, 32, 32 and
+        a ragged 15; the run is then scored on the test windows."""
+        from cellcast import training
+
+        sizes = []
+        forward = training.forward
+
+        def counting(net, x, tape=None):
+            sizes.append(len(x))
+            return forward(net, x, tape)
+
+        monkeypatch.setattr(training, "forward", counting)
+        train_once("gru", 1, 4, dataset, FAST, seed=3)
+        assert training.BATCH_SIZE == 32
+        assert sizes == [32, 32, 32, 15] * FAST.epochs + [dataset.test.targets.size]
 
     def test_deterministic_per_seed(self, dataset):
         a = train_once("lstm", 1, 4, dataset, FAST, seed=5)
