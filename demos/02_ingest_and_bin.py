@@ -6,20 +6,24 @@ read in bulk into a record array, and each bin is summed in ascending
 order of value, so shuffling the lines of a file never changes the bits.
 """
 
+import os
 import tempfile
 
-from cellcast import Archetype, SynthSpec, bin_series, generate, parse_cdr_line, read_cdr_paths
+from cellcast import Archetype, SynthSpec, bin_series, generate, read_cdr_file, read_cdr_paths
 
 # A CDR line carries cell id, a millisecond timestamp, a country code,
 # and activity columns of which we read the last (internet traffic).
-line = "17\t1383260400000\t39\t\t\t\t\t3.75"
-record = parse_cdr_line(line)
-print(f"parsed: cell={record.cell_id} timestamp={record.timestamp} "
-      f"activity={record.internet_activity}")
-
-# A blank activity column means the cell saw no internet traffic there.
-no_activity = parse_cdr_line("17\t1383260400000\t39\t\t\t\t\t")
-print(f"blank activity parses to: {no_activity!r}")
+# A blank activity column means the cell saw no internet traffic there,
+# so the second line holds no record.
+lines = ["17\t1383260400000\t39\t\t\t\t\t3.75", "17\t1383260400000\t39\t\t\t\t\t"]
+with tempfile.TemporaryDirectory() as out:
+    path = os.path.join(out, "two_lines.tsv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    table = read_cdr_file(path)
+print(f"read {len(table)} record from {len(lines)} lines:")
+for cell_id, timestamp, activity in table.tolist():
+    print(f"  cell={cell_id} timestamp={timestamp} activity={activity}")
 
 spec = SynthSpec(
     archetypes=[Archetype(id=0, base_level=8.0, period_weights=(1, 2, 3, 3, 2, 1), noise_sd=0.3)],

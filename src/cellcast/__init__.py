@@ -19,10 +19,8 @@ from .ingest import (
     BinningResult,
     CdrRecord,
     bin_series,
-    iter_cdr_file,
     iter_cdr_paths,
     load_bins_json,
-    parse_cdr_line,
     read_cdr_file,
     read_cdr_paths,
     save_bins_csv,

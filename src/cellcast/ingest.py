@@ -13,8 +13,9 @@ empty activity field, which that parser refuses, is read with a small
 converter on the field instead, so that one runs per line; a scan of
 the file's bytes picks the reader before either runs. A file that the
 reader refuses, or whose values break a rule, is walked line by line:
-the walk names the first bad line, or its records are the table. Each
-file's records are then ordered by one argsort of a packed key and
+the walk names the first bad line, or its records are the table.
+bin_series takes the record arrays that read_cdr_paths yields, one per
+file. Each file's records are ordered by one argsort of a packed key and
 summed per bin by one reduceat. All series of a bins set share one
 span (common_span).
 """
@@ -27,7 +28,7 @@ import os
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -77,8 +78,6 @@ class BinningResult:
 
     cells: dict[int, BinnedCellSeries]
     dropped: int = 0
-    span_start: int = 0
-    span_end: int = 0
 
 
 # --- parsing --------------------------------------------------------------
@@ -146,21 +145,18 @@ def _int64(field: str, name: str) -> int:
 
 
 def _line_record(line: str) -> tuple[int, int, float]:
-    """The record of one non-blank CDR line, read by the rules that
-    _load_table reads a file with and then held to the value rules;
-    raises the first rule the line breaks, without its location.
+    """The record of one non-blank CDR line without its line break, read
+    by the rules that _load_table reads a file with and then held to the
+    value rules; raises the first rule the line breaks, without its
+    location.
 
-    A line may end in one line break (\\n, \\r\\n or \\r) and hold no other.
     Fields are read in turn (cell id, timestamp, activity), and one that
     is missing when its turn comes makes a short line. Unless the
     activity is empty (NaN), the cell id must be >= 1 and the activity
     finite and >= 0. A field is quoted cut at 100 characters, so that a
     garbage line cannot flood the message.
     """
-    body = line.removesuffix("\n").removesuffix("\r")
-    if "\n" in body or "\r" in body:
-        raise MalformedLine("line holds a line break")
-    fields = body.split("\t")
+    fields = line.split("\t")
     try:
         cell_id = _int64(fields[CELL_COLUMN], "cell id")
         timestamp = _int64(fields[TIME_COLUMN], "timestamp")
@@ -297,29 +293,6 @@ def read_cdr_file(path: str) -> np.ndarray:
     return _parse(path, skip, fast)
 
 
-def parse_cdr_line(line: str) -> Optional[CdrRecord]:
-    """Parse one tab-separated CDR line by the rules files are read by.
-
-    Returns None (skip) when the line is blank or its internet-activity
-    field is empty, the dataset convention for an inactive channel.
-
-    Raises
-    ------
-    MalformedLine
-        A mandatory column is absent or non-numeric, or the line holds a
-        line break before its end.
-    NegativeActivity
-        The activity field parses below zero.
-    """
-    if not line.strip():
-        return None
-    try:
-        record = CdrRecord(*_line_record(line))
-    except (MalformedLine, NegativeActivity) as exc:
-        raise type(exc)(f"<line>: {exc}") from None
-    return None if math.isnan(record.internet_activity) else record
-
-
 CDR_EXTENSIONS = (".tsv", ".txt", ".dat")
 
 
@@ -346,11 +319,6 @@ def _records(table: np.ndarray) -> Iterator[CdrRecord]:
         yield CdrRecord(cell_id, timestamp, activity)
 
 
-def iter_cdr_file(path: str) -> Iterator[CdrRecord]:
-    """Yield the records of one log file (see read_cdr_file)."""
-    yield from _records(read_cdr_file(path))
-
-
 def iter_cdr_paths(paths: Iterable[str]) -> Iterator[CdrRecord]:
     """Yield records from files or directories, taken as read_cdr_paths
     takes them."""
@@ -359,18 +327,6 @@ def iter_cdr_paths(paths: Iterable[str]) -> Iterator[CdrRecord]:
 
 
 # --- binning --------------------------------------------------------------
-
-def _record_arrays(records: Iterable[Union[CdrRecord, np.ndarray]]) -> Iterator[np.ndarray]:
-    """Record arrays pass through; loose CdrRecords become one more array."""
-    loose = []
-    for item in records:
-        if isinstance(item, CdrRecord):
-            loose.append((item.cell_id, item.timestamp, item.internet_activity))
-        else:
-            yield item
-    if loose:
-        yield np.array(loose, dtype=CDR_DTYPE)
-
 
 def _bin_sums(table: np.ndarray, span_start: int,
               span_end: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -422,13 +378,11 @@ def _bin_sums(table: np.ndarray, span_start: int,
     return cells, bins, np.add.reduceat(value[order], starts), dropped
 
 
-def bin_series(records: Iterable[Union[CdrRecord, np.ndarray]], span_start: int,
-               span_end: int) -> BinningResult:
-    """Aggregate records into per-cell 30-minute activity sums.
+def bin_series(tables: Iterable[np.ndarray], span_start: int, span_end: int) -> BinningResult:
+    """Aggregate record arrays into per-cell 30-minute activity sums.
 
-    `records` yields record arrays (read_cdr_paths gives one per file),
-    CdrRecords, or both; the CdrRecords count as one more array. Bin b
-    of a cell holds the sum of activity over its records with
+    `tables` yields CDR_DTYPE arrays, as read_cdr_paths gives one per
+    file. Bin b of a cell holds the sum of activity over its records with
     span_start + b*30min <= timestamp < span_start + (b+1)*30min.
     Records outside [span_start, span_end) are dropped and counted, not
     treated as errors.
@@ -455,7 +409,7 @@ def bin_series(records: Iterable[Union[CdrRecord, np.ndarray]], span_start: int,
     ids = np.empty(0, dtype=np.int64)  # sorted; row i of totals is cell ids[i]
     totals = np.zeros((0, n_bins))
     dropped = 0
-    for table in _record_arrays(records):
+    for table in tables:
         cells, bins, sums, out = _bin_sums(table, span_start, span_end)
         dropped += out
         # cells is sorted, so its distinct ids start its runs; np.setdiff1d
@@ -476,7 +430,7 @@ def bin_series(records: Iterable[Union[CdrRecord, np.ndarray]], span_start: int,
 
     cells = {cid: BinnedCellSeries(cid, span_start, totals[row])
              for row, cid in enumerate(ids.tolist())}
-    return BinningResult(cells=cells, dropped=dropped, span_start=span_start, span_end=span_end)
+    return BinningResult(cells=cells, dropped=dropped)
 
 
 # --- persistence ----------------------------------------------------------

@@ -7,6 +7,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+from collections import Counter
 from typing import Callable, TypeVar
 
 import numpy as np
@@ -24,15 +25,45 @@ def save(path: str, doc, indent: int | None = None) -> None:
         fh.write("\n")
 
 
+def _path_to(node, target, where: str = "") -> str | None:
+    """The key path from node down to the object target, e.g.
+    `synth.archetypes[0].`; None when target is not under node."""
+    if node is target:
+        return where
+    if isinstance(node, dict):
+        steps = [(f"{where}{name}.", value) for name, value in node.items()]
+    elif isinstance(node, list):
+        steps = [(f"{where.removesuffix('.')}[{i}].", value) for i, value in enumerate(node)]
+    else:
+        steps = []
+    for step, value in steps:
+        found = _path_to(value, target, step)
+        if found is not None:
+            return found
+    return None
+
+
 def load(path: str, parse: Callable[[dict], T], error: type[ValidationError]) -> T:
     """parse(document) of the JSON object in the file at path. Text that is
-    not a JSON object, and a MalformedFile raised by parse, become `error`
-    with the path in front of the message."""
+    not a JSON object, an object that repeats a key, and a MalformedFile
+    raised by parse, become `error` with the path in front of the message."""
+    repeated = []  # (object, its first repeated key)
+
+    def pairs_hook(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            counts = Counter(name for name, _ in pairs)
+            repeated.append((obj, next(name for name, n in counts.items() if n > 1)))
+        return obj
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=pairs_hook)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise error(f"{path}: not valid JSON ({exc})") from None
+    if repeated:
+        obj, name = repeated[0]
+        raise error(f"{path}: {_path_to(doc, obj)}{name}: repeated key")
     if not isinstance(doc, dict):
         raise error(f"{path}: not a JSON object")
     try:

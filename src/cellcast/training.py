@@ -297,6 +297,9 @@ def grid_search(grid: GridSpec, datasets: list[ClusterDataset], cfg: TrainConfig
     runs_per_label = Counter(config_label(kind, ds.cluster, hidden_layers, units)
                              for kind, hidden_layers, units, ds, *_ in tasks)
 
+    # A fork pool starts all of its processes at the first submit, so it
+    # gets no more than there are tasks and usable CPUs.
+    workers = min(workers, len(tasks), len(os.sched_getaffinity(0)))
     if workers <= 1:
         results, kept = _keep_winners(map(_run_task, tasks), runs_per_label)
     else:
@@ -458,8 +461,6 @@ class PredictionTable:
     timestamps: np.ndarray  # bin start, epoch ms
     truth: np.ndarray
     prediction: np.ndarray
-    scaled_targets: np.ndarray
-    scaled_preds: np.ndarray
 
 
 def predict_test_split(net: RecurrentNetwork, scaler: MinMaxScaler,
@@ -475,8 +476,6 @@ def predict_test_split(net: RecurrentNetwork, scaler: MinMaxScaler,
         timestamps=series.span_start + abs_bins.astype(np.int64) * BIN_WIDTH_MS,
         truth=test_raw[windows.origin_indices],
         prediction=scaler.inverse(preds_scaled),
-        scaled_targets=windows.targets,
-        scaled_preds=preds_scaled,
     )
 
 

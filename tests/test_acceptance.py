@@ -38,7 +38,6 @@ from cellcast import (
     generate,
     grid_search,
     gru_step,
-    iter_cdr_paths,
     kmeans,
     knee_point,
     kruskal_wallis,
@@ -47,6 +46,7 @@ from cellcast import (
     make_windows,
     naive_baseline,
     prepare_dataset,
+    read_cdr_paths,
     rmse,
     sigmoid,
     split_train_test,
@@ -311,7 +311,7 @@ def test_08_scale_counts(tmp_path):
     spec = SynthSpec(archetypes=[arch], cells_per_archetype=1, days=62, seed=3)
     generate(spec, str(tmp_path))
     span_end = spec.span_start + 62 * BINS_PER_DAY * BIN_WIDTH_MS
-    result = bin_series(iter_cdr_paths([str(tmp_path)]), spec.span_start, span_end)
+    result = bin_series(read_cdr_paths([str(tmp_path)]), spec.span_start, span_end)
     values = result.cells[1].values
     assert values.size == 2976, f"expected 2976 bins, got {values.size}"
 
@@ -337,7 +337,7 @@ def test_09_real_data_report():
     workers = int(os.environ.get("CDR_WORKERS", str(os.cpu_count() or 1)))
     span_end = span_start + span_days * BINS_PER_DAY * BIN_WIDTH_MS
 
-    result = bin_series(iter_cdr_paths([data_dir]), span_start, span_end)
+    result = bin_series(read_cdr_paths([data_dir]), span_start, span_end)
     profiles = build_profiles(result.cells, utc_offset)
     model = kmeans(profiles, k=12, seed=0)
     series = cluster_mean_series(model, result.cells)

@@ -192,6 +192,12 @@ def _small_pipeline(out_dir, synth):
             "train": {"epochs": 1, "runs": 1}}
 
 
+def _repeat(key):
+    """A corruption that writes the first `key` of the document twice,
+    first as "": it returns the text, since a dict holds a key once."""
+    return lambda doc: json.dumps(doc).replace(f'"{key}": ', f'"{key}": "", "{key}": ', 1)
+
+
 class TestSynthSpecErrors:
     """A bad synth spec exits 2 and names the offending key, from both
     the synth subcommand and the pipeline."""
@@ -271,6 +277,9 @@ class TestPipelineConfigErrors:
         "repeated_units": (lambda c: c["grid"].update(units=[3, 3]), "grid axis units repeats 3"),
         "repeated_cell_kind": (lambda c: c["grid"].update(cell_kinds=["lstm", "gru", "LSTM"]),
                                "grid axis cell_kinds repeats 'lstm'"),
+        "repeated_key": (_repeat("epochs"), "config.json: train.epochs: repeated key"),
+        "repeated_key_in_list": (_repeat("noise_sd"),
+                                 "config.json: synth.archetypes[0].noise_sd: repeated key"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -278,9 +287,9 @@ class TestPipelineConfigErrors:
         mutate, named = self.CASES[case]
         out = tmp_path / "out"
         config = _small_pipeline(out, _two_archetype_synth())
-        mutate(config)
+        text = mutate(config)  # only a repeated key comes back as text
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
+        path.write_text(text if isinstance(text, str) else json.dumps(config))
         assert main(["pipeline", "--config", str(path)]) == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
@@ -545,6 +554,7 @@ class TestMalformedArtefacts:
         "blob_non_finite": (lambda d: d["cells"].update({"3": _blob([0.0] * 47 + [np.inf])}),
                             "cells.3: holds a non-finite value"),
         "blob_list": (lambda d: d["cells"].update({"4": [0.0] * 48}), "cells.4: not base64"),
+        "repeated_cell": (_repeat("1"), "cells.1: repeated key"),
     }
     CLUSTER_CASES = {
         "invalid_json": (None, "not valid JSON"),
@@ -554,6 +564,7 @@ class TestMalformedArtefacts:
         "ragged_centroids": (lambda d: d["centroids"][1].pop(),
                              "centroids: not a 2-d list of numbers"),
         "nan_sse": (lambda d: d.update(sse=float("nan")), "sse: nan, expected a finite number"),
+        "repeated_assignment": (_repeat("1"), "assignment.1: repeated key"),
     }
 
     @staticmethod
@@ -561,8 +572,8 @@ class TestMalformedArtefacts:
         if corrupt is None:
             path.write_text(json.dumps(doc)[:-7])
         else:
-            corrupt(doc)
-            path.write_text(json.dumps(doc))
+            text = corrupt(doc)  # only a repeated key comes back as text
+            path.write_text(text if isinstance(text, str) else json.dumps(doc))
 
     def _expect(self, capsys, argv, path, message):
         assert main(argv) == 2

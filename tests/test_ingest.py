@@ -10,12 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellcast import (
-    CdrRecord,
     bin_series,
-    iter_cdr_file,
     iter_cdr_paths,
     load_bins_json,
-    parse_cdr_line,
+    read_cdr_file,
     read_cdr_paths,
     save_bins_csv,
     save_bins_json,
@@ -28,68 +26,96 @@ SPAN_START = 1_383_260_400_000
 BIN = 30 * 60 * 1000
 
 CANONICAL = "42\t1383260400000\t39\t\t\t\t\t5.25"
+RECORD = (42, 1383260400000, 5.25)  # CANONICAL's (cell id, timestamp, activity)
+
+
+def records_of(tmp_path, text):
+    """The records read_cdr_file reads from a file holding `text`, as
+    (cell id, timestamp, activity) tuples."""
+    path = tmp_path / "cdr.tsv"
+    path.write_bytes(text.encode())
+    return read_cdr_file(str(path)).tolist()
+
+
+def line_error(tmp_path, bad, error):
+    """What read_cdr_file says of a file whose line 2, after CANONICAL,
+    is `bad`: it raises exactly `error`, naming the file and line 2."""
+    path = tmp_path / "cdr.tsv"
+    path.write_bytes((CANONICAL + "\n" + bad + "\n").encode())
+    with pytest.raises(error) as exc:
+        read_cdr_file(str(path))
+    assert type(exc.value) is error
+    assert str(exc.value).startswith(f"{path}:2: ")
+    return str(exc.value).removeprefix(f"{path}:2: ")
+
+
+def cdr_table(*records):
+    """A CDR_DTYPE record array of (cell id, timestamp, activity) tuples."""
+    return np.array(list(records), dtype=ingest.CDR_DTYPE)
 
 
 class TestParseLine:
-    def test_canonical_line(self):
-        rec = parse_cdr_line(CANONICAL)
-        assert rec == CdrRecord(42, 1383260400000, 5.25)
+    """Each rule of one line, on a small file read by read_cdr_file."""
 
-    def test_trailing_newline_ignored(self):
-        assert parse_cdr_line(CANONICAL + "\r\n") == parse_cdr_line(CANONICAL)
+    def test_canonical_line(self, tmp_path):
+        assert records_of(tmp_path, CANONICAL) == [RECORD]
 
-    def test_blank_line_skipped(self):
-        assert parse_cdr_line("") is None
-        assert parse_cdr_line("   \n") is None
+    def test_trailing_newline_ignored(self, tmp_path):
+        assert records_of(tmp_path, CANONICAL + "\r\n") == [RECORD]
 
-    def test_empty_activity_field_skipped(self):
+    def test_blank_line_skipped(self, tmp_path):
+        assert records_of(tmp_path, CANONICAL + "\n\n   \n" + CANONICAL) == [RECORD] * 2
+
+    def test_empty_activity_field_skipped(self, tmp_path):
         """An empty internet column means no activity on that channel."""
-        assert parse_cdr_line("42\t1383260400000\t39\t1.0\t\t\t\t") is None
+        text = CANONICAL + "\n42\t1383260400000\t39\t1.0\t\t\t\t\n"
+        assert records_of(tmp_path, text) == [RECORD]
 
-    def test_too_few_columns(self):
-        with pytest.raises(MalformedLine):
-            parse_cdr_line("42\t1383260400000\t39")
+    def test_too_few_columns(self, tmp_path):
+        assert line_error(tmp_path, "42\t1383260400000\t39", MalformedLine) == \
+            "expected at least 8 columns, got 3"
 
-    def test_non_numeric_id(self):
-        with pytest.raises(MalformedLine):
-            parse_cdr_line("abc\t1383260400000\t39\t\t\t\t\t5.25")
+    def test_non_numeric_id(self, tmp_path):
+        assert line_error(tmp_path, "abc\t1383260400000\t39\t\t\t\t\t5.25", MalformedLine) == \
+            "non-numeric or non-integer cell id: 'abc'"
 
-    def test_non_numeric_activity(self):
-        with pytest.raises(MalformedLine):
-            parse_cdr_line("42\t1383260400000\t39\t\t\t\t\tx")
+    def test_non_numeric_activity(self, tmp_path):
+        assert line_error(tmp_path, "42\t1383260400000\t39\t\t\t\t\tx", MalformedLine) == \
+            "non-numeric activity field: 'x'"
 
-    def test_non_finite_activity(self):
-        with pytest.raises(MalformedLine):
-            parse_cdr_line("42\t1383260400000\t39\t\t\t\t\tnan")
-        with pytest.raises(MalformedLine):
-            parse_cdr_line("42\t1383260400000\t39\t\t\t\t\tinf")
+    def test_non_finite_activity(self, tmp_path):
+        assert line_error(tmp_path, "42\t1383260400000\t39\t\t\t\t\tnan", MalformedLine) == \
+            "non-finite activity value: 'nan'"
+        assert line_error(tmp_path, "42\t1383260400000\t39\t\t\t\t\tinf", MalformedLine) == \
+            "non-finite activity value: inf"
 
-    def test_negative_activity(self):
-        with pytest.raises(NegativeActivity):
-            parse_cdr_line("42\t1383260400000\t39\t\t\t\t\t-0.5")
+    def test_negative_activity(self, tmp_path):
+        assert line_error(tmp_path, "42\t1383260400000\t39\t\t\t\t\t-0.5", NegativeActivity) == \
+            "activity -0.5 < 0"
 
-    def test_cell_id_below_one(self):
-        with pytest.raises(MalformedLine):
-            parse_cdr_line("0\t1383260400000\t39\t\t\t\t\t5.25")
+    def test_cell_id_below_one(self, tmp_path):
+        assert line_error(tmp_path, "0\t1383260400000\t39\t\t\t\t\t5.25", MalformedLine) == \
+            "cell id must be >= 1, got 0"
 
     @pytest.mark.parametrize("line", ["42\r\t1383260400000\t39\t\t\t\t\t5.25",
                                       CANONICAL + "\n\n", CANONICAL + "\n\r"])
-    def test_line_break_inside_line(self, line):
-        with pytest.raises(MalformedLine) as exc:
-            parse_cdr_line(line)
-        assert str(exc.value) == "<line>: line holds a line break"
+    def test_line_break_inside_line(self, tmp_path, line):
+        """Every line break ends a line, a lone \\r too: one inside a
+        record leaves a short line, one after it a blank line."""
+        if line.startswith(CANONICAL):
+            assert records_of(tmp_path, line) == [RECORD]
+        else:
+            assert line_error(tmp_path, line, MalformedLine) == \
+                "expected at least 8 columns, got 1"
 
 
 class TestFileIteration:
     def test_header_line_skipped(self, tmp_path):
-        path = tmp_path / "with_header.tsv"
-        path.write_text("square_id\ttime\tcountry\ta\tb\tc\td\tinternet\n" + CANONICAL + "\n")
-        assert [r.cell_id for r in iter_cdr_file(str(path))] == [42]
+        text = "square_id\ttime\tcountry\ta\tb\tc\td\tinternet\n" + CANONICAL + "\n"
+        assert records_of(tmp_path, text) == [RECORD]
 
     def test_headerless_file_fully_read(self, tmp_path):
-        path = tmp_path / "plain.tsv"
-        path.write_text(CANONICAL + "\n" + CANONICAL + "\n")
-        assert len(list(iter_cdr_file(str(path)))) == 2
+        assert records_of(tmp_path, CANONICAL + "\n" + CANONICAL + "\n") == [RECORD] * 2
 
     def test_directory_reads_sorted_and_filters_sidecars(self, tmp_path):
         """Directory listings only take CDR-looking extensions, in name order."""
@@ -109,8 +135,6 @@ class TestFileLayouts:
     """Text layouts a bulk column reader could treat differently from a
     line-by-line one."""
 
-    RECORD = CdrRecord(42, 1383260400000, 5.25)
-
     @pytest.mark.parametrize("text,count", [
         (CANONICAL + "\r\n" + CANONICAL + "\r\n", 2),
         (" 42 \t 1383260400000 \t39\t\t\t\t\t 5.25 \n", 1),
@@ -123,9 +147,7 @@ class TestFileLayouts:
     ], ids=["crlf", "spaces_around_fields", "extra_columns", "blank_line_mid_file",
             "whitespace_only_lines", "header_only", "no_lines", "non_ascii_unread_column"])
     def test_layout_reads_as_line_parser(self, tmp_path, text, count):
-        path = tmp_path / "cdr.tsv"
-        path.write_bytes(text.encode())
-        assert list(iter_cdr_file(str(path))) == [self.RECORD] * count
+        assert records_of(tmp_path, text) == [RECORD] * count
 
 
 class TestErrorLocations:
@@ -180,40 +202,34 @@ class TestErrorLocations:
         path = tmp_path / "day.tsv"
         path.write_text(CANONICAL + "\n" + CANONICAL.replace("5.25", "-1") + "\n42\t1\n")
         with pytest.raises(NegativeActivity, match=f"^{path}:2: "):
-            list(iter_cdr_file(str(path)))
+            read_cdr_file(str(path))
 
 
 class TestBinning:
     def test_boundary_placement(self):
         """First ms of a bin belongs to it, first ms of the next does not."""
-        records = [
-            CdrRecord(1, SPAN_START, 1.0),
-            CdrRecord(1, SPAN_START + BIN - 1, 2.0),
-            CdrRecord(1, SPAN_START + BIN, 4.0),
-        ]
-        result = bin_series(records, SPAN_START, SPAN_START + 2 * BIN)
+        table = cdr_table((1, SPAN_START, 1.0), (1, SPAN_START + BIN - 1, 2.0),
+                          (1, SPAN_START + BIN, 4.0))
+        result = bin_series([table], SPAN_START, SPAN_START + 2 * BIN)
         np.testing.assert_allclose(result.cells[1].values, [3.0, 4.0])
         assert result.dropped == 0
 
     def test_out_of_span_records_dropped_and_counted(self):
-        records = [
-            CdrRecord(1, SPAN_START - 1, 9.0),
-            CdrRecord(1, SPAN_START, 1.0),
-            CdrRecord(1, SPAN_START + 2 * BIN, 9.0),
-        ]
-        result = bin_series(records, SPAN_START, SPAN_START + 2 * BIN)
+        table = cdr_table((1, SPAN_START - 1, 9.0), (1, SPAN_START, 1.0),
+                          (1, SPAN_START + 2 * BIN, 9.0))
+        result = bin_series([table], SPAN_START, SPAN_START + 2 * BIN)
         assert result.dropped == 2
         np.testing.assert_allclose(result.cells[1].values, [1.0, 0.0])
 
     def test_empty_bins_are_explicit_zeros(self):
-        result = bin_series([CdrRecord(5, SPAN_START, 1.5)], SPAN_START, SPAN_START + 4 * BIN)
+        result = bin_series([cdr_table((5, SPAN_START, 1.5))], SPAN_START, SPAN_START + 4 * BIN)
         series = result.cells[5]
         assert series.n_bins == 4
         np.testing.assert_array_equal(series.values[1:], 0.0)
 
     def test_sixty_two_day_span_gives_2976_bins(self):
         end = SPAN_START + 62 * 48 * BIN
-        result = bin_series([CdrRecord(1, SPAN_START, 1.0)], SPAN_START, end)
+        result = bin_series([cdr_table((1, SPAN_START, 1.0))], SPAN_START, end)
         assert result.cells[1].n_bins == 2976
 
     def test_unaligned_span_rejected(self):
@@ -227,8 +243,8 @@ class TestBinning:
         rng = np.random.default_rng(11)
         parts = rng.random(20_000) * 1e-3
         offsets = rng.integers(0, 48 * BIN, size=parts.size)
-        records = [CdrRecord(1, SPAN_START + int(o), float(p)) for o, p in zip(offsets, parts)]
-        result = bin_series(records, SPAN_START, SPAN_START + 48 * BIN)
+        table = cdr_table(*[(1, SPAN_START + int(o), float(p)) for o, p in zip(offsets, parts)])
+        result = bin_series([table], SPAN_START, SPAN_START + 48 * BIN)
         total = math.fsum(result.cells[1].values)
         assert abs(total - math.fsum(parts)) < 1e-9
 
@@ -261,20 +277,17 @@ class TestBinning:
             for cid in reference:
                 assert cells[cid].values.tobytes() == reference[cid].values.tobytes()
 
-        records = [CdrRecord(c, t, v) for c, t, v in files[0]]
-        one_pass = bin_series(records, SPAN_START, end).cells
-        reordered = bin_series(records[::-1], SPAN_START, end).cells
+        table = cdr_table(*files[0])
+        one_pass = bin_series([table], SPAN_START, end).cells
+        reordered = bin_series([table[::-1]], SPAN_START, end).cells
         for cid in one_pass:
             assert reordered[cid].values.tobytes() == one_pass[cid].values.tobytes()
 
 
 class TestPersistence:
     def test_json_round_trip_exact(self, tmp_path):
-        cells = bin_series(
-            [CdrRecord(1, SPAN_START, 0.1), CdrRecord(2, SPAN_START + BIN, 1 / 3)],
-            SPAN_START,
-            SPAN_START + 2 * BIN,
-        ).cells
+        table = cdr_table((1, SPAN_START, 0.1), (2, SPAN_START + BIN, 1 / 3))
+        cells = bin_series([table], SPAN_START, SPAN_START + 2 * BIN).cells
         path = tmp_path / "bins.json"
         save_bins_json(cells, str(path))
         loaded = load_bins_json(str(path))
@@ -331,11 +344,8 @@ class TestPersistence:
         assert path.read_bytes().endswith(b"\n")
 
     def test_csv_rows_sorted_and_reparse_exactly(self, tmp_path):
-        cells = bin_series(
-            [CdrRecord(2, SPAN_START, math.pi), CdrRecord(1, SPAN_START + BIN, math.e)],
-            SPAN_START,
-            SPAN_START + 2 * BIN,
-        ).cells
+        table = cdr_table((2, SPAN_START, math.pi), (1, SPAN_START + BIN, math.e))
+        cells = bin_series([table], SPAN_START, SPAN_START + 2 * BIN).cells
         path = tmp_path / "bins.csv"
         save_bins_csv(cells, str(path))
         lines = path.read_text().splitlines()

@@ -28,7 +28,7 @@ from cellcast.synth import (
 
 def roundtrip(spec, out_dir):
     paths, truth = generate(spec, str(out_dir))
-    result = bin_series(iter_cdr_paths(paths), spec.span_start, spec.span_end)
+    result = bin_series(read_cdr_paths(paths), spec.span_start, spec.span_end)
     return result, truth
 
 

@@ -15,6 +15,7 @@ from cellcast import (
     BinnedCellSeries,
     GridSpec,
     TrainConfig,
+    forward,
     grid_search,
     naive_baseline,
     prepare_dataset,
@@ -122,6 +123,39 @@ class TestConfigValidation:
             grid_search(GridSpec((1,), (2,), ("gru",)), [dataset], TrainConfig(epochs=1, runs=1),
                         workers=workers)
 
+    @pytest.mark.parametrize("workers,cpus,runs,pool", [
+        (5000, 8, 2, 2),  # one process per task
+        (5000, 2, 3, 2),  # one per usable CPU
+        (3, 8, 4, 3),  # the workers asked for
+        (5000, 1, 2, None),  # one CPU: no pool at all
+    ])
+    def test_grid_search_bounds_its_pool(self, dataset, monkeypatch, workers, cpus, runs, pool):
+        """A fork pool starts all max_workers processes at the first
+        submit, so grid_search asks for no more than there are tasks and
+        usable CPUs. A stand-in pool records the size and starts nothing."""
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        grid_search(GridSpec((1,), (2,), ("gru",)), [dataset], TrainConfig(epochs=1, runs=runs),
+                    workers=workers)
+        assert sizes == ([] if pool is None else [pool])
+
 
 class TestLabels:
     def test_label_format(self):
@@ -168,7 +202,7 @@ class TestTrainOnce:
         assert a.rmse != b.rmse
 
     def test_replayed_network_scores_the_recorded_rmse(self, dataset):
-        from cellcast import forward, rmse as rmse_fn
+        from cellcast import rmse as rmse_fn
 
         result = train_once("gru", 1, 4, dataset, FAST, seed=7)
         net = train_best_network("gru", 1, 4, dataset, FAST, seed=7)
@@ -328,11 +362,11 @@ class TestPredictionTable:
         first_target_bin = N_TRAIN + 4
         assert table.timestamps[0] == SPAN_START + first_target_bin * BIN
         assert table.timestamps[-1] == SPAN_START + (144 - 1) * BIN
-        # truth is the raw series, prediction mapped back to raw units
+        # truth is the raw series; the prediction is the network's output
+        # on prepare_dataset's test windows, mapped back to raw units
         np.testing.assert_allclose(table.truth, bumpy_series().values[first_target_bin:])
-        np.testing.assert_allclose(
-            table.prediction, dataset.scaler.inverse(np.asarray(table.scaled_preds)), atol=1e-12
-        )
+        expected = dataset.scaler.inverse(forward(net, dataset.test.inputs)[0])
+        assert table.prediction.tobytes() == expected.tobytes()
 
 
 class TestPersistence:
