@@ -362,9 +362,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_train(args) -> int:
     training.validate_workers(args.workers, "--workers")
-    model = clustering.load_cluster_json(args.clusters)
-    cells = ingest.load_bins_json(args.bins)
-    series = clustering.cluster_mean_series(model, cells)
+    series = ingest.load_bins_json(args.series)
     if args.grid == "default":
         grid = training.GridSpec()
     else:
@@ -390,6 +388,8 @@ def _parse_cluster_range(text: str, available: list[int]) -> list[int]:
     for part in text.split(","):
         if not re.fullmatch(r"\d+", part.strip()) or int(part) not in available:
             raise ConfigError(f"--clusters: {part!r} is not a cluster in the results")
+        if int(part) in clusters:
+            raise ConfigError(f"--clusters: {int(part)} is repeated")
         clusters.append(int(part))
     return clusters
 
@@ -403,8 +403,6 @@ def cmd_compare(args) -> int:
 
 def cmd_predict(args) -> int:
     net, scaler = recurrent.load_model_json(args.model)
-    if scaler is None:
-        raise ConfigError(f"model {args.model} carries no scaler; cannot de-normalize")
     cells = ingest.load_bins_json(args.bins)
     if args.cluster is not None:
         if args.cluster not in cells:
@@ -499,9 +497,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-cluster mean series output (bins format)")
     p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("train", help="grid-search networks per cluster")
-    p.add_argument("--clusters", required=True, help="clusters.json")
-    p.add_argument("--bins", required=True, help="bins.json the clusters came from")
+    p = sub.add_parser("train", help="grid-search networks for every series of a file")
+    p.add_argument("--series", required=True,
+                   help="per-cluster series in the bins format, e.g. the cluster_series.json "
+                        "that cluster writes; train forecasts every series in it")
     p.add_argument("--grid", default="default", help="'default' or a grid JSON file")
     p.add_argument("--runs", type=int, default=training.TrainConfig.runs)
     p.add_argument("--epochs", type=int, default=training.TrainConfig.epochs)

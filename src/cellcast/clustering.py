@@ -24,8 +24,6 @@ from .errors import (
     EmptySeries,
     InvalidK,
     LengthMismatch,
-    MalformedClusters,
-    MalformedFile,
     MissingSeries,
     TooFewPoints,
 )
@@ -495,29 +493,6 @@ def save_cluster_json(model: ClusterModel, path: str) -> None:
         "sse": float(model.sse),
     }
     jsonfile.save(path, payload, indent=2)
-
-
-def _clusters_from_doc(doc: dict) -> ClusterModel:
-    k = jsonfile.positive_int(doc, "k")
-    centroids = jsonfile.finite_array(jsonfile.key(doc, "centroids"), "centroids", ndim=2)
-    if centroids.shape != (k, N_PERIODS):
-        raise MalformedFile(f"centroids: shape {centroids.shape}, expected ({k}, {N_PERIODS})")
-    raw = jsonfile.mapping(doc, "assignment")
-    assignment = {}
-    for text in raw:
-        cluster = jsonfile.integer(raw, text, "assignment.")
-        if not 0 <= cluster < k:
-            raise MalformedFile(f"assignment.{text}: {cluster}, expected a cluster in 0..{k - 1}")
-        assignment[jsonfile.int_key(text, "assignment.")] = cluster
-    return ClusterModel(k=k, centroids=centroids, assignment=assignment,
-                        iterations_run=0, sse=jsonfile.number(doc, "sse"))
-
-
-def load_cluster_json(path: str) -> ClusterModel:
-    """Read a cluster file. One whose centroids are not k rows of six
-    finite numbers, or that assigns a cell outside 0..k-1, raises
-    MalformedClusters naming the file and the key."""
-    return jsonfile.load(path, _clusters_from_doc, MalformedClusters)
 
 
 def save_sse_csv(curve: SseCurve, path: str) -> None:

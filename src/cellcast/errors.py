@@ -64,11 +64,6 @@ class MissingSeries(ValidationError):
     """A cell in the cluster assignment has no binned series."""
 
 
-class MalformedClusters(MalformedFile):
-    """A cluster file is not JSON, or a key is missing or misshaped, or a
-    cell is assigned to a cluster outside 0..k-1."""
-
-
 # --- series prep ----------------------------------------------------------
 
 class SeriesTooShort(ValidationError):

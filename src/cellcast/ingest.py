@@ -264,12 +264,35 @@ def _fast_parse_fits(fh, first_record: bytes) -> bool:
     return True
 
 
+def _leading_lines(fh) -> tuple[int, bytes]:
+    """The count of lines before the first record of the open binary CDR
+    file `fh`, and the bytes read past them (b"" at the end of the file).
+    Those lines are the blank ones, and the first line that is not blank
+    when its first field is not a number: a header. Lines are counted at
+    universal newlines, as loadtxt and _lines count them."""
+    skip = 0
+    # readline breaks at \n only, so a file whose lines end in a lone \r
+    # comes as one chunk.
+    for chunk in iter(fh.readline, b""):
+        lines = chunk.splitlines(keepends=True)
+        for i, line in enumerate(lines):
+            if line.strip():
+                try:
+                    float(line.split(b"\t", 1)[0])
+                except ValueError:  # a header
+                    i += 1
+                return skip + i, b"".join(lines[i:]) or fh.readline()
+        skip += len(lines)
+    return skip, b""
+
+
 def read_cdr_file(path: str) -> np.ndarray:
     """The records of one log file as a CDR_DTYPE array, in line order.
 
-    A first line whose first field is not a number is a header and is
-    skipped. Blank lines and lines with an empty activity field (the
-    dataset convention for an inactive channel) hold no record.
+    The first line that is not blank is a header, and is skipped, when
+    its first field is not a number. Blank lines and lines with an empty
+    activity field (the dataset convention for an inactive channel) hold
+    no record.
 
     Raises
     ------
@@ -282,13 +305,7 @@ def read_cdr_file(path: str) -> np.ndarray:
         An activity field parses below zero; the message names the line.
     """
     with open(path, "rb") as fh:
-        first = fh.readline()
-        try:
-            float(first.split(b"\t", 1)[0])
-            skip = 0
-        except ValueError:
-            skip = 1
-            first = fh.readline()
+        skip, first = _leading_lines(fh)
         fast = _fast_parse_fits(fh, first)
     return _parse(path, skip, fast)
 

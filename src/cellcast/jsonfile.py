@@ -1,6 +1,5 @@
 """Reading and writing the pipeline's JSON files. Every load error names
-the file and the key, e.g.
-`clusters.json: assignment.7: 3, expected a cluster in 0..2`."""
+the file and the key, e.g. `bins.json: cells.7: holds a non-finite value`."""
 
 from __future__ import annotations
 
@@ -130,20 +129,6 @@ def number(obj, name: str, where: str = "") -> float:
         return as_number(value)
     except (TypeError, OverflowError):
         raise MalformedFile(f"{where}{name}: {value!r}, expected a finite number") from None
-
-
-def finite_array(value, name: str, ndim: int) -> np.ndarray:
-    """value as a float64 array of ndim dimensions holding finite numbers."""
-    try:
-        arr = np.array(value) if isinstance(value, list) else None
-    except ValueError:  # ragged nesting
-        arr = None
-    if arr is None or arr.ndim != ndim or arr.dtype.kind not in "iuf":
-        raise MalformedFile(f"{name}: not a {ndim}-d list of numbers")
-    arr = arr.astype(np.float64, copy=False)
-    if not np.isfinite(arr).all():
-        raise MalformedFile(f"{name}: holds a non-finite value")
-    return arr
 
 
 def to_blob(values: np.ndarray) -> str:

@@ -781,7 +781,7 @@ CELL_EQUATIONS = {
 }
 
 
-def save_model_json(net: RecurrentNetwork, scaler: MinMaxScaler | None, path: str) -> None:
+def save_model_json(net: RecurrentNetwork, scaler: MinMaxScaler, path: str) -> None:
     """Write the network as one line of JSON: a header that describes the
     layers, then `net.flat` as base64 of its little-endian float64 bytes."""
     payload = {
@@ -789,7 +789,7 @@ def save_model_json(net: RecurrentNetwork, scaler: MinMaxScaler | None, path: st
         "cell_kind": net.cell_kind,
         "window": WINDOW,
         "activations": CELL_EQUATIONS["activations"],
-        "scaler": ({"lo": scaler.lo, "hi": scaler.hi} if scaler is not None else None),
+        "scaler": {"lo": scaler.lo, "hi": scaler.hi},
         "layers": [{"input_dim": layer.input_dim, "units": layer.units,
                     **CELL_EQUATIONS[net.cell_kind]} for layer in net.layers],
         "parameters": jsonfile.to_blob(net.flat),
@@ -822,7 +822,7 @@ def _blob(text, size: int) -> np.ndarray:
     return values
 
 
-def _model_from_payload(payload) -> tuple[RecurrentNetwork, MinMaxScaler | None]:
+def _model_from_payload(payload) -> tuple[RecurrentNetwork, MinMaxScaler]:
     # The version first, so that an older file is named by it rather than
     # by the first key that it holds or lacks.
     jsonfile.expect(payload, {"format": MODEL_FORMAT})
@@ -854,20 +854,18 @@ def _model_from_payload(payload) -> tuple[RecurrentNetwork, MinMaxScaler | None]
     if not np.isfinite(net.flat).all():
         path = next(path for path, arr in net.parameters() if not np.isfinite(arr).all())
         raise MalformedModel(f"parameters: {path} holds a non-finite value")
-    raw = payload["scaler"]
-    if raw is None:
-        return net, None
-    lo, hi = (jsonfile.number(raw, name, "scaler.") for name in ("lo", "hi"))
+    lo, hi = (jsonfile.number(payload["scaler"], name, "scaler.") for name in ("lo", "hi"))
     if not 0.0 < hi - lo < math.inf:
         raise MalformedModel(f"scaler.hi: {hi!r}, expected a finite amount above scaler.lo = {lo!r}")
     return net, MinMaxScaler(lo=lo, hi=hi)
 
 
-def load_model_json(path: str) -> tuple[RecurrentNetwork, MinMaxScaler | None]:
+def load_model_json(path: str) -> tuple[RecurrentNetwork, MinMaxScaler]:
     """Read a model file of format MODEL_FORMAT, as save_model_json writes
     it. A file of any other format or window, one whose first layer is
-    not WINDOW units wide, or one that does not describe a network,
-    raises MalformedModel naming the file and the key, e.g. `m.json:
-    format: 2, expected 3`, `m.json: layers[0].units: 3, expected 4` or
-    `m.json: parameters: 11308 values, expected 11309`."""
+    not WINDOW units wide, one that does not describe a network, or one
+    without a scaler, raises MalformedModel naming the file and the key,
+    e.g. `m.json: format: 2, expected 3`, `m.json: layers[0].units: 3,
+    expected 4`, `m.json: parameters: 11308 values, expected 11309` or
+    `m.json: scaler: not a JSON object`."""
     return jsonfile.load(path, _model_from_payload, MalformedModel)

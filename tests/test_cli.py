@@ -439,6 +439,12 @@ class TestMalformedModel:
         return f"scaler.hi: {doc['scaler']['lo']!r}, expected a finite amount above scaler.lo"
 
     @staticmethod
+    def null_scaler(doc):
+        """predict de-normalizes with the file's scaler; every writer saves one."""
+        doc["scaler"] = None
+        return "scaler: not a JSON object"
+
+    @staticmethod
     def infinite_parameter(doc):
         """The head's bias, the last value, becomes infinite."""
         blob = base64.b64decode(doc["parameters"])
@@ -458,7 +464,7 @@ class TestMalformedModel:
         return "format: 2, expected 3"
 
     @pytest.mark.parametrize("corrupt", ["truncate_matrix", "unknown_kind", "missing_key",
-                                         "nan_scaler", "empty_scaler_range",
+                                         "nan_scaler", "empty_scaler_range", "null_scaler",
                                          "infinite_parameter", "format_missing", "format_2"])
     def test_predict_rejects_model(self, pipeline_run, tmp_path, capsys, corrupt):
         doc = json.loads((pipeline_run / "lstm_c0.json").read_text())
@@ -478,19 +484,18 @@ def _bins_of(series):
             "cells": {str(cid): _blob(values) for cid, values in series.items()}}
 
 
+def _varying(n_bins):
+    return [float(1 + (b % 7)) for b in range(n_bins)]
+
+
 def _bins_doc(n_bins=48):
     """Four cells over one day (48 bins); cells 3 and 4 are dead (all zero)."""
-    varying = [float(1 + (b % 7)) for b in range(n_bins)]
+    varying = _varying(n_bins)
     return _bins_of({1: varying, 2: varying[::-1], 3: [0.0] * n_bins, 4: [0.0] * n_bins})
 
 
 def _blob(values):
     return base64.b64encode(np.array(values, dtype="<f8").tobytes()).decode("ascii")
-
-
-def _clusters_doc():
-    return {"k": 2, "centroids": [[1.0] * 6, [0.0] * 6],
-            "assignment": {"1": 0, "2": 0, "3": 1, "4": 1}, "sse": 0.0}
 
 
 class TestTruthFile:
@@ -531,8 +536,8 @@ class TestTruthFile:
 
 
 class TestMalformedArtefacts:
-    """A bins or cluster file that cannot be read exits 2 naming the
-    file and the key, in every subcommand that reads it."""
+    """A bins or series file that cannot be read exits 2 naming the file
+    and the key, in every subcommand that reads it."""
 
     BINS_CASES = {
         "invalid_json": (None, "not valid JSON"),
@@ -555,16 +560,6 @@ class TestMalformedArtefacts:
                             "cells.3: holds a non-finite value"),
         "blob_list": (lambda d: d["cells"].update({"4": [0.0] * 48}), "cells.4: not base64"),
         "repeated_cell": (_repeat("1"), "cells.1: repeated key"),
-    }
-    CLUSTER_CASES = {
-        "invalid_json": (None, "not valid JSON"),
-        "missing_key": (lambda d: d.pop("assignment"), "assignment: missing"),
-        "cluster_out_of_range": (lambda d: d["assignment"].update({"4": 2}),
-                                 "assignment.4: 2, expected a cluster in 0..1"),
-        "ragged_centroids": (lambda d: d["centroids"][1].pop(),
-                             "centroids: not a 2-d list of numbers"),
-        "nan_sse": (lambda d: d.update(sse=float("nan")), "sse: nan, expected a finite number"),
-        "repeated_assignment": (_repeat("1"), "assignment.1: repeated key"),
     }
 
     @staticmethod
@@ -594,22 +589,12 @@ class TestMalformedArtefacts:
                      bins, message)
         assert not out.exists()
 
-    @pytest.mark.parametrize("case", sorted(CLUSTER_CASES))
-    def test_train_rejects_clusters(self, tmp_path, capsys, case):
-        corrupt, message = self.CLUSTER_CASES[case]
-        bins, clusters = tmp_path / "bins.json", tmp_path / "clusters.json"
-        bins.write_text(json.dumps(_bins_doc()))
-        self._write(clusters, _clusters_doc(), corrupt)
-        self._expect(capsys, ["train", "--clusters", str(clusters), "--bins", str(bins),
-                              "--out-dir", str(tmp_path / "train")], clusters, message)
-
     @pytest.mark.parametrize("case", sorted(BINS_CASES))
     def test_train_rejects_bins(self, tmp_path, capsys, case):
-        bins, clusters = tmp_path / "bins.json", tmp_path / "clusters.json"
-        message = self._write_bins(bins, case)
-        clusters.write_text(json.dumps(_clusters_doc()))
-        self._expect(capsys, ["train", "--clusters", str(clusters), "--bins", str(bins),
-                              "--out-dir", str(tmp_path / "train")], bins, message)
+        series = tmp_path / "series.json"
+        message = self._write_bins(series, case)
+        self._expect(capsys, ["train", "--series", str(series),
+                              "--out-dir", str(tmp_path / "train")], series, message)
         assert not (tmp_path / "train").exists()
 
     @pytest.mark.parametrize("case", sorted(BINS_CASES))
@@ -622,13 +607,12 @@ class TestMalformedArtefacts:
     def test_train_names_a_constant_cluster(self, tmp_path, capsys):
         """Fail fast: a cluster whose mean series is constant stops the
         train stage before any result is written."""
-        bins, clusters = tmp_path / "bins.json", tmp_path / "clusters.json"
-        bins.write_text(json.dumps(_bins_doc()))
-        clusters.write_text(json.dumps(_clusters_doc()))
+        series = tmp_path / "series.json"
+        series.write_text(json.dumps(_bins_of({0: _varying(48), 1: [0.0] * 48})))
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"hidden_layers": [1], "units": [2], "cell_kinds": ["gru"]}))
         out_dir = tmp_path / "train"
-        assert main(["train", "--clusters", str(clusters), "--bins", str(bins),
+        assert main(["train", "--series", str(series),
                      "--grid", str(grid), "--runs", "1", "--epochs", "1",
                      "--out-dir", str(out_dir)]) == 2
         assert "error: cluster 1: cannot scale a constant series (value 0.0)" in \
@@ -641,9 +625,8 @@ class TestSubcommandsOnPipelineOutputs:
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"hidden_layers": [1], "units": [3, 5], "cell_kinds": ["gru"]}))
         out_dir = tmp_path / "train"
-        code = main(["train", "--clusters", str(pipeline_run / "clusters.json"),
-                     "--bins", str(pipeline_run / "bins.json"), "--grid", str(grid),
-                     "--runs", "2", "--epochs", "1", "--seed", "3",
+        code = main(["train", "--series", str(pipeline_run / "cluster_series.json"),
+                     "--grid", str(grid), "--runs", "2", "--epochs", "1", "--seed", "3",
                      "--out-dir", str(out_dir)])
         assert code == 0
         assert sorted(p.name for p in out_dir.iterdir()) == [
@@ -658,14 +641,30 @@ class TestSubcommandsOnPipelineOutputs:
         assert {c: set(labels) for c, labels in summary.items()} == {
             c: {f"GRU-{c}-1L-3U", f"GRU-{c}-1L-5U"} for c in "012"}
 
+    def test_train_on_cluster_series_writes_the_pipelines_files(self, pipeline_run, tmp_path):
+        """train reads the series file that cluster wrote: with the
+        pipeline's grid, runs, epochs and seed it writes the pipeline's
+        results, summary and models byte for byte."""
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"hidden_layers": [1], "units": [4],
+                                    "cell_kinds": ["lstm", "gru"]}))
+        out_dir = tmp_path / "train"
+        assert main(["train", "--series", str(pipeline_run / "cluster_series.json"),
+                     "--grid", str(grid), "--runs", "2", "--epochs", "2", "--seed", "11",
+                     "--out-dir", str(out_dir)]) == 0
+        names = sorted(p.name for p in out_dir.iterdir())
+        assert names == ["gru_c0.json", "gru_c1.json", "gru_c2.json", "lstm_c0.json",
+                         "lstm_c1.json", "lstm_c2.json", "results.csv", "summary.json"]
+        for name in names:
+            assert (out_dir / name).read_bytes() == (pipeline_run / name).read_bytes(), name
+
     @pytest.mark.parametrize("axes,named", [({"units": ["x"]}, "units"),
                                             ({"hidden_layers": 3}, "hidden_layers")])
     def test_train_rejects_a_bad_grid_file(self, pipeline_run, tmp_path, capsys, axes, named):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps(axes))
-        code = main(["train", "--clusters", str(pipeline_run / "clusters.json"),
-                     "--bins", str(pipeline_run / "bins.json"), "--grid", str(grid),
-                     "--out-dir", str(tmp_path / "train")])
+        code = main(["train", "--series", str(pipeline_run / "cluster_series.json"),
+                     "--grid", str(grid), "--out-dir", str(tmp_path / "train")])
         assert code == 2
         assert f"grid file.{named} must be a list of integers" in capsys.readouterr().err
 
@@ -681,9 +680,9 @@ class TestSubcommandsOnPipelineOutputs:
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps(axes))
         out_dir = tmp_path / "train"
-        code = main(["train", "--clusters", str(pipeline_run / "clusters.json"),
-                     "--bins", str(pipeline_run / "bins.json"), "--grid", str(grid),
-                     "--runs", "1", "--epochs", "1", "--out-dir", str(out_dir)])
+        code = main(["train", "--series", str(pipeline_run / "cluster_series.json"),
+                     "--grid", str(grid), "--runs", "1", "--epochs", "1",
+                     "--out-dir", str(out_dir)])
         assert code == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not out_dir.exists()
@@ -699,7 +698,8 @@ class TestSubcommandsOnPipelineOutputs:
         assert [line.split(",")[0] for line in lines[1:]] == [
             f"{kind}-{c}-1L-4U" for c in "012" for kind in ("LSTM", "GRU")]
 
-    @pytest.mark.parametrize("clusters,bad", [("7", "7"), ("x,y", "x"), ("7..9", "7..9")])
+    @pytest.mark.parametrize("clusters,bad", [("7", "7"), ("x,y", "x"), ("7..9", "7..9"),
+                                              ("0,0", "0 is repeated")])
     def test_compare_rejects_clusters_not_in_results(self, pipeline_run, tmp_path, capsys,
                                                       clusters, bad):
         out = tmp_path / "comparison.json"
@@ -794,14 +794,13 @@ class TestStrictConfigTypes:
 def test_invalid_json_names_the_file(tmp_path, capsys, command):
     bad = tmp_path / "bad.json"
     bad.write_text('{"out_dir": "o", ')
-    bins, clusters = tmp_path / "bins.json", tmp_path / "clusters.json"
-    bins.write_text(json.dumps(_bins_doc()))
-    clusters.write_text(json.dumps(_clusters_doc()))
+    series = tmp_path / "series.json"
+    series.write_text(json.dumps(_bins_doc()))
     out = tmp_path / "out"
     argv = {"pipeline": ["pipeline", "--config", str(bad)],
             "synth": ["synth", "--spec", str(bad), "--out", str(out)],
-            "train": ["train", "--clusters", str(clusters), "--bins", str(bins),
-                      "--grid", str(bad), "--out-dir", str(out)]}[command]
+            "train": ["train", "--series", str(series), "--grid", str(bad),
+                      "--out-dir", str(out)]}[command]
     _expect_rejected(argv, capsys, f"{bad}: not valid JSON", out)
 
 
@@ -862,12 +861,11 @@ class TestWorkers:
                          "--workers", out)
 
     def test_train_flag(self, tmp_path, capsys):
-        bins, clusters = tmp_path / "bins.json", tmp_path / "clusters.json"
-        bins.write_text(json.dumps(_bins_doc()))
-        clusters.write_text(json.dumps(_clusters_doc()))
+        series = tmp_path / "series.json"
+        series.write_text(json.dumps(_bins_doc()))
         out = tmp_path / "out"
-        _expect_rejected(["train", "--clusters", str(clusters), "--bins", str(bins),
-                          "--workers", "0", "--out-dir", str(out)], capsys, "--workers", out)
+        _expect_rejected(["train", "--series", str(series), "--workers", "0",
+                          "--out-dir", str(out)], capsys, "--workers", out)
 
 
 @pytest.mark.parametrize("flag,value", [("--noise", "nan"), ("--utc-offset", "inf"),
@@ -889,15 +887,30 @@ def test_train_has_no_batch_flag(tmp_path, capsys):
     """Training steps take training.BATCH_SIZE windows; --batch is an
     unknown argument, so argparse exits 2 naming it before any file is
     written."""
-    bins, clusters = tmp_path / "bins.json", tmp_path / "clusters.json"
-    bins.write_text(json.dumps(_bins_doc()))
-    clusters.write_text(json.dumps(_clusters_doc()))
+    series = tmp_path / "series.json"
+    series.write_text(json.dumps(_bins_doc()))
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        main(["train", "--clusters", str(clusters), "--bins", str(bins), "--batch", "16",
-              "--out-dir", str(out)])
+        main(["train", "--series", str(series), "--batch", "16", "--out-dir", str(out)])
     assert exc.value.code == 2
     assert "unrecognized arguments: --batch 16" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,name", [("--clusters", "clusters.json"), ("--bins", "bins.json")])
+def test_train_reads_no_clusters_or_bins_file(tmp_path, capsys, flag, name):
+    """train reads per-cluster series from --series alone: --clusters and
+    --bins are unknown arguments, so argparse exits 2 naming them before
+    any file is written. A --bins flag that took the series file would
+    train one grid per cell on a per-cell bins file."""
+    series, other = tmp_path / "series.json", tmp_path / name
+    series.write_text(json.dumps(_bins_doc()))
+    other.write_text(json.dumps(_bins_doc()))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--series", str(series), flag, str(other), "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {other}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -994,13 +1007,10 @@ def test_cluster_refuses_profiles_whose_sums_overflow(tmp_path, capsys, extreme_
 def test_train_names_the_cluster_and_split_too_short_to_window(tmp_path, capsys):
     """12 bins split into 9 training and 3 test bins, too few for one
     test window."""
-    bins, clusters = tmp_path / "bins.json", tmp_path / "clusters.json"
-    doc = _bins_doc(n_bins=12)
-    doc["cells"]["3"] = doc["cells"]["4"] = doc["cells"]["1"]
-    bins.write_text(json.dumps(doc))
-    clusters.write_text(json.dumps(_clusters_doc()))
+    series = tmp_path / "series.json"
+    series.write_text(json.dumps(_bins_of({0: _varying(12), 1: _varying(12)[::-1]})))
     out_dir = tmp_path / "train"
-    assert main(["train", "--clusters", str(clusters), "--bins", str(bins), "--runs", "1",
+    assert main(["train", "--series", str(series), "--runs", "1",
                  "--epochs", "1", "--out-dir", str(out_dir)]) == 2
     assert "error: cluster 0: test split of 3 bins: need > 4 values, got 3" in \
         capsys.readouterr().err

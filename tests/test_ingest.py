@@ -114,6 +114,21 @@ class TestFileIteration:
         text = "square_id\ttime\tcountry\ta\tb\tc\td\tinternet\n" + CANONICAL + "\n"
         assert records_of(tmp_path, text) == [RECORD]
 
+    @pytest.mark.parametrize("lead,blank_lines", [
+        ("", 0), ("\n", 1), ("  \t\n", 1), ("\n \n", 2), ("\r\n\t\r\n", 2), ("\r\x0c\r", 2),
+    ], ids=["none", "empty", "whitespace", "two", "two_crlf", "two_cr"])
+    def test_header_after_leading_blank_lines(self, tmp_path, lead, blank_lines):
+        """The first line that is not blank is the one tested for a
+        header; an error still names the file's own line."""
+        body = HEADER + "\n" + CANONICAL + "\n"
+        assert records_of(tmp_path, lead + body) == records_of(tmp_path, body) == [RECORD]
+        path = tmp_path / "cdr.tsv"
+        path.write_bytes((lead + body + "x\n").encode())
+        with pytest.raises(MalformedLine) as exc:
+            read_cdr_file(str(path))
+        assert str(exc.value) == \
+            f"{path}:{blank_lines + 3}: non-numeric or non-integer cell id: 'x'"
+
     def test_headerless_file_fully_read(self, tmp_path):
         assert records_of(tmp_path, CANONICAL + "\n" + CANONICAL + "\n") == [RECORD] * 2
 
@@ -390,12 +405,15 @@ class TestLineRules:
         lines = [HEADER] * header + rows
         path = tmp_path_factory.getbasetemp() / "line_rules.tsv"
         path.write_bytes("".join(line + newline for line in lines).encode())
-        # The header rule of read_cdr_file: a first field that is no number.
+        # The header rule of read_cdr_file: past the leading blank lines,
+        # a first field that is no number.
+        skip = 0
+        while skip < len(lines) and not lines[skip].encode().strip():
+            skip += 1
         try:
-            float(lines[0].encode().split(b"\t", 1)[0] if lines else b"0")
-            skip = 0
+            float(lines[skip].encode().split(b"\t", 1)[0] if skip < len(lines) else b"0")
         except ValueError:
-            skip = 1
+            skip += 1
         records, failure = [], None
         for number, line in enumerate(lines[skip:], skip + 1):
             if not line.strip():

@@ -40,6 +40,9 @@ from cellcast.training import BATCH_SIZE, ClusterDataset, TrainConfig, _fit
 # absolute floor ~1e-12 are ill-conditioned at eps=1e-5).
 GRADCHECK_SEEDS = (2, 6, 15, 26, 28)
 
+# The scaler of the model files these tests write; every model file has one.
+SCALER = MinMaxScaler(lo=0.0, hi=1.0)
+
 
 def gate(layer, key):
     """The writable view of one gate array of a layer, by its key."""
@@ -76,7 +79,7 @@ def on_format_3(edit, kind="lstm"):
     """A corrupt model: a freshly saved format-3 network (layers 1->4->3;
     217 parameters for the LSTM) after edit."""
     def saved(tmp_path):
-        save_model_json(build_network(kind, 1, 3, seed=11), None, str(tmp_path / "saved.json"))
+        save_model_json(build_network(kind, 1, 3, seed=11), SCALER, str(tmp_path / "saved.json"))
         return json.loads((tmp_path / "saved.json").read_text())
     return lambda tmp_path: edited(saved(tmp_path), edit)
 
@@ -565,7 +568,7 @@ class TestBuildAndPersist:
         path = tmp_path / "model.json"
         save_model_json(net, scaler, str(path))
         loaded, loaded_scaler = load_model_json(str(path))
-        assert loaded_scaler == scaler
+        assert (loaded_scaler.lo, loaded_scaler.hi) == (1.0, 9.0)
         assert loaded.cell_kind == kind
         for (pa, va), (pb, vb) in zip(net.parameters(), loaded.parameters()):
             assert pa == pb
@@ -574,18 +577,23 @@ class TestBuildAndPersist:
         np.testing.assert_array_equal(forward(net, x)[0], forward(loaded, x)[0])
 
     def test_model_json_without_scaler(self, tmp_path):
-        net = build_network("lstm", 1, 4, seed=0)
+        """Every model file carries the scaler that de-normalizes its
+        forecasts; `"scaler": null` is refused, naming the key."""
         path = tmp_path / "model.json"
-        save_model_json(net, None, str(path))
-        _, scaler = load_model_json(str(path))
-        assert scaler is None
+        save_model_json(build_network("lstm", 1, 4, seed=0), SCALER, str(path))
+        doc = json.loads(path.read_text())
+        doc["scaler"] = None
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedModel) as exc:
+            load_model_json(str(path))
+        assert str(exc.value) == f"{path}: scaler: not a JSON object"
 
     def test_model_json_is_format_3_on_one_line(self, tmp_path):
         """A header without arrays, then the flat vector as one base64
         blob of little-endian float64 values."""
         path = tmp_path / "model.json"
         net = build_network("gru", 1, 3, seed=0)
-        save_model_json(net, None, str(path))
+        save_model_json(net, SCALER, str(path))
         text = path.read_text()
         assert text.count("\n") == 1 and text.endswith("\n")
         doc = json.loads(text)
@@ -678,7 +686,7 @@ class TestBuildAndPersist:
     def test_load_rejects_a_chain_mismatch(self, tmp_path):
         """Each layer must read the units of the layer below it."""
         path = tmp_path / "m.json"
-        save_model_json(build_network("gru", 2, 3, seed=0), None, str(path))
+        save_model_json(build_network("gru", 2, 3, seed=0), SCALER, str(path))
         doc = json.loads(path.read_text())
         doc["layers"][1] = doc["layers"][2]  # (3 -> 3) where 4 -> 3 is due
         path.write_text(json.dumps(doc))
@@ -692,7 +700,7 @@ class TestBuildAndPersist:
                                                          LstmLayerParams(5, 3)],
                                head_w=np.zeros(5), head_b=np.zeros(1))
         path = tmp_path / "m.json"
-        save_model_json(net, None, str(path))
+        save_model_json(net, SCALER, str(path))
         with pytest.raises(MalformedModel) as exc:
             load_model_json(str(path))
         assert str(exc.value) == f"{path}: layers[0].units: 3, expected 4"
