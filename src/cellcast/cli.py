@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 
 from . import clustering, ingest, jsonfile, recurrent, stats, synth, training
-from .errors import ConfigError, DomainError, MalformedTruth, ValidationError
+from .errors import ConfigError, DomainError, MalformedBins, MalformedTruth, ValidationError
 
 
 def _log(msg: str) -> None:
@@ -43,6 +43,9 @@ def parse_span(text: str, utc_offset_hours: float) -> tuple[int, int]:
     start, end = to_ms(m.group(1)), to_ms(m.group(2))
     if end <= start:
         raise ConfigError(f"span end must be after start: {text!r}")
+    if start not in ingest.SPAN_STARTS:
+        raise ConfigError(f"span {text!r} at UTC offset {utc_offset_hours:g} h starts more "
+                          f"than a day outside 0001-01-01..9999-12-31")
     return start, end
 
 
@@ -118,8 +121,8 @@ _SYNTH = {"archetypes": _archetypes, "cells_per_archetype": _integer, "days": _i
 _GRID = {"hidden_layers": _int_list, "units": _int_list, "cell_kinds": _name_list}
 _TRAIN = {"epochs": _integer, "runs": _integer}
 _CONFIG = {"out_dir": _text, "synth": _object, "input": _path_list, "span": _text,
-           "utc_offset_hours": _number, "k": _k, "kmax": _integer, "restarts": _integer,
-           "grid": _object, "train": _object, "seed": _integer, "workers": _integer}
+           "utc_offset_hours": _number, "k": _k, "kmax": _integer, "grid": _object,
+           "train": _object, "seed": _integer, "workers": _integer}
 
 
 def _section(payload, where: str, fields: dict, target, **defaults):
@@ -172,7 +175,6 @@ class PipelineConfig:
     utc_offset_hours: float = clustering.DEFAULT_UTC_OFFSET_HOURS
     k: object = "auto"  # int or "auto"
     kmax: int = 50
-    restarts: int = clustering.DEFAULT_RESTARTS
     seed: int = 0
     workers: int = 1
 
@@ -196,7 +198,7 @@ def _pipeline_config(out_dir, synth=None, input=None, span=None, grid=None, trai
     training.validate_train_config(train_cfg)
     cfg = PipelineConfig(out_dir, spec, input, span, grid_spec, train_cfg,
                          utc_offset_hours=utc_offset_hours, seed=seed, **settings)
-    clustering.validate_settings(cfg.k, cfg.kmax, cfg.restarts, "config.")
+    clustering.validate_settings(cfg.k, cfg.kmax, "config.")
     training.validate_workers(cfg.workers, "config.workers")
     return cfg
 
@@ -224,7 +226,7 @@ def _ingest_stage(paths: list[str], span: tuple[int, int], out: str,
     return result
 
 
-def _cluster_stage(cells: dict, bins_path: str, k, kmax: int, seed: int, restarts: int,
+def _cluster_stage(cells: dict, bins_path: str, k, kmax: int, seed: int,
                    utc_offset_hours: float, truth_path: str | None,
                    out: str, curve_path: str, series_path: str, print_curve: bool = False):
     """Clusters, SSE curve (k "auto" only) and per-cluster mean series of
@@ -241,13 +243,13 @@ def _cluster_stage(cells: dict, bins_path: str, k, kmax: int, seed: int, restart
         raise DomainError(f"{bins_path}: {exc}") from None
     curve = None
     if k == "auto":
-        curve = clustering.elbow_scan(profiles, kmax, seed=seed, restarts=restarts)
+        curve = clustering.elbow_scan(profiles, kmax, seed=seed)
         if print_curve:
             for entry_k, entry_sse in curve.entries:
                 print(f"{entry_k},{entry_sse:.17g}")
         k = clustering.knee_point(curve)
         _log(f"cluster: elbow pick k={k} from curve over 1..{curve.entries[-1][0]}")
-    model = clustering.kmeans(profiles, int(k), seed=seed, restarts=restarts)
+    model = clustering.kmeans(profiles, int(k), seed=seed)
     _log(f"cluster: k={model.k} sse={model.sse:.6g} "
          f"({model.iterations_run} lloyd iterations)")
     if truth_path:
@@ -353,9 +355,9 @@ def cmd_cluster(args) -> int:
         k = args.k if args.k == "auto" else int(args.k)
     except ValueError:
         raise ConfigError(f"--k must be an integer or 'auto', got {args.k!r}") from None
-    clustering.validate_settings(k, args.kmax, args.restarts, "--")
+    clustering.validate_settings(k, args.kmax, "--")
     _cluster_stage(ingest.load_bins_json(args.bins), args.bins, k, args.kmax, args.seed,
-                   args.restarts, args.utc_offset, args.truth, args.out, args.curve,
+                   args.utc_offset, args.truth, args.out, args.curve,
                    args.series, print_curve=True)
     return 0
 
@@ -363,6 +365,8 @@ def cmd_cluster(args) -> int:
 def cmd_train(args) -> int:
     training.validate_workers(args.workers, "--workers")
     series = ingest.load_bins_json(args.series)
+    if not series:
+        raise MalformedBins(f"{args.series}: cells: holds no series to train on")
     if args.grid == "default":
         grid = training.GridSpec()
     else:
@@ -436,7 +440,7 @@ def cmd_pipeline(args) -> int:
 
     bins_path = os.path.join(out, "bins.json")
     binned = _ingest_stage(input_paths, cfg.span, bins_path)
-    series = _cluster_stage(binned.cells, bins_path, cfg.k, cfg.kmax, cfg.seed, cfg.restarts,
+    series = _cluster_stage(binned.cells, bins_path, cfg.k, cfg.kmax, cfg.seed,
                             cfg.utc_offset_hours, truth_path, os.path.join(out, "clusters.json"),
                             os.path.join(out, "sse_curve.csv"),
                             os.path.join(out, "cluster_series.json"))
@@ -486,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", default=PipelineConfig.k,
                    help="cluster count, or 'auto' for the elbow pick")
     p.add_argument("--kmax", type=int, default=PipelineConfig.kmax)
-    p.add_argument("--restarts", type=int, default=PipelineConfig.restarts)
     p.add_argument("--seed", type=int, default=PipelineConfig.seed)
     p.add_argument("--utc-offset", type=finite_number, default=PipelineConfig.utc_offset_hours,
                    dest="utc_offset")

@@ -33,7 +33,7 @@ N_PERIODS = 6
 HOURS_PER_PERIOD = 4
 PERIOD_NAMES = ("LateNight", "EarlyMorning", "Morning", "Afternoon", "Evening", "Night")
 DEFAULT_UTC_OFFSET_HOURS = 1.0  # Milan's local clock in the source data
-DEFAULT_RESTARTS = 10
+RESTARTS = 10  # Lloyd runs per fit, each from its own seeding; the best SSE wins
 MAX_ITER = 300  # Lloyd updates per restart at most
 PROFILE_BLOCK_BINS = 1 << 17  # bins summed per bincount; bounds its temporaries
 LOCKSTEP_ELEMENTS = 1 << 19  # restarts x k x n distances per lockstep group; bounds its buffers
@@ -67,7 +67,7 @@ class ProfileMatrix:
     cell_ids: list[int]
     points: np.ndarray
     n_distinct: int = field(init=False)
-    # kmeans results by (k, seed, restarts), so that the elbow
+    # kmeans results by (k, seed), so that the elbow
     # scan's fit of the knee's k is not fitted again. The points are a
     # read-only copy, which keeps every stored fit valid.
     fits: dict = field(init=False, repr=False, compare=False, default_factory=dict)
@@ -309,21 +309,19 @@ def _lloyd_group(points: np.ndarray, initial: np.ndarray) -> list[tuple]:
     return results
 
 
-def validate_settings(k, k_max: int, restarts: int, prefix: str) -> None:
+def validate_settings(k, k_max: int, prefix: str) -> None:
     """The rules for a clustering run, checked before any work: k >= 1 or
-    "auto", restarts >= 1, and k_max >= 3 when k is "auto", since an elbow
-    needs three points. Errors name each setting as prefix + its key."""
+    "auto", and k_max >= 3 when k is "auto", since an elbow needs three
+    points. Errors name each setting as prefix + its key."""
     if k != "auto" and k < 1:
         raise ConfigError(f"{prefix}k must be >= 1 or 'auto', got {k}")
-    if restarts < 1:
-        raise ConfigError(f"{prefix}restarts must be >= 1, got {restarts}")
     if k == "auto" and k_max < 3:
         raise ConfigError(f"{prefix}kmax must be >= 3 when k is 'auto', got {k_max}")
 
 
 def kmeans(profiles: ProfileMatrix, k: int, seed: int = 0,
-           restarts: int = DEFAULT_RESTARTS, _seedings: np.ndarray | None = None) -> ClusterModel:
-    """Best-of-restarts Lloyd clustering of the period profiles.
+           _seedings: np.ndarray | None = None) -> ClusterModel:
+    """Best-of-RESTARTS Lloyd clustering of the period profiles.
 
     Restart r draws from its own stream derived as [seed, r], so adding
     restarts never perturbs earlier ones, and the same restart explores
@@ -331,7 +329,7 @@ def kmeans(profiles: ProfileMatrix, k: int, seed: int = 0,
     well behaved). Ties on SSE go to the earliest restart. Restarts run
     in lockstep, in groups of at most LOCKSTEP_ELEMENTS distances, and
     each ends as it would on its own. A fit made before on the same
-    matrix with the same arguments is returned again, not refitted.
+    matrix with the same k and seed is returned again, not refitted.
 
     ``_seedings`` (private to elbow_scan) holds every restart's seeding
     drawn at a larger k, as (restarts, k_top, dims); the fit takes the
@@ -340,20 +338,19 @@ def kmeans(profiles: ProfileMatrix, k: int, seed: int = 0,
     """
     if k < 1:
         raise InvalidK(f"k must be >= 1, got {k}")
-    validate_settings(k, k, restarts, "")
     if profiles.n_distinct < k:
         raise TooFewPoints(f"{profiles.n_distinct} distinct profiles < k={k}")
-    key = (k, seed, restarts)
+    key = (k, seed)
     if key not in profiles.fits:
         points = profiles.points
         if _seedings is None:
             initial = np.stack([_init_centroids(points, k, np.random.default_rng([seed, r]))
-                                for r in range(restarts)])
+                                for r in range(RESTARTS)])
         else:
             initial = _seedings[:, :k]
-        group = max(1, min(restarts, LOCKSTEP_ELEMENTS // (k * points.shape[0])))
+        group = max(1, min(RESTARTS, LOCKSTEP_ELEMENTS // (k * points.shape[0])))
         best = None
-        for lo in range(0, restarts, group):
+        for lo in range(0, RESTARTS, group):
             for result in _lloyd_group(points, initial[lo:lo + group]):
                 if best is None or result[2] < best[2]:
                     best = result
@@ -364,9 +361,8 @@ def kmeans(profiles: ProfileMatrix, k: int, seed: int = 0,
                         iterations_run=iterations, sse=sse, sse_history=list(history))
 
 
-def elbow_scan(profiles: ProfileMatrix, k_max: int, seed: int = 0,
-               restarts: int = DEFAULT_RESTARTS) -> SseCurve:
-    """Best-of-restarts SSE for every k in 1..k_max, with k_max capped at
+def elbow_scan(profiles: ProfileMatrix, k_max: int, seed: int = 0) -> SseCurve:
+    """Best-of-RESTARTS SSE for every k in 1..k_max, with k_max capped at
     the number of distinct profiles (cells with equal profiles, such as
     dead all-zero cells, cannot be split). Each fit is kept with the
     matrix, so kmeans returns it again without refitting.
@@ -380,15 +376,15 @@ def elbow_scan(profiles: ProfileMatrix, k_max: int, seed: int = 0,
         raise TooFewPoints(f"an elbow scan needs at least 3 distinct profiles, "
                            f"got {profiles.n_distinct}")
     k_top = min(k_max, profiles.n_distinct)
-    validate_settings(k_top, k_top, restarts, "")
+    validate_settings(k_top, k_top, "")
     # Centroid j is drawn from the first j centroids and the restart's
     # stream alone, never from k, so the seeding for any k is the first k
     # rows of the seeding for k_top: draw each restart's seeding once.
     seedings = np.stack([_init_centroids(profiles.points, k_top, np.random.default_rng([seed, r]))
-                         for r in range(restarts)])
+                         for r in range(RESTARTS)])
     entries = []
     for k in range(1, k_top + 1):
-        model = kmeans(profiles, k, seed=seed, restarts=restarts, _seedings=seedings)
+        model = kmeans(profiles, k, seed=seed, _seedings=seedings)
         entries.append((k, model.sse))
     return SseCurve(entries=entries)
 

@@ -23,6 +23,7 @@ span (common_span).
 from __future__ import annotations
 
 import csv
+import datetime
 import math
 import os
 import re
@@ -40,6 +41,13 @@ BIN_WIDTH_MS = 30 * 60 * 1000  # the one bin width of every series
 BIN_WIDTH_MINUTES = BIN_WIDTH_MS // 60_000  # as bins files state it
 MS_PER_HOUR = 3_600_000
 MS_PER_DAY = 24 * MS_PER_HOUR
+# The span starts a series may have: UTC ms of the local dates 0001-01-01
+# to 9999-12-31, the dates a span can name, at an offset of up to a day
+# either way. Starts past these name no date, and the largest do not fit
+# the int64 bin times.
+_EPOCH_DAY = datetime.date(1970, 1, 1).toordinal()
+SPAN_STARTS = range((datetime.date.min.toordinal() - _EPOCH_DAY - 1) * MS_PER_DAY,
+                    (datetime.date.max.toordinal() - _EPOCH_DAY + 1) * MS_PER_DAY + 1)
 
 # Zero-based columns of the cell id, the timestamp and the internet
 # activity in a CDR line.
@@ -487,6 +495,9 @@ def save_bins_json(cells: dict[int, BinnedCellSeries], path: str) -> None:
 def _bins_from_doc(doc: dict) -> dict[int, BinnedCellSeries]:
     jsonfile.expect(doc, {"format": BINS_FORMAT})
     span_start = jsonfile.integer(doc, "span_start")
+    if span_start not in SPAN_STARTS:
+        raise MalformedFile(f"span_start: {span_start}, expected a UTC ms time in "
+                            f"{SPAN_STARTS.start}..{SPAN_STARTS.stop - 1}")
     minutes = jsonfile.integer(doc, "bin_width_minutes")
     if minutes != BIN_WIDTH_MINUTES:
         raise MalformedFile(f"bin_width_minutes: {minutes}, expected {BIN_WIDTH_MINUTES}")

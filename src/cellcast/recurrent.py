@@ -122,11 +122,22 @@ class _StackedLayer:
 
     def __init__(self, units: int, input_dim: int):
         self.units, self.input_dim = int(units), int(input_dim)
-        blocks = [block for block, _ in GATES[self.KIND].values()]  # one entry per gate
-        cols = {"wx": (self.input_dim,), "wh": (self.units,)}
-        self._shapes = {block: (self.units * blocks.count(block), *cols.get(block, ()))
-                        for block in dict.fromkeys(blocks)}
-        self._bind(np.zeros(sum(math.prod(shape) for shape in self._shapes.values())))
+        self._shapes = self._block_shapes(self.units, self.input_dim)
+        self._bind(np.zeros(self.param_count(self.units, self.input_dim)))
+
+    @classmethod
+    def _block_shapes(cls, units: int, input_dim: int) -> dict:
+        """block -> its shape in a layer of these sizes, in flat order."""
+        blocks = [block for block, _ in GATES[cls.KIND].values()]  # one entry per gate
+        cols = {"wx": (input_dim,), "wh": (units,)}
+        return {block: (units * blocks.count(block), *cols.get(block, ()))
+                for block in dict.fromkeys(blocks)}
+
+    @classmethod
+    def param_count(cls, units: int, input_dim: int) -> int:
+        """The parameter count of a layer of these sizes, found without
+        allocating it."""
+        return sum(math.prod(shape) for shape in cls._block_shapes(units, input_dim).values())
 
     def views(self, flat: np.ndarray) -> dict:
         """block -> view into `flat` laid out like this layer; gives
@@ -177,6 +188,17 @@ class LstmState:
     h: np.ndarray
 
 
+def _check_chain(dims: list[tuple[int, int]]) -> None:
+    """Raise ShapeMismatch unless the (input_dim, units) of each layer
+    reads the units of the layer below it, and the first one value."""
+    if not dims:
+        raise ShapeMismatch("layers: a network needs at least one layer")
+    for i, (input_dim, _) in enumerate(dims):
+        expected = 1 if i == 0 else dims[i - 1][1]
+        if input_dim != expected:
+            raise ShapeMismatch(f"layers[{i}].input_dim: {input_dim}, expected {expected}")
+
+
 @dataclass(eq=False)
 class RecurrentNetwork:
     """Recurrent layers plus the dense head, all in one flat float64
@@ -194,12 +216,7 @@ class RecurrentNetwork:
     head_b: np.ndarray  # (1,)
 
     def __post_init__(self):
-        if not self.layers:
-            raise ShapeMismatch("layers: a network needs at least one layer")
-        for i, layer in enumerate(self.layers):
-            expected = 1 if i == 0 else self.layers[i - 1].units
-            if layer.input_dim != expected:
-                raise ShapeMismatch(f"layers[{i}].input_dim: {layer.input_dim}, expected {expected}")
+        _check_chain([(layer.input_dim, layer.units) for layer in self.layers])
         last = self.layers[-1].units
         head_w = np.asarray(self.head_w, dtype=np.float64)
         head_b = np.asarray(self.head_b, dtype=np.float64)
@@ -801,9 +818,9 @@ def save_model_json(net: RecurrentNetwork, scaler: MinMaxScaler, path: str) -> N
 _HEADER = {"format", "cell_kind", "window", "activations", "scaler", "layers", "parameters"}
 
 
-def _layer_from_entry(layer_cls, entry, where: str):
-    """One entry of a file's `layers` list as a zero layer; its weights
-    are in the file's `parameters`."""
+def _layer_dims(layer_cls, entry, where: str) -> tuple[int, int]:
+    """(input_dim, units) of one entry of a file's `layers` list; the
+    layer's weights are in the file's `parameters`."""
     input_dim = jsonfile.positive_int(entry, "input_dim", where)
     units = jsonfile.positive_int(entry, "units", where)
     flags = CELL_EQUATIONS[layer_cls.KIND]
@@ -811,7 +828,7 @@ def _layer_from_entry(layer_cls, entry, where: str):
     if unknown:
         raise MalformedModel(f"{where}{unknown[0]}: unknown key for a {layer_cls.KIND} layer")
     jsonfile.expect(entry, flags, where)
-    return layer_cls(units, input_dim)
+    return input_dim, units
 
 
 def _blob(text, size: int) -> np.ndarray:
@@ -840,17 +857,24 @@ def _model_from_payload(payload) -> tuple[RecurrentNetwork, MinMaxScaler]:
     entries = payload["layers"]
     if not isinstance(entries, list) or not entries:
         raise MalformedModel("layers: expected a non-empty list")
-    layers = [_layer_from_entry(layer_cls, entry, f"layers[{i}].")
-              for i, entry in enumerate(entries)]
+    dims = [_layer_dims(layer_cls, entry, f"layers[{i}].") for i, entry in enumerate(entries)]
     # build_network's first layer has one unit per window position.
-    if layers[0].units != WINDOW:
-        raise MalformedModel(f"layers[0].units: {layers[0].units}, expected {WINDOW}")
-    try:  # a zero head, then every weight from the blob
-        net = RecurrentNetwork(cell_kind=kind, layers=layers,
-                               head_w=np.zeros(layers[-1].units), head_b=np.zeros(1))
+    if dims[0][1] != WINDOW:
+        raise MalformedModel(f"layers[0].units: {dims[0][1]}, expected {WINDOW}")
+    try:
+        _check_chain(dims)
     except ShapeMismatch as exc:
         raise MalformedModel(str(exc)) from None
-    net.flat[...] = _blob(payload["parameters"], net.flat.size)
+    # The blob must hold what the header states before any layer is
+    # built, so that a header stating huge layers allocates nothing.
+    last = dims[-1][1]
+    values = _blob(payload["parameters"],
+                   sum(layer_cls.param_count(units, input_dim) for input_dim, units in dims)
+                   + last + 1)
+    net = RecurrentNetwork(cell_kind=kind, layers=[layer_cls(units, input_dim)
+                                                   for input_dim, units in dims],
+                           head_w=np.zeros(last), head_b=np.zeros(1))
+    net.flat[...] = values
     if not np.isfinite(net.flat).all():
         path = next(path for path, arr in net.parameters() if not np.isfinite(arr).all())
         raise MalformedModel(f"parameters: {path} holds a non-finite value")

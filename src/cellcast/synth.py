@@ -17,7 +17,7 @@ import numpy as np
 
 from .clustering import HOURS_PER_PERIOD, N_PERIODS
 from .errors import InvalidSpec, MalformedTruth
-from .ingest import BIN_WIDTH_MS, MS_PER_DAY, MS_PER_HOUR
+from .ingest import BIN_WIDTH_MS, MS_PER_DAY, MS_PER_HOUR, SPAN_STARTS
 
 BINS_PER_DAY = MS_PER_DAY // BIN_WIDTH_MS  # 48
 BINS_PER_PERIOD = HOURS_PER_PERIOD * MS_PER_HOUR // BIN_WIDTH_MS  # 8, one clustering period
@@ -70,6 +70,9 @@ def validate_spec(spec: SynthSpec) -> None:
         raise InvalidSpec("start_weekday must be in 0..6")
     if spec.span_start % BIN_WIDTH_MS:
         raise InvalidSpec("span_start must be 30-minute aligned")
+    if spec.span_start not in SPAN_STARTS:
+        raise InvalidSpec(f"span_start must be in {SPAN_STARTS.start}..{SPAN_STARTS.stop - 1}, "
+                          f"got {spec.span_start}")
     seen = set()
     for arch in spec.archetypes:
         if arch.id in seen:

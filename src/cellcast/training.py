@@ -51,6 +51,11 @@ from .stats import mae, quartiles, rmse
 TIE_THRESHOLD = 5e-4
 # Windows per training step; the last batch of an epoch holds the rest.
 BATCH_SIZE = 32
+# The largest grid sizes, twice the paper's deepest (4) and widest (250).
+# They bound a network's memory: an 8-layer, 500-unit LSTM holds 15M
+# parameters (120 MB), and training keeps a few arrays of that size.
+MAX_HIDDEN_LAYERS = 8
+MAX_UNITS = 500
 
 RESULTS_HEADER = ["cluster", "cell", "layers", "units", "run", "seed", "rmse", "mae", "seconds"]
 
@@ -120,10 +125,10 @@ def validate_workers(workers: int, name: str = "workers") -> None:
 def validate_grid(grid: GridSpec) -> None:
     if not grid.hidden_layers or not grid.units or not grid.cell_kinds:
         raise ConfigError("grid axes must be non-empty")
-    if any(h < 1 for h in grid.hidden_layers):
-        raise ConfigError("hidden_layers must be >= 1")
-    if any(u < 1 for u in grid.units):
-        raise ConfigError("units must be >= 1")
+    for axis, most in (("hidden_layers", MAX_HIDDEN_LAYERS), ("units", MAX_UNITS)):
+        size = next((size for size in getattr(grid, axis) if not 1 <= size <= most), None)
+        if size is not None:
+            raise ConfigError(f"{axis} must be in 1..{most}, got {size}")
     # A repeated value would train its configs twice over.
     for axis in ("hidden_layers", "units", "cell_kinds"):
         repeated = [value for value, count in Counter(getattr(grid, axis)).items() if count > 1]

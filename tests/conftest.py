@@ -1,8 +1,15 @@
-"""Shared fixtures: small synthetic city specs and a noiseless periodic series."""
+"""Shared fixtures: small synthetic city specs, a noiseless periodic
+series, and a CLI runner with a memory cap."""
+
+import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cellcast
 from cellcast import Archetype, BinnedCellSeries, SynthSpec
 
 BIN_WIDTH_MS = 30 * 60 * 1000
@@ -56,3 +63,31 @@ def small_city_spec():
 @pytest.fixture
 def daily_series():
     return periodic_series(days=62)
+
+
+CLI_MEMORY_CAP = 1 << 30  # bytes of address space: room for numpy and a small run
+
+
+def run_capped_cli(argv, limit=CLI_MEMORY_CAP):
+    """(exit code, stderr) of cellcast.cli.main(argv), run in a child
+    process whose address space RLIMIT_AS caps at `limit` bytes, so that
+    a run that allocates without bound fails there and not in the test
+    runner."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = os.path.dirname(os.path.dirname(cellcast.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from cellcast.cli import main; sys.exit(main(sys.argv[1:]))",
+         *map(str, argv)],
+        env=env, preexec_fn=cap, capture_output=True, text=True, timeout=300)
+    return proc.returncode, proc.stderr
+
+
+@pytest.fixture
+def capped_cli():
+    """run_capped_cli, for tests that feed the CLI sizes that could
+    exhaust memory."""
+    return run_capped_cli

@@ -33,6 +33,7 @@ from cellcast import (
     build_profiles,
     chi_square_upper_tail,
     cluster_mean_series,
+    clustering,
     elbow_scan,
     forward,
     generate,
@@ -147,9 +148,11 @@ def partition_sse(points, labels):
     return sse
 
 
-def test_03_clustering_matches_exhaustive_oracle():
+def test_03_clustering_matches_exhaustive_oracle(monkeypatch):
     """K-Means SSE equals the exhaustive-partition optimum on 20 random
-    8-point instances for k <= 3, and Lloyd never increases the SSE."""
+    8-point instances for k <= 3 at 64 restarts, and Lloyd never
+    increases the SSE."""
+    monkeypatch.setattr(clustering, "RESTARTS", 64)
     worst_gap = 0.0
     for instance in range(20):
         rng = np.random.default_rng(instance)
@@ -158,7 +161,7 @@ def test_03_clustering_matches_exhaustive_oracle():
         for k in (1, 2, 3):
             oracle = min(partition_sse(points, labels)
                          for labels in all_partitions(8, k))
-            model = kmeans(profiles, k, seed=instance, restarts=64)
+            model = kmeans(profiles, k, seed=instance)
             gap = abs(model.sse - oracle)
             assert gap < 1e-9, f"instance {instance} k={k}: gap {gap:.3e}"
             assert (np.diff(model.sse_history) <= 1e-12).all(), (

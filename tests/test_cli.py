@@ -14,7 +14,7 @@ import pytest
 from cellcast import recurrent, training
 from cellcast.cli import main, parse_grid, parse_pipeline_config, parse_span, parse_synth_spec
 from cellcast.errors import ConfigError
-from cellcast.ingest import load_bins_json, save_bins_json
+from cellcast.ingest import SPAN_STARTS, load_bins_json, save_bins_json
 
 MS_PER_DAY = 86_400_000
 
@@ -36,6 +36,17 @@ class TestParseSpan:
             parse_span("2013-11-02..2013-11-01", utc_offset_hours=0.0)
         with pytest.raises(ConfigError):
             parse_span("2013-11-01..2013-11-01", utc_offset_hours=0.0)
+
+    def test_start_within_a_day_of_the_named_dates(self):
+        """At an offset of up to a day the span starts in ingest.SPAN_STARTS,
+        the span starts a bins file may state; at any larger offset that
+        leaves them, it is refused."""
+        first, _ = parse_span("0001-01-01..0001-01-02", utc_offset_hours=24.0)
+        last, _ = parse_span("9999-12-30..9999-12-31", utc_offset_hours=-24.0)
+        assert (first, last + 1) == (SPAN_STARTS.start, SPAN_STARTS.stop - MS_PER_DAY)
+        for text, offset in (("0001-01-01..0001-01-02", 24.5), ("2013-11-01..2013-11-02", 1e9)):
+            with pytest.raises(ConfigError, match="more than a day outside 0001-01-01..9999-12-31"):
+                parse_span(text, utc_offset_hours=offset)
 
     @pytest.mark.parametrize("text", ["2013-11-01", "nov..dec", "2013-11-01..", "2013/11/01..2013/11/02"])
     def test_malformed_text(self, text):
@@ -251,7 +262,6 @@ class TestPipelineConfigErrors:
     CASES = {
         "text_kmax": (lambda c: c.update(kmax="x"), "config.kmax"),
         "text_workers": (lambda c: c.update(workers="two"), "config.workers"),
-        "null_restarts": (lambda c: c.update(restarts=None), "config.restarts"),
         "text_utc_offset": (lambda c: c.update(utc_offset_hours="one"), "config.utc_offset_hours"),
         "text_seed": (lambda c: c.update(seed="s"), "config.seed"),
         "text_epochs": (lambda c: c["train"].update(epochs="many"), "train.epochs"),
@@ -263,6 +273,8 @@ class TestPipelineConfigErrors:
                                "unknown key(s) in train: batch_size"),
         "retired_base_seed": (lambda c: c["train"].update(base_seed=3),
                               "unknown key(s) in train: base_seed"),
+        "retired_restarts": (lambda c: c.update(restarts=10),
+                             "unknown key(s) in config: restarts"),
         "impossible_span_date": (lambda c: c.update(span="2013-02-30..2013-03-01"),
                                  "span '2013-02-30..2013-03-01': 2013-02-30 is not a date"),
         "text_input": (_input_mode("data/"), "config.input"),
@@ -560,6 +572,11 @@ class TestMalformedArtefacts:
                             "cells.3: holds a non-finite value"),
         "blob_list": (lambda d: d["cells"].update({"4": [0.0] * 48}), "cells.4: not base64"),
         "repeated_cell": (_repeat("1"), "cells.1: repeated key"),
+        # Past int64 (10**30) or past any date (2**62): no span parse_span gives.
+        "span_start_past_int64": (lambda d: d.update(span_start=10**30),
+                                  f"span_start: {10**30}, expected a UTC ms time in"),
+        "span_start_past_any_date": (lambda d: d.update(span_start=2**62),
+                                     f"span_start: {2**62}, expected a UTC ms time in"),
     }
 
     @staticmethod
@@ -687,6 +704,43 @@ class TestSubcommandsOnPipelineOutputs:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("axes,message", [
+        ({"hidden_layers": [1, 10**30]}, f"hidden_layers must be in 1..8, got {10**30}"),
+        ({"units": [4, 20000]}, "units must be in 1..500, got 20000"),
+    ], ids=["hidden_layers", "units"])
+    def test_train_refuses_a_grid_size_past_its_bound(self, pipeline_run, tmp_path, capped_cli,
+                                                       axes, message):
+        """A grid size past training.MAX_HIDDEN_LAYERS or MAX_UNITS exits 2
+        naming its key, before any directory or network is made. Run under
+        a memory cap: a network of such a size cannot be allocated."""
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(axes))
+        out_dir = tmp_path / "train"
+        code, err = capped_cli(["train", "--series", pipeline_run / "cluster_series.json",
+                                "--grid", grid, "--runs", "1", "--epochs", "1",
+                                "--out-dir", out_dir])
+        assert (code, err) == (2, f"error: {message}\n")
+        assert not out_dir.exists()
+
+    def test_predict_checks_the_parameter_count_before_building_layers(
+            self, pipeline_run, tmp_path, capped_cli):
+        """A model file whose last layer states 20,000 units, with its blob
+        unchanged, is refused for its parameter count; building the layers
+        first would need 12 GB."""
+        doc = json.loads((pipeline_run / "lstm_c0.json").read_text())
+        held = len(base64.b64decode(doc["parameters"])) // 8
+        doc["layers"][-1]["units"] = 20000
+        # An LSTM layer: 4 gate blocks of wx and wh, 3 peepholes, 4 biases.
+        stated = sum(4 * layer["units"] * (layer["input_dim"] + layer["units"])
+                     + 7 * layer["units"] for layer in doc["layers"]) + 20000 + 1
+        model, out = tmp_path / "m.json", tmp_path / "predictions.csv"
+        model.write_text(json.dumps(doc))
+        code, err = capped_cli(["predict", "--model", model, "--out", out, "--cluster", "0",
+                                "--bins", pipeline_run / "cluster_series.json"])
+        assert (code, err) == (2, f"error: {model}: parameters: {held} values, "
+                                  f"expected {stated}\n")
+        assert not out.exists()
+
     def test_compare_with_box(self, pipeline_run, tmp_path):
         out, box = tmp_path / "comparison.json", tmp_path / "box.csv"
         code = main(["compare", "--results", str(pipeline_run / "results.csv"),
@@ -736,8 +790,13 @@ class TestSubcommandsStandalone:
 
 
 def _expect_rejected(argv, capsys, named, out):
-    """argv exits 2 naming `named` and leaves `out` unwritten."""
-    assert main(argv) == 2
+    """argv exits 2, from main or from argparse, naming `named` and leaves
+    `out` unwritten."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
 
@@ -805,13 +864,16 @@ def test_invalid_json_names_the_file(tmp_path, capsys, command):
 
 
 class TestClusterSettings:
-    """restarts >= 1, and kmax >= 3 when k is "auto", checked before any
-    file is written."""
+    """kmax >= 3 when k is "auto", checked before any file is written.
+    The restart count is clustering.RESTARTS: a config key or flag that
+    states one is refused, whatever its value."""
 
     @pytest.mark.parametrize("edit,named", [
-        ({"restarts": 0}, "config.restarts"), ({"restarts": -1}, "config.restarts"),
+        ({"restarts": 0}, "unknown key(s) in config: restarts"),
+        ({"restarts": -1}, "unknown key(s) in config: restarts"),
+        ({"restarts": 10}, "unknown key(s) in config: restarts"),
         ({"k": "auto", "kmax": 0}, "config.kmax"), ({"k": "auto", "kmax": 2}, "config.kmax")],
-        ids=["restarts_0", "restarts_negative", "kmax_0", "kmax_2"])
+        ids=["restarts_0", "restarts_negative", "restarts_10", "kmax_0", "kmax_2"])
     def test_pipeline(self, tmp_path, capsys, edit, named):
         out = tmp_path / "out"
         config = _small_pipeline(out, _two_archetype_synth())
@@ -822,10 +884,11 @@ class TestClusterSettings:
                          out / "bins.json")
 
     @pytest.mark.parametrize("flags,named", [
-        (["--k", "2", "--restarts", "0"], "--restarts"),
-        (["--k", "auto", "--restarts", "0"], "--restarts"),
+        (["--k", "2", "--restarts", "0"], "unrecognized arguments: --restarts 0"),
+        (["--k", "auto", "--restarts", "0"], "unrecognized arguments: --restarts 0"),
+        (["--k", "auto", "--restarts", "10"], "unrecognized arguments: --restarts 10"),
         (["--k", "auto", "--kmax", "2"], "--kmax")],
-        ids=["k_2_restarts_0", "auto_restarts_0", "auto_kmax_2"])
+        ids=["k_2_restarts_0", "auto_restarts_0", "auto_restarts_10", "auto_kmax_2"])
     def test_cluster(self, tmp_path, capsys, flags, named):
         bins = tmp_path / "bins.json"
         bins.write_text(json.dumps(_bins_doc()))
@@ -881,6 +944,16 @@ def test_non_finite_flag_exits_two(tmp_path, capsys, flag, value):
     assert exc.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_train_names_a_series_file_without_series(tmp_path, capsys):
+    """A series file with no series exits 2 naming the file, before the
+    output directory is made."""
+    series = tmp_path / "series.json"
+    series.write_text(json.dumps(_bins_of({})))
+    out = tmp_path / "out"
+    _expect_rejected(["train", "--series", str(series), "--out-dir", str(out)], capsys,
+                     f"error: {series}: cells: holds no series to train on", out)
 
 
 def test_train_has_no_batch_flag(tmp_path, capsys):

@@ -34,7 +34,6 @@ from cellcast.errors import (
     MissingSeries,
     SpanMismatch,
     TooFewPoints,
-    ValidationError,
 )
 
 SPAN_START = 1_383_260_400_000  # 2013-10-31 23:00 UTC == midnight at UTC+1
@@ -75,14 +74,15 @@ def partition_sse(points, labels):
 
 
 @pytest.mark.parametrize("instance", range(5))
-def test_kmeans_matches_exhaustive_optimum(instance):
+def test_kmeans_matches_exhaustive_optimum(monkeypatch, instance):
     """With enough restarts Lloyd lands on the global SSE optimum."""
+    monkeypatch.setattr(clustering, "RESTARTS", 64)
     rng = np.random.default_rng(instance)
     points = rng.normal(size=(8, 6))
     profiles = profiles_from(points)
     for k in (1, 2, 3):
         oracle = min(partition_sse(points, labels) for labels in all_partitions(8, k))
-        model = kmeans(profiles, k, seed=instance, restarts=64)
+        model = kmeans(profiles, k, seed=instance)
         assert abs(model.sse - oracle) < 1e-9
 
 
@@ -222,12 +222,11 @@ def _lloyd(points, centroids, max_iter, repairs=None):
     return centroids, labels, sse, history, iterations
 
 
-def reference_kmeans(points, k, seed=0, max_iter=clustering.MAX_ITER, restarts=10,
-                     repairs=None):
+def reference_kmeans(points, k, seed=0, max_iter=clustering.MAX_ITER, repairs=None):
     """(centroids, labels, sse, sse_history, iterations) of the first best
-    restart, each restart fitted on its own."""
+    of clustering.RESTARTS restarts, each restart fitted on its own."""
     best = None
-    for r in range(restarts):
+    for r in range(clustering.RESTARTS):
         initial = clustering._init_centroids(points, k, np.random.default_rng([seed, r]))
         result = _lloyd(points, initial, max_iter, repairs)
         if best is None or result[2] < best[2]:
@@ -309,16 +308,18 @@ def test_lockstep_kmeans_matches_per_restart_reference(case):
     points, k, seed, restarts, max_iter = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(clustering, "MAX_ITER", max_iter)
-        model = kmeans(profiles_from(points), k, seed=seed, restarts=restarts)
-    assert_reference_fit(model, points, k, seed=seed, restarts=restarts, max_iter=max_iter)
+        patch.setattr(clustering, "RESTARTS", restarts)
+        model = kmeans(profiles_from(points), k, seed=seed)
+        assert_reference_fit(model, points, k, seed=seed, max_iter=max_iter)
 
 
-def test_lockstep_kmeans_repairs_empty_clusters_as_reference():
+def test_lockstep_kmeans_repairs_empty_clusters_as_reference(monkeypatch):
     points = np.array(_tiny_gap_points())
+    monkeypatch.setattr(clustering, "RESTARTS", 3)
     repairs = []
     for seed in range(4):
-        model = kmeans(profiles_from(points), 3, seed=seed, restarts=3)
-        assert_reference_fit(model, points, 3, seed=seed, restarts=3, repairs=repairs)
+        model = kmeans(profiles_from(points), 3, seed=seed)
+        assert_reference_fit(model, points, 3, seed=seed, repairs=repairs)
     assert any(repairs)
 
 
@@ -330,8 +331,9 @@ def test_lockstep_kmeans_keeps_its_bits_in_bounded_memory(monkeypatch, bound):
     rng = np.random.default_rng(14)
     points = rng.normal(size=(50, 6))
     monkeypatch.setattr(clustering, *bound)
-    model = kmeans(profiles_from(points), 4, seed=3, restarts=7)
-    assert_reference_fit(model, points, 4, seed=3, restarts=7)
+    monkeypatch.setattr(clustering, "RESTARTS", 7)
+    model = kmeans(profiles_from(points), 4, seed=3)
+    assert_reference_fit(model, points, 4, seed=3)
 
 
 def test_lockstep_kmeans_sse_sums_many_points_as_one_dim_sums(monkeypatch):
@@ -340,8 +342,9 @@ def test_lockstep_kmeans_sse_sums_many_points_as_one_dim_sums(monkeypatch):
     rng = np.random.default_rng(15)
     points = rng.lognormal(size=(9000, 6))
     monkeypatch.setattr(clustering, "MAX_ITER", 4)
-    model = kmeans(profiles_from(points), 5, seed=1, restarts=3)
-    assert_reference_fit(model, points, 5, seed=1, restarts=3, max_iter=4)
+    monkeypatch.setattr(clustering, "RESTARTS", 3)
+    model = kmeans(profiles_from(points), 5, seed=1)
+    assert_reference_fit(model, points, 5, seed=1, max_iter=4)
 
 
 def test_a_stored_fit_answers_only_its_own_arguments():
@@ -349,8 +352,7 @@ def test_a_stored_fit_answers_only_its_own_arguments():
     points = rng.normal(size=(40, 6))
     profiles = profiles_from(points)
     kmeans(profiles, 4, seed=1)
-    for kwargs in ({"seed": 2}, {"seed": 1, "restarts": 3}):
-        assert_reference_fit(kmeans(profiles, 4, **kwargs), points, 4, **kwargs)
+    assert_reference_fit(kmeans(profiles, 4, seed=2), points, 4, seed=2)
     assert_reference_fit(kmeans(profiles, 5, seed=1), points, 5, seed=1)
 
 
@@ -416,14 +418,6 @@ def test_elbow_scan_covers_one_through_k_max():
     assert all(s >= 0 for s in sses)
 
 
-@pytest.mark.parametrize("fit", [lambda p: kmeans(p, 2, restarts=0),
-                                 lambda p: elbow_scan(p, k_max=3, restarts=0)],
-                         ids=["kmeans", "elbow_scan"])
-def test_restarts_below_one_rejected(fit):
-    with pytest.raises(ValidationError, match="restarts must be >= 1, got 0"):
-        fit(profiles_from(np.eye(6)[:4]))
-
-
 def test_elbow_scan_caps_k_max_at_distinct_profiles():
     """Dead all-zero cells share one profile: 6 cells, 3 distinct."""
     pts = [[0.0] * 6] * 4 + [[1.0] * 6, [5.0] * 6]
@@ -461,6 +455,7 @@ def test_elbow_scan_fits_equal_independent_kmeans(monkeypatch, case):
     else:
         points = np.array(_tiny_gap_points())
         k_max, seed, restarts = 5, 2, 3
+    monkeypatch.setattr(clustering, "RESTARTS", restarts)
     profiles = profiles_from(points)
 
     fits = []
@@ -471,20 +466,20 @@ def test_elbow_scan_fits_equal_independent_kmeans(monkeypatch, case):
         return fits[-1]
 
     monkeypatch.setattr(clustering, "kmeans", recording_kmeans)
-    curve = elbow_scan(profiles, k_max, seed=seed, restarts=restarts)
+    curve = elbow_scan(profiles, k_max, seed=seed)
 
     n_distinct = np.unique(points, axis=0).shape[0]
     assert [m.k for m in fits] == list(range(1, min(k_max, n_distinct) + 1))
     assert curve.entries == [(m.k, m.sse) for m in fits]
     repairs = []
     for fit in fits:
-        alone = real_kmeans(profiles_from(points), fit.k, seed=seed, restarts=restarts)
+        alone = real_kmeans(profiles_from(points), fit.k, seed=seed)
         assert fit.centroids.tobytes() == alone.centroids.tobytes()
         assert fit.assignment == alone.assignment
         assert fit.sse == alone.sse
         assert fit.sse_history == alone.sse_history
         assert fit.iterations_run == alone.iterations_run
-        assert_reference_fit(fit, points, fit.k, seed=seed, restarts=restarts, repairs=repairs)
+        assert_reference_fit(fit, points, fit.k, seed=seed, repairs=repairs)
     if case == "empty_repair":
         assert any(repairs)
 
@@ -495,12 +490,13 @@ def test_elbow_scan_in_small_groups_matches_the_reference(monkeypatch):
     rng = np.random.default_rng(18)
     points = np.vstack([rng.normal(size=(12, 6)) + c for c in (0.0, 5.0)])
     monkeypatch.setattr(clustering, "LOCKSTEP_ELEMENTS", 2 * 6 * len(points))
+    monkeypatch.setattr(clustering, "RESTARTS", 5)
     profiles = profiles_from(points)
-    curve = elbow_scan(profiles, 6, seed=4, restarts=5)
+    curve = elbow_scan(profiles, 6, seed=4)
     for k, sse in curve.entries:
-        model = kmeans(profiles, k, seed=4, restarts=5)
+        model = kmeans(profiles, k, seed=4)
         assert model.sse == sse
-        assert_reference_fit(model, points, k, seed=4, restarts=5)
+        assert_reference_fit(model, points, k, seed=4)
 
 
 def test_knee_on_reference_curve():

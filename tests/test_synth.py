@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from cellcast import Archetype, SynthSpec, bin_series, generate, iter_cdr_paths, well_separated_city
 from cellcast import synth
 from cellcast.errors import InvalidSpec
-from cellcast.ingest import BIN_WIDTH_MS, read_cdr_paths
+from cellcast.ingest import BIN_WIDTH_MS, SPAN_STARTS, read_cdr_paths
 from cellcast.synth import (
     BINS_PER_DAY,
     DEFAULT_SPAN_START,
@@ -146,6 +146,9 @@ def test_well_separated_city_profiles_are_far_apart():
         dict(days=0),
         dict(start_weekday=7),
         dict(span_start=1),
+        # Starts a bins file could not state (ingest.SPAN_STARTS).
+        dict(span_start=SPAN_STARTS.start - BIN_WIDTH_MS),
+        dict(span_start=2**42 * BIN_WIDTH_MS),
     ],
 )
 def test_invalid_spec_rejected(bad, flat_spec):

@@ -23,6 +23,8 @@ from cellcast import (
 )
 from cellcast.errors import ConfigError, UnknownCluster
 from cellcast.training import (
+    MAX_HIDDEN_LAYERS,
+    MAX_UNITS,
     GridResult,
     TrainRunResult,
     config_label,
@@ -79,6 +81,7 @@ class TestConfigValidation:
     def test_defaults_are_valid(self):
         validate_train_config(TrainConfig())
         validate_grid(GridSpec())
+        validate_grid(GridSpec(hidden_layers=(1, MAX_HIDDEN_LAYERS), units=(1, MAX_UNITS)))
 
     @pytest.mark.parametrize("field,value", [("epochs", 0), ("runs", 0)])
     def test_bad_train_config(self, field, value):
@@ -94,6 +97,8 @@ class TestConfigValidation:
             ("units", (0,)),
             ("hidden_layers", (0,)),
             ("cell_kinds", ("rnn",)),
+            ("hidden_layers", (4, 9)),
+            ("units", (250, 501)),
         ],
     )
     def test_bad_grid(self, field, value):
