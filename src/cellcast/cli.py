@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 
 from . import clustering, ingest, jsonfile, recurrent, stats, synth, training
-from .errors import ConfigError, DomainError, MalformedBins, MalformedTruth, ValidationError
+from .errors import ConfigError, MalformedBins, MalformedTruth, ValidationError
 
 
 def _log(msg: str) -> None:
@@ -64,6 +64,32 @@ def finite_number(text: str) -> float:
     return _number(float(text))
 
 
+def _seed(value) -> int:
+    """A JSON integer >= 0, the seeds numpy's SeedSequence takes."""
+    if _integer(value) < 0:
+        raise ValueError("negative seed")
+    return int(value)
+
+
+def seed(text: str) -> int:
+    """A command-line seed; argparse exits 2 on text or a negative number."""
+    return _seed(int(text))
+
+
+def _utc_offset(value) -> float:
+    """A JSON number of hours in -24..24, the offsets that ingest.SPAN_STARTS
+    allows for."""
+    if not -24 <= _number(value) <= 24:
+        raise ValueError("more than a day from UTC")
+    return float(value)
+
+
+def utc_offset(text: str) -> float:
+    """A command-line UTC offset; argparse exits 2 on text, nan, inf or
+    more than a day from UTC."""
+    return _utc_offset(float(text))
+
+
 def _instance_of(kind: type):
     def convert(value):
         if not isinstance(value, kind):
@@ -73,6 +99,12 @@ def _instance_of(kind: type):
 
 
 _text, _object = _instance_of(str), _instance_of(dict)
+
+
+def _path(value) -> str:
+    if not _text(value):
+        raise ValueError("empty path")
+    return value
 
 
 def _k(value):
@@ -107,22 +139,23 @@ def _archetypes(value) -> list[synth.Archetype]:
 
 
 _KINDS = {_integer: "an integer", _number: "a finite number", _text: "a string",
-          _object: "a JSON object", _k: "an integer or 'auto'",
-          _path_list: "a non-empty list of paths", _number_list: "a list of finite numbers",
-          _int_list: "a list of integers", _name_list: "a list of names",
-          _archetypes: "a list of archetypes"}
+          _seed: "an integer >= 0", _utc_offset: "a number of hours in -24..24",
+          _path: "a non-empty path", _object: "a JSON object",
+          _k: "an integer or 'auto'", _path_list: "a non-empty list of paths",
+          _number_list: "a list of finite numbers", _int_list: "a list of integers",
+          _name_list: "a list of names", _archetypes: "a list of archetypes"}
 
 # Each config section: key -> converter. A key a section leaves out takes
 # the default of the dataclass the section builds.
 _ARCHETYPE = {"id": _integer, "base_level": _number, "period_weights": _number_list,
               "weekend_factor": _number, "noise_sd": _number}
 _SYNTH = {"archetypes": _archetypes, "cells_per_archetype": _integer, "days": _integer,
-          "span_start": _integer, "start_weekday": _integer, "country_code": _integer}
+          "span_start": _integer, "country_code": _integer}
 _GRID = {"hidden_layers": _int_list, "units": _int_list, "cell_kinds": _name_list}
 _TRAIN = {"epochs": _integer, "runs": _integer}
-_CONFIG = {"out_dir": _text, "synth": _object, "input": _path_list, "span": _text,
-           "utc_offset_hours": _number, "k": _k, "kmax": _integer, "grid": _object,
-           "train": _object, "seed": _integer, "workers": _integer}
+_CONFIG = {"out_dir": _path, "synth": _object, "input": _path_list, "span": _text,
+           "utc_offset_hours": _utc_offset, "k": _k, "kmax": _integer, "grid": _object,
+           "train": _object, "seed": _seed, "workers": _integer}
 
 
 def _section(payload, where: str, fields: dict, target, **defaults):
@@ -239,8 +272,8 @@ def _cluster_stage(cells: dict, bins_path: str, k, kmax: int, seed: int,
             raise MalformedTruth(f"{truth_path}: no archetype for cell {missing[0]}")
     try:
         profiles = clustering.build_profiles(cells, utc_offset_hours)
-    except DomainError as exc:
-        raise DomainError(f"{bins_path}: {exc}") from None
+    except ValidationError as exc:
+        raise type(exc)(f"{bins_path}: {exc}") from None
     curve = None
     if k == "auto":
         curve = clustering.elbow_scan(profiles, kmax, seed=seed)
@@ -372,6 +405,7 @@ def cmd_train(args) -> int:
     else:
         grid = jsonfile.load(args.grid, lambda doc: parse_grid(doc, "grid file"), ConfigError)
     cfg = training.TrainConfig(epochs=args.epochs, runs=args.runs, base_seed=args.seed)
+    training.validate_train_config(cfg)
     os.makedirs(args.out_dir, exist_ok=True)
     _train_stage(series, grid, cfg, args.workers, args.out_dir,
                  record_timing=args.record_timing)
@@ -425,6 +459,15 @@ def cmd_pipeline(args) -> int:
     if args.workers is not None:
         training.validate_workers(args.workers, "--workers")
         cfg.workers = args.workers
+    try:
+        _run_pipeline(cfg)
+    except ValidationError as exc:
+        # Every setting of the run, and every input path, is in the config.
+        raise type(exc)(f"{args.config}: {exc}") from None
+    return 0
+
+
+def _run_pipeline(cfg: PipelineConfig) -> None:
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
 
@@ -451,7 +494,6 @@ def cmd_pipeline(args) -> int:
         _predict_stage(net, scaler, series[cluster],
                        os.path.join(out, f"predictions_c{cluster}.csv"))
     _log(f"pipeline: done, outputs in {out}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -473,13 +515,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cells per archetype")
     p.add_argument("--days", type=int, default=preset["days"].default)
     p.add_argument("--noise", type=finite_number, default=preset["noise_sd"].default)
-    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
+    p.add_argument("--seed", type=seed, default=PipelineConfig.seed)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("ingest", help="bin raw CDR files into 30-minute series")
     p.add_argument("--input", required=True, nargs="+", help="CDR files or directories")
     p.add_argument("--span", required=True, help="local date range, e.g. 2013-11-01..2014-01-02")
-    p.add_argument("--utc-offset", type=finite_number, default=PipelineConfig.utc_offset_hours,
+    p.add_argument("--utc-offset", type=utc_offset, default=PipelineConfig.utc_offset_hours,
                    dest="utc_offset", help="local clock offset in hours (default %(default)s, Milan)")
     p.add_argument("--out", required=True, help="bins JSON output")
     p.add_argument("--csv", help="also write bins as CSV")
@@ -490,8 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", default=PipelineConfig.k,
                    help="cluster count, or 'auto' for the elbow pick")
     p.add_argument("--kmax", type=int, default=PipelineConfig.kmax)
-    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
-    p.add_argument("--utc-offset", type=finite_number, default=PipelineConfig.utc_offset_hours,
+    p.add_argument("--seed", type=seed, default=PipelineConfig.seed)
+    p.add_argument("--utc-offset", type=utc_offset, default=PipelineConfig.utc_offset_hours,
                    dest="utc_offset")
     p.add_argument("--truth", help="truth.csv to score the clustering against")
     p.add_argument("--out", default="clusters.json")
@@ -507,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="default", help="'default' or a grid JSON file")
     p.add_argument("--runs", type=int, default=training.TrainConfig.runs)
     p.add_argument("--epochs", type=int, default=training.TrainConfig.epochs)
-    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
+    p.add_argument("--seed", type=seed, default=PipelineConfig.seed)
     p.add_argument("--workers", type=int, default=PipelineConfig.workers)
     p.add_argument("--record-timing", action="store_true", dest="record_timing",
                    help="write wall times into results.csv (breaks rerun byte-identity)")

@@ -44,7 +44,7 @@ def _path_to(node, target, where: str = "") -> str | None:
 
 def load(path: str, parse: Callable[[dict], T], error: type[ValidationError]) -> T:
     """parse(document) of the JSON object in the file at path. Text that is
-    not a JSON object, an object that repeats a key, and a MalformedFile
+    not a JSON object, an object that repeats a key, and a ValidationError
     raised by parse, become `error` with the path in front of the message."""
     repeated = []  # (object, its first repeated key)
 
@@ -67,7 +67,7 @@ def load(path: str, parse: Callable[[dict], T], error: type[ValidationError]) ->
         raise error(f"{path}: not a JSON object")
     try:
         return parse(doc)
-    except MalformedFile as exc:
+    except ValidationError as exc:
         raise error(f"{path}: {exc}") from None
 
 

@@ -10,12 +10,13 @@ validating the clustering stage.
 from __future__ import annotations
 
 import csv
+import io
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import HOURS_PER_PERIOD, N_PERIODS
+from .clustering import DEFAULT_UTC_OFFSET_HOURS, HOURS_PER_PERIOD, N_PERIODS
 from .errors import InvalidSpec, MalformedTruth
 from .ingest import BIN_WIDTH_MS, MS_PER_DAY, MS_PER_HOUR, SPAN_STARTS
 
@@ -28,9 +29,15 @@ WORDS_PER_STREAM = 256  # raw words first drawn per stream; one day takes about 
 # Lemire's bound rejects a half whose m mod 2**32 falls below this.
 OFFSET_THRESHOLD = 2**32 % BIN_WIDTH_MS
 
-# 2013-11-01 00:00 in a UTC+1 local clock; day zero is a Friday.
+# 2013-11-01 00:00 on the city's UTC+1 clock (Milan's); day zero is a Friday.
 DEFAULT_SPAN_START = 1_383_260_400_000
-FRIDAY = 4
+# Twice the paper's city: 62 days of about 10,000 cells.
+MAX_DAYS = 124
+MAX_CELLS = 20_000
+# The most activity a bin's level or noise sd may state: far above any
+# bin of the Milan data, and far enough below the float range that no
+# bin, noise included, overflows.
+MAX_LEVEL = 1e15
 
 
 @dataclass(frozen=True)
@@ -51,7 +58,6 @@ class SynthSpec:
     days: int = 62
     seed: int = 0
     span_start: int = DEFAULT_SPAN_START
-    start_weekday: int = FRIDAY  # Monday == 0
     country_code: int = 39
 
     @property
@@ -62,12 +68,13 @@ class SynthSpec:
 def validate_spec(spec: SynthSpec) -> None:
     if not spec.archetypes:
         raise InvalidSpec("need at least one archetype")
-    if spec.cells_per_archetype < 1:
-        raise InvalidSpec("cells_per_archetype must be >= 1")
-    if spec.days < 1:
-        raise InvalidSpec("days must be >= 1")
-    if not 0 <= spec.start_weekday <= 6:
-        raise InvalidSpec("start_weekday must be in 0..6")
+    most_cells = MAX_CELLS // len(spec.archetypes)
+    if not 1 <= spec.cells_per_archetype <= most_cells:
+        raise InvalidSpec(f"cells_per_archetype must be in 1..{most_cells} for "
+                          f"{len(spec.archetypes)} archetypes (at most {MAX_CELLS} cells), "
+                          f"got {spec.cells_per_archetype}")
+    if not 1 <= spec.days <= MAX_DAYS:
+        raise InvalidSpec(f"days must be in 1..{MAX_DAYS}, got {spec.days}")
     if spec.span_start % BIN_WIDTH_MS:
         raise InvalidSpec("span_start must be 30-minute aligned")
     if spec.span_start not in SPAN_STARTS:
@@ -88,6 +95,10 @@ def validate_spec(spec: SynthSpec) -> None:
             raise InvalidSpec(f"archetype {arch.id}: all period weights zero")
         if not 0 < arch.weekend_factor <= 2:
             raise InvalidSpec(f"archetype {arch.id}: weekend_factor outside (0, 2]")
+        level = arch.base_level * max(arch.period_weights) * max(1.0, arch.weekend_factor)
+        if not (level <= MAX_LEVEL and arch.noise_sd <= MAX_LEVEL):
+            raise InvalidSpec(f"archetype {arch.id}: peak level {level:g} or noise_sd "
+                              f"{arch.noise_sd:g} above {MAX_LEVEL:g}")
 
 
 def cell_layout(spec: SynthSpec) -> dict[int, int]:
@@ -110,9 +121,12 @@ def bin_values_for_cell(spec: SynthSpec, arch: Archetype, cell_id: int) -> np.nd
     values = np.empty(spec.days * BINS_PER_DAY)
     weights = np.asarray(arch.period_weights, dtype=np.float64)
     day_shape = arch.base_level * np.repeat(weights, BINS_PER_PERIOD)
+    # Day 0 falls on the weekday (Monday == 0) of span_start's local date
+    # on the city's clock; 1970-01-01 was a Thursday.
+    local_day = (spec.span_start + round(DEFAULT_UTC_OFFSET_HOURS * MS_PER_HOUR)) // MS_PER_DAY
     for day in range(spec.days):
         rng = np.random.default_rng([spec.seed, cell_id, day])
-        weekday = (spec.start_weekday + day) % 7
+        weekday = (local_day + 3 + day) % 7
         level = day_shape * arch.weekend_factor if weekday >= 5 else day_shape
         noise = rng.normal(0.0, arch.noise_sd, size=BINS_PER_DAY)
         values[day * BINS_PER_DAY:(day + 1) * BINS_PER_DAY] = np.maximum(0.0, level + noise)
@@ -296,7 +310,11 @@ def load_truth(path: str) -> dict[int, int]:
     MalformedTruth naming the file and the 1-based line."""
     truth = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            raise MalformedTruth(f"{path}: not UTF-8 text") from None
+        reader = csv.reader(io.StringIO(text, newline=""))
         if next(reader, None) is None:
             raise MalformedTruth(f"{path}: empty file, expected a header line")
         for row in reader:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import ctypes
 import glob
+import io
 import math
 import os
 import sys
@@ -56,6 +57,10 @@ BATCH_SIZE = 32
 # parameters (120 MB), and training keeps a few arrays of that size.
 MAX_HIDDEN_LAYERS = 8
 MAX_UNITS = 500
+# The most epochs and runs, twice the paper's 50 and 30; they bound a
+# grid's time.
+MAX_EPOCHS = 100
+MAX_RUNS = 60
 
 RESULTS_HEADER = ["cluster", "cell", "layers", "units", "run", "seed", "rmse", "mae", "seconds"]
 
@@ -111,10 +116,9 @@ class GridResult:
 
 
 def validate_train_config(cfg: TrainConfig) -> None:
-    if cfg.epochs < 1:
-        raise ConfigError(f"epochs must be >= 1, got {cfg.epochs}")
-    if cfg.runs < 1:
-        raise ConfigError(f"runs must be >= 1, got {cfg.runs}")
+    for name, most in (("epochs", MAX_EPOCHS), ("runs", MAX_RUNS)):
+        if not 1 <= getattr(cfg, name) <= most:
+            raise ConfigError(f"{name} must be in 1..{most}, got {getattr(cfg, name)}")
 
 
 def validate_workers(workers: int, name: str = "workers") -> None:
@@ -516,7 +520,11 @@ def load_results_csv(path: str) -> GridResult:
     """
     runs = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            raise MalformedResults(f"{path}: not UTF-8 text") from None
+        reader = csv.reader(io.StringIO(text, newline=""))
         if next(reader, None) is None:
             raise MalformedResults(f"{path}: empty file, expected a header line")
         for row in reader:

@@ -66,24 +66,29 @@ def daily_series():
 
 
 CLI_MEMORY_CAP = 1 << 30  # bytes of address space: room for numpy and a small run
+CLI_MAIN = "import sys; from cellcast.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def run_capped_cli(argv, limit=CLI_MEMORY_CAP):
-    """(exit code, stderr) of cellcast.cli.main(argv), run in a child
+def run_capped(code, argv=(), limit=CLI_MEMORY_CAP, cwd=None, timeout=300):
+    """(exit code, stderr) of `python -c code *argv`, run in a child
     process whose address space RLIMIT_AS caps at `limit` bytes, so that
     a run that allocates without bound fails there and not in the test
-    runner."""
+    runner. The child imports cellcast from this checkout; one that runs
+    past `timeout` seconds raises subprocess.TimeoutExpired."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     src = os.path.dirname(os.path.dirname(cellcast.__file__))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from cellcast.cli import main; sys.exit(main(sys.argv[1:]))",
-         *map(str, argv)],
-        env=env, preexec_fn=cap, capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env, cwd=cwd,
+                          preexec_fn=cap, capture_output=True, text=True, timeout=timeout)
     return proc.returncode, proc.stderr
+
+
+def run_capped_cli(argv, limit=CLI_MEMORY_CAP):
+    """run_capped of cellcast.cli.main(argv)."""
+    return run_capped(CLI_MAIN, argv, limit)
 
 
 @pytest.fixture

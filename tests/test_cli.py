@@ -225,6 +225,17 @@ class TestSynthSpecErrors:
         "duplicate_id": (lambda s: s["archetypes"][1].update(id=0), "archetype id 0"),
         # The seed is the pipeline's seed or synth's --seed, never the spec's.
         "retired_seed": (lambda s: s.update(seed=5), "unknown key(s) in synth: seed"),
+        # Day 0's weekday follows span_start.
+        "retired_start_weekday": (lambda s: s.update(start_weekday=4),
+                                  "unknown key(s) in synth: start_weekday"),
+        "days_past_bound": (lambda s: s.update(days=125), "days must be in 1..124, got 125"),
+        "cells_past_bound": (lambda s: s.update(cells_per_archetype=10001),
+                             "cells_per_archetype must be in 1..10000 for 2 archetypes"),
+        # Bins past MAX_LEVEL could overflow to inf while they are drawn.
+        "base_level_past_bound": (lambda s: s["archetypes"][0].update(base_level=1e308),
+                                  "archetype 0: peak level inf or noise_sd 0.3 above 1e+15"),
+        "noise_sd_past_bound": (lambda s: s["archetypes"][1].update(noise_sd=1e300),
+                                "archetype 1: peak level 120 or noise_sd 1e+300 above 1e+15"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -281,6 +292,15 @@ class TestPipelineConfigErrors:
         "empty_input": (_input_mode([]), "config.input"),
         "number_in_input": (_input_mode(["data/", 3]), "config.input"),
         "fractional_epochs": (lambda c: c["train"].update(epochs=2.7), "train.epochs"),
+        "epochs_past_bound": (lambda c: c["train"].update(epochs=101),
+                              "config.json: epochs must be in 1..100, got 101"),
+        "runs_past_bound": (lambda c: c["train"].update(runs=61),
+                            "config.json: runs must be in 1..60, got 61"),
+        # numpy's SeedSequence takes no negative seed.
+        "negative_seed": (lambda c: c.update(seed=-1),
+                          "config.json: config.seed must be an integer >= 0, got -1"),
+        "empty_out_dir": (lambda c: c.update(out_dir=""),
+                          "config.json: config.out_dir must be a non-empty path, got ''"),
         "bool_kmax": (lambda c: c.update(kmax=True), "config.kmax"),
         "bool_seed": (lambda c: c.update(seed=False), "config.seed"),
         "fractional_k": (lambda c: c.update(k=2.5), "k must be an integer"),
@@ -701,7 +721,7 @@ class TestSubcommandsOnPipelineOutputs:
                      "--grid", str(grid), "--runs", "1", "--epochs", "1",
                      "--out-dir", str(out_dir)])
         assert code == 2
-        assert f"error: {message}" in capsys.readouterr().err
+        assert f"error: {grid}: {message}" in capsys.readouterr().err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("axes,message", [
@@ -719,7 +739,7 @@ class TestSubcommandsOnPipelineOutputs:
         code, err = capped_cli(["train", "--series", pipeline_run / "cluster_series.json",
                                 "--grid", grid, "--runs", "1", "--epochs", "1",
                                 "--out-dir", out_dir])
-        assert (code, err) == (2, f"error: {message}\n")
+        assert (code, err) == (2, f"error: {grid}: {message}\n")
         assert not out_dir.exists()
 
     def test_predict_checks_the_parameter_count_before_building_layers(
@@ -944,6 +964,95 @@ def test_non_finite_flag_exits_two(tmp_path, capsys, flag, value):
     assert exc.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--days", 10**8, "days must be in 1..124, got 100000000"),
+    ("--cells", 10**12, "cells_per_archetype must be in 1..1666 for 12 archetypes "
+                        "(at most 20000 cells), got 1000000000000"),
+], ids=["days", "cells"])
+def test_synth_refuses_a_city_past_its_bound(tmp_path, capped_cli, flag, value, message):
+    """A city past synth.MAX_DAYS or MAX_CELLS exits 2 naming its key,
+    before its directory is made or its series allocated. Run under a
+    memory cap: such a city's series cannot be allocated."""
+    out = tmp_path / "city"
+    code, err = capped_cli(["synth", "--out", out, flag, value])
+    assert (code, err) == (2, f"error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "cluster", "train"])
+def test_negative_seed_flag_exits_two(tmp_path, capsys, command):
+    """numpy's SeedSequence takes no negative seed."""
+    series = tmp_path / "series.json"
+    series.write_text(json.dumps(_bins_doc()))
+    out = tmp_path / "out"
+    argv = {"synth": ["synth", "--out", str(out)],
+            "cluster": ["cluster", "--bins", str(series), "--k", "2", "--out", str(out)],
+            "train": ["train", "--series", str(series), "--out-dir", str(out)]}[command]
+    _expect_rejected(argv + ["--seed", "-1"], capsys, "argument --seed: invalid seed value: '-1'",
+                     out)
+
+
+@pytest.mark.parametrize("flag,value", [("--runs", "61"), ("--epochs", "0")])
+def test_train_checks_runs_and_epochs_before_making_its_directory(tmp_path, capsys, flag, value):
+    series, grid = tmp_path / "series.json", tmp_path / "grid.json"
+    series.write_text(json.dumps(_bins_doc()))
+    grid.write_text(json.dumps({"hidden_layers": [1], "units": [2]}))
+    out = tmp_path / "out"
+    _expect_rejected(["train", "--series", str(series), "--grid", str(grid), "--epochs", "1",
+                      "--out-dir", str(out), flag, value], capsys, f"{flag[2:]} must be in 1..", out)
+
+
+@pytest.mark.parametrize("command", ["compare", "cluster --truth"])
+def test_csv_that_is_not_utf8_names_the_file(tmp_path, capsys, command):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"cell_id,archetype\n1,0\n2,\xff\n")
+    bins = tmp_path / "bins.json"
+    bins.write_text(json.dumps(_bins_doc()))
+    out = tmp_path / "out.json"
+    argv = {"compare": ["compare", "--results", str(bad), "--out", str(out)],
+            "cluster --truth": ["cluster", "--bins", str(bins), "--k", "2", "--truth", str(bad),
+                                "--out", str(out), "--series", str(tmp_path / "s.json")]}
+    _expect_rejected(argv[command], capsys, f"{bad}: not UTF-8 text", out)
+
+
+def test_cluster_names_a_bins_file_without_cells(tmp_path, capsys):
+    bins = tmp_path / "bins.json"
+    bins.write_text(json.dumps(_bins_of({})))
+    out = tmp_path / "clusters.json"
+    _expect_rejected(["cluster", "--bins", str(bins), "--k", "2", "--out", str(out)], capsys,
+                     f"{bins}: no profiles to cluster", out)
+
+
+def test_pipeline_stage_error_names_the_config(tmp_path, capsys):
+    """An error a stage finds comes from a setting or an input that the
+    config states, so the message names the config."""
+    path = tmp_path / "config.json"
+    config = _small_pipeline(tmp_path / "out", _two_archetype_synth())
+    path.write_text(json.dumps(dict(config, k=50)))
+    assert main(["pipeline", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.endswith(f"error: {path}: 6 distinct profiles < k=50\n")
+
+
+@pytest.mark.parametrize("hours", ["1e308", "-24.5"])
+@pytest.mark.parametrize("command", ["ingest", "cluster", "pipeline"])
+def test_utc_offset_past_a_day_exits_two(tmp_path, capsys, command, hours):
+    """1e308 hours is no millisecond offset (it overflows to inf), and
+    no span start of ingest.SPAN_STARTS allows for more than a day."""
+    bins, config = tmp_path / "bins.json", tmp_path / "config.json"
+    bins.write_text(json.dumps(_bins_doc()))
+    out = tmp_path / "out"
+    config.write_text(json.dumps(dict(_small_pipeline(out, _two_archetype_synth()),
+                                      utc_offset_hours=float(hours))))
+    argv = {"ingest": ["ingest", "--input", str(tmp_path), "--span", "2013-11-01..2013-11-02",
+                       "--out", str(out), "--utc-offset", hours],
+            "cluster": ["cluster", "--bins", str(bins), "--k", "2", "--out", str(out),
+                        "--utc-offset", hours],
+            "pipeline": ["pipeline", "--config", str(config)]}[command]
+    named = ("config.utc_offset_hours must be a number of hours in -24..24"
+             if command == "pipeline" else f"argument --utc-offset: invalid utc_offset value")
+    _expect_rejected(argv, capsys, named, out)
 
 
 def test_train_names_a_series_file_without_series(tmp_path, capsys):

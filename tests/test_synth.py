@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 from cellcast import Archetype, SynthSpec, bin_series, generate, iter_cdr_paths, well_separated_city
 from cellcast import synth
 from cellcast.errors import InvalidSpec
-from cellcast.ingest import BIN_WIDTH_MS, SPAN_STARTS, read_cdr_paths
+from cellcast.ingest import BIN_WIDTH_MS, MS_PER_DAY, SPAN_STARTS, read_cdr_paths
 from cellcast.synth import (
     BINS_PER_DAY,
     DEFAULT_SPAN_START,
+    MAX_CELLS,
+    MAX_DAYS,
     MAX_PARTS,
     bin_values_for_cell,
     cell_layout,
@@ -77,9 +79,32 @@ def test_weekend_factor_scales_weekend_days():
     np.testing.assert_allclose(values[[1, 2]], 2.0)
 
 
+@pytest.mark.parametrize("span_start, weekend", [
+    (DEFAULT_SPAN_START + 3 * MS_PER_DAY, [5, 6]),  # Monday 2013-11-04
+    (DEFAULT_SPAN_START - BIN_WIDTH_MS, [2, 3]),  # Thursday 23:30 local
+    # 0000-12-31, a Sunday, and 10000-01-01, a Saturday, at 01:00 local:
+    # the ends of ingest.SPAN_STARTS.
+    (SPAN_STARTS.start, [0, 6]),
+    (SPAN_STARTS.stop - 1, [0, 1]),
+], ids=["monday", "thursday", "first_start", "last_start"])
+def test_weekend_follows_span_start(span_start, weekend):
+    """Day 0 falls on the weekday of span_start's local date at UTC+1."""
+    arch = Archetype(id=0, base_level=4.0, period_weights=(1.0,) * 6, weekend_factor=0.5)
+    spec = SynthSpec(archetypes=[arch], days=7, seed=0, span_start=span_start)
+    values = bin_values_for_cell(spec, arch, 1).reshape(7, BINS_PER_DAY)
+    expected = np.where(np.isin(np.arange(7), weekend), 2.0, 4.0)
+    np.testing.assert_allclose(values, np.repeat(expected[:, None], BINS_PER_DAY, axis=1))
+
+
+def test_weekday_is_no_setting(flat_spec):
+    with pytest.raises(TypeError, match="start_weekday"):
+        SynthSpec(archetypes=flat_spec.archetypes, start_weekday=0)
+
+
 def test_noiseless_weekdays_repeat_exactly():
     arch = Archetype(id=0, base_level=3.0, period_weights=(1, 2, 3, 4, 5, 6))
-    spec = SynthSpec(archetypes=[arch], days=14, seed=5, start_weekday=0)
+    spec = SynthSpec(archetypes=[arch], days=14, seed=5,
+                     span_start=DEFAULT_SPAN_START + 3 * MS_PER_DAY)
     values = bin_values_for_cell(spec, arch, 1).reshape(14, BINS_PER_DAY)
     np.testing.assert_array_equal(values[7], values[0])
     np.testing.assert_array_equal(values[8], values[1])
@@ -144,11 +169,12 @@ def test_well_separated_city_profiles_are_far_apart():
         dict(archetypes=[]),
         dict(cells_per_archetype=0),
         dict(days=0),
-        dict(start_weekday=7),
+        dict(days=MAX_DAYS + 1),
         dict(span_start=1),
         # Starts a bins file could not state (ingest.SPAN_STARTS).
         dict(span_start=SPAN_STARTS.start - BIN_WIDTH_MS),
         dict(span_start=2**42 * BIN_WIDTH_MS),
+        dict(cells_per_archetype=MAX_CELLS + 1),
     ],
 )
 def test_invalid_spec_rejected(bad, flat_spec):
@@ -253,13 +279,12 @@ archetype_strategy = st.builds(
     cells=st.integers(min_value=1, max_value=2),
     days=st.integers(min_value=1, max_value=3),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    start_bin=st.integers(min_value=0, max_value=200),
-    start_weekday=st.integers(min_value=0, max_value=6),
+    # Up to a week late, so that day 0 falls on any weekday.
+    start_bin=st.integers(min_value=0, max_value=7 * BINS_PER_DAY - 1),
     country_code=st.integers(min_value=1, max_value=999),
 )
 @settings(max_examples=40, deadline=None)
-def test_small_spec_round_trip(archs, cells, days, seed, start_bin, start_weekday,
-                               country_code):
+def test_small_spec_round_trip(archs, cells, days, seed, start_bin, country_code):
     """Any small spec: ingest gives back the oracle's bins, and each bin
     is 1-4 records with sorted timestamps inside the bin."""
     spec = SynthSpec(
@@ -267,8 +292,7 @@ def test_small_spec_round_trip(archs, cells, days, seed, start_bin, start_weekda
                               weekend_factor=weekend, noise_sd=noise)
                     for i, (level, weights, weekend, noise) in enumerate(archs)],
         cells_per_archetype=cells, days=days, seed=seed,
-        span_start=DEFAULT_SPAN_START + start_bin * BIN_WIDTH_MS,
-        start_weekday=start_weekday, country_code=country_code)
+        span_start=DEFAULT_SPAN_START + start_bin * BIN_WIDTH_MS, country_code=country_code)
     with tempfile.TemporaryDirectory() as out_dir:
         paths, truth = generate(spec, out_dir)
         result = bin_series(read_cdr_paths(paths), spec.span_start, spec.span_end)
